@@ -27,9 +27,8 @@ from .cluster_map import (
     Cluster,
     ClusterMap,
     Frame,
-    LabeledPoint,
     SemanticLabel,
-    compute_centroids,
+    label_code,
     other_label,
 )
 from .config import Config, default_config, dump_config, load_config, parse_config
@@ -52,14 +51,8 @@ from .evaluate import (
     success,
     trajectory_length,
 )
-from .extraction import (
-    ExtractionParams,
-    euclidean_cluster,
-    extract_clusters,
-    filter_landmark_points,
-    vote_label,
-)
-from .geometry import PoseSE3, circular_diff_deg, rotation_about_z
+from .extraction import ExtractionParams, euclidean_cluster, extract_clusters
+from .geometry import PoseSE3, rotation_about_z
 from .localization import (
     HISTORY_LIMIT,
     AnchoredPose,

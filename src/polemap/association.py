@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster_map import POLE, TRUNK, Cluster, ClusterMap, SemanticLabel
+from .cluster_map import Cluster, ClusterMap, SemanticLabel, label_code
 
 # Sentinel for an edge pair that does not reach the minimum sub-edge support.
 # Using infinity keeps minimum and threshold comparisons natural.
@@ -87,14 +87,6 @@ class MatchPair:
     matched_edges: int
 
 
-def _label_code(label: SemanticLabel) -> int:
-    if label == POLE:
-        return 0
-    if label == TRUNK:
-        return 1
-    return 2 + label.category
-
-
 @dataclass(frozen=True)
 class _EdgeData:
     """Array form of one anchor's edge star, ordered by (length, neighbor id)."""
@@ -123,7 +115,7 @@ def _edge_data(cluster_map: ClusterMap, cluster_id: int, search_radius: float) -
         nids.append(nid)
         lengths.append(length)
         phis.append(math.degrees(math.atan2(vec[1], vec[0])))
-        labels.append(_label_code(neighbor.label))
+        labels.append(label_code(neighbor.label))
         dirs.append(vec / length)
     return _EdgeData(
         np.array(nids, dtype=int),
@@ -142,7 +134,7 @@ def _edge_data_from_edges(edges) -> _EdgeData:
             [math.degrees(math.atan2(e.direction[1], e.direction[0])) for e in edges],
             dtype=float,
         ),
-        np.array([_label_code(e.neighbor_label) for e in edges], dtype=int),
+        np.array([label_code(e.neighbor_label) for e in edges], dtype=int),
         np.array([np.asarray(e.direction, dtype=float) for e in edges]).reshape(len(edges), 2),
     )
 

@@ -122,15 +122,14 @@ def _cmd_relocalize(args) -> int:
     return 0
 
 
-def _cmd_localize(args) -> int:
-    cfg = _load_config(args.config)
-    dataset = Dataset(args.data)
-    global_map = load_map(args.map)
+def _run_localization(cfg: Config, data: str, map_path: str):
+    """Replay a dataset's odometry against a map: (true poses, odometry, result)."""
+    dataset = Dataset(data)
+    global_map = load_map(map_path)
     odometry = dataset.odometry()
     if odometry is None:
-        raise PolemapError(f"{args.data}: no odometry.txt")
+        raise PolemapError(f"{data}: no odometry.txt")
     true_poses = dataset.poses()
-
     frames = [
         dataset.frame(i, cfg.labels, ts) for i, (ts, _) in enumerate(true_poses)
     ]
@@ -144,6 +143,12 @@ def _cmd_localize(args) -> int:
         relocalization=cfg.reloc,
         config=cfg.pipeline,
     )
+    return true_poses, odometry, result
+
+
+def _cmd_localize(args) -> int:
+    cfg = _load_config(args.config)
+    true_poses, _, result = _run_localization(cfg, args.data, args.map)
     save_poses(args.out, result.trajectory)
     rmse = evaluate_localization(true_poses, result.trajectory)
     print(f"fixes {result.fixes_applied} attempts {result.attempts}")
@@ -172,44 +177,20 @@ def _cmd_evaluate(args) -> int:
                 f"{r.success_rate:.4f},{r.distance_p50:.3f},{r.distance_p90:.3f},"
                 f"{r.distance_p95:.3f},{r.distance_p99:.3f},{r.cluster_density:.6f}"
             )
-        text = "\n".join(rows) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(text)
-        print(text, end="")
-        return 0
-
-    # localization mode: pipeline RMSE next to raw odometry RMSE
-    if not args.data or not args.map:
-        raise PolemapError("--mode loc needs --data and --map")
-    dataset = Dataset(args.data)
-    global_map = load_map(args.map)
-    odometry = dataset.odometry()
-    if odometry is None:
-        raise PolemapError(f"{args.data}: no odometry.txt")
-    true_poses = dataset.poses()
-    frames = [
-        dataset.frame(i, cfg.labels, ts) for i, (ts, _) in enumerate(true_poses)
-    ]
-    result = run_pipeline(
-        frames,
-        _odometry_increments(odometry),
-        global_map,
-        initial_pose=odometry[0][1],
-        extraction=cfg.extraction,
-        association=cfg.association,
-        relocalization=cfg.reloc,
-        config=cfg.pipeline,
-    )
-    rmse_pipeline = evaluate_localization(true_poses, result.trajectory)
-    rmse_odometry = evaluate_localization(true_poses, odometry)
-    rows = [
-        "metric,value",
-        f"rmse_pipeline,{rmse_pipeline:.6f}",
-        f"rmse_odometry,{rmse_odometry:.6f}",
-        f"fixes,{result.fixes_applied}",
-        f"attempts,{result.attempts}",
-    ]
+    else:
+        # localization mode: pipeline RMSE next to raw odometry RMSE
+        if not args.data or not args.map:
+            raise PolemapError("--mode loc needs --data and --map")
+        true_poses, odometry, result = _run_localization(cfg, args.data, args.map)
+        rmse_pipeline = evaluate_localization(true_poses, result.trajectory)
+        rmse_odometry = evaluate_localization(true_poses, odometry)
+        rows = [
+            "metric,value",
+            f"rmse_pipeline,{rmse_pipeline:.6f}",
+            f"rmse_odometry,{rmse_odometry:.6f}",
+            f"fixes,{result.fixes_applied}",
+            f"attempts,{result.attempts}",
+        ]
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

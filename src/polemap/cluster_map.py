@@ -3,11 +3,12 @@
 A cluster map stores labeled landmark clusters addressable by integer id and
 answers 2D centroid queries through a kd-tree that is rebuilt lazily after
 mutations. Readers may share a map freely; mutation requires exclusive access.
+Points are numpy arrays throughout: a Frame holds (n, 3) coordinates with one
+label code per point, a Cluster its (n, 3) member coordinates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,68 +41,69 @@ def other_label(category: int) -> SemanticLabel:
     return SemanticLabel("other", category)
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledPoint:
-    x: float
-    y: float
-    z: float
-    label: SemanticLabel
+def label_code(label: SemanticLabel) -> int:
+    """Integer code of a label as stored in Frame.labels.
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError("non-finite point coordinate")
+    Pole is 0, trunk 1, and other category c is 2 + c.
+    """
+    if label == POLE:
+        return 0
+    if label == TRUNK:
+        return 1
+    return 2 + label.category
 
 
-@dataclass(frozen=True)
+def _finite_points(xyz) -> np.ndarray:
+    """Coordinates as a C-ordered (n, 3) float64 array; rejects NaN and inf."""
+    arr = np.ascontiguousarray(np.asarray(xyz, dtype=float).reshape(-1, 3))
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite point coordinate")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """One labeled scan: a timestamp plus points in the sensor frame."""
+    """One labeled scan: a timestamp, (n, 3) sensor-frame points and their
+    (n,) label codes (see label_code)."""
 
     timestamp: float
-    points: tuple[LabeledPoint, ...]
+    xyz: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-
-
-def points_array(points) -> np.ndarray:
-    """Stack LabeledPoints into an (n, 3) float array."""
-    if len(points) == 0:
-        return np.empty((0, 3))
-    return np.array([[p.x, p.y, p.z] for p in points], dtype=float)
-
-
-def compute_centroids(points) -> tuple[np.ndarray, np.ndarray]:
-    """Arithmetic mean of the points, returned as (3D centroid, XY centroid)."""
-    if len(points) == 0:
-        raise ValueError("empty cluster")
-    arr = points_array(points)
-    centroid3d = arr.mean(axis=0)
-    return centroid3d, centroid3d[:2].copy()
+        xyz = _finite_points(self.xyz)
+        labels = np.asarray(self.labels, dtype=int).reshape(-1)
+        if len(labels) != len(xyz):
+            raise ValueError(f"{len(labels)} labels for {len(xyz)} points")
+        object.__setattr__(self, "xyz", xyz)
+        object.__setattr__(self, "labels", labels)
 
 
 @dataclass
 class Cluster:
-    """A group of same-landmark points with cached centroids.
+    """A group of same-landmark points, (n, 3) float64, with their centroid.
 
     Treated as immutable outside ClusterMap; registration appends points
-    through the owning map so the centroids and index stay consistent.
+    through the owning map so the centroid and index stay consistent.
     """
 
     cluster_id: int
     label: SemanticLabel
-    points: list[LabeledPoint] = field(repr=False)
+    points: np.ndarray = field(repr=False)
     centroid3d: np.ndarray = field(repr=False)
-    centroid2d: np.ndarray = field(repr=False)
 
     @classmethod
     def from_points(cls, cluster_id: int, label: SemanticLabel, points) -> "Cluster":
         if not label.is_landmark:
             raise ValueError(f"cluster label must be pole or trunk, got {label}")
-        c3, c2 = compute_centroids(points)
-        return cls(cluster_id, label, list(points), c3, c2)
+        points = _finite_points(points)
+        if len(points) == 0:
+            raise ValueError("empty cluster")
+        return cls(cluster_id, label, points, points.mean(axis=0))
 
-    def point_array(self) -> np.ndarray:
-        return points_array(self.points)
+    @property
+    def centroid2d(self) -> np.ndarray:
+        return self.centroid3d[:2]
 
     @property
     def n_points(self) -> int:
@@ -155,10 +157,10 @@ class ClusterMap:
         self._dirty = True
 
     def merge_points(self, cluster_id: int, new_points) -> Cluster:
-        """Append points to an existing cluster and recompute its centroids."""
+        """Append points to an existing cluster and recompute its centroid."""
         cluster = self._clusters[cluster_id]
-        cluster.points.extend(new_points)
-        cluster.centroid3d, cluster.centroid2d = compute_centroids(cluster.points)
+        cluster.points = np.concatenate([cluster.points, _finite_points(new_points)])
+        cluster.centroid3d = cluster.points.mean(axis=0)
         self._dirty = True
         return cluster
 

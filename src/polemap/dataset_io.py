@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster_map import POLE, TRUNK, Frame, LabeledPoint, SemanticLabel, other_label
+from .cluster_map import POLE, TRUNK, Frame, label_code, other_label
 from .errors import DatasetError
 from .geometry import PoseSE3
 
@@ -32,24 +32,26 @@ LABEL_RECORD_BYTES = 4
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Mapping between raw class ids and semantic labels."""
+    """Mapping between raw class ids and frame label codes (see label_code)."""
 
     pole_id: int = 5
     trunk_id: int = 6
 
-    def decode(self, class_id: int) -> SemanticLabel:
-        if class_id == self.pole_id:
-            return POLE
-        if class_id == self.trunk_id:
-            return TRUNK
-        return other_label(class_id)
+    def decode(self, class_ids) -> np.ndarray:
+        ids = np.asarray(class_ids, dtype=np.int64)
+        return np.select(
+            [ids == self.pole_id, ids == self.trunk_id],
+            [label_code(POLE), label_code(TRUNK)],
+            ids + label_code(other_label(0)),
+        )
 
-    def encode(self, label: SemanticLabel) -> int:
-        if label == POLE:
-            return self.pole_id
-        if label == TRUNK:
-            return self.trunk_id
-        return label.category
+    def encode(self, codes) -> np.ndarray:
+        codes = np.asarray(codes, dtype=np.int64)
+        return np.select(
+            [codes == label_code(POLE), codes == label_code(TRUNK)],
+            [self.pole_id, self.trunk_id],
+            codes - label_code(other_label(0)),
+        )
 
 
 def read_point_file(path) -> np.ndarray:
@@ -83,29 +85,24 @@ def write_label_file(path, labels: np.ndarray) -> None:
 
 
 def load_frame(point_path, label_path, label_map: LabelMap, timestamp: float) -> Frame:
-    """Decode one frame, pairing each point with its semantic label."""
+    """Decode one frame, pairing each point with its label code."""
     points = read_point_file(point_path)
     labels = read_label_file(label_path)
     if len(points) != len(labels):
         raise DatasetError(
             f"{label_path}: {len(labels)} labels for {len(points)} points in {point_path}"
         )
-    class_ids = labels & 0xFFFF
-    decoded = [
-        LabeledPoint(float(p[0]), float(p[1]), float(p[2]), label_map.decode(int(c)))
-        for p, c in zip(points, class_ids)
-    ]
-    return Frame(timestamp=timestamp, points=tuple(decoded))
+    xyz = points[:, :3].astype(float)
+    if not np.isfinite(xyz).all():
+        raise DatasetError(f"{point_path}: non-finite point coordinate")
+    return Frame(timestamp, xyz, label_map.decode(labels & 0xFFFF))
 
 
 def write_frame(point_path, label_path, frame: Frame, label_map: LabelMap) -> None:
-    pts = np.zeros((len(frame.points), 4), dtype="<f4")
-    labels = np.zeros(len(frame.points), dtype="<u4")
-    for i, p in enumerate(frame.points):
-        pts[i, :3] = (p.x, p.y, p.z)
-        labels[i] = label_map.encode(p.label) & 0xFFFF
+    pts = np.zeros((len(frame.xyz), 4), dtype="<f4")
+    pts[:, :3] = frame.xyz
     write_point_file(point_path, pts)
-    write_label_file(label_path, labels)
+    write_label_file(label_path, label_map.encode(frame.labels) & 0xFFFF)
 
 
 def load_poses(path) -> list[tuple[float, PoseSE3]]:

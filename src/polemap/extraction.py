@@ -2,13 +2,12 @@
 
 Pole and trunk points are kept, grouped per label class by Euclidean
 connected components, and each surviving group becomes a cluster with its
-centroid pair. Output order is lexicographic by 2D centroid so repeated runs
+centroid. Output order is lexicographic by 2D centroid so repeated runs
 over permuted input produce identical cluster lists.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,15 +15,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .cluster_map import (
-    POLE,
-    TRUNK,
-    Cluster,
-    Frame,
-    LabeledPoint,
-    SemanticLabel,
-    points_array,
-)
+from .cluster_map import POLE, TRUNK, Cluster, Frame, label_code
 
 
 @dataclass(frozen=True)
@@ -39,24 +30,18 @@ class ExtractionParams:
             raise ValueError("min_points must be at least 1")
 
 
-def filter_landmark_points(frame: Frame) -> list[LabeledPoint]:
-    """Points of the frame whose label is landmark-eligible."""
-    return [p for p in frame.points if p.label.is_landmark]
-
-
-def euclidean_cluster(points, params: ExtractionParams | None = None) -> list[list[LabeledPoint]]:
-    """Group points into connected components under 3D distance <= cluster_distance.
+def euclidean_cluster(points, params: ExtractionParams | None = None) -> list[np.ndarray]:
+    """Group (n, 3) points into connected components under 3D distance <= cluster_distance.
 
     Components smaller than min_points are dropped. Groups come back ordered
-    by their smallest member index in the input.
+    by their smallest member index in the input, members in input order.
     """
     params = params or ExtractionParams()
-    points = list(points)
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(points)
     if n == 0:
         return []
-    arr = points_array(points)
-    tree = cKDTree(arr)
+    tree = cKDTree(points)
     pairs = tree.query_pairs(params.cluster_distance, output_type="ndarray")
     if len(pairs):
         data = np.ones(len(pairs), dtype=bool)
@@ -64,32 +49,24 @@ def euclidean_cluster(points, params: ExtractionParams | None = None) -> list[li
     else:
         graph = coo_matrix((n, n), dtype=bool)
     _, component = connected_components(graph, directed=False)
-    groups: dict[int, list[int]] = {}
-    for idx, comp in enumerate(component):
-        groups.setdefault(int(comp), []).append(idx)
-    ordered = sorted(groups.values(), key=lambda g: g[0])
-    return [[points[i] for i in g] for g in ordered if len(g) >= params.min_points]
-
-
-def vote_label(points) -> SemanticLabel:
-    """Majority landmark label of a group, ties resolved toward pole."""
-    counts = Counter(p.label for p in points if p.label.is_landmark)
-    if not counts:
-        raise ValueError("no landmark label")
-    if counts[POLE] >= counts[TRUNK]:
-        return POLE
-    return TRUNK
+    order = np.argsort(component, kind="stable")
+    _, starts = np.unique(component[order], return_index=True)
+    groups = sorted(np.split(order, starts[1:]), key=lambda g: g[0])
+    return [points[g] for g in groups if len(g) >= params.min_points]
 
 
 def extract_clusters(frame: Frame, params: ExtractionParams | None = None) -> list[Cluster]:
-    """All landmark clusters of a frame, ids 0..n-1 in canonical centroid order."""
+    """All landmark clusters of a frame, ids 0..n-1 in canonical centroid order.
+
+    Each landmark label is clustered on its own, so every cluster holds
+    points of a single label.
+    """
     params = params or ExtractionParams()
-    landmarks = filter_landmark_points(frame)
-    groups: list[list[LabeledPoint]] = []
-    for label in (POLE, TRUNK):
-        subset = [p for p in landmarks if p.label == label]
-        groups.extend(euclidean_cluster(subset, params))
-    clusters = [Cluster.from_points(0, vote_label(g), g) for g in groups]
+    clusters = [
+        Cluster.from_points(0, label, group)
+        for label in (POLE, TRUNK)
+        for group in euclidean_cluster(frame.xyz[frame.labels == label_code(label)], params)
+    ]
     clusters.sort(key=lambda c: (float(c.centroid2d[0]), float(c.centroid2d[1])))
     for i, cluster in enumerate(clusters):
         cluster.cluster_id = i

@@ -92,8 +92,3 @@ def rotation_about_z(angle_rad: float) -> np.ndarray:
     c, s = np.cos(angle_rad), np.sin(angle_rad)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
-
-def circular_diff_deg(a: float, b: float) -> float:
-    """Smallest absolute difference between two angles in degrees."""
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster_map import POLE, TRUNK, Cluster, ClusterMap, LabeledPoint
+from .cluster_map import POLE, TRUNK, Cluster, ClusterMap
 from .dataset_io import LabelMap
 from .errors import MapFormatError
 
@@ -38,7 +38,6 @@ def save_map(cluster_map: ClusterMap, path, label_map: LabelMap | None = None,
         f"{FORMAT_NAME} {FORMAT_VERSION}",
         f"labels pole={label_map.pole_id} trunk={label_map.trunk_id}",
     ]
-    blobs = []
     for cluster in cluster_map:
         c3 = cluster.centroid3d
         c2 = cluster.centroid2d
@@ -54,12 +53,11 @@ def save_map(cluster_map: ClusterMap, path, label_map: LabelMap | None = None,
                 cluster.n_points,
             )
         )
-        if include_points:
-            blobs.append(np.ascontiguousarray(cluster.point_array().astype("<f4")))
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     sidecar = path.with_name(path.name + ".points")
     if include_points:
-        sidecar.write_bytes(b"".join(b.tobytes() for b in blobs))
+        points = [cluster.points for cluster in cluster_map]
+        sidecar.write_bytes(np.concatenate(points or [np.empty((0, 3))]).astype("<f4").tobytes())
     elif sidecar.exists():
         sidecar.unlink()
 
@@ -104,44 +102,38 @@ def load_map(path) -> ClusterMap:
         try:
             cid = int(parts[1])
             label = _WORD_LABELS[parts[2]]
-            c3 = np.array([float(parts[3]), float(parts[4]), float(parts[5])])
-            c2 = np.array([float(parts[6]), float(parts[7])])
+            centroids = np.array([float(v) for v in parts[3:8]])  # c3 then c2
             count = int(parts[8])
         except (ValueError, KeyError):
             raise MapFormatError(f"{path}:{lineno}: unparseable cluster record") from None
         if count < 1:
             raise MapFormatError(f"{path}:{lineno}: point count must be positive")
-        if c2[0] != c3[0] or c2[1] != c3[1]:
+        if not np.isfinite(centroids).all():
+            raise MapFormatError(f"{path}:{lineno}: non-finite centroid")
+        if (centroids[3:] != centroids[:2]).any():
             raise MapFormatError(f"{path}:{lineno}: 2D centroid disagrees with 3D centroid")
-        records.append((cid, label, c3, c2, count))
+        records.append((cid, label, centroids[:3], count))
 
+    counts = [rec[3] for rec in records]
     sidecar = path.with_name(path.name + ".points")
-    points_per_cluster: list[np.ndarray] | None = None
     if sidecar.exists():
         raw = sidecar.read_bytes()
-        expected = sum(rec[4] for rec in records) * 12
+        expected = sum(counts) * 12
         if len(raw) != expected:
             raise MapFormatError(
                 f"{sidecar}: size {len(raw)} does not match declared counts ({expected})"
             )
-        flat = np.frombuffer(raw, dtype="<f4").reshape(-1, 3)
-        points_per_cluster = []
-        offset = 0
-        for rec in records:
-            points_per_cluster.append(flat[offset : offset + rec[4]])
-            offset += rec[4]
+        flat = np.frombuffer(raw, dtype="<f4").reshape(-1, 3).astype(float)
+        if not np.isfinite(flat).all():
+            raise MapFormatError(f"{sidecar}: non-finite point coordinate")
+        points = np.split(flat, np.cumsum(counts)[:-1])
+    else:
+        points = [c3.reshape(1, 3) for _, _, c3, _ in records]
 
     cluster_map = ClusterMap()
-    for idx, (cid, label, c3, c2, count) in enumerate(records):
-        if points_per_cluster is not None:
-            pts = [
-                LabeledPoint(float(p[0]), float(p[1]), float(p[2]), label)
-                for p in points_per_cluster[idx]
-            ]
-        else:
-            pts = [LabeledPoint(float(c3[0]), float(c3[1]), float(c3[2]), label)]
+    for (cid, label, c3, _), pts in zip(records, points):
         try:
-            cluster_map.insert(Cluster(cid, label, pts, c3, c2))
+            cluster_map.insert(Cluster(cid, label, pts, c3))
         except ValueError as exc:
             raise MapFormatError(f"{path}: {exc}") from None
     return cluster_map

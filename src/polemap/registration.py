@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.spatial import cKDTree
-
-from .cluster_map import Cluster, ClusterMap, LabeledPoint
+from .cluster_map import Cluster, ClusterMap
 from .geometry import PoseSE3
 
 
@@ -37,26 +34,10 @@ class RegistrationStats:
 def transform_clusters(clusters, pose: PoseSE3) -> list[Cluster]:
     """Map clusters rigidly into another frame, ids and labels untouched."""
     pose.require_valid()
-    out = []
-    for cluster in clusters:
-        moved = pose.apply(cluster.point_array())
-        pts = [
-            LabeledPoint(float(p[0]), float(p[1]), float(p[2]), orig.label)
-            for p, orig in zip(moved, cluster.points)
-        ]
-        c3 = pose.apply(cluster.centroid3d)
-        out.append(Cluster(cluster.cluster_id, cluster.label, pts, c3, c3[:2].copy()))
-    return out
-
-
-def _nearest_in_snapshot(tree: cKDTree, ids: np.ndarray, cents: np.ndarray, center) -> tuple[int, float]:
-    k = min(8, len(ids))
-    dists, idx = tree.query(center, k=k)
-    dists = np.atleast_1d(dists)
-    idx = np.atleast_1d(idx)
-    best = dists[0]
-    tied = [int(ids[i]) for d, i in zip(dists, idx) if d == best]
-    return min(tied), float(best)
+    return [
+        Cluster(c.cluster_id, c.label, pose.apply(c.points), pose.apply(c.centroid3d))
+        for c in clusters
+    ]
 
 
 def register_frame(
@@ -67,22 +48,20 @@ def register_frame(
 ) -> RegistrationStats:
     """Merge or insert one frame's clusters; returns insert/merge counts.
 
-    Nearest-neighbor lookups run against a snapshot of the map taken at frame
-    entry, so merges within the same frame do not shift the search targets.
+    Every merge target is looked up before the map changes, so merges within
+    the same frame do not shift the search targets.
     """
     params = params or RegistrationParams()
     pose.require_valid()
-    ids, cents = cluster_map.centroids_2d()
-    tree = cKDTree(cents) if len(ids) else None
+    moved = transform_clusters(frame_clusters, pose)
+    nearest = [cluster_map.nearest(cluster.centroid2d) for cluster in moved]
     inserted = 0
     merged = 0
-    for cluster in transform_clusters(frame_clusters, pose):
+    for cluster, hit in zip(moved, nearest):
         target = None
-        if tree is not None:
-            cid, dist = _nearest_in_snapshot(tree, ids, cents, cluster.centroid2d)
-            if dist <= params.merge_radius:
-                if not params.strict_labels or cluster_map.get(cid).label == cluster.label:
-                    target = cid
+        if hit is not None and hit[1] <= params.merge_radius:
+            if not params.strict_labels or cluster_map.get(hit[0]).label == cluster.label:
+                target = hit[0]
         if target is None:
             cluster_map.add(cluster.label, cluster.points)
             inserted += 1

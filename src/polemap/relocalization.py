@@ -167,8 +167,8 @@ def coarse_align(pairs, local_map: ClusterMap, global_map: ClusterMap) -> PoseSE
 
 
 def _stacked_points(pairs, local_map: ClusterMap, global_map: ClusterMap) -> tuple[np.ndarray, np.ndarray]:
-    src = [local_map.get(p.local_id).point_array() for p in pairs]
-    dst = [global_map.get(p.global_id).point_array() for p in pairs]
+    src = [local_map.get(p.local_id).points for p in pairs]
+    dst = [global_map.get(p.global_id).points for p in pairs]
     src = np.vstack(src) if src else np.empty((0, 3))
     dst = np.vstack(dst) if dst else np.empty((0, 3))
     return src, dst

@@ -21,8 +21,8 @@ from .cluster_map import (
     Cluster,
     ClusterMap,
     Frame,
-    LabeledPoint,
     SemanticLabel,
+    label_code,
     other_label,
 )
 from .geometry import PoseSE3, rotation_about_z
@@ -141,10 +141,7 @@ def generate_scene(spec: SceneSpec | None = None) -> Scene:
     cluster_map = ClusterMap()
     for landmark in landmarks:
         pts = _landmark_points(rng, landmark, spec.points_per_cluster, spec.point_noise_sigma)
-        cluster_map.add(
-            landmark.label,
-            [LabeledPoint(float(p[0]), float(p[1]), float(p[2]), landmark.label) for p in pts],
-        )
+        cluster_map.add(landmark.label, pts)
     return Scene(cluster_map=cluster_map, landmarks=tuple(landmarks), spec=spec)
 
 
@@ -163,9 +160,8 @@ def retain_clusters(cluster_map: ClusterMap, fraction: float, seed: int = 0) -> 
             Cluster(
                 cluster.cluster_id,
                 cluster.label,
-                list(cluster.points),
+                cluster.points.copy(),
                 cluster.centroid3d.copy(),
-                cluster.centroid2d.copy(),
             )
         )
     return retained
@@ -247,25 +243,24 @@ def sensor_frame(
     sensor = sensor or SensorSpec()
     inv = pose.inverse()
     position = pose.translation[:2]
-    points: list[LabeledPoint] = []
+    xyz: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
     for landmark in scene.landmarks:
         if (landmark.x - position[0]) ** 2 + (landmark.y - position[1]) ** 2 > sensor.radius**2:
             continue
         world = _landmark_points(
             rng, landmark, scene.spec.points_per_cluster, scene.spec.point_noise_sigma
         )
-        local = inv.apply(world)
         label = landmark.label
         if sensor.label_flip_rate > 0 and rng.random() < sensor.label_flip_rate:
             label = TRUNK if label == POLE else POLE
-        points.extend(
-            LabeledPoint(float(p[0]), float(p[1]), float(p[2]), label) for p in local
-        )
+        xyz.append(inv.apply(world))
+        labels.append(np.full(len(world), label_code(label)))
     if sensor.clutter_points > 0:
         clutter = rng.uniform(-sensor.radius, sensor.radius, size=(sensor.clutter_points, 3))
         clutter[:, 2] = np.abs(clutter[:, 2]) % 2.0
-        points.extend(
-            LabeledPoint(float(p[0]), float(p[1]), float(p[2]), other_label(9))
-            for p in clutter
-        )
-    return Frame(timestamp=timestamp, points=tuple(points))
+        xyz.append(clutter)
+        labels.append(np.full(len(clutter), label_code(other_label(9))))
+    if not xyz:
+        return Frame(timestamp, (), ())
+    return Frame(timestamp, np.concatenate(xyz), np.concatenate(labels))

@@ -7,24 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from polemap import POLE, TRUNK, ClusterMap, LabeledPoint, PoseSE3
+from polemap import POLE, TRUNK, ClusterMap, PoseSE3
 from polemap.geometry import rotation_about_z
 
 
-def cluster_points(rng, center, label, n=8, spread=0.15):
-    """A tight blob of labeled points whose mean lands near center."""
-    cx, cy, cz = center
-    pts = []
-    for _ in range(n):
-        pts.append(
-            LabeledPoint(
-                cx + spread * rng.standard_normal(),
-                cy + spread * rng.standard_normal(),
-                cz + spread * rng.standard_normal(),
-                label,
-            )
-        )
-    return pts
+def cluster_points(rng, center, n=8, spread=0.15):
+    """A tight (n, 3) blob of points whose mean lands near center.
+
+    label is unused; it stays in the signature so call sites name the class
+    of the cluster they are building.
+    """
+    return np.asarray(center, dtype=float) + spread * rng.standard_normal((n, 3))
 
 
 def map_from_centers(rng, centers, labels=None) -> ClusterMap:
@@ -32,7 +25,7 @@ def map_from_centers(rng, centers, labels=None) -> ClusterMap:
     cluster_map = ClusterMap()
     for k, (x, y) in enumerate(centers):
         label = labels[k] if labels is not None else (POLE if k % 2 == 0 else TRUNK)
-        cluster_map.add(label, cluster_points(rng, (x, y, 2.0), label))
+        cluster_map.add(label, cluster_points(rng, (x, y, 2.0)))
     return cluster_map
 
 
@@ -72,11 +65,8 @@ def moved_copy(cluster_map, pose, rng=None, sigma=0.0) -> ClusterMap:
     rot, trans = pose.rotation, pose.translation
     for cluster in cluster_map:
         offset = np.zeros(3) if sigma == 0.0 else sigma * rng.standard_normal(3)
-        pts = []
-        for p in cluster.points:
-            moved = rot @ np.array([p.x, p.y, p.z]) + trans + offset
-            pts.append(LabeledPoint(moved[0], moved[1], moved[2], p.label))
-        out.add(cluster.label, pts)
+        moved = [rot @ p + trans + offset for p in cluster.points]
+        out.add(cluster.label, moved)
     return out
 
 
@@ -103,7 +93,7 @@ def association_scene(rng):
     if n_extra:
         for x, y in scatter_centers(rng, n_extra, 45.0, 3.0):
             label = POLE if rng.random() < 0.5 else TRUNK
-            local.add(label, cluster_points(rng, (x + 60.0, y, 2.0), label))
+            local.add(label, cluster_points(rng, (x + 60.0, y, 2.0)))
     return local, global_map
 
 
@@ -136,7 +126,7 @@ def reference_star_scene(partner_offsets=(0.1, 0.1, 0.1, 0.1)):
     def build(centers):
         m = ClusterMap()
         for x, y in centers:
-            m.add(POLE, [LabeledPoint(x, y, 2.0, POLE)])
+            m.add(POLE, [(x, y, 2.0)])
         return m
 
     return build(local_centers), build(global_centers)

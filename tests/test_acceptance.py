@@ -21,7 +21,7 @@ from conftest import (
     scatter_centers,
 )
 from oracles import embedding_distance, oracle_associate
-from polemap import POLE, TRUNK, ClusterMap, LabeledPoint, PoseSE3
+from polemap import POLE, TRUNK, ClusterMap, PoseSE3, label_code
 from polemap.association import (
     UNMATCHED,
     AssociationParams,
@@ -76,7 +76,7 @@ def _overlap_scene(rng, max_clusters: int):
     local = moved_copy(subset, pose, rng, sigma)
     for x, y in scatter_centers(rng, int(rng.integers(0, 4)), 45.0, 3.0):
         label = POLE if rng.random() < 0.5 else TRUNK
-        local.add(label, cluster_points(rng, (x + 60.0, y, 2.0), label))
+        local.add(label, cluster_points(rng, (x + 60.0, y, 2.0)))
     return local, global_map
 
 
@@ -157,7 +157,7 @@ def _landmark_map(rng, n):
     for x, y in scatter_centers(rng, n, 120.0, 3.0):
         label = POLE if rng.random() < 0.5 else TRUNK
         z = float(rng.uniform(1.0, 4.0))
-        cluster_map.add(label, [LabeledPoint(x - 60.0, y - 60.0, z, label)])
+        cluster_map.add(label, [(x - 60.0, y - 60.0, z)])
     return cluster_map
 
 
@@ -310,21 +310,19 @@ def _fuzz_labels(rng, root, case):
 def _fuzz_frame(rng, root, case):
     label_map = LabelMap()
     labels = [POLE, TRUNK, POLE]
-    pts = tuple(
-        LabeledPoint(
+    rows = [
+        (
             float(np.float32(rng.normal(0, 30))),
             float(np.float32(rng.normal(0, 30))),
             float(np.float32(rng.uniform(0, 5))),
-            labels[int(rng.integers(0, 3))],
+            label_code(labels[int(rng.integers(0, 3))]),
         )
         for _ in range(int(rng.integers(1, 30)))
-    )
-    frame = Frame(timestamp=float(case), points=pts)
+    ]
+    frame = Frame(float(case), [r[:3] for r in rows], [r[3] for r in rows])
     write_frame(root / f"f{case}.bin", root / f"f{case}.label", frame, label_map)
     loaded = load_frame(root / f"f{case}.bin", root / f"f{case}.label", label_map, float(case))
-    return [(p.x, p.y, p.z, p.label) for p in loaded.points] == [
-        (p.x, p.y, p.z, p.label) for p in pts
-    ]
+    return np.array_equal(loaded.xyz, frame.xyz) and np.array_equal(loaded.labels, frame.labels)
 
 
 def _fuzz_poses(rng, root, case):
@@ -351,7 +349,7 @@ def _fuzz_map(rng, root, case):
     original = ClusterMap()
     for x, y in scatter_centers(rng, int(rng.integers(1, 7)), 30.0, 2.0):
         label = POLE if rng.random() < 0.5 else TRUNK
-        original.add(label, cluster_points(rng, (x, y, 2.0), label, n=int(rng.integers(1, 6))))
+        original.add(label, cluster_points(rng, (x, y, 2.0), n=int(rng.integers(1, 6))))
     with_points = bool(rng.random() < 0.7)
     save_map(original, path, include_points=with_points)
     loaded = load_map(path)
@@ -366,8 +364,8 @@ def _fuzz_map(rng, root, case):
         if not np.array_equal(b.centroid2d, a.centroid2d):
             return False
         if with_points:
-            want = a.point_array().astype("<f4").astype(float)
-            if not np.array_equal(b.point_array(), want):
+            want = a.points.astype("<f4").astype(float)
+            if not np.array_equal(b.points, want):
                 return False
     return True
 

@@ -10,7 +10,6 @@ from polemap import (
     AssociationParams,
     ClusterMap,
     Edge,
-    LabeledPoint,
     MatchPair,
     SubEdgeFeature,
     associate_maps,
@@ -34,7 +33,7 @@ def make_edge(direction_deg, length=1.0, neighbor=1, label=POLE):
 def grid_map(coords, label=POLE) -> ClusterMap:
     m = ClusterMap()
     for x, y in coords:
-        m.add(label, [LabeledPoint(float(x), float(y), 2.0, label)])
+        m.add(label, [(float(x), float(y), 2.0)])
     return m
 
 

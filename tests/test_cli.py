@@ -1,11 +1,13 @@
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from polemap import POLE, ClusterMap, LabeledPoint
+from polemap import POLE, ClusterMap
 from polemap.cli import main
-from polemap.dataset_io import load_poses
+from polemap.dataset_io import load_poses, read_point_file, write_point_file
 from polemap.map_io import load_map, save_map
 
 CONFIG_TEXT = """
@@ -93,7 +95,7 @@ def test_relocalize_identity_between_overlapping_maps(workspace, capsys):
 def test_relocalize_failure_exits_4(workspace, capsys):
     sparse = ClusterMap()
     for k, x in enumerate((0.0, 200.0, 400.0)):
-        sparse.add(POLE, [LabeledPoint(x + dx, 0.0, 1.0, POLE) for dx in (0.0, 0.05, -0.05)])
+        sparse.add(POLE, [(x + dx, 0.0, 1.0) for dx in (0.0, 0.05, -0.05)])
     path = workspace / "sparse.txt"
     save_map(sparse, path)
     code = main(["relocalize", "--local", str(path), "--map", str(workspace / "data" / "map.txt")])
@@ -210,3 +212,87 @@ def test_data_errors_exit_3(workspace, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "out of bounds" in captured.err
+
+
+def test_non_finite_point_file_exits_3(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    point_file = data / "points" / "000003.bin"
+    points = read_point_file(point_file)
+    points[0, 1] = np.nan
+    write_point_file(point_file, points)
+    code = main(["build-map", "--data", str(data), "--out", str(tmp_path / "x.txt")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {point_file}: non-finite point coordinate\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_map_centroid_exits_3(workspace, tmp_path, capsys, value):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        "polemap-map 1\nlabels pole=5 trunk=6\n"
+        "cluster 0 pole 1.0 2.0 0.5 1.0 2.0 1\n"
+        f"cluster 1 trunk {value} 2.0 0.5 {value} 2.0 1\n",
+        encoding="ascii",
+    )
+    code = main(["relocalize", "--local", str(path), "--map", str(workspace / "data" / "map.txt")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {path}:4: non-finite centroid\n"
+
+
+def test_non_finite_map_sidecar_exits_3(workspace, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    shutil.copy(workspace / "data" / "map.txt", path)
+    raw = np.fromfile(workspace / "data" / "map.txt.points", dtype="<f4")
+    raw[7] = np.inf
+    sidecar = tmp_path / "bad.txt.points"
+    raw.tofile(sidecar)
+    code = main(["relocalize", "--local", str(path), "--map", str(workspace / "data" / "map.txt")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {sidecar}: non-finite point coordinate\n"
+
+
+# README demo config on a 40 m drive. The digests pin the bytes that
+# simulate, build-map and localize write; any change to them is a change of
+# output that needs its own justification.
+GOLDEN_CONFIG = """
+scene.width = 160.0
+scene.height = 160.0
+scene.n_clusters = 70
+scene.seed = 7
+trajectory.start_x = 20.0
+trajectory.start_y = 80.0
+trajectory.length = 40.0
+drift.translational_drift = 0.01
+drift.noise_sigma = 0.004
+drift.seed = 7
+"""
+GOLDEN_SHA256 = {
+    "data/map.txt": "b2244332b901b7795bd13eeb155a194cc65f80043f3dbb92c7eb3c9ddde3645d",
+    "data/map.txt.points": "a95d5350bcd29396d903b990399701c95a3c20663ed39053cd2ad2b72bbc196b",
+    "built.txt": "9e6ae033216076a91288b3151f9b02b54d6ad15e16bc6f5b7809157da11cdb63",
+    "built.txt.points": "9333ef8582bc17ee45b5fdcb916c7bc41e68ecb9a520d33f21a6a5d313f66945",
+    "estimated.txt": "b4a5e503d757060aedc00bafbe28c7a482d097bf6534ac5e9193b6ab50e5dff3",
+}
+
+
+def test_outputs_are_byte_exact(tmp_path, capsys):
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GOLDEN_CONFIG, encoding="ascii")
+    data, built, estimated = tmp_path / "data", tmp_path / "built.txt", tmp_path / "estimated.txt"
+    assert main(["simulate", "--out", str(data), "--config", str(cfg)]) == 0
+    assert main(["build-map", "--data", str(data), "--out", str(built), "--config", str(cfg)]) == 0
+    assert main(["localize", "--data", str(data), "--map", str(built), "--out", str(estimated),
+                 "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        "frames 17", "clusters 70", "length 40.000",
+        "clusters 37", "density 0.925000",
+        "fixes 17 attempts 17", "rmse 0.025781", "",
+    ]
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256

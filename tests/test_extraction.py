@@ -6,44 +6,40 @@ from polemap import (
     TRUNK,
     ExtractionParams,
     Frame,
-    LabeledPoint,
     euclidean_cluster,
     extract_clusters,
-    filter_landmark_points,
+    label_code,
     other_label,
-    vote_label,
 )
 from oracles import oracle_components
 
 
-def blob(rng, center, label, n, spread=0.12):
-    cx, cy, cz = center
-    return [
-        LabeledPoint(
-            cx + spread * rng.standard_normal(),
-            cy + spread * rng.standard_normal(),
-            cz + spread * rng.standard_normal(),
-            label,
-        )
-        for _ in range(n)
-    ]
+def blob(rng, center, n, spread=0.12):
+    return np.asarray(center, dtype=float) + spread * rng.standard_normal((n, 3))
+
+
+def labeled_frame(*blobs):
+    """Frame from (points, label) pairs, points in the given order."""
+    xyz = np.concatenate([pts for pts, _ in blobs])
+    labels = np.concatenate([np.full(len(pts), label_code(label)) for pts, label in blobs])
+    return Frame(0.0, xyz, labels)
 
 
 def as_membership(groups):
-    return [frozenset((p.x, p.y, p.z) for p in g) for g in groups]
+    return [frozenset(map(tuple, g)) for g in groups]
 
 
 def test_filter_keeps_only_landmarks():
     frame = Frame(
         0.0,
-        [
-            LabeledPoint(0, 0, 0, POLE),
-            LabeledPoint(1, 0, 0, other_label(4)),
-            LabeledPoint(2, 0, 0, TRUNK),
-        ],
+        [(0, 0, 0), (1, 0, 0), (2, 0, 0)],
+        [label_code(POLE), label_code(other_label(4)), label_code(TRUNK)],
     )
-    kept = filter_landmark_points(frame)
-    assert [p.label for p in kept] == [POLE, TRUNK]
+    clusters = extract_clusters(frame, ExtractionParams(min_points=1))
+    assert [(c.label, c.centroid2d.tolist()) for c in clusters] == [
+        (POLE, [0.0, 0.0]),
+        (TRUNK, [2.0, 0.0]),
+    ]
 
 
 def test_clustering_matches_union_find(rng):
@@ -53,35 +49,27 @@ def test_clustering_matches_union_find(rng):
         n_blobs = int(rng.integers(1, 6))
         for _ in range(n_blobs):
             center = rng.uniform(0, 20, 3)
-            pts.extend(blob(rng, center, POLE, int(rng.integers(3, 15))))
+            pts.extend(blob(rng, center, int(rng.integers(3, 15))))
         # loose scatter that may or may not bridge blobs
         for _ in range(int(rng.integers(0, 10))):
-            x, y, z = rng.uniform(0, 20, 3)
-            pts.append(LabeledPoint(x, y, z, POLE))
+            pts.append(rng.uniform(0, 20, 3))
         got = euclidean_cluster(pts, params)
-        coords = [(p.x, p.y, p.z) for p in pts]
-        want = oracle_components(coords, params.cluster_distance)
+        want = oracle_components([tuple(p) for p in pts], params.cluster_distance)
         want_groups = [[pts[i] for i in g] for g in want]
         assert as_membership(got) == as_membership(want_groups)
 
 
 def test_cluster_distance_boundary_is_inclusive():
     params = ExtractionParams(cluster_distance=0.5, min_points=1)
-    touching = [
-        LabeledPoint(0.0, 0.0, 0.0, POLE),
-        LabeledPoint(0.5, 0.0, 0.0, POLE),
-    ]
+    touching = [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)]
     assert len(euclidean_cluster(touching, params)) == 1
-    apart = [
-        LabeledPoint(0.0, 0.0, 0.0, POLE),
-        LabeledPoint(0.5 + 1e-9, 0.0, 0.0, POLE),
-    ]
+    apart = [(0.0, 0.0, 0.0), (0.5 + 1e-9, 0.0, 0.0)]
     assert len(euclidean_cluster(apart, params)) == 2
 
 
 def test_min_points_filter(rng):
     params = ExtractionParams(cluster_distance=0.5, min_points=10)
-    pts = blob(rng, (0, 0, 0), POLE, 10) + blob(rng, (10, 0, 0), POLE, 9)
+    pts = np.concatenate([blob(rng, (0, 0, 0), 10), blob(rng, (10, 0, 0), 9)])
     groups = euclidean_cluster(pts, params)
     assert len(groups) == 1
     assert len(groups[0]) == 10
@@ -91,24 +79,12 @@ def test_empty_input():
     assert euclidean_cluster([]) == []
 
 
-def test_vote_label_majority_and_tie():
-    pole_heavy = [LabeledPoint(0, 0, 0, POLE)] * 3 + [LabeledPoint(0, 0, 0, TRUNK)] * 2
-    assert vote_label(pole_heavy) == POLE
-    trunk_heavy = [LabeledPoint(0, 0, 0, TRUNK)] * 3 + [LabeledPoint(0, 0, 0, POLE)] * 2
-    assert vote_label(trunk_heavy) == TRUNK
-    tied = [LabeledPoint(0, 0, 0, POLE), LabeledPoint(0, 0, 0, TRUNK)]
-    assert vote_label(tied) == POLE
-    with pytest.raises(ValueError, match="no landmark label"):
-        vote_label([LabeledPoint(0, 0, 0, other_label(2))])
-
-
 def test_extract_orders_by_centroid_and_numbers_ids(rng):
-    pts = (
-        blob(rng, (8.0, 1.0, 2.0), POLE, 12)
-        + blob(rng, (2.0, 5.0, 2.0), TRUNK, 12)
-        + blob(rng, (5.0, 9.0, 2.0), POLE, 12)
+    frame = labeled_frame(
+        (blob(rng, (8.0, 1.0, 2.0), 12), POLE),
+        (blob(rng, (2.0, 5.0, 2.0), 12), TRUNK),
+        (blob(rng, (5.0, 9.0, 2.0), 12), POLE),
     )
-    frame = Frame(0.0, pts)
     clusters = extract_clusters(frame, ExtractionParams(min_points=10))
     assert [c.cluster_id for c in clusters] == [0, 1, 2]
     xs = [float(c.centroid2d[0]) for c in clusters]
@@ -117,41 +93,39 @@ def test_extract_orders_by_centroid_and_numbers_ids(rng):
 
 
 def test_extract_is_permutation_invariant(rng):
-    pts = (
-        blob(rng, (0.0, 0.0, 2.0), POLE, 15)
-        + blob(rng, (6.0, 3.0, 2.0), TRUNK, 13)
-        + blob(rng, (3.0, 8.0, 2.0), POLE, 11)
+    frame = labeled_frame(
+        (blob(rng, (0.0, 0.0, 2.0), 15), POLE),
+        (blob(rng, (6.0, 3.0, 2.0), 13), TRUNK),
+        (blob(rng, (3.0, 8.0, 2.0), 11), POLE),
     )
-    frame = Frame(0.0, pts)
-    shuffled = list(pts)
-    rng.shuffle(shuffled)
-    frame2 = Frame(0.0, shuffled)
+    shuffled = rng.permutation(len(frame.xyz))
+    frame2 = Frame(0.0, frame.xyz[shuffled], frame.labels[shuffled])
     a = extract_clusters(frame, ExtractionParams(min_points=10))
     b = extract_clusters(frame2, ExtractionParams(min_points=10))
     assert len(a) == len(b)
     for ca, cb in zip(a, b):
         assert ca.label == cb.label
-        assert frozenset((p.x, p.y, p.z) for p in ca.points) == frozenset(
-            (p.x, p.y, p.z) for p in cb.points
-        )
+        assert as_membership([ca.points]) == as_membership([cb.points])
         assert np.allclose(ca.centroid3d, cb.centroid3d, atol=1e-12)
 
 
 def test_label_classes_cluster_independently(rng):
     # a pole blob and a trunk blob closer than cluster_distance stay separate
-    pts = blob(rng, (0.0, 0.0, 1.0), POLE, 12, spread=0.05) + blob(
-        rng, (0.3, 0.0, 1.0), TRUNK, 12, spread=0.05
+    frame = labeled_frame(
+        (blob(rng, (0.0, 0.0, 1.0), 12, spread=0.05), POLE),
+        (blob(rng, (0.3, 0.0, 1.0), 12, spread=0.05), TRUNK),
     )
-    clusters = extract_clusters(Frame(0.0, pts), ExtractionParams(min_points=10))
+    clusters = extract_clusters(frame, ExtractionParams(min_points=10))
     assert sorted(c.label.kind for c in clusters) == ["pole", "trunk"]
 
 
 def test_minority_label_residue_dropped(rng):
     # flipped labels inside a pole cluster fall below min_points on their own
-    pts = blob(rng, (0.0, 0.0, 1.0), POLE, 12, spread=0.05) + blob(
-        rng, (0.0, 0.0, 1.0), TRUNK, 3, spread=0.05
+    frame = labeled_frame(
+        (blob(rng, (0.0, 0.0, 1.0), 12, spread=0.05), POLE),
+        (blob(rng, (0.0, 0.0, 1.0), 3, spread=0.05), TRUNK),
     )
-    clusters = extract_clusters(Frame(0.0, pts), ExtractionParams(min_points=4))
+    clusters = extract_clusters(frame, ExtractionParams(min_points=4))
     assert len(clusters) == 1
     assert clusters[0].label == POLE
     assert clusters[0].n_points == 12

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polemap.geometry import PoseSE3, circular_diff_deg, rotation_about_z
+from polemap.geometry import PoseSE3, rotation_about_z
 
 
 def random_pose(rng):
@@ -98,10 +98,3 @@ def test_post_init_copies_and_reshapes():
     assert pose.rotation[0, 0] == 1.0
     assert pose.translation.shape == (3,)
 
-
-def test_circular_diff_wraps():
-    assert circular_diff_deg(10.0, 350.0) == 20.0
-    assert circular_diff_deg(350.0, 10.0) == 20.0
-    assert circular_diff_deg(0.0, 180.0) == 180.0
-    assert circular_diff_deg(90.0, 90.0) == 0.0
-    assert circular_diff_deg(-170.0, 170.0) == 20.0

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_map
 from polemap import POLE, TRUNK, DatasetError, MapFormatError, PoseSE3
-from polemap.cluster_map import Frame, LabeledPoint
+from polemap.cluster_map import Frame, label_code, other_label
 from polemap.dataset_io import (
     Dataset,
     LabelMap,
@@ -59,17 +59,16 @@ def test_label_file_rejects_trailing_garbage(tmp_path):
 
 def test_frame_round_trip_preserves_float32_coordinates(tmp_path):
     label_map = LabelMap()
-    points = tuple(
-        LabeledPoint(float(np.float32(x)), 0.25, -1.5, POLE if x < 2 else TRUNK)
-        for x in (0.125, 1.75, 2.5, 3.0)
-    )
-    frame = Frame(timestamp=1.5, points=points)
+    xs = np.float32([0.125, 1.75, 2.5, 3.0]).astype(float)
+    xyz = np.column_stack([xs, np.full(4, 0.25), np.full(4, -1.5)])
+    labels = [label_code(POLE if x < 2 else TRUNK) for x in xs]
+    frame = Frame(timestamp=1.5, xyz=xyz, labels=labels)
     write_frame(tmp_path / "f.bin", tmp_path / "f.label", frame, label_map)
     loaded = load_frame(tmp_path / "f.bin", tmp_path / "f.label", label_map, 1.5)
     assert loaded.timestamp == 1.5
-    assert [(p.x, p.y, p.z, p.label) for p in loaded.points] == [
-        (p.x, p.y, p.z, p.label) for p in points
-    ]
+    assert loaded.xyz.dtype == np.float64
+    np.testing.assert_array_equal(loaded.xyz, xyz)
+    np.testing.assert_array_equal(loaded.labels, labels)
 
 
 def test_frame_decoding_ignores_instance_bits(tmp_path):
@@ -78,9 +77,9 @@ def test_frame_decoding_ignores_instance_bits(tmp_path):
     raw = np.array([(7 << 16) | 5, (1 << 24) | 6, 99], dtype="<u4")
     write_label_file(tmp_path / "f.label", raw)
     frame = load_frame(tmp_path / "f.bin", tmp_path / "f.label", label_map, 0.0)
-    assert frame.points[0].label == POLE
-    assert frame.points[1].label == TRUNK
-    assert frame.points[2].label.category == 99
+    assert frame.labels.tolist() == [
+        label_code(POLE), label_code(TRUNK), label_code(other_label(99))
+    ]
 
 
 def test_frame_count_mismatch_rejected(tmp_path):
@@ -146,9 +145,8 @@ def test_pose_file_rejects_denormalized_quaternion(tmp_path):
 
 
 def _frame(ts, xs, label=POLE):
-    return Frame(
-        timestamp=ts, points=tuple(LabeledPoint(float(x), 0.0, 1.0, label) for x in xs)
-    )
+    xyz = [(float(x), 0.0, 1.0) for x in xs]
+    return Frame(timestamp=ts, xyz=xyz, labels=[label_code(label)] * len(xs))
 
 
 def _planar(x, yaw=0.0):
@@ -166,8 +164,8 @@ def test_write_and_open_dataset(tmp_path):
     assert [t for t, _ in ds.poses()] == [0.0, 0.5, 1.0]
     assert ds.odometry() is not None
     frame = ds.frame(1, LabelMap(), 0.5)
-    assert len(frame.points) == 2
-    assert frame.points[0].x == 4.0
+    assert len(frame.xyz) == 2
+    assert frame.xyz[0, 0] == 4.0
 
 
 def test_dataset_without_odometry(tmp_path):
@@ -218,9 +216,7 @@ def test_map_round_trip_with_points(tmp_path, rng):
         np.testing.assert_array_equal(b.centroid3d, a.centroid3d)
         np.testing.assert_array_equal(b.centroid2d, a.centroid2d)
         assert b.n_points == a.n_points
-        np.testing.assert_array_equal(
-            b.point_array(), a.point_array().astype("<f4").astype(float)
-        )
+        np.testing.assert_array_equal(b.points, a.points.astype("<f4").astype(float))
 
 
 def test_map_without_sidecar_synthesizes_centroid_points(tmp_path, rng):
@@ -234,7 +230,7 @@ def test_map_without_sidecar_synthesizes_centroid_points(tmp_path, rng):
     for cid in loaded.ids():
         cluster = loaded.get(cid)
         assert len(cluster.points) == 1
-        np.testing.assert_array_equal(cluster.point_array()[0], cluster.centroid3d)
+        np.testing.assert_array_equal(cluster.points[0], cluster.centroid3d)
 
 
 def test_map_sidecar_size_mismatch_rejected(tmp_path, rng):
@@ -281,6 +277,10 @@ def test_map_body_validation(tmp_path):
     path.write_text(head + "cluster 0 pole 1.0 2.0 0.5 1.5 2.0 4\n", encoding="ascii")
     with pytest.raises(MapFormatError, match="2D centroid disagrees"):
         load_map(path)
+    for bad in ("nan 2.0 0.5 nan", "1.0 2.0 -inf 1.0"):
+        path.write_text(head + f"cluster 0 pole {bad} 2.0 1\n", encoding="ascii")
+        with pytest.raises(MapFormatError, match=":3: non-finite centroid"):
+            load_map(path)
     path.write_text(head + "cluster 0 pole 1.0 2.0 0.5 1.0 2.0 1\n", encoding="ascii")
     load_map(path)  # canonical final newline is fine
     path.write_text(head + "cluster 0 pole 1.0 2.0 0.5 1.0 2.0 1\n\n", encoding="ascii")

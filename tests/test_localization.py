@@ -121,7 +121,7 @@ def test_pipeline_config_rejects_bad_period():
 
 
 def test_pipeline_rejects_mismatched_lengths():
-    frames = [Frame(timestamp=0.0, points=()), Frame(timestamp=0.5, points=())]
+    frames = [Frame(0.0, (), ()), Frame(0.5, (), ())]
     with pytest.raises(ValueError, match="one increment"):
         run_pipeline(frames, [], ClusterMap())
 

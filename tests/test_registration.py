@@ -7,7 +7,6 @@ from polemap import (
     POLE,
     TRUNK,
     ClusterMap,
-    LabeledPoint,
     PoseSE3,
     RegistrationParams,
     build_local_map,
@@ -15,13 +14,13 @@ from polemap import (
     transform_clusters,
 )
 from polemap.extraction import ExtractionParams, extract_clusters
-from polemap.cluster_map import Frame
+from polemap.cluster_map import Frame, label_code
 from polemap.geometry import rotation_about_z
 from conftest import cluster_points
 
 
 def single_cluster(rng, center, label=POLE):
-    frame = Frame(0.0, cluster_points(rng, center, label, n=12))
+    frame = Frame(0.0, cluster_points(rng, center, n=12), np.full(12, label_code(label)))
     return extract_clusters(frame, ExtractionParams(min_points=1))
 
 
@@ -124,8 +123,11 @@ def test_merge_targets_snapshot_not_running_map(rng):
     )
     frame = Frame(
         0.0,
-        cluster_points(rng, (0.9, 0.0, 2.0), POLE, n=12, spread=0.05)
-        + cluster_points(rng, (-0.9, 0.0, 2.0), POLE, n=12, spread=0.05),
+        np.concatenate([
+            cluster_points(rng, (0.9, 0.0, 2.0), n=12, spread=0.05),
+            cluster_points(rng, (-0.9, 0.0, 2.0), n=12, spread=0.05),
+        ]),
+        np.full(24, label_code(POLE)),
     )
     incoming = extract_clusters(frame, ExtractionParams(min_points=1))
     assert len(incoming) == 2

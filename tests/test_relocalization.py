@@ -6,7 +6,6 @@ import pytest
 from polemap import (
     POLE,
     ClusterMap,
-    LabeledPoint,
     MatchPair,
     PoseSE3,
     RelocalizationFailure,
@@ -26,7 +25,7 @@ from conftest import moved_copy, planar_pose, random_map
 def point_map(coords) -> ClusterMap:
     m = ClusterMap()
     for x, y in coords:
-        m.add(POLE, [LabeledPoint(float(x), float(y), 0.0, POLE)])
+        m.add(POLE, [(float(x), float(y), 0.0)])
     return m
 
 
@@ -136,7 +135,7 @@ def outlier_scene(rng, n_inliers=15, n_outliers=5):
         else:
             # matched to the wrong global cluster: place it far off
             p = inv.apply(c.centroid3d) + rng.uniform(5.0, 20.0, 3)
-        local.add(POLE, [LabeledPoint(p[0], p[1], p[2], POLE)])
+        local.add(POLE, [p])
     return local, global_map, pose, identity_pairs(n_inliers + n_outliers)
 
 
@@ -199,8 +198,8 @@ def test_fine_align_never_degrades(rng):
     # recompute the starting residual the same way fine_align does
     from scipy.spatial import cKDTree
 
-    src = np.vstack([c.point_array() for c in local])
-    dst = np.vstack([c.point_array() for c in global_map])
+    src = np.vstack([c.points for c in local])
+    dst = np.vstack([c.points for c in global_map])
     d, _ = cKDTree(dst).query(bad_init.apply(src))
     init_rms = float(np.sqrt(np.mean(d * d)))
     assert rms <= init_rms + 1e-12

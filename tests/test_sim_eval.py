@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polemap import ClusterMap, PoseSE3, POLE, TRUNK
+from polemap import ClusterMap, PoseSE3, POLE, TRUNK, label_code
 from polemap.evaluate import (
     EvalReport,
     RelocEvalProtocol,
@@ -191,7 +191,7 @@ def test_sensor_frame_visibility_radius():
     )
     rng = np.random.default_rng(0)
     frame = sensor_frame(rng, scene, PoseSE3.identity(), 0.0, SensorSpec(radius=60.0))
-    xs = sorted({p.x for p in frame.points})
+    xs = sorted(set(frame.xyz[:, 0].tolist()))
     assert xs == [10.0, 59.9]
 
 
@@ -201,9 +201,8 @@ def test_sensor_frame_points_are_in_vehicle_coordinates():
     rng = np.random.default_rng(0)
     frame = sensor_frame(rng, scene, pose, 0.0, SensorSpec(radius=60.0))
     # landmark sits 10 m ahead of the rotated sensor, i.e. along body +x
-    for p in frame.points:
-        assert p.x == pytest.approx(10.0, abs=1e-9)
-        assert p.y == pytest.approx(0.0, abs=1e-9)
+    np.testing.assert_allclose(frame.xyz[:, 0], 10.0, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(frame.xyz[:, 1], 0.0, rtol=0.0, atol=1e-9)
 
 
 def test_sensor_frame_label_flips():
@@ -212,9 +211,9 @@ def test_sensor_frame_label_flips():
     frame = sensor_frame(
         rng, scene, PoseSE3.identity(), 0.0, SensorSpec(radius=60.0, label_flip_rate=1.0)
     )
-    flipped = {p.label for p in frame.points if p.x > 0}
-    assert flipped == {TRUNK}
-    assert {p.label for p in frame.points if p.x < 0} == {POLE}
+    ahead = frame.xyz[:, 0] > 0
+    assert set(frame.labels[ahead].tolist()) == {label_code(TRUNK)}
+    assert set(frame.labels[~ahead].tolist()) == {label_code(POLE)}
 
 
 def test_sensor_frame_clutter_points_use_unknown_label():
@@ -223,9 +222,9 @@ def test_sensor_frame_clutter_points_use_unknown_label():
     frame = sensor_frame(
         rng, scene, PoseSE3.identity(), 0.0, SensorSpec(radius=60.0, clutter_points=7)
     )
-    assert len(frame.points) == 10
-    clutter = [p for p in frame.points if p.label not in (POLE, TRUNK)]
-    assert len(clutter) == 7
+    assert len(frame.xyz) == 10
+    landmark = np.isin(frame.labels, [label_code(POLE), label_code(TRUNK)])
+    assert int(np.sum(~landmark)) == 7
 
 
 # --------------------------------------------------------------- metrics
