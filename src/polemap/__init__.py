@@ -9,17 +9,10 @@ anchored to a prior map.
 from .association import (
     UNMATCHED,
     AssociationParams,
-    Edge,
     MatchPair,
-    SubEdgeFeature,
     associate_maps,
-    candidate_edges,
     edge_pair_distance,
-    match_clusters,
-    match_sub_edges,
-    neighbor_edges,
     sub_edge_distance,
-    sub_edge_feature,
 )
 from .cluster_map import (
     POLE,

@@ -4,7 +4,7 @@ Association works on the planar neighborhood structure of each cluster. Every
 cluster anchors a star of edges to the neighbors inside its search radius.
 When an edge from the local map is compared against a candidate edge from the
 global map, the remaining edges of both stars become sub-edges, described
-relative to their edge by length and clockwise angle. Two clusters match when
+relative to their edge by length and angle. Two clusters match when
 enough of their edges find a well-aligned candidate, which makes the whole
 test invariant to rigid motions of either map and independent of any pose
 prior.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster_map import Cluster, ClusterMap, SemanticLabel, label_code
+from .cluster_map import ClusterMap, label_code
 
 # Sentinel for an edge pair that does not reach the minimum sub-edge support.
 # Using infinity keeps minimum and threshold comparisons natural.
@@ -49,35 +49,6 @@ class AssociationParams:
                 raise ValueError(f"{name} must be at least 1")
 
 
-@dataclass(frozen=True, eq=False)
-class Edge:
-    """Directed 2D segment from an anchor cluster to one of its neighbors."""
-
-    anchor_id: int
-    neighbor_id: int
-    length: float
-    direction: np.ndarray
-    neighbor_label: SemanticLabel
-
-
-@dataclass(frozen=True)
-class SubEdgeFeature:
-    """Sub-edge described relative to its matching edge.
-
-    d is the sub-edge length; theta the clockwise angle in degrees, in
-    [0, 360), from the matching edge's direction to the sub-edge's direction.
-    """
-
-    d: float
-    theta: float
-
-    def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError("sub-edge length must be positive")
-        if not 0.0 <= self.theta < 360.0:
-            raise ValueError("theta must lie in [0, 360)")
-
-
 @dataclass(frozen=True)
 class MatchPair:
     """Accepted correspondence between a local and a global cluster id."""
@@ -95,7 +66,6 @@ class _EdgeData:
     lengths: np.ndarray
     phis: np.ndarray  # absolute direction angles, degrees
     labels: np.ndarray
-    directions: np.ndarray
 
     @property
     def count(self) -> int:
@@ -105,7 +75,7 @@ class _EdgeData:
 def _edge_data(cluster_map: ClusterMap, cluster_id: int, search_radius: float) -> _EdgeData:
     anchor = cluster_map.get(cluster_id)
     ids = cluster_map.radius_search(anchor.centroid2d, search_radius, exclude=cluster_id)
-    nids, lengths, phis, labels, dirs = [], [], [], [], []
+    nids, lengths, phis, labels = [], [], [], []
     for nid in ids:
         neighbor = cluster_map.get(nid)
         vec = neighbor.centroid2d - anchor.centroid2d
@@ -116,87 +86,27 @@ def _edge_data(cluster_map: ClusterMap, cluster_id: int, search_radius: float) -
         lengths.append(length)
         phis.append(math.degrees(math.atan2(vec[1], vec[0])))
         labels.append(label_code(neighbor.label))
-        dirs.append(vec / length)
     return _EdgeData(
         np.array(nids, dtype=int),
         np.array(lengths, dtype=float),
         np.array(phis, dtype=float),
         np.array(labels, dtype=int),
-        np.array(dirs, dtype=float).reshape(len(nids), 2),
     )
 
 
-def _edge_data_from_edges(edges) -> _EdgeData:
-    return _EdgeData(
-        np.array([e.neighbor_id for e in edges], dtype=int),
-        np.array([e.length for e in edges], dtype=float),
-        np.array(
-            [math.degrees(math.atan2(e.direction[1], e.direction[0])) for e in edges],
-            dtype=float,
-        ),
-        np.array([label_code(e.neighbor_label) for e in edges], dtype=int),
-        np.array([np.asarray(e.direction, dtype=float) for e in edges]).reshape(len(edges), 2),
-    )
+def _law(ss, dd, delta_deg):
+    """Law of cosines from squared-length sums, length products and angle gaps."""
+    return np.sqrt(np.maximum(ss - 2.0 * dd * np.cos(np.radians(delta_deg)), 0.0))
 
 
-def neighbor_edges(cluster_map: ClusterMap, cluster_id: int, search_radius: float) -> list[Edge]:
-    """Edges from a cluster to every neighbor within search_radius, by length."""
-    data = _edge_data(cluster_map, cluster_id, search_radius)
-    return [
-        Edge(
-            anchor_id=cluster_id,
-            neighbor_id=int(data.neighbor_ids[i]),
-            length=float(data.lengths[i]),
-            direction=data.directions[i].copy(),
-            neighbor_label=cluster_map.get(int(data.neighbor_ids[i])).label,
-        )
-        for i in range(data.count)
-    ]
-
-
-def sub_edge_feature(reference: Edge, other: Edge) -> SubEdgeFeature:
-    """Describe other relative to reference (clockwise angle convention)."""
-    cross = reference.direction[0] * other.direction[1] - reference.direction[1] * other.direction[0]
-    dot = float(np.dot(reference.direction, other.direction))
-    theta = (-math.degrees(math.atan2(cross, dot))) % 360.0
-    return SubEdgeFeature(d=other.length, theta=theta)
-
-
-def sub_edge_distance(a: SubEdgeFeature, b: SubEdgeFeature) -> float:
-    """Distance between two sub-edge features via the law of cosines.
+def sub_edge_distance(d_a, theta_a, d_b, theta_b):
+    """Distance between two sub-edge features (length, angle in degrees).
 
     Equals the Euclidean distance between the 2D vectors the features
-    describe; the angle difference is taken on the circle.
+    describe. Accepts scalars or broadcastable arrays; this is the law the
+    association kernel applies to every sub-edge pair.
     """
-    diff = abs(a.theta - b.theta) % 360.0
-    diff = min(diff, 360.0 - diff)
-    sq = a.d * a.d + b.d * b.d - 2.0 * a.d * b.d * math.cos(math.radians(diff))
-    return math.sqrt(max(sq, 0.0))
-
-
-def match_sub_edges(
-    a: SubEdgeFeature,
-    b: SubEdgeFeature,
-    label_a: SemanticLabel,
-    label_b: SemanticLabel,
-    params: AssociationParams | None = None,
-) -> bool:
-    """Whether two sub-edges agree in label, length, angle and feature distance."""
-    params = params or AssociationParams()
-    if label_a != label_b:
-        return False
-    if abs(a.d - b.d) >= params.length_tolerance:
-        return False
-    diff = abs(a.theta - b.theta) % 360.0
-    if min(diff, 360.0 - diff) >= params.angle_tolerance:
-        return False
-    return sub_edge_distance(a, b) < params.sub_edge_tolerance
-
-
-def candidate_edges(target: Edge, global_edges, count: int) -> list[Edge]:
-    """Up to count edges closest to the target in length, stable order."""
-    ordered = sorted(global_edges, key=lambda e: abs(e.length - target.length))
-    return ordered[:count]
+    return _law(d_a * d_a + d_b * d_b, d_a * d_b, theta_a - theta_b)
 
 
 @dataclass(frozen=True)
@@ -241,7 +151,7 @@ def _candidate_distance(
         return UNMATCHED
     delta = tables.G - tables.G[i, j]
     circ = np.abs((delta + 180.0) % 360.0 - 180.0)
-    dist = np.sqrt(np.maximum(tables.SS - 2.0 * tables.DD * np.cos(np.radians(delta)), 0.0))
+    dist = _law(tables.SS, tables.DD, delta)
     ok = tables.base & (circ < params.angle_tolerance) & (dist < params.sub_edge_tolerance)
     ok[i, :] = False
     ok[:, j] = False
@@ -267,25 +177,32 @@ def _candidate_distance(
     return math.log(n_sub_local / k_se) * total / k_se
 
 
+def _star_index(star: _EdgeData, edge: tuple[int, int]) -> int:
+    hits = np.flatnonzero(star.neighbor_ids == edge[1])
+    if hits.size == 0:
+        raise ValueError(f"cluster {edge[1]} is not in the star of cluster {edge[0]}")
+    return int(hits[0])
+
+
 def edge_pair_distance(
-    edge: Edge,
-    candidate: Edge,
-    local_edges,
-    global_edges,
+    local_map: ClusterMap,
+    global_map: ClusterMap,
+    local_edge: tuple[int, int],
+    global_edge: tuple[int, int],
     params: AssociationParams | None = None,
 ) -> float:
     """Distance between a local edge and a global candidate, or UNMATCHED.
 
-    edge must be a member of local_edges and candidate of global_edges; the
-    remaining edges of each list act as the sub-edges.
+    Each edge is an (anchor_id, neighbor_id) pair; the anchor's other edges
+    within search_radius act as the sub-edges. Raises ValueError when the
+    neighbor is not in the anchor's star.
     """
     params = params or AssociationParams()
-    i = local_edges.index(edge)
-    j = global_edges.index(candidate)
-    local = _edge_data_from_edges(local_edges)
-    global_ = _edge_data_from_edges(global_edges)
-    tables = _pair_tables(local, global_, params)
-    return _candidate_distance(local, global_, tables, i, j, params)
+    local = _edge_data(local_map, local_edge[0], params.search_radius)
+    global_ = _edge_data(global_map, global_edge[0], params.search_radius)
+    i = _star_index(local, local_edge)
+    j = _star_index(global_, global_edge)
+    return _candidate_distance(local, global_, _pair_tables(local, global_, params), i, j, params)
 
 
 def _max_tolerance_matching(a_sorted: np.ndarray, b_sorted: np.ndarray, tol: float) -> int:
@@ -337,27 +254,6 @@ def _match_from_data(local: _EdgeData, global_: _EdgeData, params: AssociationPa
         if best < params.edge_tolerance:
             matched += 1
     return matched >= params.min_edge_matches, matched
-
-
-def match_clusters(
-    local_cluster: Cluster,
-    global_cluster: Cluster,
-    local_map: ClusterMap,
-    global_map: ClusterMap,
-    params: AssociationParams | None = None,
-) -> tuple[bool, int]:
-    """Decide whether two clusters correspond; returns (matched, edge count).
-
-    Labels must agree, then every local edge is scored against its best
-    length-ranked candidates from the global star; the pair matches when at
-    least min_edge_matches local edges find a candidate below edge_tolerance.
-    """
-    params = params or AssociationParams()
-    if local_cluster.label != global_cluster.label:
-        return False, 0
-    local = _edge_data(local_map, local_cluster.cluster_id, params.search_radius)
-    global_ = _edge_data(global_map, global_cluster.cluster_id, params.search_radius)
-    return _match_from_data(local, global_, params)
 
 
 def associate_maps(

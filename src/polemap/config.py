@@ -7,6 +7,7 @@ loudly; keys left out keep their defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -58,58 +59,65 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"expected true or false, got {raw!r}")
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _opt_float(raw: str):
     if raw.lower() == "none":
         return None
-    return float(raw)
+    return _float(raw)
 
 
 # key -> (group attribute, constructor kwarg, caster)
 _SCHEMA: dict[str, tuple[str, str, object]] = {
-    "extraction.cluster_distance": ("extraction", "cluster_distance", float),
+    "extraction.cluster_distance": ("extraction", "cluster_distance", _float),
     "extraction.min_points": ("extraction", "min_points", int),
-    "registration.merge_radius": ("registration", "merge_radius", float),
+    "registration.merge_radius": ("registration", "merge_radius", _float),
     "registration.strict_labels": ("registration", "strict_labels", _bool),
-    "association.search_radius": ("association", "search_radius", float),
-    "association.length_tolerance": ("association", "length_tolerance", float),
-    "association.angle_tolerance": ("association", "angle_tolerance", float),
-    "association.sub_edge_tolerance": ("association", "sub_edge_tolerance", float),
-    "association.edge_tolerance": ("association", "edge_tolerance", float),
+    "association.search_radius": ("association", "search_radius", _float),
+    "association.length_tolerance": ("association", "length_tolerance", _float),
+    "association.angle_tolerance": ("association", "angle_tolerance", _float),
+    "association.sub_edge_tolerance": ("association", "sub_edge_tolerance", _float),
+    "association.edge_tolerance": ("association", "edge_tolerance", _float),
     "association.min_sub_edge_matches": ("association", "min_sub_edge_matches", int),
     "association.min_edge_matches": ("association", "min_edge_matches", int),
     "association.candidate_count": ("association", "candidate_count", int),
-    "reloc.consistency_tolerance": ("reloc", "consistency_tolerance", float),
-    "reloc.ransac_threshold": ("reloc", "ransac_threshold", float),
+    "reloc.consistency_tolerance": ("reloc", "consistency_tolerance", _float),
+    "reloc.ransac_threshold": ("reloc", "ransac_threshold", _float),
     "reloc.ransac_iterations": ("reloc", "ransac_iterations", int),
     "reloc.min_pairs": ("reloc", "min_pairs", int),
     "reloc.icp_max_iterations": ("reloc", "icp_max_iterations", int),
-    "reloc.icp_convergence": ("reloc", "icp_convergence", float),
+    "reloc.icp_convergence": ("reloc", "icp_convergence", _float),
     "reloc.seed": ("reloc", "seed", int),
     "reloc.ransac_first": ("reloc", "ransac_first", _bool),
-    "pipeline.reloc_period": ("pipeline", "reloc_period", float),
+    "pipeline.reloc_period": ("pipeline", "reloc_period", _float),
     "pipeline.reloc_enabled": ("pipeline", "reloc_enabled", _bool),
     "pipeline.max_fix_jump": ("pipeline", "max_fix_jump", _opt_float),
-    "scene.width": ("scene", "width", float),
-    "scene.height": ("scene", "height", float),
+    "scene.width": ("scene", "width", _float),
+    "scene.height": ("scene", "height", _float),
     "scene.n_clusters": ("scene", "n_clusters", int),
-    "scene.label_mix": ("scene", "label_mix", float),
-    "scene.min_spacing": ("scene", "min_spacing", float),
+    "scene.label_mix": ("scene", "label_mix", _float),
+    "scene.min_spacing": ("scene", "min_spacing", _float),
     "scene.points_per_cluster": ("scene", "points_per_cluster", int),
-    "scene.point_noise_sigma": ("scene", "point_noise_sigma", float),
+    "scene.point_noise_sigma": ("scene", "point_noise_sigma", _float),
     "scene.seed": ("scene", "seed", int),
-    "trajectory.start_x": ("trajectory", "start_x", float),
-    "trajectory.start_y": ("trajectory", "start_y", float),
-    "trajectory.heading_deg": ("trajectory", "heading_deg", float),
-    "trajectory.speed": ("trajectory", "speed", float),
-    "trajectory.length": ("trajectory", "length", float),
-    "trajectory.frame_period": ("trajectory", "frame_period", float),
-    "trajectory.turn_rate_deg_per_m": ("trajectory", "turn_rate_deg_per_m", float),
-    "drift.translational_drift": ("drift", "translational_drift", float),
-    "drift.rotational_drift": ("drift", "rotational_drift", float),
-    "drift.noise_sigma": ("drift", "noise_sigma", float),
+    "trajectory.start_x": ("trajectory", "start_x", _float),
+    "trajectory.start_y": ("trajectory", "start_y", _float),
+    "trajectory.heading_deg": ("trajectory", "heading_deg", _float),
+    "trajectory.speed": ("trajectory", "speed", _float),
+    "trajectory.length": ("trajectory", "length", _float),
+    "trajectory.frame_period": ("trajectory", "frame_period", _float),
+    "trajectory.turn_rate_deg_per_m": ("trajectory", "turn_rate_deg_per_m", _float),
+    "drift.translational_drift": ("drift", "translational_drift", _float),
+    "drift.rotational_drift": ("drift", "rotational_drift", _float),
+    "drift.noise_sigma": ("drift", "noise_sigma", _float),
     "drift.seed": ("drift", "seed", int),
-    "sensor.radius": ("sensor", "radius", float),
-    "sensor.label_flip_rate": ("sensor", "label_flip_rate", float),
+    "sensor.radius": ("sensor", "radius", _float),
+    "sensor.label_flip_rate": ("sensor", "label_flip_rate", _float),
     "sensor.clutter_points": ("sensor", "clutter_points", int),
     "labels.pole": ("labels", "pole_id", int),
     "labels.trunk": ("labels", "trunk_id", int),

@@ -25,10 +25,8 @@ from polemap import POLE, TRUNK, ClusterMap, PoseSE3, label_code
 from polemap.association import (
     UNMATCHED,
     AssociationParams,
-    SubEdgeFeature,
     associate_maps,
     edge_pair_distance,
-    neighbor_edges,
     sub_edge_distance,
 )
 from polemap.cluster_map import Frame
@@ -138,7 +136,7 @@ def test_sub_edge_distance_law_matches_vector_oracle():
     for _ in range(10_000):
         d1, d2 = rng.uniform(0.05, 60.0, size=2)
         t1, t2 = rng.uniform(0.0, 360.0, size=2)
-        got = sub_edge_distance(SubEdgeFeature(d1, t1), SubEdgeFeature(d2, t2))
+        got = sub_edge_distance(d1, t1, d2, t2)
         want = embedding_distance(d1, t1, d2, t2)
         worst = max(worst, abs(got - want))
     _report(
@@ -250,19 +248,11 @@ def test_edge_pair_distance_reference_examples():
     params = AssociationParams(min_sub_edge_matches=4)
 
     local_map, global_map = reference_star_scene()
-    local_edges = neighbor_edges(local_map, 0, params.search_radius)
-    global_edges = neighbor_edges(global_map, 0, params.search_radius)
-    ref = next(e for e in local_edges if e.neighbor_id == 1)
-    cand = next(e for e in global_edges if e.neighbor_id == 1)
-    zero = edge_pair_distance(ref, ref, local_edges, local_edges, params)
-    offset = edge_pair_distance(ref, cand, local_edges, global_edges, params)
+    zero = edge_pair_distance(local_map, local_map, (0, 1), (0, 1), params)
+    offset = edge_pair_distance(local_map, global_map, (0, 1), (0, 1), params)
 
     pushed_local, pushed_global = reference_star_scene(partner_offsets=(0.1, 0.1, 0.1, 0.25))
-    p_local = neighbor_edges(pushed_local, 0, params.search_radius)
-    p_global = neighbor_edges(pushed_global, 0, params.search_radius)
-    p_ref = next(e for e in p_local if e.neighbor_id == 1)
-    p_cand = next(e for e in p_global if e.neighbor_id == 1)
-    below = edge_pair_distance(p_ref, p_cand, p_local, p_global, params)
+    below = edge_pair_distance(pushed_local, pushed_global, (0, 1), (0, 1), params)
 
     ok = (
         zero == 0.0

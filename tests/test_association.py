@@ -9,25 +9,13 @@ from polemap import (
     UNMATCHED,
     AssociationParams,
     ClusterMap,
-    Edge,
     MatchPair,
-    SubEdgeFeature,
     associate_maps,
-    candidate_edges,
     edge_pair_distance,
-    match_clusters,
-    match_sub_edges,
-    neighbor_edges,
     sub_edge_distance,
-    sub_edge_feature,
 )
 from conftest import association_scene, moved_copy, planar_pose, reference_star_scene
 from oracles import embedding_distance, oracle_associate
-
-
-def make_edge(direction_deg, length=1.0, neighbor=1, label=POLE):
-    rad = math.radians(direction_deg)
-    return Edge(0, neighbor, length, np.array([math.cos(rad), math.sin(rad)]), label)
 
 
 def grid_map(coords, label=POLE) -> ClusterMap:
@@ -37,96 +25,134 @@ def grid_map(coords, label=POLE) -> ClusterMap:
     return m
 
 
+def polar(angle_deg, radius, label=POLE):
+    rad = math.radians(angle_deg)
+    return (radius * math.cos(rad), radius * math.sin(rad), label)
+
+
+def star_maps(local_subs, global_subs):
+    """Local and global stars around an anchor at the origin.
+
+    Both stars hold the reference neighbor (10, 0) plus their own sub-edge
+    neighbors, each an (x, y, label); ids: anchor 0, reference 1, sub-edges
+    from 2 in the given order.
+    """
+    maps = []
+    for subs in (local_subs, global_subs):
+        m = ClusterMap()
+        for x, y, label in [(0.0, 0.0, POLE), (10.0, 0.0, POLE), *subs]:
+            m.add(label, [(x, y, 2.0)])
+        maps.append(m)
+    return maps
+
+
+# Three sub-edges shared exactly by both stars, one unpartnered local
+# sub-edge, and the pair under test: with four required sub-edge matches the
+# reference edges pair iff the tested sub-edges pass every gate, scoring
+# log(5 / 4) times a quarter of their feature distance.
+SHARED_SUBS = [(-5.0, 0.0, POLE), (0.0, 6.0, POLE), (0.0, -7.0, TRUNK)]
+LONE_SUB = (3.0, -12.0, POLE)
+
+
+def gated_distance(local_sub, global_sub, **params):
+    local_map, global_map = star_maps(
+        SHARED_SUBS + [local_sub, LONE_SUB], SHARED_SUBS + [global_sub]
+    )
+    return edge_pair_distance(
+        local_map, global_map, (0, 1), (0, 1),
+        AssociationParams(min_sub_edge_matches=4, **params),
+    )
+
+
+def gated_score(feature_distance):
+    return math.log(5.0 / 4.0) * feature_distance / 4.0
+
+
 # ---------------------------------------------------------------- sub-edges
 
 
-def test_sub_edge_angle_is_clockwise():
-    ref = make_edge(0.0)
-    # a neighbor rotated counterclockwise sits at 360 minus the turn
-    assert sub_edge_feature(ref, make_edge(90.0, 2.0)).theta == pytest.approx(270.0)
-    assert sub_edge_feature(ref, make_edge(-90.0, 2.0)).theta == pytest.approx(90.0)
-    assert sub_edge_feature(ref, make_edge(0.0, 2.0)).theta == pytest.approx(0.0)
-    feat = sub_edge_feature(make_edge(30.0), make_edge(75.0, 4.0))
-    assert feat.theta == pytest.approx(315.0)
-    assert feat.d == 4.0
-
-
-def test_sub_edge_feature_range():
-    with pytest.raises(ValueError, match="theta"):
-        SubEdgeFeature(1.0, 360.0)
-    with pytest.raises(ValueError, match="length"):
-        SubEdgeFeature(0.0, 10.0)
-
-
 def test_sub_edge_distance_known_values():
-    assert sub_edge_distance(SubEdgeFeature(3.0, 40.0), SubEdgeFeature(3.0, 40.0)) == 0.0
-    assert sub_edge_distance(
-        SubEdgeFeature(3.0, 40.0), SubEdgeFeature(4.0, 40.0)
-    ) == pytest.approx(1.0)
-    assert sub_edge_distance(
-        SubEdgeFeature(1.0, 0.0), SubEdgeFeature(1.0, 90.0)
-    ) == pytest.approx(math.sqrt(2.0))
+    assert sub_edge_distance(3.0, 40.0, 3.0, 40.0) == 0.0
+    assert sub_edge_distance(3.0, 40.0, 4.0, 40.0) == pytest.approx(1.0)
+    assert sub_edge_distance(1.0, 0.0, 1.0, 90.0) == pytest.approx(math.sqrt(2.0))
+    # the documented reject example
+    d = sub_edge_distance(5.0, 30.0, 5.2, 35.0)
+    assert d == pytest.approx(0.48773, abs=1e-4)
+    assert d > AssociationParams().sub_edge_tolerance
 
 
 def test_sub_edge_distance_wraps_angle():
-    near_zero = sub_edge_distance(SubEdgeFeature(5.0, 359.0), SubEdgeFeature(5.0, 1.0))
-    direct = sub_edge_distance(SubEdgeFeature(5.0, 1.0), SubEdgeFeature(5.0, 3.0))
+    near_zero = sub_edge_distance(5.0, 359.0, 5.0, 1.0)
+    direct = sub_edge_distance(5.0, 1.0, 5.0, 3.0)
     assert near_zero == pytest.approx(direct, abs=1e-12)
 
 
 def test_sub_edge_distance_is_plane_distance(rng):
-    for _ in range(300):
-        d1, d2 = rng.uniform(0.1, 30.0, 2)
-        t1, t2 = rng.uniform(0.0, 360.0, 2)
-        a, b = SubEdgeFeature(d1, t1 % 360.0), SubEdgeFeature(d2, t2 % 360.0)
-        assert sub_edge_distance(a, b) == pytest.approx(
-            embedding_distance(d1, t1, d2, t2), abs=1e-9
-        )
-        assert sub_edge_distance(a, b) == sub_edge_distance(b, a)
+    d1, d2 = rng.uniform(0.1, 30.0, (2, 300))
+    t1, t2 = rng.uniform(0.0, 360.0, (2, 300))
+    batch = sub_edge_distance(d1, t1, d2, t2)
+    for k in range(300):
+        got = sub_edge_distance(d1[k], t1[k], d2[k], t2[k])
+        assert got == batch[k]
+        assert got == pytest.approx(embedding_distance(d1[k], t1[k], d2[k], t2[k]), abs=1e-9)
+        assert got == sub_edge_distance(d2[k], t2[k], d1[k], t1[k])
 
 
 def test_match_sub_edges_gates():
-    params = AssociationParams()
-    a = SubEdgeFeature(5.0, 30.0)
-    assert match_sub_edges(a, SubEdgeFeature(5.05, 30.0), POLE, POLE, params)
+    near = gated_distance((0.0, 3.0, POLE), (0.0, 3.05, POLE))
+    assert near == pytest.approx(gated_score(0.05))
     # label mismatch loses regardless of geometry
-    assert not match_sub_edges(a, a, POLE, TRUNK, params)
-    # length gate is strict: a gap at the tolerance is out
-    assert not match_sub_edges(
-        SubEdgeFeature(1.0, 30.0), SubEdgeFeature(1.3, 30.0), POLE, POLE, params
+    assert gated_distance((0.0, 3.0, POLE), (0.0, 3.0, TRUNK)) is UNMATCHED
+    # length gate is strict: a gap of exactly the tolerance is out
+    gap = dict(local_sub=(0.0, 3.0, POLE), global_sub=(0.0, 3.25, POLE), sub_edge_tolerance=0.3)
+    assert gated_distance(**gap, length_tolerance=0.25) is UNMATCHED
+    assert gated_distance(**gap, length_tolerance=np.nextafter(0.25, 1.0)) == pytest.approx(
+        gated_score(0.25)
     )
-    # angle gate is strict at 10 degrees
-    assert not match_sub_edges(
-        SubEdgeFeature(5.0, 0.0), SubEdgeFeature(5.0, 10.0), POLE, POLE, params
+    # angle gate is strict: sub-edges at exactly the tolerance apart are out
+    turn = dict(local_sub=(0.0, 0.1, POLE), global_sub=polar(45.0, 0.1))
+    assert gated_distance(**turn, angle_tolerance=45.0) is UNMATCHED
+    assert gated_distance(**turn, angle_tolerance=np.nextafter(45.0, 90.0)) < UNMATCHED
+    # at the default tolerances the angle gate binds only for short sub-edges
+    assert gated_distance(polar(90.0, 1.0), polar(79.5, 1.0)) is UNMATCHED
+    assert sub_edge_distance(1.0, 90.0, 1.0, 79.5) < AssociationParams().sub_edge_tolerance
+    assert gated_distance(polar(90.0, 1.0), polar(80.5, 1.0)) == pytest.approx(
+        gated_score(sub_edge_distance(1.0, 90.0, 1.0, 80.5))
     )
     # feature distance gate: equal lengths, small angle, still too far apart
-    far = SubEdgeFeature(5.0, 32.5)
-    assert sub_edge_distance(a, far) > params.sub_edge_tolerance
-    assert not match_sub_edges(a, far, POLE, POLE, params)
-    # the documented reject example
-    d = sub_edge_distance(SubEdgeFeature(5.0, 30.0), SubEdgeFeature(5.2, 35.0))
-    assert d == pytest.approx(0.48773, abs=1e-4)
-    assert not match_sub_edges(
-        SubEdgeFeature(5.0, 30.0), SubEdgeFeature(5.2, 35.0), POLE, POLE, params
-    )
+    assert sub_edge_distance(3.0, 90.0, 3.0, 86.0) > AssociationParams().sub_edge_tolerance
+    assert gated_distance(polar(90.0, 3.0), polar(86.0, 3.0)) is UNMATCHED
+    assert gated_distance(polar(90.0, 3.0), polar(86.5, 3.0)) < UNMATCHED
 
 
 # ---------------------------------------------------------------- candidates
 
+# Local star of seven edges; the edge to (0, 5) is the one under test.
+RANKED_STAR = [(0.0, 0.0), (0.0, 5.0), (8.0, 1.0), (3.0, -9.0), (-3.0, 7.0),
+               (10.0, 7.0), (6.0, -6.5), (-7.0, -6.0)]
+
+
+def anchor_match(partner, decoy, candidate_count):
+    """Anchor pair of RANKED_STAR against a copy whose (0, 5) neighbor moved
+    to partner and which gains a decoy neighbor in a wrong direction."""
+    local_map = grid_map(RANKED_STAR)
+    global_map = grid_map(RANKED_STAR[:1] + [partner] + RANKED_STAR[2:] + [decoy])
+    pairs = associate_maps(local_map, global_map, AssociationParams(candidate_count=candidate_count))
+    return pairs[0]
+
 
 def test_candidate_edges_ranked_by_length_gap():
-    target = make_edge(0.0, 5.1)
-    pool = [make_edge(0.0, l, neighbor=k) for k, l in enumerate((3.0, 5.0, 9.0, 20.0))]
-    picked = candidate_edges(target, pool, 2)
-    assert [e.length for e in picked] == [5.0, 3.0]
-    assert [e.length for e in candidate_edges(target, pool, 10)] == [5.0, 3.0, 9.0, 20.0]
+    # the decoy's length is nearer 5 than the partner's, so it takes the only slot
+    assert anchor_match((0.0, 5.125), (-5.0625, 0.0), 1) == MatchPair(0, 0, 6)
+    assert anchor_match((0.0, 5.125), (-5.0625, 0.0), 2) == MatchPair(0, 0, 7)
+    # a decoy further away in length leaves the partner first
+    assert anchor_match((0.0, 5.125), (-5.25, 0.0), 1) == MatchPair(0, 0, 7)
 
 
 def test_candidate_edges_stable_on_ties():
-    target = make_edge(0.0, 5.0)
-    pool = [make_edge(0.0, 4.0, neighbor=1), make_edge(0.0, 6.0, neighbor=2)]
-    picked = candidate_edges(target, pool, 2)
-    assert [e.neighbor_id for e in picked] == [1, 2]
+    # equal length gaps keep star order, shorter edge first
+    assert anchor_match((0.0, 5.125), (-4.875, 0.0), 1) == MatchPair(0, 0, 6)
+    assert anchor_match((0.0, 4.875), (-5.125, 0.0), 1) == MatchPair(0, 0, 7)
 
 
 # ---------------------------------------------------------------- edge pairs
@@ -135,19 +161,13 @@ def test_candidate_edges_stable_on_ties():
 def test_edge_pair_distance_identical_stars_is_zero():
     local_map, _ = reference_star_scene()
     params = AssociationParams(min_sub_edge_matches=4)
-    local_edges = neighbor_edges(local_map, 0, params.search_radius)
-    ref = next(e for e in local_edges if e.neighbor_id == 1)
-    assert edge_pair_distance(ref, ref, local_edges, local_edges, params) == 0.0
+    assert edge_pair_distance(local_map, local_map, (0, 1), (0, 1), params) == 0.0
 
 
 def test_edge_pair_distance_four_tenth_offsets():
     local_map, global_map = reference_star_scene()
     params = AssociationParams(min_sub_edge_matches=4)
-    local_edges = neighbor_edges(local_map, 0, params.search_radius)
-    global_edges = neighbor_edges(global_map, 0, params.search_radius)
-    ref = next(e for e in local_edges if e.neighbor_id == 1)
-    cand = next(e for e in global_edges if e.neighbor_id == 1)
-    score = edge_pair_distance(ref, cand, local_edges, global_edges, params)
+    score = edge_pair_distance(local_map, global_map, (0, 1), (0, 1), params)
     # eight local sub-edges, four paired at distance 0.1 each
     assert score == pytest.approx(math.log(2.0) * 0.1, abs=1e-9)
 
@@ -156,40 +176,37 @@ def test_edge_pair_distance_unmatched_below_minimum():
     # push one partner outside the feature distance gate: three pairs remain
     local_map, global_map = reference_star_scene(partner_offsets=(0.1, 0.1, 0.1, 0.25))
     params = AssociationParams(min_sub_edge_matches=4)
-    local_edges = neighbor_edges(local_map, 0, params.search_radius)
-    global_edges = neighbor_edges(global_map, 0, params.search_radius)
-    ref = next(e for e in local_edges if e.neighbor_id == 1)
-    cand = next(e for e in global_edges if e.neighbor_id == 1)
-    score = edge_pair_distance(ref, cand, local_edges, global_edges, params)
+    score = edge_pair_distance(local_map, global_map, (0, 1), (0, 1), params)
     assert score is UNMATCHED
     assert math.isinf(UNMATCHED)
 
 
 def test_edge_pair_distance_requires_enough_sub_edges():
     # stars of three edges cannot reach the default five sub-edge matches
-    coords = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (-5.0, 0.0)]
-    m = grid_map(coords)
-    edges = neighbor_edges(m, 0, 50.0)
-    assert edge_pair_distance(edges[0], edges[0], edges, edges) is UNMATCHED
+    m = grid_map([(0.0, 0.0), (5.0, 0.0), (0.0, 5.0), (-5.0, 0.0)])
+    assert edge_pair_distance(m, m, (0, 1), (0, 1)) is UNMATCHED
+
+
+def test_edge_pair_distance_rejects_edges_outside_the_star():
+    local_map, global_map = reference_star_scene()
+    with pytest.raises(ValueError, match="not in the star"):
+        edge_pair_distance(local_map, global_map, (0, 1), (0, 9))
+    with pytest.raises(ValueError, match="not in the star"):
+        edge_pair_distance(local_map, global_map, (0, 0), (0, 1))
 
 
 # ---------------------------------------------------------------- clusters
 
 
-def test_match_clusters_label_gate(rng):
+def test_match_clusters_label_gate():
     coords = [(0.0, 0.0)] + [
         ((6.0 + 0.7 * k) * math.cos(k), (6.0 + 0.7 * k) * math.sin(k))
         for k in range(1, 8)
     ]
     pole_map = grid_map(coords, POLE)
     trunk_map = grid_map(coords, TRUNK)
-    ok, k_e = match_clusters(
-        pole_map.get(0), trunk_map.get(0), pole_map, trunk_map
-    )
-    assert (ok, k_e) == (False, 0)
-    ok, k_e = match_clusters(pole_map.get(0), pole_map.get(0), pole_map, pole_map)
-    assert ok
-    assert k_e == 7
+    assert associate_maps(pole_map, trunk_map) == []
+    assert associate_maps(pole_map, pole_map)[0] == MatchPair(0, 0, 7)
 
 
 def test_associate_maps_identity(rng):

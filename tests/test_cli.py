@@ -255,9 +255,20 @@ def test_non_finite_map_sidecar_exits_3(workspace, tmp_path, capsys):
     assert captured.err == f"error: {sidecar}: non-finite point coordinate\n"
 
 
+def test_non_finite_config_value_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("trajectory.length = inf\n", encoding="ascii")
+    code = main(["simulate", "--out", str(tmp_path / "data"), "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(f"error: {cfg}:1: bad value for trajectory.length")
+    assert not (tmp_path / "data").exists()
+
+
 # README demo config on a 40 m drive. The digests pin the bytes that
-# simulate, build-map and localize write; any change to them is a change of
-# output that needs its own justification.
+# simulate, build-map and localize write, and the stdout of relocalizing the
+# built map in the simulated one; any change to them is a change of output
+# that needs its own justification.
 GOLDEN_CONFIG = """
 scene.width = 160.0
 scene.height = 160.0
@@ -277,6 +288,7 @@ GOLDEN_SHA256 = {
     "built.txt.points": "9333ef8582bc17ee45b5fdcb916c7bc41e68ecb9a520d33f21a6a5d313f66945",
     "estimated.txt": "b4a5e503d757060aedc00bafbe28c7a482d097bf6534ac5e9193b6ab50e5dff3",
 }
+GOLDEN_RELOCALIZE_SHA256 = "cc60a346b696729e34f26f26f9a604eff3a145ecba2670023d21b5e6da77ae4d"
 
 
 def test_outputs_are_byte_exact(tmp_path, capsys):
@@ -296,3 +308,7 @@ def test_outputs_are_byte_exact(tmp_path, capsys):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
     }
     assert digests == GOLDEN_SHA256
+    assert main(["relocalize", "--local", str(built), "--map", str(data / "map.txt"),
+                 "--config", str(cfg)]) == 0
+    relocalized = capsys.readouterr().out.encode("ascii")
+    assert hashlib.sha256(relocalized).hexdigest() == GOLDEN_RELOCALIZE_SHA256

@@ -61,6 +61,16 @@ def test_bad_values_rejected_with_location():
         parse_config("reloc.ransac_first = yes")
     with pytest.raises(ConfigError, match=":1: expected key = value"):
         parse_config("just some words")
+    for text, key in (
+        ("extraction.cluster_distance = nan", "extraction.cluster_distance"),
+        ("association.search_radius = NaN", "association.search_radius"),
+        ("trajectory.length = inf", "trajectory.length"),
+        ("scene.width = -inf", "scene.width"),
+        ("pipeline.max_fix_jump = inf", "pipeline.max_fix_jump"),
+    ):
+        with pytest.raises(ConfigError, match=f"cfg:2: bad value for {key}"):
+            parse_config("# non-finite\n" + text, source="cfg")
+    assert parse_config("pipeline.max_fix_jump = none").pipeline.max_fix_jump is None
 
 
 def test_group_validation_errors_become_config_errors():
