@@ -15,6 +15,7 @@ meters and angles degrees throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,6 +95,49 @@ def _edge_data(cluster_map: ClusterMap, cluster_id: int, search_radius: float) -
     )
 
 
+@dataclass(frozen=True)
+class _Stars:
+    """Every cluster's edge star in one map, with all edges also laid end to
+    end: star s owns edges offsets[s] : offsets[s] + counts[s] of lengths and
+    labels."""
+
+    ids: tuple[int, ...]  # ascending
+    stars: tuple[_EdgeData, ...]
+    anchor_labels: np.ndarray  # label code of each anchor
+    counts: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def of(cls, ids, stars, anchor_labels) -> "_Stars":
+        counts = np.array([star.count for star in stars], dtype=int)
+        return cls(
+            tuple(ids),
+            tuple(stars),
+            np.asarray(anchor_labels, dtype=int),
+            counts,
+            np.cumsum(counts) - counts,
+            np.concatenate([np.empty(0)] + [star.lengths for star in stars]),
+            np.concatenate([np.empty(0, dtype=int)] + [star.labels for star in stars]),
+        )
+
+
+def _stars(cluster_map: ClusterMap, search_radius: float) -> _Stars:
+    """The map's stars at search_radius, built once and kept until the map
+    changes."""
+
+    def build(m: ClusterMap) -> _Stars:
+        ids = m.ids()
+        return _Stars.of(
+            ids,
+            [_edge_data(m, cid, search_radius) for cid in ids],
+            [label_code(m.get(cid).label) for cid in ids],
+        )
+
+    return cluster_map.derived(("stars", search_radius), build)
+
+
 def _law(ss, dd, delta_deg):
     """Law of cosines from squared-length sums, length products and angle gaps."""
     return np.sqrt(np.maximum(ss - 2.0 * dd * np.cos(np.radians(delta_deg)), 0.0))
@@ -109,72 +153,63 @@ def sub_edge_distance(d_a, theta_a, d_b, theta_b):
     return _law(d_a * d_a + d_b * d_b, d_a * d_b, theta_a - theta_b)
 
 
-@dataclass(frozen=True)
-class _PairTables:
-    """Per anchor-pair matrices reused across every candidate evaluation."""
-
-    G: np.ndarray  # pairwise direction angle differences, local x global
-    SS: np.ndarray  # squared-length sums
-    DD: np.ndarray  # length products
-    base: np.ndarray  # label equality and length gap check
-
-
-def _pair_tables(local: _EdgeData, global_: _EdgeData, params: AssociationParams) -> _PairTables:
-    dl = local.lengths[:, None]
-    dg = global_.lengths[None, :]
-    return _PairTables(
-        G=local.phis[:, None] - global_.phis[None, :],
-        SS=dl * dl + dg * dg,
-        DD=dl * dg,
-        base=(local.labels[:, None] == global_.labels[None, :])
-        & (np.abs(dl - dg) < params.length_tolerance),
-    )
-
-
-def _candidate_distance(
+def _candidate_distances(
     local: _EdgeData,
     global_: _EdgeData,
-    tables: _PairTables,
-    i: int,
-    j: int,
+    i: np.ndarray,
+    j: np.ndarray,
     params: AssociationParams,
-) -> float:
-    """Distance between local edge i and global candidate j.
+) -> list[float]:
+    """Distance between local edge i[k] and global candidate j[k], for each k.
 
     Sub-edges of both stars are paired one-to-one greedily by increasing
-    feature distance; with enough pairs the distance is the mean paired
-    feature distance scaled by the log of the unmatched fraction, otherwise
-    UNMATCHED.
+    feature distance; with enough pairs a candidate's distance is the mean
+    paired feature distance scaled by the log of the unmatched fraction,
+    otherwise UNMATCHED. Every candidate is scored at once over the sub-edge
+    pairs that pass the label and length gates, which no candidate changes.
     """
+    need = params.min_sub_edge_matches
+    out = [UNMATCHED] * len(i)
     n_sub_local = local.count - 1
-    if n_sub_local < params.min_sub_edge_matches or global_.count - 1 < params.min_sub_edge_matches:
-        return UNMATCHED
-    delta = tables.G - tables.G[i, j]
+    if n_sub_local < need or global_.count - 1 < need:
+        return out
+    ps, qs = np.nonzero(
+        (local.labels[:, None] == global_.labels[None, :])
+        & (np.abs(local.lengths[:, None] - global_.lengths[None, :]) < params.length_tolerance)
+    )
+    g = local.phis[:, None] - global_.phis[None, :]
+    # one row per candidate, one column per gated sub-edge pair
+    delta = g[ps, qs][None, :] - g[i, j][:, None]
     circ = np.abs((delta + 180.0) % 360.0 - 180.0)
-    dist = _law(tables.SS, tables.DD, delta)
-    ok = tables.base & (circ < params.angle_tolerance) & (dist < params.sub_edge_tolerance)
-    ok[i, :] = False
-    ok[:, j] = False
-    ps, qs = np.nonzero(ok)
-    if ps.size < params.min_sub_edge_matches:
-        return UNMATCHED
-    dvals = dist[ps, qs]
-    order = np.lexsort((qs, ps, dvals))
-    used_p = np.zeros(local.count, dtype=bool)
-    used_q = np.zeros(global_.count, dtype=bool)
-    k_se = 0
-    total = 0.0
-    for t in order:
-        p, q = ps[t], qs[t]
-        if used_p[p] or used_q[q]:
-            continue
-        used_p[p] = True
-        used_q[q] = True
-        k_se += 1
-        total += float(dvals[t])
-    if k_se < params.min_sub_edge_matches:
-        return UNMATCHED
-    return math.log(n_sub_local / k_se) * total / k_se
+    dl, dg = local.lengths[ps], global_.lengths[qs]
+    dist = _law(dl * dl + dg * dg, dl * dg, delta)
+    ok = (
+        (circ < params.angle_tolerance)
+        & (dist < params.sub_edge_tolerance)
+        & (ps[None, :] != i[:, None])
+        & (qs[None, :] != j[:, None])
+    )
+    ks, ts = np.nonzero(ok)
+    enough = np.bincount(ks, minlength=len(i))[ks] >= need
+    ks, ts = ks[enough], ts[enough]
+    d, p, q = dist[ks, ts], ps[ts], qs[ts]
+    order = np.lexsort((q, p, d, ks))
+    entries = zip(ks[order].tolist(), p[order].tolist(), q[order].tolist(), d[order].tolist())
+    for k, group in itertools.groupby(entries, key=lambda e: e[0]):
+        used_p: set[int] = set()
+        used_q: set[int] = set()
+        k_se = 0
+        total = 0.0
+        for _, pk, qk, dk in group:
+            if pk in used_p or qk in used_q:
+                continue
+            used_p.add(pk)
+            used_q.add(qk)
+            k_se += 1
+            total += dk
+        if k_se >= need:
+            out[k] = math.log(n_sub_local / k_se) * total / k_se
+    return out
 
 
 def _star_index(star: _EdgeData, edge: tuple[int, int]) -> int:
@@ -202,58 +237,41 @@ def edge_pair_distance(
     global_ = _edge_data(global_map, global_edge[0], params.search_radius)
     i = _star_index(local, local_edge)
     j = _star_index(global_, global_edge)
-    return _candidate_distance(local, global_, _pair_tables(local, global_, params), i, j, params)
+    return _candidate_distances(local, global_, np.array([i]), np.array([j]), params)[0]
 
 
-def _max_tolerance_matching(a_sorted: np.ndarray, b_sorted: np.ndarray, tol: float) -> int:
-    """Maximum one-to-one matching size between sorted values at |a-b| < tol."""
-    i = j = count = 0
-    na, nb = len(a_sorted), len(b_sorted)
-    while i < na and j < nb:
-        d = a_sorted[i] - b_sorted[j]
-        if abs(d) < tol:
-            count += 1
-            i += 1
-            j += 1
-        elif d <= -tol:
-            i += 1
-        else:
-            j += 1
-    return count
+def _length_bounds(local: _EdgeData, stars: _Stars, tol: float) -> np.ndarray:
+    """Upper bound, per star, on one-to-one pairs of a local edge and a star
+    edge with equal labels and a length gap below tol.
+
+    The bound is min(na, nb): na counts local edges with a partner in the
+    star, nb the star's edges with a local partner. Empty stars get 0.
+    """
+    close = (np.abs(local.lengths[:, None] - stars.lengths[None, :]) < tol) & (
+        local.labels[:, None] == stars.labels[None, :]
+    )
+    bounds = np.zeros(len(stars.counts), dtype=int)
+    filled = stars.counts > 0
+    if filled.any():
+        # reduceat gives a[start] for an empty segment, so empty stars get no start
+        starts = stars.offsets[filled]
+        na = np.logical_or.reduceat(close, starts, axis=1).sum(axis=0)
+        nb = np.add.reduceat(close.any(axis=0), starts)
+        bounds[filled] = np.minimum(na, nb)
+    return bounds
 
 
-def _length_support(local: _EdgeData, global_: _EdgeData, params: AssociationParams) -> int:
-    """Upper bound on sub-edge pairs available between the two stars."""
-    support = 0
-    for code in np.unique(local.labels):
-        a = local.lengths[local.labels == code]
-        b = global_.lengths[global_.labels == code]
-        support += _max_tolerance_matching(a, b, params.length_tolerance)
-    return support
+def _matched_edges(local: _EdgeData, global_: _EdgeData, params: AssociationParams) -> int:
+    """Local edges whose best candidate scores below edge_tolerance.
 
-
-def _match_from_data(local: _EdgeData, global_: _EdgeData, params: AssociationParams) -> tuple[bool, int]:
-    if local.count - 1 < params.min_sub_edge_matches:
-        return False, 0
-    if global_.count - 1 < params.min_sub_edge_matches:
-        return False, 0
-    # Cheap exact reject: no candidate pair can collect min_sub_edge_matches
-    # one-to-one sub-edge pairs if the full length multisets cannot.
-    if _length_support(local, global_, params) < params.min_sub_edge_matches:
-        return False, 0
-    tables = _pair_tables(local, global_, params)
+    Each local edge's candidates are the candidate_count global edges nearest
+    in length, ties kept in star order.
+    """
     gaps = np.abs(local.lengths[:, None] - global_.lengths[None, :])
-    matched = 0
-    for i in range(local.count):
-        order = np.argsort(gaps[i], kind="stable")[: params.candidate_count]
-        best = UNMATCHED
-        for j in order:
-            d = _candidate_distance(local, global_, tables, i, int(j), params)
-            if d < best:
-                best = d
-        if best < params.edge_tolerance:
-            matched += 1
-    return matched >= params.min_edge_matches, matched
+    j = np.argsort(gaps, axis=1, kind="stable")[:, : params.candidate_count]
+    i = np.repeat(np.arange(local.count), j.shape[1])
+    scores = np.reshape(_candidate_distances(local, global_, i, j.ravel(), params), j.shape)
+    return int(np.count_nonzero(scores.min(axis=1) < params.edge_tolerance))
 
 
 def associate_maps(
@@ -268,22 +286,24 @@ def associate_maps(
     by local id. Deterministic for identical inputs.
     """
     params = params or AssociationParams()
-    local_data = {
-        cid: _edge_data(local_map, cid, params.search_radius) for cid in local_map.ids()
-    }
-    global_data = {
-        cid: _edge_data(global_map, cid, params.search_radius) for cid in global_map.ids()
-    }
+    need = params.min_sub_edge_matches
+    local = _stars(local_map, params.search_radius)
+    glob = _stars(global_map, params.search_radius)
+    # Stars too small to collect enough sub-edge pairs are never scored.
+    live = glob.counts - 1 >= need
     pairs: list[MatchPair] = []
-    for lid in local_map.ids():
-        local_label = local_map.get(lid).label
+    for lid, star, label in zip(local.ids, local.stars, local.anchor_labels):
+        if star.count - 1 < need:
+            continue
+        # Cheap exact reject: no candidate pair can collect need one-to-one
+        # sub-edge pairs when the length bound says fewer exist.
+        keep = live & (glob.anchor_labels == label)
+        keep &= _length_bounds(star, glob, params.length_tolerance) >= need
         best: tuple[int, int] | None = None  # (matched edges, global id)
-        for gid in global_map.ids():
-            if global_map.get(gid).label != local_label:
-                continue
-            ok, k_e = _match_from_data(local_data[lid], global_data[gid], params)
-            if ok and (best is None or k_e > best[0]):
-                best = (k_e, gid)
+        for s in np.flatnonzero(keep):
+            k_e = _matched_edges(star, glob.stars[s], params)
+            if k_e >= params.min_edge_matches and (best is None or k_e > best[0]):
+                best = (k_e, glob.ids[s])
         if best is not None:
             pairs.append(MatchPair(local_id=lid, global_id=best[1], matched_edges=best[0]))
     return pairs

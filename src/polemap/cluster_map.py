@@ -1,8 +1,10 @@
 """Semantic cluster data model and planar spatial queries.
 
 A cluster map stores labeled landmark clusters addressable by integer id and
-answers 2D centroid queries through a kd-tree that is rebuilt lazily after
-mutations. Readers may share a map freely; mutation requires exclusive access.
+answers 2D centroid queries through a kd-tree. The kd-tree and any other data
+derived from the clusters (such as association's edge stars) are built on
+first use and kept until the next mutation. Readers may share a map freely;
+mutation requires exclusive access.
 Points are numpy arrays throughout: a Frame holds (n, 3) coordinates with one
 label code per point, a Cluster its (n, 3) member coordinates.
 """
@@ -116,9 +118,8 @@ class ClusterMap:
     def __init__(self):
         self._clusters: dict[int, Cluster] = {}
         self._next_id = 0
-        self._tree: cKDTree | None = None
-        self._tree_ids: np.ndarray | None = None
-        self._dirty = True
+        # Values computed from the clusters; every mutation clears them.
+        self._derived: dict = {}
 
     def __len__(self) -> int:
         return len(self._clusters)
@@ -136,12 +137,19 @@ class ClusterMap:
     def get(self, cluster_id: int) -> Cluster:
         return self._clusters[cluster_id]
 
+    def derived(self, key, build):
+        """build(self), computed on first use and kept under key until the
+        map next changes. Callers must not modify the returned value."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
+
     def add(self, label: SemanticLabel, points) -> Cluster:
         """Create a cluster from points, assign the next free id, store it."""
         cluster = Cluster.from_points(self._next_id, label, points)
         self._clusters[cluster.cluster_id] = cluster
         self._next_id += 1
-        self._dirty = True
+        self._derived.clear()
         return cluster
 
     def insert(self, cluster: Cluster) -> None:
@@ -150,18 +158,18 @@ class ClusterMap:
             raise ValueError(f"duplicate cluster id {cluster.cluster_id}")
         self._clusters[cluster.cluster_id] = cluster
         self._next_id = max(self._next_id, cluster.cluster_id + 1)
-        self._dirty = True
+        self._derived.clear()
 
     def remove(self, cluster_id: int) -> None:
         del self._clusters[cluster_id]
-        self._dirty = True
+        self._derived.clear()
 
     def merge_points(self, cluster_id: int, new_points) -> Cluster:
         """Append points to an existing cluster and recompute its centroid."""
         cluster = self._clusters[cluster_id]
         cluster.points = np.concatenate([cluster.points, _finite_points(new_points)])
         cluster.centroid3d = cluster.points.mean(axis=0)
-        self._dirty = True
+        self._derived.clear()
         return cluster
 
     def centroids_2d(self) -> tuple[np.ndarray, np.ndarray]:
@@ -172,15 +180,9 @@ class ClusterMap:
         cents = np.array([self._clusters[i].centroid2d for i in ids])
         return np.array(ids), cents
 
-    def refresh_index(self) -> None:
-        ids, cents = self.centroids_2d()
-        self._tree = cKDTree(cents) if len(ids) else None
-        self._tree_ids = ids
-        self._dirty = False
-
-    def _ensure_index(self) -> None:
-        if self._dirty:
-            self.refresh_index()
+    def _index(self) -> tuple[cKDTree, np.ndarray]:
+        """kd-tree over the 2D centroids and the id of each tree row."""
+        return self.derived("index", _build_index)
 
     def radius_search(self, center, radius: float, exclude: int | None = None) -> list[int]:
         """Ids of clusters whose 2D centroid lies within radius of center.
@@ -190,12 +192,12 @@ class ClusterMap:
         """
         if not self._clusters:
             return []
-        self._ensure_index()
+        tree, tree_ids = self._index()
         center = np.asarray(center, dtype=float).reshape(2)
-        idx = self._tree.query_ball_point(center, radius)
+        idx = tree.query_ball_point(center, radius)
         hits = []
         for i in idx:
-            cid = int(self._tree_ids[i])
+            cid = int(tree_ids[i])
             if cid == exclude:
                 continue
             dist = float(np.linalg.norm(self._clusters[cid].centroid2d - center))
@@ -207,12 +209,17 @@ class ClusterMap:
         """Closest cluster to a 2D point as (id, distance), ties to lowest id."""
         if not self._clusters:
             return None
-        self._ensure_index()
+        tree, tree_ids = self._index()
         center = np.asarray(center, dtype=float).reshape(2)
         k = min(8, len(self._clusters))
-        dists, idx = self._tree.query(center, k=k)
+        dists, idx = tree.query(center, k=k)
         dists = np.atleast_1d(dists)
         idx = np.atleast_1d(idx)
         best = dists[0]
-        tied = [int(self._tree_ids[i]) for d, i in zip(dists, idx) if d == best]
+        tied = [int(tree_ids[i]) for d, i in zip(dists, idx) if d == best]
         return min(tied), float(best)
+
+
+def _build_index(cluster_map: ClusterMap) -> tuple[cKDTree, np.ndarray]:
+    ids, cents = cluster_map.centroids_2d()
+    return cKDTree(cents), ids

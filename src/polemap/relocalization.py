@@ -105,6 +105,27 @@ def geometric_consistency_filter(
     return [pairs[i] for i in clique]
 
 
+def _fit_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares rigid fits of a stack of correspondence sets.
+
+    src and dst are (m, n, 3). Returns rotations (m, 3, 3), translations
+    (m, 3) and a mask of the fits whose points span a non-degenerate
+    configuration; the other fits hold meaningless values.
+    """
+    c_src = src.mean(axis=1)
+    c_dst = dst.mean(axis=1)
+    h = np.matmul((src - c_src[:, None, :]).transpose(0, 2, 1), dst - c_dst[:, None, :])
+    u, s, vt = np.linalg.svd(h)
+    valid = ~((s[:, 0] <= 0.0) | (s[:, 1] <= 1e-9 * s[:, 0]))
+    v = vt.transpose(0, 2, 1)
+    ut = u.transpose(0, 2, 1)
+    flip = np.zeros((len(h), 3, 3))
+    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
+    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    rot = v @ flip @ ut
+    return rot, c_dst - np.matmul(rot, c_src[:, :, None])[:, :, 0], valid
+
+
 def estimate_rigid_transform(src: np.ndarray, dst: np.ndarray) -> PoseSE3:
     """Least-squares rigid transform with dst ~= R @ src + t.
 
@@ -115,15 +136,10 @@ def estimate_rigid_transform(src: np.ndarray, dst: np.ndarray) -> PoseSE3:
     dst = np.asarray(dst, dtype=float).reshape(-1, 3)
     if len(src) != len(dst) or len(src) < 3:
         raise ValueError("degenerate correspondences")
-    c_src = src.mean(axis=0)
-    c_dst = dst.mean(axis=0)
-    h = (src - c_src).T @ (dst - c_dst)
-    u, s, vt = np.linalg.svd(h)
-    if s[0] <= 0.0 or s[1] <= 1e-9 * s[0]:
+    rot, trans, valid = _fit_rigid(src[None], dst[None])
+    if not valid[0]:
         raise ValueError("degenerate correspondences")
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return PoseSE3(rot, c_dst - rot @ c_src)
+    return PoseSE3(rot[0], trans[0])
 
 
 def ransac_filter(
@@ -144,20 +160,18 @@ def ransac_filter(
         raise ValueError("insufficient pairs")
     src, dst = _pair_centroids(pairs, local_map, global_map)
     rng = np.random.default_rng(params.seed)
-    best_mask: np.ndarray | None = None
-    for _ in range(params.ransac_iterations):
-        sample = rng.choice(len(pairs), size=3, replace=False)
-        try:
-            pose = estimate_rigid_transform(src[sample], dst[sample])
-        except ValueError:
-            continue
-        residuals = np.linalg.norm(dst - pose.apply(src), axis=1)
-        mask = residuals < params.ransac_threshold
-        if best_mask is None or mask.sum() > best_mask.sum():
-            best_mask = mask
-    if best_mask is None or best_mask.sum() < 3:
+    samples = np.array(
+        [rng.choice(len(pairs), size=3, replace=False) for _ in range(params.ransac_iterations)]
+    )
+    rot, trans, valid = _fit_rigid(src[samples], dst[samples])
+    moved = np.matmul(src[None], rot.transpose(0, 2, 1)) + trans[:, None, :]
+    masks = np.linalg.norm(dst[None] - moved, axis=2) < params.ransac_threshold
+    # The first sample with the most inliers wins; degenerate samples never do.
+    inliers = np.where(valid, masks.sum(axis=1), -1)
+    best = int(np.argmax(inliers))
+    if inliers[best] < 3:
         raise ValueError("insufficient pairs")
-    return [p for p, keep in zip(pairs, best_mask) if keep]
+    return [p for p, keep in zip(pairs, masks[best]) if keep]
 
 
 def coarse_align(pairs, local_map: ClusterMap, global_map: ClusterMap) -> PoseSE3:

@@ -12,11 +12,7 @@ from polemap.geometry import rotation_about_z
 
 
 def cluster_points(rng, center, n=8, spread=0.15):
-    """A tight (n, 3) blob of points whose mean lands near center.
-
-    label is unused; it stays in the signature so call sites name the class
-    of the cluster they are building.
-    """
+    """A tight (n, 3) blob of n points whose mean lands near center."""
     return np.asarray(center, dtype=float) + spread * rng.standard_normal((n, 3))
 
 

@@ -1,14 +1,17 @@
 """Brute-force reference implementations used to cross-check the package.
 
 Everything here favors clarity over speed: linear scans instead of spatial
-indexes, union-find instead of sparse graph components, and an association
-routine written as plain nested loops over explicit feature tuples. The
-production code must agree with these exactly on the same inputs.
+indexes, union-find instead of sparse graph components, an association
+routine written as plain nested loops over explicit feature tuples, and a
+RANSAC that fits one sample at a time. The production code must agree with
+these exactly on the same inputs.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def circ_diff(a: float, b: float) -> float:
@@ -217,3 +220,66 @@ def oracle_associate(local_map, global_map, params) -> set[tuple[int, int, int]]
         if best is not None:
             out.add((lc.cluster_id, best[1], best[0]))
     return out
+
+
+def oracle_length_matching(a_lengths, a_labels, b_lengths, b_labels, tol: float) -> int:
+    """Maximum one-to-one pairing of equal-label lengths with |a - b| < tol.
+
+    Greedy over each label's sorted lengths, which is optimal for interval
+    tolerance matching.
+    """
+    count = 0
+    for code in set(a_labels):
+        a = sorted(x for x, c in zip(a_lengths, a_labels) if c == code)
+        b = sorted(x for x, c in zip(b_lengths, b_labels) if c == code)
+        i = j = 0
+        while i < len(a) and j < len(b):
+            d = a[i] - b[j]
+            if abs(d) < tol:
+                count += 1
+                i += 1
+                j += 1
+            elif d <= -tol:
+                i += 1
+            else:
+                j += 1
+    return count
+
+
+def _oracle_rigid_fit(src, dst):
+    """Kabsch fit of one sample as (rotation, translation), None if degenerate."""
+    c_src = src.mean(axis=0)
+    c_dst = dst.mean(axis=0)
+    h = (src - c_src).T @ (dst - c_dst)
+    u, s, vt = np.linalg.svd(h)
+    if s[0] <= 0.0 or s[1] <= 1e-9 * s[0]:
+        return None
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return rot, c_dst - rot @ c_src
+
+
+def oracle_ransac_filter(pairs, local_map, global_map, params):
+    """Reference RANSAC: one fit per sample, the first strictly best mask wins.
+
+    Draws the same samples as the production filter and raises ValueError
+    when no sample leaves three inliers.
+    """
+    pairs = list(pairs)
+    src = np.array([local_map.get(p.local_id).centroid3d for p in pairs])
+    dst = np.array([global_map.get(p.global_id).centroid3d for p in pairs])
+    rng = np.random.default_rng(params.seed)
+    best_mask = None
+    for _ in range(params.ransac_iterations):
+        sample = rng.choice(len(pairs), size=3, replace=False)
+        fit = _oracle_rigid_fit(src[sample], dst[sample])
+        if fit is None:
+            continue
+        rot, trans = fit
+        residuals = np.linalg.norm(dst - (src @ rot.T + trans), axis=1)
+        mask = residuals < params.ransac_threshold
+        if best_mask is None or mask.sum() > best_mask.sum():
+            best_mask = mask
+    if best_mask is None or best_mask.sum() < 3:
+        raise ValueError("insufficient pairs")
+    return [p for p, keep in zip(pairs, best_mask) if keep]

@@ -2,20 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polemap import (
     POLE,
     TRUNK,
     UNMATCHED,
     AssociationParams,
+    Cluster,
     ClusterMap,
     MatchPair,
     associate_maps,
     edge_pair_distance,
     sub_edge_distance,
 )
-from conftest import association_scene, moved_copy, planar_pose, reference_star_scene
-from oracles import embedding_distance, oracle_associate
+from polemap.association import _EdgeData, _length_bounds, _Stars
+from conftest import (
+    association_scene,
+    cluster_points,
+    moved_copy,
+    planar_pose,
+    reference_star_scene,
+)
+from oracles import embedding_distance, oracle_associate, oracle_length_matching
 
 
 def grid_map(coords, label=POLE) -> ClusterMap:
@@ -236,6 +246,77 @@ def test_associate_maps_matches_oracle(rng):
         }
         want = oracle_associate(local, global_map, params)
         assert got == want, f"trial {trial}"
+
+
+def rebuilt(cluster_map) -> ClusterMap:
+    """A fresh map holding copies of the same clusters under the same ids."""
+    out = ClusterMap()
+    for c in cluster_map:
+        out.insert(Cluster.from_points(c.cluster_id, c.label, c.points))
+    return out
+
+
+def test_derived_stars_follow_every_mutation(rng):
+    local, global_map = association_scene(rng)
+    before = associate_maps(local, global_map)
+
+    def changed():
+        nonlocal before
+        after = associate_maps(local, global_map)
+        # every step changes the result, so stars kept from before would show
+        assert after != before
+        assert after == associate_maps(local, rebuilt(global_map))
+        before = after
+
+    removed = global_map.get(before[0].global_id)
+    global_map.remove(removed.cluster_id)
+    changed()
+    added = global_map.add(removed.label, removed.points)
+    changed()
+    global_map.merge_points(added.cluster_id, removed.points + (30.0, 0.0, 0.0))
+    changed()
+    global_map.insert(removed)
+    changed()
+
+
+def test_isolated_last_cluster_changes_nothing(rng):
+    # the cluster with the highest id has an empty star
+    for _ in range(4):
+        local, global_map = association_scene(rng)
+        want = associate_maps(local, global_map)
+        global_map.add(POLE, cluster_points(rng, (1000.0, 1000.0, 2.0)))
+        assert associate_maps(local, global_map) == want
+
+
+# Lengths on a 1/8 grid meet the 1/4 tolerance exactly; floats fill between.
+lengths = st.one_of(st.integers(0, 48).map(lambda k: k / 8.0), st.floats(0.0, 6.0))
+edges = st.lists(st.tuples(lengths, st.integers(0, 1)), max_size=10)
+
+
+def edge_star(edge_list) -> _EdgeData:
+    n = len(edge_list)
+    return _EdgeData(
+        np.arange(n),
+        np.array([d for d, _ in edge_list], dtype=float),
+        np.zeros(n),
+        np.array([c for _, c in edge_list], dtype=int),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(local=edges, star_edges=st.lists(edges, min_size=1, max_size=6))
+def test_length_bound_never_below_greedy_matching(local, star_edges):
+    tol = 0.25
+    stars = [edge_star(e) for e in star_edges]
+    flat = _Stars.of(range(len(stars)), stars, [0] * len(stars))
+    bounds = _length_bounds(edge_star(local), flat, tol)
+    for bound, star in zip(bounds, stars):
+        exact = oracle_length_matching(
+            [d for d, _ in local], [c for _, c in local], star.lengths, star.labels, tol
+        )
+        assert bound >= exact
+        if star.count == 0:
+            assert bound == 0
 
 
 def test_associate_maps_output_sorted_and_deterministic(rng):

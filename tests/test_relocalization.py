@@ -20,6 +20,7 @@ from polemap import (
 from polemap.association import AssociationParams
 from polemap.geometry import rotation_about_z
 from conftest import moved_copy, planar_pose, random_map
+from oracles import oracle_ransac_filter
 
 
 def point_map(coords) -> ClusterMap:
@@ -163,6 +164,45 @@ def test_ransac_all_samples_degenerate(rng):
     line = point_map([(float(k) * 2.0, 0.0) for k in range(6)])
     with pytest.raises(ValueError, match="insufficient"):
         ransac_filter(identity_pairs(6), line, line)
+    with pytest.raises(ValueError, match="insufficient"):
+        oracle_ransac_filter(identity_pairs(6), line, line, RelocParams())
+
+
+def two_motion_scene(rng):
+    """Pairs 0-5 agree with one motion and 6-11 with another, so samples
+    from either half find six inliers; the first such sample decides."""
+    global_map = point_map([tuple(rng.uniform(0, 60, 2)) for _ in range(12)])
+    local = ClusterMap()
+    for k, c in enumerate(global_map):
+        pose = planar_pose(np.random.default_rng(k // 6), max_shift=40.0)
+        local.add(POLE, [pose.apply(c.centroid3d)])
+    return local, global_map, identity_pairs(12)
+
+
+def collinear_scene(rng):
+    """Five centroids on a line and three off it: many samples are degenerate."""
+    coords = [(3.0 * k, 0.0) for k in range(5)] + [(2.0, 9.0), (11.0, -7.0), (5.0, 4.0)]
+    global_map = point_map(coords)
+    local = moved_copy(global_map, planar_pose(rng))
+    return local, global_map, identity_pairs(len(coords))
+
+
+def test_ransac_matches_reference_loop(rng):
+    scenes = [two_motion_scene(rng), collinear_scene(rng)]
+    for n_outliers in (5, 10):
+        local, global_map, _, pairs = outlier_scene(rng, 8, n_outliers)
+        scenes.append((local, global_map, pairs))
+    for local, global_map, pairs in scenes:
+        for seed in range(8):
+            for iterations in (1, 5, 200):
+                params = RelocParams(seed=seed, ransac_iterations=iterations)
+                try:
+                    want = oracle_ransac_filter(pairs, local, global_map, params)
+                except ValueError:
+                    with pytest.raises(ValueError, match="insufficient"):
+                        ransac_filter(pairs, local, global_map, params)
+                    continue
+                assert ransac_filter(pairs, local, global_map, params) == want
 
 
 # --------------------------------------------------------------- alignment
