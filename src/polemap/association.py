@@ -61,7 +61,8 @@ class MatchPair:
 
 @dataclass(frozen=True)
 class _EdgeData:
-    """Array form of one anchor's edge star, ordered by (length, neighbor id)."""
+    """Array form of one anchor's edge star, ordered by (length, neighbor id)
+    with length the stored np.hypot value."""
 
     neighbor_ids: np.ndarray
     lengths: np.ndarray
@@ -71,28 +72,6 @@ class _EdgeData:
     @property
     def count(self) -> int:
         return len(self.lengths)
-
-
-def _edge_data(cluster_map: ClusterMap, cluster_id: int, search_radius: float) -> _EdgeData:
-    anchor = cluster_map.get(cluster_id)
-    ids = cluster_map.radius_search(anchor.centroid2d, search_radius, exclude=cluster_id)
-    nids, lengths, phis, labels = [], [], [], []
-    for nid in ids:
-        neighbor = cluster_map.get(nid)
-        vec = neighbor.centroid2d - anchor.centroid2d
-        length = float(np.hypot(vec[0], vec[1]))
-        if length == 0.0:
-            continue  # coincident centroids leave the direction undefined
-        nids.append(nid)
-        lengths.append(length)
-        phis.append(math.degrees(math.atan2(vec[1], vec[0])))
-        labels.append(label_code(neighbor.label))
-    return _EdgeData(
-        np.array(nids, dtype=int),
-        np.array(lengths, dtype=float),
-        np.array(phis, dtype=float),
-        np.array(labels, dtype=int),
-    )
 
 
 @dataclass(frozen=True)
@@ -122,18 +101,47 @@ class _Stars:
             np.concatenate([np.empty(0, dtype=int)] + [star.labels for star in stars]),
         )
 
+    def star(self, cluster_id: int) -> _EdgeData:
+        """The star anchored at cluster_id; KeyError when there is none."""
+        if cluster_id not in self.ids:
+            raise KeyError(cluster_id)
+        return self.stars[self.ids.index(cluster_id)]
+
 
 def _stars(cluster_map: ClusterMap, search_radius: float) -> _Stars:
     """The map's stars at search_radius, built once and kept until the map
-    changes."""
+    changes. This is the only star builder: one batched kd-tree query, then
+    every star as slices of arrays sorted by (anchor, length, neighbor id)."""
 
     def build(m: ClusterMap) -> _Stars:
         ids = m.ids()
-        return _Stars.of(
-            ids,
-            [_edge_data(m, cid, search_radius) for cid in ids],
-            [label_code(m.get(cid).label) for cid in ids],
-        )
+        anchor_labels = [label_code(m.get(cid).label) for cid in ids]
+        if not ids:
+            return _Stars.of(ids, [], anchor_labels)
+        tree, tree_ids = m._index()
+        cents = tree.data  # row r is cluster tree_ids[r]; ids ascending
+        hits = tree.query_ball_point(cents, search_radius)  # inclusive cutoff
+        counts = [len(h) for h in hits]
+        rows = np.repeat(np.arange(len(ids)), counts)
+        cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=int, count=sum(counts))
+        vec = cents[cols] - cents[rows]
+        lengths = np.hypot(vec[:, 0], vec[:, 1])
+        # Drops each anchor's own row; coincident centroids likewise leave
+        # the direction undefined.
+        kept = np.flatnonzero(lengths != 0.0)
+        # tree rows follow ascending ids, so cols orders ties like the ids
+        kept = kept[np.lexsort((cols[kept], lengths[kept], rows[kept]))]
+        rows, cols, vec, lengths = rows[kept], cols[kept], vec[kept], lengths[kept]
+        # math.atan2, not np.arctan2: the two differ in the last bit on some inputs.
+        phis = np.array([math.degrees(math.atan2(y, x)) for x, y in vec.tolist()], dtype=float)
+        nids = tree_ids[cols]
+        labels = np.asarray(anchor_labels, dtype=int)[cols]
+        ends = np.cumsum(np.bincount(rows, minlength=len(ids))).tolist()
+        stars = [
+            _EdgeData(nids[a:b], lengths[a:b], phis[a:b], labels[a:b])
+            for a, b in zip([0] + ends[:-1], ends)
+        ]
+        return _Stars.of(ids, stars, anchor_labels)
 
     return cluster_map.derived(("stars", search_radius), build)
 
@@ -233,8 +241,8 @@ def edge_pair_distance(
     neighbor is not in the anchor's star.
     """
     params = params or AssociationParams()
-    local = _edge_data(local_map, local_edge[0], params.search_radius)
-    global_ = _edge_data(global_map, global_edge[0], params.search_radius)
+    local = _stars(local_map, params.search_radius).star(local_edge[0])
+    global_ = _stars(global_map, params.search_radius).star(global_edge[0])
     i = _star_index(local, local_edge)
     j = _star_index(global_, global_edge)
     return _candidate_distances(local, global_, np.array([i]), np.array([j]), params)[0]

@@ -8,6 +8,7 @@ The returned pose maps local-map coordinates into global-map coordinates.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -142,6 +143,21 @@ def estimate_rigid_transform(src: np.ndarray, dst: np.ndarray) -> PoseSE3:
     return PoseSE3(rot[0], trans[0])
 
 
+@functools.lru_cache(maxsize=64)
+def _ransac_samples(seed: int, n: int, iterations: int) -> np.ndarray:
+    """The (iterations, 3) int64 table of three-of-n index samples that a
+    generator seeded with seed draws, one rng.choice per row; read-only.
+
+    Kept for the 64 most recent (seed, n, iterations) keys, so the memo holds
+    at most 64 x iterations x 3 int64 values: 300 KB at the default 200
+    iterations. A hit returns the table a fresh draw would give.
+    """
+    rng = np.random.default_rng(seed)
+    samples = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
+    samples.flags.writeable = False
+    return samples
+
+
 def ransac_filter(
     pairs,
     local_map: ClusterMap,
@@ -159,10 +175,7 @@ def ransac_filter(
     if len(pairs) < 3:
         raise ValueError("insufficient pairs")
     src, dst = _pair_centroids(pairs, local_map, global_map)
-    rng = np.random.default_rng(params.seed)
-    samples = np.array(
-        [rng.choice(len(pairs), size=3, replace=False) for _ in range(params.ransac_iterations)]
-    )
+    samples = _ransac_samples(params.seed, len(pairs), params.ransac_iterations)
     rot, trans, valid = _fit_rigid(src[samples], dst[samples])
     moved = np.matmul(src[None], rot.transpose(0, 2, 1)) + trans[:, None, :]
     masks = np.linalg.norm(dst[None] - moved, axis=2) < params.ransac_threshold
@@ -212,23 +225,25 @@ def fine_align(
 
     tree = cKDTree(dst)
 
-    def rms(pose: PoseSE3) -> float:
-        d, _ = tree.query(pose.apply(src))
-        return float(np.sqrt(np.mean(d * d)))
+    def query(pose: PoseSE3) -> tuple[np.ndarray, np.ndarray, float]:
+        """Moved source points, their nearest targets and the rms distance."""
+        moved = pose.apply(src)
+        d, idx = tree.query(moved)
+        return moved, idx, float(np.sqrt(np.mean(d * d)))
 
+    # Each query serves the residual of one pose and the correspondences of
+    # the next step.
+    moved, idx, best_rms = query(init)
     best_pose = init
-    best_rms = rms(init)
     prev = best_rms
     pose = init
     for _ in range(params.icp_max_iterations):
-        moved = pose.apply(src)
-        _, idx = tree.query(moved)
         try:
             delta = estimate_rigid_transform(moved, dst[idx])
         except ValueError:
             break
         pose = delta @ pose
-        current = rms(pose)
+        moved, idx, current = query(pose)
         if current < best_rms:
             best_pose, best_rms = pose, current
         if current > prev or prev - current < params.icp_convergence:

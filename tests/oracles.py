@@ -2,9 +2,10 @@
 
 Everything here favors clarity over speed: linear scans instead of spatial
 indexes, union-find instead of sparse graph components, an association
-routine written as plain nested loops over explicit feature tuples, and a
-RANSAC that fits one sample at a time. The production code must agree with
-these exactly on the same inputs.
+routine written as plain nested loops over explicit feature tuples, edge
+stars built one anchor and one neighbor at a time, a RANSAC that fits one
+sample at a time, and an ICP that queries its kd-tree twice per step. The
+production code must agree with these exactly on the same inputs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
+
+from polemap import estimate_rigid_transform
 
 
 def circ_diff(a: float, b: float) -> float:
@@ -283,3 +287,73 @@ def oracle_ransac_filter(pairs, local_map, global_map, params):
     if best_mask is None or best_mask.sum() < 3:
         raise ValueError("insufficient pairs")
     return [p for p, keep in zip(pairs, best_mask) if keep]
+
+
+def oracle_edge_stars(cluster_map, search_radius: float):
+    """Reference stars: (ids, stars, anchor label codes) with one star per id,
+    each a tuple of (neighbor_ids, lengths, phis, labels) arrays.
+
+    One radius_search per anchor, then one neighbor at a time in its
+    (np.linalg.norm distance, id) order.
+    """
+    ids = cluster_map.ids()
+    stars = []
+    for cid in ids:
+        anchor = cluster_map.get(cid)
+        nids, lengths, phis, labels = [], [], [], []
+        for nid in cluster_map.radius_search(anchor.centroid2d, search_radius, exclude=cid):
+            neighbor = cluster_map.get(nid)
+            vec = neighbor.centroid2d - anchor.centroid2d
+            length = float(np.hypot(vec[0], vec[1]))
+            if length == 0.0:
+                continue
+            nids.append(nid)
+            lengths.append(length)
+            phis.append(math.degrees(math.atan2(vec[1], vec[0])))
+            labels.append(_label_code(neighbor.label))
+        stars.append((
+            np.array(nids, dtype=int),
+            np.array(lengths, dtype=float),
+            np.array(phis, dtype=float),
+            np.array(labels, dtype=int),
+        ))
+    anchor_labels = np.array([_label_code(cluster_map.get(cid).label) for cid in ids], dtype=int)
+    return ids, stars, anchor_labels
+
+
+def oracle_fine_align(pairs, local_map, global_map, init, params):
+    """Reference ICP over the member points of the pairs: one kd-tree query
+    for each residual and another for each step's correspondences.
+
+    Returns (pose, residual, exit) with exit one of "converged", "rose",
+    "degenerate" or "iterations".
+    """
+    src = np.vstack([local_map.get(p.local_id).points for p in pairs])
+    dst = np.vstack([global_map.get(p.global_id).points for p in pairs])
+    tree = cKDTree(dst)
+
+    def rms(pose):
+        d, _ = tree.query(pose.apply(src))
+        return float(np.sqrt(np.mean(d * d)))
+
+    best_pose = init
+    best_rms = rms(init)
+    prev = best_rms
+    pose = init
+    for _ in range(params.icp_max_iterations):
+        moved = pose.apply(src)
+        _, idx = tree.query(moved)
+        try:
+            delta = estimate_rigid_transform(moved, dst[idx])
+        except ValueError:
+            return best_pose, best_rms, "degenerate"
+        pose = delta @ pose
+        current = rms(pose)
+        if current < best_rms:
+            best_pose, best_rms = pose, current
+        if current > prev:
+            return best_pose, best_rms, "rose"
+        if prev - current < params.icp_convergence:
+            return best_pose, best_rms, "converged"
+        prev = current
+    return best_pose, best_rms, "iterations"

@@ -17,15 +17,21 @@ from polemap import (
     edge_pair_distance,
     sub_edge_distance,
 )
-from polemap.association import _EdgeData, _length_bounds, _Stars
+from polemap.association import _EdgeData, _length_bounds, _Stars, _stars
 from conftest import (
     association_scene,
     cluster_points,
     moved_copy,
     planar_pose,
+    random_map,
     reference_star_scene,
 )
-from oracles import embedding_distance, oracle_associate, oracle_length_matching
+from oracles import (
+    embedding_distance,
+    oracle_associate,
+    oracle_edge_stars,
+    oracle_length_matching,
+)
 
 
 def grid_map(coords, label=POLE) -> ClusterMap:
@@ -76,6 +82,71 @@ def gated_distance(local_sub, global_sub, **params):
 
 def gated_score(feature_distance):
     return math.log(5.0 / 4.0) * feature_distance / 4.0
+
+
+# ---------------------------------------------------------------- stars
+
+
+def same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_stars_match_reference(cluster_map, radius):
+    """_stars equals the per-anchor reference byte for byte. The reference
+    orders neighbors by np.linalg.norm, so maps here avoid two distances
+    that norm and np.hypot order differently (see the tie test below)."""
+    got = _stars(cluster_map, radius)
+    ids, stars, anchor_labels = oracle_edge_stars(cluster_map, radius)
+    assert got.ids == tuple(ids)
+    assert same_bytes(got.anchor_labels, anchor_labels)
+    assert len(got.stars) == len(stars)
+    for star, want in zip(got.stars, stars):
+        for name, column in zip(("neighbor_ids", "lengths", "phis", "labels"), want):
+            assert same_bytes(getattr(star, name), column), name
+        # the documented order is literal: by stored length, then id
+        assert (np.lexsort((star.neighbor_ids, star.lengths)) == np.arange(star.count)).all()
+    flat = np.concatenate([np.empty(0)] + [want[1] for want in stars])
+    assert same_bytes(got.lengths, flat)
+    return got
+
+
+def test_stars_match_reference_on_random_maps(rng):
+    for trial in range(12):
+        cluster_map = random_map(rng, int(rng.integers(2, 40)), extent=60.0, min_spacing=0.5)
+        for radius in (4.0, 15.0, 50.0):
+            assert_stars_match_reference(cluster_map, radius)
+
+
+def test_stars_match_reference_on_integer_grids():
+    # equal lengths in every direction and mirrored offsets around each anchor
+    coords = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    for radius in (1.0, 5.0, 7.5):
+        assert_stars_match_reference(grid_map(coords), radius)
+    mixed = ClusterMap()
+    for k, (x, y) in enumerate(coords):
+        mixed.add(POLE if k % 3 else TRUNK, [(float(x), float(y), 2.0)])
+    assert_stars_match_reference(mixed, 7.5)
+
+
+def test_stars_match_reference_on_edge_cases():
+    assert assert_stars_match_reference(ClusterMap(), 50.0).ids == ()
+    one = assert_stars_match_reference(grid_map([(3.0, 4.0)]), 50.0)
+    assert one.stars[0].count == 0
+    # coincident centroids give no edge to each other
+    twins = assert_stars_match_reference(grid_map([(0, 0), (0, 0), (3, 4), (3, 4), (1, 1)]), 50.0)
+    assert twins.stars[0].neighbor_ids.tolist() == [4, 2, 3]
+    # the cutoff is inclusive: (3, 4) sits exactly at radius 5 from the origin
+    edge = assert_stars_match_reference(grid_map([(0, 0), (3, 4), (6, 8)]), 5.0)
+    assert edge.stars[0].neighbor_ids.tolist() == [1]
+    assert edge.stars[1].neighbor_ids.tolist() == [0, 2]
+
+
+def test_star_order_ties_on_stored_length():
+    # Both neighbors store np.hypot length 3.7, so they keep id order, though
+    # np.linalg.norm puts (1.2, 3.5) at 3.6999999999999997.
+    star = _stars(grid_map([(0.0, 0.0), (0.0, 3.7), (1.2, 3.5)]), 5.0).stars[0]
+    assert star.lengths.tolist() == [3.7, 3.7]
+    assert star.neighbor_ids.tolist() == [1, 2]
 
 
 # ---------------------------------------------------------------- sub-edges

@@ -19,8 +19,9 @@ from polemap import (
 )
 from polemap.association import AssociationParams
 from polemap.geometry import rotation_about_z
+from polemap.relocalization import _ransac_samples
 from conftest import moved_copy, planar_pose, random_map
-from oracles import oracle_ransac_filter
+from oracles import oracle_fine_align, oracle_ransac_filter
 
 
 def point_map(coords) -> ClusterMap:
@@ -187,6 +188,16 @@ def collinear_scene(rng):
     return local, global_map, identity_pairs(len(coords))
 
 
+def assert_ransac_agrees(pairs, local, global_map, params):
+    try:
+        want = oracle_ransac_filter(pairs, local, global_map, params)
+    except ValueError:
+        with pytest.raises(ValueError, match="insufficient"):
+            ransac_filter(pairs, local, global_map, params)
+        return
+    assert ransac_filter(pairs, local, global_map, params) == want
+
+
 def test_ransac_matches_reference_loop(rng):
     scenes = [two_motion_scene(rng), collinear_scene(rng)]
     for n_outliers in (5, 10):
@@ -196,13 +207,27 @@ def test_ransac_matches_reference_loop(rng):
         for seed in range(8):
             for iterations in (1, 5, 200):
                 params = RelocParams(seed=seed, ransac_iterations=iterations)
-                try:
-                    want = oracle_ransac_filter(pairs, local, global_map, params)
-                except ValueError:
-                    with pytest.raises(ValueError, match="insufficient"):
-                        ransac_filter(pairs, local, global_map, params)
-                    continue
-                assert ransac_filter(pairs, local, global_map, params) == want
+                assert_ransac_agrees(pairs, local, global_map, params)
+
+
+def test_ransac_sample_memo(rng):
+    _ransac_samples.cache_clear()
+    table = _ransac_samples(3, 10, 50)
+    assert table is _ransac_samples(3, 10, 50)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0
+    assert _ransac_samples.cache_info().maxsize == 64
+    # Interleaved keys, each (seed, n, iterations) with its own samples. On
+    # these scenes a change of any one key part alone changes the outcome.
+    scenes = [two_motion_scene(rng), collinear_scene(rng)]
+    calls = [(0, 12, 0, 200), (0, 12, 6, 200), (0, 12, 1, 1), (0, 12, 0, 1),
+             (0, 12, 5, 5), (0, 12, 5, 200), (1, 8, 1, 1), (1, 6, 1, 1),
+             (0, 12, 6, 200), (1, 8, 1, 1), (0, 12, 0, 200), (0, 12, 5, 5)]
+    for scene, n, seed, iterations in calls:
+        local, global_map, pairs = scenes[scene]
+        params = RelocParams(seed=seed, ransac_iterations=iterations)
+        assert_ransac_agrees(pairs[:n], local, global_map, params)
+    assert _ransac_samples.cache_info().hits >= 4
 
 
 # --------------------------------------------------------------- alignment
@@ -243,6 +268,37 @@ def test_fine_align_never_degrades(rng):
     d, _ = cKDTree(dst).query(bad_init.apply(src))
     init_rms = float(np.sqrt(np.mean(d * d)))
     assert rms <= init_rms + 1e-12
+
+
+def icp_scene(seed):
+    """Ten jittered clusters and a start up to 3 degrees and 0.5 m off."""
+    rng = np.random.default_rng(seed)
+    global_map = random_map(rng, 10)
+    truth = planar_pose(rng, max_shift=10.0)
+    local = moved_copy(global_map, truth.inverse(), rng, sigma=0.02)
+    return local, global_map, planar_pose(rng, 3.0, 0.5) @ truth
+
+
+def test_fine_align_matches_reference_loop():
+    cases = []
+    for seed in range(6):
+        local, global_map, init = icp_scene(seed)
+        for iterations in (30, 1):
+            params = RelocParams(icp_max_iterations=iterations)
+            cases.append((identity_pairs(10), local, global_map, init, params))
+    # one member point per cluster, all on a line: the first step is degenerate
+    line = point_map([(2.0 * k, 0.0) for k in range(6)])
+    nudge = PoseSE3(np.eye(3), np.array([0.3, 0.2, 0.0]))
+    cases.append((identity_pairs(6), line, line, nudge, RelocParams()))
+    exits = set()
+    for case in cases:
+        want_pose, want_rms, exit_ = oracle_fine_align(*case)
+        pose, rms = fine_align(*case)
+        assert pose.rotation.tobytes() == want_pose.rotation.tobytes()
+        assert pose.translation.tobytes() == want_pose.translation.tobytes()
+        assert rms == want_rms
+        exits.add(exit_)
+    assert exits == {"converged", "rose", "degenerate", "iterations"}
 
 
 # -------------------------------------------------------------- relocalize
