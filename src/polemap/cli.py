@@ -16,7 +16,7 @@ import sys
 from .cluster_map import ClusterMap
 from .config import Config, default_config, dump_config, load_config
 from .dataset_io import Dataset, save_poses, write_dataset
-from .errors import PolemapError
+from .errors import ConfigError, PolemapError
 from .evaluate import (
     evaluate_localization,
     evaluate_relocalization,
@@ -34,6 +34,13 @@ def _load_config(path: str | None) -> Config:
     if path is None:
         return default_config()
     return load_config(path)
+
+
+def _generate_scene(cfg: Config):
+    try:
+        return generate_scene(cfg.scene)
+    except ValueError as exc:  # no spacing-respecting layout was found
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_range(text: str, n: int) -> tuple[int, int]:
@@ -56,7 +63,7 @@ def _odometry_increments(odometry) -> tuple:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    scene = generate_scene(cfg.scene)
+    scene = _generate_scene(cfg)
     run = simulate_run(scene, cfg.trajectory, cfg.drift, cfg.sensor)
 
     odometry = [(run.true_poses[0][0], run.initial_pose)]
@@ -159,7 +166,7 @@ def _cmd_localize(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
     if args.mode == "reloc":
-        scene = generate_scene(cfg.scene)
+        scene = _generate_scene(cfg)
         retentions = tuple(float(v) for v in args.retentions.split(","))
         reports = evaluate_relocalization(
             scene,

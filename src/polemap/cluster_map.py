@@ -184,27 +184,6 @@ class ClusterMap:
         """kd-tree over the 2D centroids and the id of each tree row."""
         return self.derived("index", _build_index)
 
-    def radius_search(self, center, radius: float, exclude: int | None = None) -> list[int]:
-        """Ids of clusters whose 2D centroid lies within radius of center.
-
-        The cutoff is inclusive. Results come back sorted by (distance, id);
-        pass exclude to drop the querying cluster itself.
-        """
-        if not self._clusters:
-            return []
-        tree, tree_ids = self._index()
-        center = np.asarray(center, dtype=float).reshape(2)
-        idx = tree.query_ball_point(center, radius)
-        hits = []
-        for i in idx:
-            cid = int(tree_ids[i])
-            if cid == exclude:
-                continue
-            dist = float(np.linalg.norm(self._clusters[cid].centroid2d - center))
-            hits.append((dist, cid))
-        hits.sort()
-        return [cid for _, cid in hits]
-
     def nearest(self, center) -> tuple[int, float] | None:
         """Closest cluster to a 2D point as (id, distance), ties to lowest id."""
         if not self._clusters:

@@ -3,13 +3,18 @@
 Lines look like "association.search_radius = 50.0"; blank lines and
 #-comments are ignored. Unknown or duplicate keys are rejected so typos fail
 loudly; keys left out keep their defaults.
+
+The keys are derived from the parameter dataclasses: each field of each
+group of Config is one "group.field" key, cast by its annotation, so adding
+a field adds its key. Only the spellings in _KEY_NAMES differ.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .association import AssociationParams
 from .dataset_io import LabelMap
@@ -36,18 +41,7 @@ class Config:
 
 
 def default_config() -> Config:
-    return Config(
-        extraction=ExtractionParams(),
-        registration=RegistrationParams(),
-        association=AssociationParams(),
-        reloc=RelocParams(),
-        pipeline=PipelineConfig(),
-        scene=SceneSpec(),
-        trajectory=TrajectorySpec(),
-        drift=DriftSpec(),
-        sensor=SensorSpec(),
-        labels=LabelMap(),
-    )
+    return Config(**{name: group() for name, group in get_type_hints(Config).items()})
 
 
 def _bool(raw: str) -> bool:
@@ -72,72 +66,40 @@ def _opt_float(raw: str):
     return _float(raw)
 
 
-# key -> (group attribute, constructor kwarg, caster)
-_SCHEMA: dict[str, tuple[str, str, object]] = {
-    "extraction.cluster_distance": ("extraction", "cluster_distance", _float),
-    "extraction.min_points": ("extraction", "min_points", int),
-    "registration.merge_radius": ("registration", "merge_radius", _float),
-    "registration.strict_labels": ("registration", "strict_labels", _bool),
-    "association.search_radius": ("association", "search_radius", _float),
-    "association.length_tolerance": ("association", "length_tolerance", _float),
-    "association.angle_tolerance": ("association", "angle_tolerance", _float),
-    "association.sub_edge_tolerance": ("association", "sub_edge_tolerance", _float),
-    "association.edge_tolerance": ("association", "edge_tolerance", _float),
-    "association.min_sub_edge_matches": ("association", "min_sub_edge_matches", int),
-    "association.min_edge_matches": ("association", "min_edge_matches", int),
-    "association.candidate_count": ("association", "candidate_count", int),
-    "reloc.consistency_tolerance": ("reloc", "consistency_tolerance", _float),
-    "reloc.ransac_threshold": ("reloc", "ransac_threshold", _float),
-    "reloc.ransac_iterations": ("reloc", "ransac_iterations", int),
-    "reloc.min_pairs": ("reloc", "min_pairs", int),
-    "reloc.icp_max_iterations": ("reloc", "icp_max_iterations", int),
-    "reloc.icp_convergence": ("reloc", "icp_convergence", _float),
-    "reloc.seed": ("reloc", "seed", int),
-    "reloc.ransac_first": ("reloc", "ransac_first", _bool),
-    "pipeline.reloc_period": ("pipeline", "reloc_period", _float),
-    "pipeline.reloc_enabled": ("pipeline", "reloc_enabled", _bool),
-    "pipeline.max_fix_jump": ("pipeline", "max_fix_jump", _opt_float),
-    "scene.width": ("scene", "width", _float),
-    "scene.height": ("scene", "height", _float),
-    "scene.n_clusters": ("scene", "n_clusters", int),
-    "scene.label_mix": ("scene", "label_mix", _float),
-    "scene.min_spacing": ("scene", "min_spacing", _float),
-    "scene.points_per_cluster": ("scene", "points_per_cluster", int),
-    "scene.point_noise_sigma": ("scene", "point_noise_sigma", _float),
-    "scene.seed": ("scene", "seed", int),
-    "trajectory.start_x": ("trajectory", "start_x", _float),
-    "trajectory.start_y": ("trajectory", "start_y", _float),
-    "trajectory.heading_deg": ("trajectory", "heading_deg", _float),
-    "trajectory.speed": ("trajectory", "speed", _float),
-    "trajectory.length": ("trajectory", "length", _float),
-    "trajectory.frame_period": ("trajectory", "frame_period", _float),
-    "trajectory.turn_rate_deg_per_m": ("trajectory", "turn_rate_deg_per_m", _float),
-    "drift.translational_drift": ("drift", "translational_drift", _float),
-    "drift.rotational_drift": ("drift", "rotational_drift", _float),
-    "drift.noise_sigma": ("drift", "noise_sigma", _float),
-    "drift.seed": ("drift", "seed", int),
-    "sensor.radius": ("sensor", "radius", _float),
-    "sensor.label_flip_rate": ("sensor", "label_flip_rate", _float),
-    "sensor.clutter_points": ("sensor", "clutter_points", int),
-    "labels.pole": ("labels", "pole_id", int),
-    "labels.trunk": ("labels", "trunk_id", int),
+_CASTERS = {float: _float, int: int, bool: _bool, float | None: _opt_float}
+
+# Key names that are not the field name: a tuple field gets one key per
+# element, and the label ids drop their "_id".
+_KEY_NAMES = {
+    ("scene", "area"): ("width", "height"),
+    ("trajectory", "start"): ("start_x", "start_y"),
+    ("labels", "pole_id"): ("pole",),
+    ("labels", "trunk_id"): ("trunk",),
 }
 
-_GROUP_TYPES = {
-    "extraction": ExtractionParams,
-    "registration": RegistrationParams,
-    "association": AssociationParams,
-    "reloc": RelocParams,
-    "pipeline": PipelineConfig,
-    "scene": SceneSpec,
-    "trajectory": TrajectorySpec,
-    "drift": DriftSpec,
-    "sensor": SensorSpec,
-    "labels": LabelMap,
-}
+
+def _schema() -> dict[str, tuple[str, str, int | None, object]]:
+    """key -> (group, field, tuple element index or None, caster)."""
+    schema = {}
+    for group, group_type in get_type_hints(Config).items():
+        hints = get_type_hints(group_type)
+        for f in fields(group_type):
+            hint = hints[f.name]
+            names = _KEY_NAMES.get((group, f.name), (f.name,))
+            if get_origin(hint) is tuple:
+                for index, (name, item) in enumerate(zip(names, get_args(hint), strict=True)):
+                    schema[f"{group}.{name}"] = (group, f.name, index, _CASTERS[item])
+            else:
+                (name,) = names
+                schema[f"{group}.{name}"] = (group, f.name, None, _CASTERS[hint])
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def parse_config(text: str, source: str = "<config>") -> Config:
+    defaults = default_config()
     overrides: dict[str, dict[str, object]] = {}
     seen: set[str] = set()
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -154,28 +116,22 @@ def parse_config(text: str, source: str = "<config>") -> Config:
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         seen.add(key)
-        group, field_name, caster = _SCHEMA[key]
+        group, field_name, index, caster = _SCHEMA[key]
         try:
             value = caster(raw)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
-        overrides.setdefault(group, {})[field_name] = value
+        kwargs = overrides.setdefault(group, {})
+        if index is not None:
+            items = list(kwargs.get(field_name, getattr(getattr(defaults, group), field_name)))
+            items[index] = value
+            value = tuple(items)
+        kwargs[field_name] = value
 
     groups = {}
-    for group, cls in _GROUP_TYPES.items():
-        kwargs = overrides.get(group, {})
-        if group == "scene":
-            defaults = SceneSpec()
-            width = kwargs.pop("width", defaults.area[0])
-            height = kwargs.pop("height", defaults.area[1])
-            kwargs["area"] = (width, height)
-        elif group == "trajectory":
-            defaults = TrajectorySpec()
-            sx = kwargs.pop("start_x", defaults.start[0])
-            sy = kwargs.pop("start_y", defaults.start[1])
-            kwargs["start"] = (sx, sy)
+    for f in fields(Config):
         try:
-            groups[group] = cls(**kwargs)
+            groups[f.name] = replace(getattr(defaults, f.name), **overrides.get(f.name, {}))
         except ValueError as exc:
             raise ConfigError(f"{source}: {exc}") from None
     return Config(**groups)
@@ -204,39 +160,13 @@ def dump_config(config: Config) -> str:
     """Render every key with its current value, grouped by section."""
     lines = []
     previous_group = None
-    for key, (group, field_name, _) in _SCHEMA.items():
+    for key, (group, field_name, index, _) in _SCHEMA.items():
         if group != previous_group:
             if previous_group is not None:
                 lines.append("")
             previous_group = group
-        obj = getattr(config, group)
-        if key == "scene.width":
-            value = obj.area[0]
-        elif key == "scene.height":
-            value = obj.area[1]
-        elif key == "trajectory.start_x":
-            value = obj.start[0]
-        elif key == "trajectory.start_y":
-            value = obj.start[1]
-        else:
-            value = getattr(obj, field_name)
+        value = getattr(getattr(config, group), field_name)
+        if index is not None:
+            value = value[index]
         lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
-
-
-# Parameter groups must stay in sync with the schema above.
-def _schema_is_complete() -> bool:
-    for group, cls in _GROUP_TYPES.items():
-        covered = {
-            field_name for key, (g, field_name, _) in _SCHEMA.items() if g == group
-        }
-        if group == "scene":
-            covered |= {"area"}
-            covered -= {"width", "height"}
-        if group == "trajectory":
-            covered |= {"start"}
-            covered -= {"start_x", "start_y"}
-        for f in fields(cls):
-            if f.name not in covered:
-                return False
-    return True

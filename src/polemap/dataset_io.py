@@ -37,6 +37,13 @@ class LabelMap:
     pole_id: int = 5
     trunk_id: int = 6
 
+    def __post_init__(self):
+        # label files carry the class id in their low 16 bits
+        if not (0 <= self.pole_id <= 0xFFFF and 0 <= self.trunk_id <= 0xFFFF):
+            raise ValueError("label ids must lie in [0, 65535]")
+        if self.pole_id == self.trunk_id:
+            raise ValueError("pole and trunk label ids must differ")
+
     def decode(self, class_ids) -> np.ndarray:
         ids = np.asarray(class_ids, dtype=np.int64)
         return np.select(

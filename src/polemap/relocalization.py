@@ -53,6 +53,8 @@ class RelocParams:
             raise ValueError("min_pairs must be at least 3")
         if self.ransac_iterations < 1:
             raise ValueError("ransac_iterations must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

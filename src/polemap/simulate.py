@@ -49,6 +49,12 @@ class SceneSpec:
             raise ValueError("label_mix must lie in [0, 1]")
         if self.min_spacing < 0 or self.points_per_cluster < 1:
             raise ValueError("invalid scene spec")
+        if min(self.area) <= 0:
+            raise ValueError("scene width and height must be positive")
+        if not math.isfinite(self.min_spacing * self.min_spacing):
+            raise ValueError("min_spacing is too large")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,10 @@ class DriftSpec:
     rotational_drift: float = 0.0  # degrees of yaw bias per meter
     noise_sigma: float = 0.0  # per-increment translation noise, meters
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -73,13 +73,14 @@ def oracle_components(coords, threshold: float) -> list[list[int]]:
 
 
 def oracle_radius_search(centroids, center, radius: float):
-    """ids within radius of center (inclusive), ordered by distance then id.
+    """ids within radius of center (inclusive), ordered by (np.linalg.norm
+    distance, id).
 
     centroids is a mapping id -> (x, y).
     """
     hits = []
     for cid, (x, y) in centroids.items():
-        dist = math.hypot(x - center[0], y - center[1])
+        dist = float(np.linalg.norm(np.subtract((x, y), center)))
         if dist <= radius:
             hits.append((dist, cid))
     hits.sort()
@@ -293,15 +294,18 @@ def oracle_edge_stars(cluster_map, search_radius: float):
     """Reference stars: (ids, stars, anchor label codes) with one star per id,
     each a tuple of (neighbor_ids, lengths, phis, labels) arrays.
 
-    One radius_search per anchor, then one neighbor at a time in its
+    One linear radius scan per anchor, then one neighbor at a time in its
     (np.linalg.norm distance, id) order.
     """
     ids = cluster_map.ids()
+    coords = {cid: tuple(cluster_map.get(cid).centroid2d) for cid in ids}
     stars = []
     for cid in ids:
         anchor = cluster_map.get(cid)
         nids, lengths, phis, labels = [], [], [], []
-        for nid in cluster_map.radius_search(anchor.centroid2d, search_radius, exclude=cid):
+        for nid in oracle_radius_search(coords, anchor.centroid2d, search_radius):
+            if nid == cid:
+                continue
             neighbor = cluster_map.get(nid)
             vec = neighbor.centroid2d - anchor.centroid2d
             length = float(np.hypot(vec[0], vec[1]))

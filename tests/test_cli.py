@@ -265,6 +265,30 @@ def test_non_finite_config_value_exits_3(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize(
+    "text, command, error",
+    [
+        ("scene.width = -5", ["simulate", "--out", "data"],
+         "error: {cfg}: scene width and height must be positive"),
+        # two landmarks cannot be 1e100 m apart inside the default area
+        ("scene.n_clusters = 2\nscene.min_spacing = 1e100", ["simulate", "--out", "data"],
+         "error: scene spec infeasible: placed 1 of 2 clusters"),
+        ("scene.n_clusters = 2\nscene.min_spacing = 1e100", ["evaluate", "--mode", "reloc"],
+         "error: scene spec infeasible: placed 1 of 2 clusters"),
+    ],
+    ids=["negative-width", "infeasible-simulate", "infeasible-evaluate"],
+)
+def test_impossible_scene_exits_3(tmp_path, capsys, monkeypatch, text, command, error):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(text + "\n", encoding="ascii")
+    code = main([*command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(error.format(cfg=cfg))
+    assert not (tmp_path / "data").exists()
+
+
 # README demo config on a 40 m drive. The digests pin the bytes that
 # simulate, build-map and localize write, and the stdout of relocalizing the
 # built map in the simulated one; any change to them is a change of output
@@ -312,3 +336,16 @@ def test_outputs_are_byte_exact(tmp_path, capsys):
                  "--config", str(cfg)]) == 0
     relocalized = capsys.readouterr().out.encode("ascii")
     assert hashlib.sha256(relocalized).hexdigest() == GOLDEN_RELOCALIZE_SHA256
+
+
+def test_config_output_is_byte_exact(tmp_path, capsys):
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GOLDEN_CONFIG, encoding="ascii")
+    digests = []
+    for extra in ([], ["--config", str(cfg)]):
+        assert main(["config", *extra]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest())
+    assert digests == [
+        "b04f892aeaca6d13987963c1357262471d10390db0435a2cc1a160ad8fb9b2d4",
+        "ab51f07406b75ae7deabb57df6558d98f81df4a2b40235e0ea93910b9025fea0",
+    ]

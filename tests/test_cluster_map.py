@@ -3,7 +3,6 @@ import pytest
 
 from polemap import POLE, TRUNK, Cluster, ClusterMap, Frame, other_label
 from conftest import cluster_points
-from oracles import oracle_radius_search
 
 
 def test_centroid_is_arithmetic_mean():
@@ -66,31 +65,6 @@ def test_merge_points_recomputes_centroid():
     assert merged.n_points == 2
     assert np.allclose(merged.centroid3d, [1.0, 1.0, 1.0])
     assert np.allclose(merged.centroid2d, [1.0, 1.0])
-
-
-def test_radius_search_inclusive_and_ordered():
-    cluster_map = ClusterMap()
-    for x in (0.0, 3.0, 4.0, 10.0):
-        cluster_map.add(POLE, [(x, 0.0, 1.0)])
-    hits = cluster_map.radius_search((0.0, 0.0), 4.0)
-    assert hits == [0, 1, 2]  # id 2 sits exactly on the boundary
-    hits = cluster_map.radius_search((0.0, 0.0), 4.0, exclude=0)
-    assert hits == [1, 2]
-
-
-def test_radius_search_matches_linear_scan(rng):
-    cluster_map = ClusterMap()
-    coords = {}
-    for k in range(60):
-        x, y = rng.uniform(0, 40, 2)
-        c = cluster_map.add(POLE, cluster_points(rng, (x, y, 2.0)))
-        coords[c.cluster_id] = (float(c.centroid2d[0]), float(c.centroid2d[1]))
-    for _ in range(40):
-        center = rng.uniform(-5, 45, 2)
-        radius = rng.uniform(1.0, 25.0)
-        got = cluster_map.radius_search(center, radius)
-        want = oracle_radius_search(coords, center, radius)
-        assert got == want
 
 
 def test_nearest_breaks_ties_toward_lowest_id():

@@ -1,8 +1,12 @@
+import re
+from dataclasses import fields, replace
+from pathlib import Path
+
 import pytest
 
 from polemap import ConfigError
 from polemap.config import (
-    _schema_is_complete,
+    Config,
     default_config,
     dump_config,
     load_config,
@@ -76,6 +80,23 @@ def test_bad_values_rejected_with_location():
 def test_group_validation_errors_become_config_errors():
     with pytest.raises(ConfigError, match="reloc_period"):
         parse_config("pipeline.reloc_period = -1.0")
+    for text, message in (
+        # class ids beyond the low 16 bits of a label word never match
+        ("labels.pole = -1", r"label ids must lie in \[0, 65535\]"),
+        ("labels.pole = 70000", r"label ids must lie in \[0, 65535\]"),
+        ("labels.trunk = 65536", r"label ids must lie in \[0, 65535\]"),
+        ("labels.pole = 6", "pole and trunk label ids must differ"),
+        ("reloc.seed = -1", "seed must be non-negative"),
+        ("scene.seed = -1", "seed must be non-negative"),
+        ("drift.seed = -1", "seed must be non-negative"),
+        ("scene.width = -5", "scene width and height must be positive"),
+        ("scene.width = 0", "scene width and height must be positive"),
+        ("scene.height = 0.0", "scene width and height must be positive"),
+        ("scene.min_spacing = 1e300", "min_spacing is too large"),
+    ):
+        with pytest.raises(ConfigError, match=f"^cfg: {message}"):
+            parse_config(text, source="cfg")
+    assert parse_config("labels.pole = 0\nlabels.trunk = 65535").labels.trunk_id == 65535
 
 
 def test_dump_parse_round_trip_is_identity():
@@ -114,5 +135,38 @@ def test_load_config_reads_files_and_reports_path(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
-def test_schema_covers_all_group_fields():
-    assert _schema_is_complete()
+def _changed(value):
+    if value is None:
+        return 1.5
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, tuple):
+        return tuple(_changed(item) for item in value)
+    return value + (1 if isinstance(value, int) else 0.5)
+
+
+def test_every_field_round_trips_a_non_default_value():
+    defaults = default_config()
+    groups = {}
+    for group in fields(Config):
+        default_group = getattr(defaults, group.name)
+        changes = {f.name: _changed(getattr(default_group, f.name)) for f in fields(default_group)}
+        groups[group.name] = replace(default_group, **changes)
+    cfg = Config(**groups)
+    assert parse_config(dump_config(cfg)) == cfg
+    for group in fields(Config):
+        default_group, changed_group = getattr(defaults, group.name), getattr(cfg, group.name)
+        for f in fields(default_group):
+            assert getattr(changed_group, f.name) != getattr(default_group, f.name), f.name
+
+
+def test_readme_lists_exactly_the_dumped_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+    documented = [
+        f"{section}.{key}"
+        for section, keys in re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M)
+        for key in re.findall(r"`(\w+)`", keys)
+    ]
+    dumped = [line.split(" = ")[0] for line in dump_config(default_config()).split("\n") if line]
+    assert documented == dumped
