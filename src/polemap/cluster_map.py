@@ -186,17 +186,35 @@ class ClusterMap:
 
     def nearest(self, center) -> tuple[int, float] | None:
         """Closest cluster to a 2D point as (id, distance), ties to lowest id."""
+        return self.nearest_each(np.asarray(center, dtype=float).reshape(1, 2))[0]
+
+    def nearest_each(self, centers) -> list[tuple[int, float] | None]:
+        """nearest for each row of (m, 2) centers, with one kd-tree query.
+
+        Every center tied with the closest is among the k rows returned
+        unless all k tie; those rows are queried again over the whole map,
+        so the lowest id wins however many tie.
+        """
+        centers = np.asarray(centers, dtype=float).reshape(-1, 2)
         if not self._clusters:
-            return None
+            return [None] * len(centers)
+        if len(centers) == 0:
+            return []
         tree, tree_ids = self._index()
-        center = np.asarray(center, dtype=float).reshape(2)
-        k = min(8, len(self._clusters))
-        dists, idx = tree.query(center, k=k)
-        dists = np.atleast_1d(dists)
-        idx = np.atleast_1d(idx)
-        best = dists[0]
-        tied = [int(tree_ids[i]) for d, i in zip(dists, idx) if d == best]
-        return min(tied), float(best)
+        n = len(tree_ids)
+
+        def lowest_tied_row(dists, idx):
+            # Tree rows ascend with id, so the lowest tied row is the lowest id.
+            return np.where(dists == dists[:, :1], idx, n).min(axis=1)
+
+        k = min(8, n)
+        dists, idx = (a.reshape(len(centers), k) for a in tree.query(centers, k=k))
+        rows = lowest_tied_row(dists, idx)
+        if k < n:
+            wide = np.flatnonzero(dists[:, -1] == dists[:, 0])
+            if len(wide):
+                rows[wide] = lowest_tied_row(*tree.query(centers[wide], k=n))
+        return [(int(tree_ids[r]), float(d)) for r, d in zip(rows, dists[:, 0])]
 
 
 def _build_index(cluster_map: ClusterMap) -> tuple[cKDTree, np.ndarray]:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .cluster_map import POLE, TRUNK, Cluster, Frame, label_code
@@ -30,6 +28,34 @@ class ExtractionParams:
             raise ValueError("min_points must be at least 1")
 
 
+def _component_roots(n: int, pairs: np.ndarray) -> np.ndarray:
+    """Smallest member index of each point's connected component.
+
+    Vectorized min-label union-find over an (m, 2) edge array: every round
+    hooks the larger root of each edge whose roots differ onto the smaller
+    one, then pointer-jumps until every parent is a root. A root hooked by
+    several edges takes the smallest of their roots, so a star whose hub has
+    the highest index joins in two rounds whatever order its edges come in.
+    An edge whose ends share a root keeps sharing it, so each round drops
+    those edges. A non-root always points at a smaller index, so the root
+    of a component is its smallest member.
+    """
+    parent = np.arange(n)
+    a, b = pairs[:, 0], pairs[:, 1]
+    while True:
+        ra, rb = parent[a], parent[b]
+        differ = ra != rb
+        if not differ.any():
+            return parent
+        a, b, ra, rb = a[differ], b[differ], ra[differ], rb[differ]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+
+
 def euclidean_cluster(points, params: ExtractionParams | None = None) -> list[np.ndarray]:
     """Group (n, 3) points into connected components under 3D distance <= cluster_distance.
 
@@ -41,18 +67,13 @@ def euclidean_cluster(points, params: ExtractionParams | None = None) -> list[np
     n = len(points)
     if n == 0:
         return []
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(params.cluster_distance, output_type="ndarray")
-    if len(pairs):
-        data = np.ones(len(pairs), dtype=bool)
-        graph = coo_matrix((data, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    else:
-        graph = coo_matrix((n, n), dtype=bool)
-    _, component = connected_components(graph, directed=False)
-    order = np.argsort(component, kind="stable")
-    _, starts = np.unique(component[order], return_index=True)
-    groups = sorted(np.split(order, starts[1:]), key=lambda g: g[0])
-    return [points[g] for g in groups if len(g) >= params.min_points]
+    pairs = cKDTree(points).query_pairs(params.cluster_distance, output_type="ndarray")
+    roots = _component_roots(n, pairs)
+    # Sorting by root orders groups by smallest member; stability keeps
+    # each group's members in input order.
+    order = np.argsort(roots, kind="stable")
+    starts = np.flatnonzero(np.diff(roots[order])) + 1
+    return [points[g] for g in np.split(order, starts) if len(g) >= params.min_points]
 
 
 def extract_clusters(frame: Frame, params: ExtractionParams | None = None) -> list[Cluster]:
@@ -63,7 +84,8 @@ def extract_clusters(frame: Frame, params: ExtractionParams | None = None) -> li
     """
     params = params or ExtractionParams()
     clusters = [
-        Cluster.from_points(0, label, group)
+        # Frame already rejected non-finite points, so build the clusters directly.
+        Cluster(0, label, group, group.mean(axis=0))
         for label in (POLE, TRUNK)
         for group in euclidean_cluster(frame.xyz[frame.labels == label_code(label)], params)
     ]

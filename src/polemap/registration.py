@@ -54,7 +54,7 @@ def register_frame(
     params = params or RegistrationParams()
     pose.require_valid()
     moved = transform_clusters(frame_clusters, pose)
-    nearest = [cluster_map.nearest(cluster.centroid2d) for cluster in moved]
+    nearest = cluster_map.nearest_each([cluster.centroid2d for cluster in moved])
     inserted = 0
     merged = 0
     for cluster, hit in zip(moved, nearest):

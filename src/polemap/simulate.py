@@ -49,6 +49,8 @@ class SceneSpec:
             raise ValueError("label_mix must lie in [0, 1]")
         if self.min_spacing < 0 or self.points_per_cluster < 1:
             raise ValueError("invalid scene spec")
+        if self.point_noise_sigma < 0:
+            raise ValueError("point_noise_sigma must be non-negative")
         if min(self.area) <= 0:
             raise ValueError("scene width and height must be positive")
         if not math.isfinite(self.min_spacing * self.min_spacing):
@@ -94,6 +96,14 @@ class SensorSpec:
     label_flip_rate: float = 0.0
     clutter_points: int = 0
 
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise ValueError("sensor radius must be positive")
+        if not 0.0 <= self.label_flip_rate <= 1.0:
+            raise ValueError("label_flip_rate must lie in [0, 1]")
+        if self.clutter_points < 0:
+            raise ValueError("clutter_points must be non-negative")
+
 
 @dataclass(frozen=True)
 class DriftSpec:
@@ -103,6 +113,8 @@ class DriftSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

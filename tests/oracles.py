@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to cross-check the package.
 
 Everything here favors clarity over speed: linear scans instead of spatial
-indexes, union-find instead of sparse graph components, an association
+indexes, a scalar union-find over an all-pairs distance scan where
+production runs a vectorized one over kd-tree pairs, an association
 routine written as plain nested loops over explicit feature tuples, edge
 stars built one anchor and one neighbor at a time, a RANSAC that fits one
 sample at a time, and an ICP that queries its kd-tree twice per step. The

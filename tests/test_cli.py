@@ -289,6 +289,27 @@ def test_impossible_scene_exits_3(tmp_path, capsys, monkeypatch, text, command, 
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("sensor.radius = -60", "sensor radius must be positive"),
+        ("sensor.label_flip_rate = 1.5", "label_flip_rate must lie in [0, 1]"),
+        ("sensor.clutter_points = -5", "clutter_points must be non-negative"),
+        ("scene.point_noise_sigma = -0.03", "point_noise_sigma must be non-negative"),
+        ("drift.noise_sigma = -1", "noise_sigma must be non-negative"),
+    ],
+    ids=["radius", "flip-rate", "clutter", "point-noise", "drift-noise"],
+)
+def test_bad_simulator_spec_exits_3(tmp_path, capsys, text, error):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("trajectory.length = 20.0\n" + text + "\n", encoding="ascii")
+    code = main(["simulate", "--out", str(tmp_path / "data"), "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {cfg}: {error}\n"
+    assert not (tmp_path / "data").exists()
+
+
 # README demo config on a 40 m drive. The digests pin the bytes that
 # simulate, build-map and localize write, and the stdout of relocalizing the
 # built map in the simulated one; any change to them is a change of output

@@ -87,3 +87,72 @@ def test_index_refreshes_after_mutation(rng):
     cluster_map.remove(1)
     cid, _ = cluster_map.nearest((1.0, 1.0))
     assert cid == 0
+
+
+def point_map(xys) -> ClusterMap:
+    """One single-point cluster per (x, y), so each centroid is exact."""
+    cluster_map = ClusterMap()
+    for x, y in xys:
+        cluster_map.add(POLE, [(x, y, 1.0)])
+    return cluster_map
+
+
+def brute_nearest(cluster_map, center):
+    """(id, distance) of the closest centroid, ties to the lowest id."""
+    best = None
+    for cluster in cluster_map:
+        dx, dy = cluster.centroid2d - center
+        d2 = dx * dx + dy * dy
+        if best is None or d2 < best[1]:
+            best = (cluster.cluster_id, d2)
+    return best[0], float(np.sqrt(best[1]))
+
+
+# the twelve integer points exactly 5 m from the origin, and twelve farther
+# off so that the kd-tree splits into more than one leaf
+RING_5M = [(5, 0), (-5, 0), (0, 5), (0, -5), (3, 4), (3, -4), (-3, 4), (-3, -4),
+           (4, 3), (4, -3), (-4, 3), (-4, -3)]
+FAR = [(x, y) for x in (-9, 0, 9) for y in (-9, 0, 9) if (x, y) != (0, 0)]
+FAR += [(12, 12), (-12, 12), (12, -12), (-12, -12)]
+
+
+def test_nearest_keeps_lowest_id_among_more_ties_than_it_queries(rng):
+    xys = RING_5M + FAR
+    orders = [rng.permutation(len(xys)) for _ in range(40)]
+    maps = [point_map([xys[i] for i in order]) for order in orders]
+    # ids are positions in order; the ring holds entries 0..11 of xys
+    lowest_on_ring = [int(np.flatnonzero(order < len(RING_5M))[0]) for order in orders]
+    assert [m.nearest((0.0, 0.0)) for m in maps] == [(cid, 5.0) for cid in lowest_on_ring]
+    for order, cluster_map, cid in zip(orders, maps, lowest_on_ring):
+        assert cluster_map.nearest_each([(0.0, 0.0), (5.0, 0.0)]) == [
+            (cid, 5.0), (int(np.flatnonzero(order == 0)[0]), 0.0)
+        ]
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["random", "integer-grid"])
+def test_nearest_each_matches_brute_force(rng, grid):
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        if grid:
+            # many exact ties: centroids and centers on a small integer grid
+            xys = rng.integers(-4, 5, size=(n, 2)).astype(float)
+            centers = rng.integers(-6, 7, size=(25, 2)) / 2.0
+        else:
+            xys = rng.uniform(-20.0, 20.0, size=(n, 2))
+            centers = rng.uniform(-25.0, 25.0, size=(25, 2))
+        cluster_map = point_map(xys)
+        got = cluster_map.nearest_each(centers)
+        want = [brute_nearest(cluster_map, c) for c in centers]
+        assert [cid for cid, _ in got] == [cid for cid, _ in want]
+        assert [d for _, d in got] == pytest.approx([d for _, d in want], rel=1e-12, abs=0)
+        assert got == [cluster_map.nearest(c) for c in centers]
+
+
+def test_nearest_each_edge_cases():
+    assert ClusterMap().nearest_each([(0.0, 0.0), (1.0, 1.0)]) == [None, None]
+    assert ClusterMap().nearest_each(np.empty((0, 2))) == []
+    single = point_map([(3.0, 4.0)])
+    # k = 1 here, where the kd-tree answers with 1-D arrays
+    assert single.nearest_each([(0.0, 0.0), (3.0, 4.0)]) == [(0, 5.0), (0, 0.0)]
+    assert single.nearest_each(np.empty((0, 2))) == []
+    assert single.nearest_each([]) == []

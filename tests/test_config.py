@@ -93,10 +93,19 @@ def test_group_validation_errors_become_config_errors():
         ("scene.width = 0", "scene width and height must be positive"),
         ("scene.height = 0.0", "scene width and height must be positive"),
         ("scene.min_spacing = 1e300", "min_spacing is too large"),
+        ("sensor.radius = -60", "sensor radius must be positive"),
+        ("sensor.radius = 0", "sensor radius must be positive"),
+        ("sensor.label_flip_rate = 1.5", r"label_flip_rate must lie in \[0, 1\]"),
+        ("sensor.label_flip_rate = -0.1", r"label_flip_rate must lie in \[0, 1\]"),
+        ("sensor.clutter_points = -5", "clutter_points must be non-negative"),
+        ("scene.point_noise_sigma = -0.03", "point_noise_sigma must be non-negative"),
+        ("drift.noise_sigma = -1", "noise_sigma must be non-negative"),
     ):
         with pytest.raises(ConfigError, match=f"^cfg: {message}"):
             parse_config(text, source="cfg")
     assert parse_config("labels.pole = 0\nlabels.trunk = 65535").labels.trunk_id == 65535
+    edges = parse_config("sensor.label_flip_rate = 1\nsensor.clutter_points = 0\ndrift.noise_sigma = 0")
+    assert (edges.sensor.label_flip_rate, edges.sensor.clutter_points) == (1.0, 0)
 
 
 def test_dump_parse_round_trip_is_identity():

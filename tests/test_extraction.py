@@ -42,6 +42,16 @@ def test_filter_keeps_only_landmarks():
     ]
 
 
+def assert_matches_oracle(pts, params):
+    """euclidean_cluster gives the oracle's groups exactly: group order,
+    member order and bytes, with min_points applied to whole components."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    got = euclidean_cluster(pts, params)
+    want = oracle_components([tuple(p) for p in pts], params.cluster_distance)
+    want = [g for g in want if len(g) >= params.min_points]
+    assert [g.tobytes() for g in got] == [pts[g].tobytes() for g in want]
+
+
 def test_clustering_matches_union_find(rng):
     params = ExtractionParams(cluster_distance=0.5, min_points=1)
     for trial in range(25):
@@ -53,10 +63,64 @@ def test_clustering_matches_union_find(rng):
         # loose scatter that may or may not bridge blobs
         for _ in range(int(rng.integers(0, 10))):
             pts.append(rng.uniform(0, 20, 3))
-        got = euclidean_cluster(pts, params)
-        want = oracle_components([tuple(p) for p in pts], params.cluster_distance)
-        want_groups = [[pts[i] for i in g] for g in want]
-        assert as_membership(got) == as_membership(want_groups)
+        assert_matches_oracle(pts, params)
+
+
+def _chain(n, step=0.3):
+    return np.column_stack([step * np.arange(n), np.zeros(n), np.zeros(n)])
+
+
+def _hub(spokes=5, length=40, step=0.45):
+    """Radial chains that touch only through a hub at the origin, which the
+    caller appends last."""
+    angles = 2.0 * np.pi * np.arange(spokes) / spokes
+    radii = step * np.arange(1, length + 1)
+    arms = [np.column_stack([radii * np.cos(a), radii * np.sin(a), np.zeros(length)]) for a in angles]
+    return np.concatenate(arms)
+
+
+def _grid(side=20, step=0.4):
+    x, y = np.meshgrid(np.arange(side) * step, np.arange(side) * step)
+    return np.column_stack([x.ravel(), y.ravel(), np.zeros(side * side)])
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["shuffled-chain", "hub-last", "shuffled-grid", "coincident", "one-point", "no-pairs",
+     "min-points-after-grouping"],
+)
+def test_clustering_matches_union_find_on_hard_shapes(rng, shape):
+    params = ExtractionParams(cluster_distance=0.5, min_points=1)
+    if shape == "shuffled-chain":
+        # two chains, so the shuffle interleaves their members
+        pts = np.concatenate([_chain(200), _chain(150) + (0.0, 5.0, 0.0)])
+        pts = pts[rng.permutation(len(pts))]
+    elif shape == "hub-last":
+        arms = _hub()
+        pts = np.concatenate([arms[rng.permutation(len(arms))], [(0.0, 0.0, 0.0)]])
+    elif shape == "shuffled-grid":
+        pts = _grid()
+        pts = pts[rng.permutation(len(pts))]
+    elif shape == "coincident":
+        pts = np.repeat([(1.0, 2.0, 3.0), (4.0, 2.0, 3.0)], [30, 20], axis=0)
+        pts = pts[rng.permutation(len(pts))]
+    elif shape == "one-point":
+        pts = np.array([(1.0, 2.0, 3.0)])
+        assert euclidean_cluster(pts, ExtractionParams(min_points=2)) == []
+    elif shape == "no-pairs":
+        pts = _chain(10, step=1.0)
+    else:
+        # a 12-point chain in which no point has 10 neighbors survives,
+        # a 9-point blob does not, and the survivors keep their order
+        params = ExtractionParams(cluster_distance=0.5, min_points=10)
+        pts = np.concatenate([
+            blob(rng, (0.0, 5.0, 0.0), 9, spread=0.05),
+            _chain(12),
+            blob(rng, (0.0, -5.0, 0.0), 15, spread=0.05),
+        ])
+        pts = pts[rng.permutation(len(pts))]
+        assert [len(g) for g in euclidean_cluster(pts, params)] in ([12, 15], [15, 12])
+    assert_matches_oracle(pts, params)
 
 
 def test_cluster_distance_boundary_is_inclusive():
