@@ -7,6 +7,12 @@ first use and kept until the next mutation. Readers may share a map freely;
 mutation requires exclusive access.
 Points are numpy arrays throughout: a Frame holds (n, 3) coordinates with one
 label code per point, a Cluster its (n, 3) member coordinates.
+
+A merge updates the centroid at the cost of the new points only. numpy's mean
+over axis 0 of a C-ordered (n, 3) array adds the rows one after another, so
+the map keeps each merged cluster's coordinate sum and folds new rows onto it
+in the same order: the centroid stays bitwise equal to the mean of all
+members.
 """
 
 from __future__ import annotations
@@ -120,6 +126,8 @@ class ClusterMap:
         self._next_id = 0
         # Values computed from the clusters; every mutation clears them.
         self._derived: dict = {}
+        # Coordinate sum of each cluster merged into, taken on its first merge.
+        self._sums: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._clusters)
@@ -162,13 +170,27 @@ class ClusterMap:
 
     def remove(self, cluster_id: int) -> None:
         del self._clusters[cluster_id]
+        self._sums.pop(cluster_id, None)
         self._derived.clear()
 
     def merge_points(self, cluster_id: int, new_points) -> Cluster:
-        """Append points to an existing cluster and recompute its centroid."""
+        """Append points to an existing cluster and update its centroid.
+
+        The centroid becomes the mean of all members, bitwise equal to
+        points.mean(axis=0), at a cost that grows with the new points only:
+        the new rows are folded one by one onto the kept coordinate sum. A
+        loaded cluster's stored centroid is replaced on its first merge.
+        Non-finite points raise ValueError and leave the cluster unchanged.
+        """
         cluster = self._clusters[cluster_id]
-        cluster.points = np.concatenate([cluster.points, _finite_points(new_points)])
-        cluster.centroid3d = cluster.points.mean(axis=0)
+        new_points = _finite_points(new_points)
+        total = self._sums.get(cluster_id)
+        if total is None:
+            total = cluster.points.sum(axis=0)
+        total = np.concatenate([total[None], new_points]).sum(axis=0)
+        self._sums[cluster_id] = total
+        cluster.points = np.concatenate([cluster.points, new_points])
+        cluster.centroid3d = total / cluster.n_points
         self._derived.clear()
         return cluster
 

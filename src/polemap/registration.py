@@ -49,10 +49,10 @@ def register_frame(
     """Merge or insert one frame's clusters; returns insert/merge counts.
 
     Every merge target is looked up before the map changes, so merges within
-    the same frame do not shift the search targets.
+    the same frame do not shift the search targets. An invalid pose raises
+    ValueError (from transform_clusters) before the map is touched.
     """
     params = params or RegistrationParams()
-    pose.require_valid()
     moved = transform_clusters(frame_clusters, pose)
     nearest = cluster_map.nearest_each([cluster.centroid2d for cluster in moved])
     inserted = 0

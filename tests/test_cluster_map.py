@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polemap import POLE, TRUNK, Cluster, ClusterMap, Frame, other_label
+from polemap.map_io import load_map, save_map
 from conftest import cluster_points
 
 
@@ -63,8 +66,113 @@ def test_merge_points_recomputes_centroid():
     cluster_map.merge_points(0, [(2.0, 2.0, 2.0)])
     merged = cluster_map.get(0)
     assert merged.n_points == 2
-    assert np.allclose(merged.centroid3d, [1.0, 1.0, 1.0])
-    assert np.allclose(merged.centroid2d, [1.0, 1.0])
+    assert np.array_equal(merged.centroid3d, [1.0, 1.0, 1.0])
+    assert np.array_equal(merged.centroid2d, [1.0, 1.0])
+
+
+# Each op: which cluster (an index into ids(); past the end adds a cluster),
+# how many points, and the offset of the points from the origin.
+MERGE_OPS = st.lists(
+    st.tuples(st.integers(0, 6), st.sampled_from([1, 2, 3, 17, 400]),
+              st.sampled_from([0.0, 300.0, -300.0])),
+    min_size=1, max_size=25,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ops=MERGE_OPS)
+def test_merged_centroid_is_bitwise_the_mean_of_all_members(seed, ops):
+    # merge_points folds new rows onto a kept sum; this holds only while
+    # numpy's mean over axis 0 adds the rows of a C-ordered array in order.
+    rng = np.random.default_rng(seed)
+    cluster_map = ClusterMap()
+    cluster_map.add(TRUNK, rng.uniform(-300.0, 300.0, size=(100_000, 3)))
+    cluster_map.add(POLE, [(300.0, -300.0, 1.0)])
+    for index, n, offset in [(0, 1, 300.0), (1, 1, -300.0)] + ops:
+        scale = rng.choice([1e-3, 1.0, 50.0])
+        points = offset + scale * rng.standard_normal((n, 3))
+        ids = cluster_map.ids()
+        if index >= len(ids):
+            cluster_map.add(POLE, points)
+            continue
+        cluster = cluster_map.merge_points(ids[index], points)
+        assert np.array_equal(cluster.centroid3d, cluster.points.mean(axis=0))
+
+
+def remeaned(cluster_map, merges) -> ClusterMap:
+    """A copy of the map with each (id, points) merge applied by re-meaning
+    every member, the way merge_points once computed centroids."""
+    copy = ClusterMap()
+    for cluster in cluster_map:
+        points = cluster.points
+        centroid = cluster.centroid3d
+        for cid, new in merges:
+            if cid == cluster.cluster_id:
+                points = np.concatenate([points, new])
+                centroid = points.mean(axis=0)
+        copy.insert(Cluster(cluster.cluster_id, cluster.label, points, centroid))
+    return copy
+
+
+@pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no-sidecar"])
+def test_merge_into_loaded_cluster_matches_remean(tmp_path, rng, sidecar):
+    original = ClusterMap()
+    for k in range(4):
+        original.add(POLE, cluster_points(rng, (250.0 + 10 * k, -280.0, 2.0), n=30))
+    path = tmp_path / "map.txt"
+    save_map(original, path, include_points=sidecar)
+    loaded = load_map(path)
+    before = remeaned(loaded, [])
+    merges = [(1, cluster_points(rng, (260.0, -280.0, 2.0), n=7)),
+              (1, cluster_points(rng, (260.0, -280.0, 2.0), n=1)),
+              (3, cluster_points(rng, (280.0, -280.0, 2.0), n=12))]
+    for cid, new in merges:
+        loaded.merge_points(cid, new)
+    # a cluster never merged keeps its stored centroid, which with a sidecar
+    # is not the mean of the float32 points read back
+    kept = loaded.get(0)
+    assert np.array_equal(kept.centroid3d, original.get(0).centroid3d)
+    assert np.array_equal(kept.centroid3d, kept.points.mean(axis=0)) != sidecar
+    want, got = tmp_path / "want.txt", tmp_path / "got.txt"
+    save_map(remeaned(before, merges), want)
+    save_map(loaded, got)
+    assert got.read_bytes() == want.read_bytes()
+    assert (tmp_path / "got.txt.points").read_bytes() == (tmp_path / "want.txt.points").read_bytes()
+
+
+def test_rejected_merge_changes_nothing(rng):
+    start, first, second = (cluster_points(rng, (300.0, 0.0, 1.0)) for _ in range(3))
+    clean, rejected = ClusterMap(), ClusterMap()
+    for cluster_map in (clean, rejected):
+        cluster_map.add(POLE, start)
+        cluster_map.merge_points(0, first)
+    points, centroid = rejected.get(0).points.copy(), rejected.get(0).centroid3d.copy()
+    bad = np.vstack([cluster_points(rng, (300.0, 0.0, 1.0), n=3), [(np.nan, 0.0, 1.0)]])
+    with pytest.raises(ValueError, match="non-finite"):
+        rejected.merge_points(0, bad)
+    assert np.array_equal(rejected.get(0).points, points)
+    assert np.array_equal(rejected.get(0).centroid3d, centroid)
+    for cluster_map in (clean, rejected):
+        cluster_map.merge_points(0, second)
+    assert np.array_equal(rejected.get(0).points, clean.get(0).points)
+    assert np.array_equal(rejected.get(0).centroid3d, clean.get(0).centroid3d)
+    assert np.array_equal(rejected.get(0).centroid3d, rejected.get(0).points.mean(axis=0))
+
+
+def test_merge_after_remove_is_the_exact_mean(rng):
+    cluster_map = ClusterMap()
+    for k in range(3):
+        cluster_map.add(POLE, cluster_points(rng, (float(k), 0.0, 1.0)))
+        cluster_map.merge_points(k, cluster_points(rng, (float(k), 0.0, 1.0)))
+    cluster_map.remove(1)
+    added = cluster_map.add(TRUNK, cluster_points(rng, (-300.0, 5.0, 1.0)))
+    cluster_map.merge_points(added.cluster_id, cluster_points(rng, (-300.0, 5.0, 1.0)))
+    # an id removed and stored again must not reuse the old cluster's sum
+    cluster_map.remove(0)
+    cluster_map.insert(Cluster.from_points(0, POLE, cluster_points(rng, (300.0, 9.0, 1.0))))
+    cluster_map.merge_points(0, cluster_points(rng, (300.0, 9.0, 1.0), n=1))
+    for cluster in cluster_map:
+        assert np.array_equal(cluster.centroid3d, cluster.points.mean(axis=0))
 
 
 def test_nearest_breaks_ties_toward_lowest_id():

@@ -46,6 +46,25 @@ def test_transform_rejects_bad_pose(rng):
         transform_clusters(clusters, PoseSE3(np.eye(3) * 1.5, np.zeros(3)))
 
 
+@pytest.mark.parametrize("pose", [
+    PoseSE3(np.eye(3) * 1.5, np.zeros(3)),
+    PoseSE3(np.eye(3), np.array([np.nan, 0.0, 0.0])),
+], ids=["scaled", "non-finite"])
+def test_register_rejects_bad_pose_before_touching_the_map(rng, pose):
+    cluster_map = ClusterMap()
+    register_frame(cluster_map, single_cluster(rng, (5.0, 5.0, 2.0)), PoseSE3.identity())
+    register_frame(cluster_map, single_cluster(rng, (5.0, 5.0, 2.0)), PoseSE3.identity())
+    register_frame(cluster_map, single_cluster(rng, (9.0, 5.0, 2.0)), PoseSE3.identity())
+    before = [(c.cluster_id, c.points.copy(), c.centroid3d.copy()) for c in cluster_map]
+    with pytest.raises(ValueError, match="invalid rigid transform: rotation is not orthonormal"):
+        register_frame(cluster_map, single_cluster(rng, (5.0, 5.0, 2.0)), pose)
+    after = list(cluster_map)
+    assert [c.cluster_id for c in after] == [cid for cid, _, _ in before]
+    for cluster, (_, points, centroid) in zip(after, before):
+        assert np.array_equal(cluster.points, points)
+        assert np.array_equal(cluster.centroid3d, centroid)
+
+
 def test_register_inserts_into_empty_map(rng):
     cluster_map = ClusterMap()
     clusters = single_cluster(rng, (5.0, 5.0, 2.0))
