@@ -20,8 +20,6 @@ from .cluster_map import (
     Cluster,
     ClusterMap,
     Frame,
-    SemanticLabel,
-    label_code,
     other_label,
 )
 from .config import Config, default_config, dump_config, load_config, parse_config

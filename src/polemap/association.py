@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster_map import ClusterMap, label_code
+from .cluster_map import ClusterMap
 
 # Sentinel for an edge pair that does not reach the minimum sub-edge support.
 # Using infinity keeps minimum and threshold comparisons natural.
@@ -88,19 +88,6 @@ class _Stars:
     lengths: np.ndarray
     labels: np.ndarray
 
-    @classmethod
-    def of(cls, ids, stars, anchor_labels) -> "_Stars":
-        counts = np.array([star.count for star in stars], dtype=int)
-        return cls(
-            tuple(ids),
-            tuple(stars),
-            np.asarray(anchor_labels, dtype=int),
-            counts,
-            np.cumsum(counts) - counts,
-            np.concatenate([np.empty(0)] + [star.lengths for star in stars]),
-            np.concatenate([np.empty(0, dtype=int)] + [star.labels for star in stars]),
-        )
-
     def star(self, cluster_id: int) -> _EdgeData:
         """The star anchored at cluster_id; KeyError when there is none."""
         if cluster_id not in self.ids:
@@ -115,15 +102,16 @@ def _stars(cluster_map: ClusterMap, search_radius: float) -> _Stars:
 
     def build(m: ClusterMap) -> _Stars:
         ids = m.ids()
-        anchor_labels = [label_code(m.get(cid).label) for cid in ids]
+        anchor_labels = np.array([m.get(cid).label for cid in ids], dtype=int)
         if not ids:
-            return _Stars.of(ids, [], anchor_labels)
+            empty = np.empty(0, dtype=int)
+            return _Stars((), (), anchor_labels, empty, empty, np.empty(0), empty)
         tree, tree_ids = m._index()
         cents = tree.data  # row r is cluster tree_ids[r]; ids ascending
         hits = tree.query_ball_point(cents, search_radius)  # inclusive cutoff
-        counts = [len(h) for h in hits]
-        rows = np.repeat(np.arange(len(ids)), counts)
-        cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=int, count=sum(counts))
+        n_hits = [len(h) for h in hits]
+        rows = np.repeat(np.arange(len(ids)), n_hits)
+        cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=int, count=sum(n_hits))
         vec = cents[cols] - cents[rows]
         lengths = np.hypot(vec[:, 0], vec[:, 1])
         # Drops each anchor's own row; coincident centroids likewise leave
@@ -135,13 +123,14 @@ def _stars(cluster_map: ClusterMap, search_radius: float) -> _Stars:
         # math.atan2, not np.arctan2: the two differ in the last bit on some inputs.
         phis = np.array([math.degrees(math.atan2(y, x)) for x, y in vec.tolist()], dtype=float)
         nids = tree_ids[cols]
-        labels = np.asarray(anchor_labels, dtype=int)[cols]
-        ends = np.cumsum(np.bincount(rows, minlength=len(ids))).tolist()
-        stars = [
-            _EdgeData(nids[a:b], lengths[a:b], phis[a:b], labels[a:b])
-            for a, b in zip([0] + ends[:-1], ends)
-        ]
-        return _Stars.of(ids, stars, anchor_labels)
+        labels = anchor_labels[cols]
+        counts = np.bincount(rows, minlength=len(ids))
+        offsets = np.cumsum(counts) - counts
+        stars = tuple(
+            _EdgeData(nids[a : a + n], lengths[a : a + n], phis[a : a + n], labels[a : a + n])
+            for a, n in zip(offsets.tolist(), counts.tolist())
+        )
+        return _Stars(tuple(ids), stars, anchor_labels, counts, offsets, lengths, labels)
 
     return cluster_map.derived(("stars", search_radius), build)
 

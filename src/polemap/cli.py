@@ -43,14 +43,44 @@ def _generate_scene(cfg: Config):
         raise ConfigError(str(exc)) from None
 
 
-def _parse_range(text: str, n: int) -> tuple[int, int]:
+def _frame_range(text: str) -> slice:
+    """argparse type for START:STOP; either bound may be left out."""
     start_text, sep, stop_text = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected START:STOP, got {text!r}")
-    start = int(start_text) if start_text else 0
-    stop = int(stop_text) if stop_text else n
+    try:
+        if sep:
+            start = int(start_text) if start_text else None
+            return slice(start, int(stop_text) if stop_text else None)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected START:STOP, got {text!r}")
+
+
+def _retentions(text: str) -> tuple[float, ...]:
+    """argparse type for comma-separated retention fractions in [0, 1]."""
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise argparse.ArgumentTypeError(f"retentions must lie in [0, 1], got {text!r}")
+    return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
+def _bounded_range(frames: slice, n: int) -> tuple[int, int]:
+    start = 0 if frames.start is None else frames.start
+    stop = n if frames.stop is None else frames.stop
     if not (0 <= start < stop <= n):
-        raise PolemapError(f"frame range {text!r} out of bounds for {n} frames")
+        raise PolemapError(f"frame range {start}:{stop} out of bounds for {n} frames")
     return start, stop
 
 
@@ -93,7 +123,7 @@ def _cmd_build_map(args) -> int:
     else:
         poses = dataset.poses()
 
-    start, stop = _parse_range(args.frames, dataset.frame_count)
+    start, stop = _bounded_range(args.frames, dataset.frame_count)
     cluster_map = ClusterMap()
     for i in range(start, stop):
         ts, pose = poses[i]
@@ -167,10 +197,9 @@ def _cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
     if args.mode == "reloc":
         scene = _generate_scene(cfg)
-        retentions = tuple(float(v) for v in args.retentions.split(","))
         reports = evaluate_relocalization(
             scene,
-            retentions=retentions,
+            retentions=args.retentions,
             trials=args.trials,
             extraction=cfg.extraction,
             association=cfg.association,
@@ -237,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--frames",
+        type=_frame_range,
         default=":",
         help="half-open frame range START:STOP (default: all)",
     )
@@ -259,8 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("reloc", "loc"), required=True)
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--retentions", default="1.0,0.8,0.6", help="reloc mode only")
-    p.add_argument("--trials", type=int, default=50, help="reloc mode only")
+    p.add_argument(
+        "--retentions", type=_retentions, default="1.0,0.8,0.6", help="reloc mode only"
+    )
+    p.add_argument("--trials", type=_positive_int, default=50, help="reloc mode only")
     p.add_argument("--data", help="loc mode: dataset directory")
     p.add_argument("--map", help="loc mode: global map path")
     p.set_defaults(func=_cmd_evaluate)

@@ -23,42 +23,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 
-@dataclass(frozen=True)
-class SemanticLabel:
-    """Point or cluster class. Only pole and trunk are landmark-eligible."""
-
-    kind: str
-    category: int = -1
-
-    @property
-    def is_landmark(self) -> bool:
-        return self.kind in ("pole", "trunk")
-
-    def __str__(self) -> str:
-        if self.kind == "other":
-            return f"other:{self.category}"
-        return self.kind
+# Label codes as stored in Frame.labels and Cluster.label. Only pole and
+# trunk are landmark-eligible.
+POLE = 0
+TRUNK = 1
 
 
-POLE = SemanticLabel("pole")
-TRUNK = SemanticLabel("trunk")
-
-
-def other_label(category: int) -> SemanticLabel:
-    """Label for a point class that never becomes a landmark."""
-    return SemanticLabel("other", category)
-
-
-def label_code(label: SemanticLabel) -> int:
-    """Integer code of a label as stored in Frame.labels.
-
-    Pole is 0, trunk 1, and other category c is 2 + c.
-    """
-    if label == POLE:
-        return 0
-    if label == TRUNK:
-        return 1
-    return 2 + label.category
+def other_label(category: int) -> int:
+    """Code of a point class that never becomes a landmark: 2 + category."""
+    return 2 + category
 
 
 def _finite_points(xyz) -> np.ndarray:
@@ -72,7 +45,7 @@ def _finite_points(xyz) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Frame:
     """One labeled scan: a timestamp, (n, 3) sensor-frame points and their
-    (n,) label codes (see label_code)."""
+    (n,) label codes (POLE, TRUNK or other_label(c))."""
 
     timestamp: float
     xyz: np.ndarray
@@ -96,14 +69,14 @@ class Cluster:
     """
 
     cluster_id: int
-    label: SemanticLabel
+    label: int  # POLE or TRUNK
     points: np.ndarray = field(repr=False)
     centroid3d: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_points(cls, cluster_id: int, label: SemanticLabel, points) -> "Cluster":
-        if not label.is_landmark:
-            raise ValueError(f"cluster label must be pole or trunk, got {label}")
+    def from_points(cls, cluster_id: int, label: int, points) -> "Cluster":
+        if label not in (POLE, TRUNK):
+            raise ValueError(f"cluster label must be pole or trunk, got {label!r}")
         points = _finite_points(points)
         if len(points) == 0:
             raise ValueError("empty cluster")
@@ -152,7 +125,7 @@ class ClusterMap:
             self._derived[key] = build(self)
         return self._derived[key]
 
-    def add(self, label: SemanticLabel, points) -> Cluster:
+    def add(self, label: int, points) -> Cluster:
         """Create a cluster from points, assign the next free id, store it."""
         cluster = Cluster.from_points(self._next_id, label, points)
         self._clusters[cluster.cluster_id] = cluster

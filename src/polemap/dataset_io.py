@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster_map import POLE, TRUNK, Frame, label_code, other_label
+from .cluster_map import POLE, TRUNK, Frame, other_label
 from .errors import DatasetError
 from .geometry import PoseSE3
 
@@ -32,7 +32,7 @@ LABEL_RECORD_BYTES = 4
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Mapping between raw class ids and frame label codes (see label_code)."""
+    """Mapping between raw class ids and frame label codes (see Frame)."""
 
     pole_id: int = 5
     trunk_id: int = 6
@@ -48,16 +48,16 @@ class LabelMap:
         ids = np.asarray(class_ids, dtype=np.int64)
         return np.select(
             [ids == self.pole_id, ids == self.trunk_id],
-            [label_code(POLE), label_code(TRUNK)],
-            ids + label_code(other_label(0)),
+            [POLE, TRUNK],
+            ids + other_label(0),
         )
 
     def encode(self, codes) -> np.ndarray:
         codes = np.asarray(codes, dtype=np.int64)
         return np.select(
-            [codes == label_code(POLE), codes == label_code(TRUNK)],
+            [codes == POLE, codes == TRUNK],
             [self.pole_id, self.trunk_id],
-            codes - label_code(other_label(0)),
+            codes - other_label(0),
         )
 
 

@@ -55,7 +55,6 @@ class EvalReport:
     distance_p95: float
     distance_p99: float
     cluster_density: float
-    rmse: float | None = None
 
 
 @dataclass(frozen=True)

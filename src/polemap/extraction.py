@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cluster_map import POLE, TRUNK, Cluster, Frame, label_code
+from .cluster_map import POLE, TRUNK, Cluster, Frame
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def extract_clusters(frame: Frame, params: ExtractionParams | None = None) -> li
         # Frame already rejected non-finite points, so build the clusters directly.
         Cluster(0, label, group, group.mean(axis=0))
         for label in (POLE, TRUNK)
-        for group in euclidean_cluster(frame.xyz[frame.labels == label_code(label)], params)
+        for group in euclidean_cluster(frame.xyz[frame.labels == label], params)
     ]
     clusters.sort(key=lambda c: (float(c.centroid2d[0]), float(c.centroid2d[1])))
     for i, cluster in enumerate(clusters):

@@ -17,8 +17,6 @@ from .geometry import PoseSE3
 @dataclass(frozen=True)
 class RegistrationParams:
     merge_radius: float = 1.0
-    # Require matching labels before merging instead of adopting the map label.
-    strict_labels: bool = False
 
     def __post_init__(self):
         if self.merge_radius <= 0:
@@ -58,16 +56,12 @@ def register_frame(
     inserted = 0
     merged = 0
     for cluster, hit in zip(moved, nearest):
-        target = None
         if hit is not None and hit[1] <= params.merge_radius:
-            if not params.strict_labels or cluster_map.get(hit[0]).label == cluster.label:
-                target = hit[0]
-        if target is None:
+            cluster_map.merge_points(hit[0], cluster.points)
+            merged += 1
+        else:
             cluster_map.add(cluster.label, cluster.points)
             inserted += 1
-        else:
-            cluster_map.merge_points(target, cluster.points)
-            merged += 1
     return RegistrationStats(inserted=inserted, merged=merged)
 
 

@@ -45,8 +45,6 @@ class RelocParams:
     icp_max_iterations: int = 30
     icp_convergence: float = 1e-4
     seed: int = 0
-    # Run RANSAC before the consistency filter instead of after it.
-    ransac_first: bool = False
 
     def __post_init__(self):
         if self.min_pairs < 3:
@@ -271,23 +269,15 @@ def relocalize(
     if len(pairs) < params.min_pairs:
         raise RelocalizationFailure(FAILURE_NO_MATCHES)
 
-    stages = ["consistency", "ransac"]
-    if params.ransac_first:
-        stages.reverse()
-    for stage in stages:
-        if stage == "consistency":
-            pairs = geometric_consistency_filter(
-                pairs, local_map, global_map, params.consistency_tolerance
-            )
-            if len(pairs) < params.min_pairs:
-                raise RelocalizationFailure(FAILURE_CONSISTENCY)
-        else:
-            try:
-                pairs = ransac_filter(pairs, local_map, global_map, params)
-            except ValueError:
-                raise RelocalizationFailure(FAILURE_RANSAC) from None
-            if len(pairs) < params.min_pairs:
-                raise RelocalizationFailure(FAILURE_RANSAC)
+    pairs = geometric_consistency_filter(pairs, local_map, global_map, params.consistency_tolerance)
+    if len(pairs) < params.min_pairs:
+        raise RelocalizationFailure(FAILURE_CONSISTENCY)
+    try:
+        pairs = ransac_filter(pairs, local_map, global_map, params)
+    except ValueError:
+        raise RelocalizationFailure(FAILURE_RANSAC) from None
+    if len(pairs) < params.min_pairs:
+        raise RelocalizationFailure(FAILURE_RANSAC)
 
     try:
         coarse = coarse_align(pairs, local_map, global_map)

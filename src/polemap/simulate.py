@@ -15,16 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster_map import (
-    POLE,
-    TRUNK,
-    Cluster,
-    ClusterMap,
-    Frame,
-    SemanticLabel,
-    label_code,
-    other_label,
-)
+from .cluster_map import POLE, TRUNK, Cluster, ClusterMap, Frame, other_label
 from .geometry import PoseSE3, rotation_about_z
 from .localization import OdometryIncrement
 
@@ -63,7 +54,7 @@ class SceneSpec:
 class Landmark:
     x: float
     y: float
-    label: SemanticLabel
+    label: int  # POLE or TRUNK
 
 
 @dataclass(frozen=True)
@@ -277,12 +268,12 @@ def sensor_frame(
         if sensor.label_flip_rate > 0 and rng.random() < sensor.label_flip_rate:
             label = TRUNK if label == POLE else POLE
         xyz.append(inv.apply(world))
-        labels.append(np.full(len(world), label_code(label)))
+        labels.append(np.full(len(world), label))
     if sensor.clutter_points > 0:
         clutter = rng.uniform(-sensor.radius, sensor.radius, size=(sensor.clutter_points, 3))
         clutter[:, 2] = np.abs(clutter[:, 2]) % 2.0
         xyz.append(clutter)
-        labels.append(np.full(len(clutter), label_code(other_label(9))))
+        labels.append(np.full(len(clutter), other_label(9)))
     if not xyz:
         return Frame(timestamp, (), ())
     return Frame(timestamp, np.concatenate(xyz), np.concatenate(labels))

@@ -108,14 +108,6 @@ class _Star:
         ]
 
 
-def _label_code(label) -> int:
-    if (label.kind, label.category) == ("pole", -1):
-        return 0
-    if (label.kind, label.category) == ("trunk", -1):
-        return 1
-    return 2 + label.category
-
-
 def _build_stars(cluster_map, search_radius: float) -> dict[int, _Star]:
     clusters = list(cluster_map)
     stars = {}
@@ -131,7 +123,7 @@ def _build_stars(cluster_map, search_radius: float) -> dict[int, _Star]:
             if length == 0.0 or length > search_radius:
                 continue
             phi = math.degrees(math.atan2(dy, dx))
-            edges.append((length, other.cluster_id, phi, _label_code(other.label)))
+            edges.append((length, other.cluster_id, phi, other.label))
         edges.sort(key=lambda e: (e[0], e[1]))
         stars[anchor.cluster_id] = _Star(
             [e[1] for e in edges],
@@ -315,14 +307,14 @@ def oracle_edge_stars(cluster_map, search_radius: float):
             nids.append(nid)
             lengths.append(length)
             phis.append(math.degrees(math.atan2(vec[1], vec[0])))
-            labels.append(_label_code(neighbor.label))
+            labels.append(neighbor.label)
         stars.append((
             np.array(nids, dtype=int),
             np.array(lengths, dtype=float),
             np.array(phis, dtype=float),
             np.array(labels, dtype=int),
         ))
-    anchor_labels = np.array([_label_code(cluster_map.get(cid).label) for cid in ids], dtype=int)
+    anchor_labels = np.array([cluster_map.get(cid).label for cid in ids], dtype=int)
     return ids, stars, anchor_labels
 
 

@@ -21,7 +21,7 @@ from conftest import (
     scatter_centers,
 )
 from oracles import embedding_distance, oracle_associate
-from polemap import POLE, TRUNK, ClusterMap, PoseSE3, label_code
+from polemap import POLE, TRUNK, ClusterMap, PoseSE3
 from polemap.association import (
     UNMATCHED,
     AssociationParams,
@@ -305,7 +305,7 @@ def _fuzz_frame(rng, root, case):
             float(np.float32(rng.normal(0, 30))),
             float(np.float32(rng.normal(0, 30))),
             float(np.float32(rng.uniform(0, 5))),
-            label_code(labels[int(rng.integers(0, 3))]),
+            labels[int(rng.integers(0, 3))],
         )
         for _ in range(int(rng.integers(1, 30)))
     ]

@@ -379,7 +379,16 @@ def edge_star(edge_list) -> _EdgeData:
 def test_length_bound_never_below_greedy_matching(local, star_edges):
     tol = 0.25
     stars = [edge_star(e) for e in star_edges]
-    flat = _Stars.of(range(len(stars)), stars, [0] * len(stars))
+    counts = np.array([star.count for star in stars])
+    flat = _Stars(
+        tuple(range(len(stars))),
+        tuple(stars),
+        np.zeros(len(stars), dtype=int),
+        counts,
+        np.cumsum(counts) - counts,
+        np.concatenate([star.lengths for star in stars]),
+        np.concatenate([star.labels for star in stars]),
+    )
     bounds = _length_bounds(edge_star(local), flat, tol)
     for bound, star in zip(bounds, stars):
         exact = oracle_length_matching(

@@ -183,14 +183,34 @@ def test_config_subcommand_shows_effective_values(workspace, capsys):
     assert "association.search_radius = 50.0" in captured.out
 
 
-def test_usage_errors_exit_2(capsys):
+BUILD_MAP = ["build-map", "--data", "{data}", "--out", "{out}"]
+EVALUATE_RELOC = ["evaluate", "--mode", "reloc", "--config", "{config}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="no-command"),
+        pytest.param(["simulate", "--no-such-flag"], id="unknown-flag"),
+        pytest.param(BUILD_MAP + ["--frames", "a:b"], id="frames-not-integers"),
+        pytest.param(BUILD_MAP + ["--frames", "5"], id="frames-without-colon"),
+        pytest.param(EVALUATE_RELOC + ["--retentions", "1.0,abc"], id="retention-not-a-number"),
+        pytest.param(EVALUATE_RELOC + ["--retentions", "1.5"], id="retention-above-1"),
+        pytest.param(EVALUATE_RELOC + ["--retentions", ""], id="retentions-empty"),
+        pytest.param(EVALUATE_RELOC + ["--trials", "0"], id="trials-0"),
+        pytest.param(EVALUATE_RELOC + ["--trials", "-1"], id="trials-negative"),
+    ],
+)
+def test_usage_errors_exit_2(workspace, tmp_path, capsys, argv):
+    paths = {
+        "data": workspace / "data",
+        "out": tmp_path / "x.txt",
+        "config": workspace / "run.cfg",
+    }
     with pytest.raises(SystemExit) as exc:
-        main([])
+        main([arg.format(**paths) for arg in argv])
     assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--no-such-flag"])
-    assert exc.value.code == 2
+    assert "usage: polemap" in capsys.readouterr().err
 
 
 def test_data_errors_exit_3(workspace, tmp_path, capsys):
@@ -367,6 +387,6 @@ def test_config_output_is_byte_exact(tmp_path, capsys):
         assert main(["config", *extra]) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest())
     assert digests == [
-        "b04f892aeaca6d13987963c1357262471d10390db0435a2cc1a160ad8fb9b2d4",
-        "ab51f07406b75ae7deabb57df6558d98f81df4a2b40235e0ea93910b9025fea0",
+        "f6ce1ab0246c74cb4f545f2f4a98e94a9fc7408e3e7777f2b09373538cff53b3",
+        "8b261cc52fdbb66624d94101dbf555010aedee911df1f309f4c5cc5a4c387f50",
     ]

@@ -24,7 +24,7 @@ def test_overrides_land_in_the_right_groups():
         "\n".join(
             [
                 "association.search_radius = 35.5",
-                "reloc.ransac_first = true",
+                "pipeline.reloc_enabled = false",
                 "pipeline.max_fix_jump = 4.0",
                 "scene.width = 250.0",
                 "scene.height = 180.0",
@@ -34,7 +34,7 @@ def test_overrides_land_in_the_right_groups():
         )
     )
     assert cfg.association.search_radius == 35.5
-    assert cfg.reloc.ransac_first is True
+    assert cfg.pipeline.reloc_enabled is False
     assert cfg.pipeline.max_fix_jump == 4.0
     assert cfg.scene.area == (250.0, 180.0)
     assert cfg.trajectory.start == (12.0, 150.0)
@@ -62,7 +62,7 @@ def test_bad_values_rejected_with_location():
     with pytest.raises(ConfigError, match=":1: bad value for extraction.min_points"):
         parse_config("extraction.min_points = many")
     with pytest.raises(ConfigError, match="expected true or false"):
-        parse_config("reloc.ransac_first = yes")
+        parse_config("pipeline.reloc_enabled = yes")
     with pytest.raises(ConfigError, match=":1: expected key = value"):
         parse_config("just some words")
     for text, key in (

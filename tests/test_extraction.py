@@ -8,7 +8,6 @@ from polemap import (
     Frame,
     euclidean_cluster,
     extract_clusters,
-    label_code,
     other_label,
 )
 from oracles import oracle_components
@@ -21,7 +20,7 @@ def blob(rng, center, n, spread=0.12):
 def labeled_frame(*blobs):
     """Frame from (points, label) pairs, points in the given order."""
     xyz = np.concatenate([pts for pts, _ in blobs])
-    labels = np.concatenate([np.full(len(pts), label_code(label)) for pts, label in blobs])
+    labels = np.concatenate([np.full(len(pts), label) for pts, label in blobs])
     return Frame(0.0, xyz, labels)
 
 
@@ -33,7 +32,7 @@ def test_filter_keeps_only_landmarks():
     frame = Frame(
         0.0,
         [(0, 0, 0), (1, 0, 0), (2, 0, 0)],
-        [label_code(POLE), label_code(other_label(4)), label_code(TRUNK)],
+        [POLE, other_label(4), TRUNK],
     )
     clusters = extract_clusters(frame, ExtractionParams(min_points=1))
     assert [(c.label, c.centroid2d.tolist()) for c in clusters] == [
@@ -180,7 +179,7 @@ def test_label_classes_cluster_independently(rng):
         (blob(rng, (0.3, 0.0, 1.0), 12, spread=0.05), TRUNK),
     )
     clusters = extract_clusters(frame, ExtractionParams(min_points=10))
-    assert sorted(c.label.kind for c in clusters) == ["pole", "trunk"]
+    assert sorted(c.label for c in clusters) == [POLE, TRUNK]
 
 
 def test_minority_label_residue_dropped(rng):

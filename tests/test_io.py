@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_map
 from polemap import POLE, TRUNK, DatasetError, MapFormatError, PoseSE3
-from polemap.cluster_map import Frame, label_code, other_label
+from polemap.cluster_map import Frame, other_label
 from polemap.dataset_io import (
     Dataset,
     LabelMap,
@@ -61,7 +61,7 @@ def test_frame_round_trip_preserves_float32_coordinates(tmp_path):
     label_map = LabelMap()
     xs = np.float32([0.125, 1.75, 2.5, 3.0]).astype(float)
     xyz = np.column_stack([xs, np.full(4, 0.25), np.full(4, -1.5)])
-    labels = [label_code(POLE if x < 2 else TRUNK) for x in xs]
+    labels = [POLE if x < 2 else TRUNK for x in xs]
     frame = Frame(timestamp=1.5, xyz=xyz, labels=labels)
     write_frame(tmp_path / "f.bin", tmp_path / "f.label", frame, label_map)
     loaded = load_frame(tmp_path / "f.bin", tmp_path / "f.label", label_map, 1.5)
@@ -78,7 +78,7 @@ def test_frame_decoding_ignores_instance_bits(tmp_path):
     write_label_file(tmp_path / "f.label", raw)
     frame = load_frame(tmp_path / "f.bin", tmp_path / "f.label", label_map, 0.0)
     assert frame.labels.tolist() == [
-        label_code(POLE), label_code(TRUNK), label_code(other_label(99))
+        POLE, TRUNK, other_label(99)
     ]
 
 
@@ -146,7 +146,7 @@ def test_pose_file_rejects_denormalized_quaternion(tmp_path):
 
 def _frame(ts, xs, label=POLE):
     xyz = [(float(x), 0.0, 1.0) for x in xs]
-    return Frame(timestamp=ts, xyz=xyz, labels=[label_code(label)] * len(xs))
+    return Frame(timestamp=ts, xyz=xyz, labels=[label] * len(xs))
 
 
 def _planar(x, yaw=0.0):

@@ -8,19 +8,18 @@ from polemap import (
     TRUNK,
     ClusterMap,
     PoseSE3,
-    RegistrationParams,
     build_local_map,
     register_frame,
     transform_clusters,
 )
 from polemap.extraction import ExtractionParams, extract_clusters
-from polemap.cluster_map import Frame, label_code
+from polemap.cluster_map import Frame
 from polemap.geometry import rotation_about_z
 from conftest import cluster_points
 
 
 def single_cluster(rng, center, label=POLE):
-    frame = Frame(0.0, cluster_points(rng, center, n=12), np.full(12, label_code(label)))
+    frame = Frame(0.0, cluster_points(rng, center, n=12), np.full(12, label))
     return extract_clusters(frame, ExtractionParams(min_points=1))
 
 
@@ -112,19 +111,6 @@ def test_merge_adopts_map_label(rng):
     assert cluster_map.get(0).label == POLE
 
 
-def test_strict_labels_insert_on_mismatch(rng):
-    cluster_map = ClusterMap()
-    params = RegistrationParams(strict_labels=True)
-    register_frame(
-        cluster_map, single_cluster(rng, (5.0, 5.0, 2.0), POLE), PoseSE3.identity(), params
-    )
-    stats = register_frame(
-        cluster_map, single_cluster(rng, (5.3, 5.0, 2.0), TRUNK), PoseSE3.identity(), params
-    )
-    assert (stats.inserted, stats.merged) == (1, 0)
-    assert sorted(c.label.kind for c in cluster_map) == ["pole", "trunk"]
-
-
 def test_register_applies_pose(rng):
     cluster_map = ClusterMap()
     clusters = single_cluster(rng, (2.0, 0.0, 1.0))
@@ -146,7 +132,7 @@ def test_merge_targets_snapshot_not_running_map(rng):
             cluster_points(rng, (0.9, 0.0, 2.0), n=12, spread=0.05),
             cluster_points(rng, (-0.9, 0.0, 2.0), n=12, spread=0.05),
         ]),
-        np.full(24, label_code(POLE)),
+        np.full(24, POLE),
     )
     incoming = extract_clusters(frame, ExtractionParams(min_points=1))
     assert len(incoming) == 2

@@ -17,6 +17,7 @@ from polemap import (
     ransac_filter,
     relocalize,
 )
+from polemap import relocalization
 from polemap.association import AssociationParams
 from polemap.geometry import rotation_about_z
 from polemap.relocalization import _ransac_samples
@@ -318,15 +319,6 @@ def test_relocalize_recovers_pose(rng):
     assert ids == sorted(ids)
 
 
-def test_relocalize_ransac_first_agrees(rng):
-    global_map = random_map(rng, 20, extent=50.0, min_spacing=4.0)
-    pose = planar_pose(rng)
-    local = moved_copy(global_map, pose, rng, sigma=0.02)
-    a = relocalize(local, global_map, reloc_params=RelocParams(ransac_first=False))
-    b = relocalize(local, global_map, reloc_params=RelocParams(ransac_first=True))
-    assert np.allclose(a.pose.as_matrix(), b.pose.as_matrix(), atol=1e-6)
-
-
 def test_relocalize_no_matches(rng):
     sparse = point_map([(0.0, 0.0), (30.0, 0.0)])
     global_map = random_map(rng, 15, extent=40.0)
@@ -358,12 +350,18 @@ def test_relocalize_consistency_collapse(rng):
     assert info.value.reason == "consistency-collapse"
 
 
-def test_relocalize_ransac_failure(rng):
-    local, global_map, assoc = scrambled_piece_scene(rng)
+def test_relocalize_ransac_failure(monkeypatch):
+    """A mirror image keeps every pairwise distance, so the consistency
+    filter keeps all five pairs, but no proper rigid motion fits more than
+    three of five points that are not coplanar."""
+    corners = [(0, 0, 0), (20, 0, 0), (0, 20, 0), (0, 0, 20), (20, 20, 20)]
+    global_map, mirrored = ClusterMap(), ClusterMap()
+    for x, y, z in corners:
+        global_map.add(POLE, [(float(x), float(y), float(z))])
+        mirrored.add(POLE, [(float(-x), float(y), float(z))])
+    monkeypatch.setattr(relocalization, "associate_maps", lambda *args: identity_pairs(5))
     with pytest.raises(RelocalizationFailure) as info:
-        relocalize(
-            local, global_map, assoc, RelocParams(min_pairs=5, ransac_first=True)
-        )
+        relocalize(mirrored, global_map)
     assert info.value.reason == "ransac-failure"
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polemap import ClusterMap, PoseSE3, POLE, TRUNK, label_code
+from polemap import ClusterMap, PoseSE3, POLE, TRUNK
 from polemap.evaluate import (
     EvalReport,
     RelocEvalProtocol,
@@ -212,8 +212,8 @@ def test_sensor_frame_label_flips():
         rng, scene, PoseSE3.identity(), 0.0, SensorSpec(radius=60.0, label_flip_rate=1.0)
     )
     ahead = frame.xyz[:, 0] > 0
-    assert set(frame.labels[ahead].tolist()) == {label_code(TRUNK)}
-    assert set(frame.labels[~ahead].tolist()) == {label_code(POLE)}
+    assert set(frame.labels[ahead].tolist()) == {TRUNK}
+    assert set(frame.labels[~ahead].tolist()) == {POLE}
 
 
 def test_sensor_frame_clutter_points_use_unknown_label():
@@ -223,7 +223,7 @@ def test_sensor_frame_clutter_points_use_unknown_label():
         rng, scene, PoseSE3.identity(), 0.0, SensorSpec(radius=60.0, clutter_points=7)
     )
     assert len(frame.xyz) == 10
-    landmark = np.isin(frame.labels, [label_code(POLE), label_code(TRUNK)])
+    landmark = np.isin(frame.labels, [POLE, TRUNK])
     assert int(np.sum(~landmark)) == 7
 
 
