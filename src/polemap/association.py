@@ -77,16 +77,17 @@ class _EdgeData:
 @dataclass(frozen=True)
 class _Stars:
     """Every cluster's edge star in one map, with all edges also laid end to
-    end: star s owns edges offsets[s] : offsets[s] + counts[s] of lengths and
-    labels."""
+    end: edge e of lengths and labels belongs to star owners[e], and
+    by_length is the stable order of lengths."""
 
     ids: tuple[int, ...]  # ascending
     stars: tuple[_EdgeData, ...]
     anchor_labels: np.ndarray  # label code of each anchor
     counts: np.ndarray
-    offsets: np.ndarray
+    owners: np.ndarray
     lengths: np.ndarray
     labels: np.ndarray
+    by_length: np.ndarray
 
     def star(self, cluster_id: int) -> _EdgeData:
         """The star anchored at cluster_id; KeyError when there is none."""
@@ -105,7 +106,7 @@ def _stars(cluster_map: ClusterMap, search_radius: float) -> _Stars:
         anchor_labels = np.array([m.get(cid).label for cid in ids], dtype=int)
         if not ids:
             empty = np.empty(0, dtype=int)
-            return _Stars((), (), anchor_labels, empty, empty, np.empty(0), empty)
+            return _Stars((), (), anchor_labels, empty, empty, np.empty(0), empty, empty)
         tree, tree_ids = m._index()
         cents = tree.data  # row r is cluster tree_ids[r]; ids ascending
         hits = tree.query_ball_point(cents, search_radius)  # inclusive cutoff
@@ -130,7 +131,8 @@ def _stars(cluster_map: ClusterMap, search_radius: float) -> _Stars:
             _EdgeData(nids[a : a + n], lengths[a : a + n], phis[a : a + n], labels[a : a + n])
             for a, n in zip(offsets.tolist(), counts.tolist())
         )
-        return _Stars(tuple(ids), stars, anchor_labels, counts, offsets, lengths, labels)
+        by_length = np.argsort(lengths, kind="stable")
+        return _Stars(tuple(ids), stars, anchor_labels, counts, rows, lengths, labels, by_length)
 
     return cluster_map.derived(("stars", search_radius), build)
 
@@ -237,25 +239,26 @@ def edge_pair_distance(
     return _candidate_distances(local, global_, np.array([i]), np.array([j]), params)[0]
 
 
-def _length_bounds(local: _EdgeData, stars: _Stars, tol: float) -> np.ndarray:
-    """Upper bound, per star, on one-to-one pairs of a local edge and a star
-    edge with equal labels and a length gap below tol.
-
-    The bound is min(na, nb): na counts local edges with a partner in the
-    star, nb the star's edges with a local partner. Empty stars get 0.
-    """
-    close = (np.abs(local.lengths[:, None] - stars.lengths[None, :]) < tol) & (
-        local.labels[:, None] == stars.labels[None, :]
-    )
-    bounds = np.zeros(len(stars.counts), dtype=int)
-    filled = stars.counts > 0
-    if filled.any():
-        # reduceat gives a[start] for an empty segment, so empty stars get no start
-        starts = stars.offsets[filled]
-        na = np.logical_or.reduceat(close, starts, axis=1).sum(axis=0)
-        nb = np.add.reduceat(close.any(axis=0), starts)
-        bounds[filled] = np.minimum(na, nb)
-    return bounds
+def _length_gate(local: _Stars, glob: _Stars, tol: float) -> np.ndarray:
+    """Upper bound, per (local star, global star), on one-to-one pairs of
+    their edges with equal labels and a length gap below tol: min(na, nb),
+    na counting local edges with a partner in the global star and nb the
+    reverse; 0 for empty stars. A 2 * tol window only bounds the search."""
+    n_local, n_glob, n_edges = len(local.counts), len(glob.counts), len(glob.lengths)
+    ordered = glob.lengths[glob.by_length]
+    lo = np.searchsorted(ordered, local.lengths - 2.0 * tol, side="left")
+    width = np.searchsorted(ordered, local.lengths + 2.0 * tol, side="right") - lo
+    a = np.repeat(np.arange(len(local.lengths)), width)
+    b = glob.by_length[np.arange(len(a)) - np.repeat(np.cumsum(width) - width - lo, width)]
+    close = (np.abs(local.lengths[a] - glob.lengths[b]) < tol) & (local.labels[a] == glob.labels[b])
+    a, b = a[close], b[close]
+    ea = np.sort(a * n_glob + glob.owners[b])  # (local edge, global star) keys
+    eb = np.sort(local.owners[a] * n_edges + b)  # (local star, global edge) keys
+    # np.sort plus a neighbour compare: np.unique (numpy 2.4) is ~10x slower here
+    ea, eb = ea[np.diff(ea, prepend=-1) != 0], eb[np.diff(eb, prepend=-1) != 0]
+    na = np.bincount(local.owners[ea // n_glob] * n_glob + ea % n_glob, minlength=n_local * n_glob)
+    nb = np.bincount(eb // n_edges * n_glob + glob.owners[eb % n_edges], minlength=n_local * n_glob)
+    return np.minimum(na, nb).reshape(n_local, n_glob)
 
 
 def _matched_edges(local: _EdgeData, global_: _EdgeData, params: AssociationParams) -> int:
@@ -288,14 +291,14 @@ def associate_maps(
     glob = _stars(global_map, params.search_radius)
     # Stars too small to collect enough sub-edge pairs are never scored.
     live = glob.counts - 1 >= need
+    # Cheap exact reject: no candidate pair can collect need one-to-one
+    # sub-edge pairs when the length bound says fewer exist.
+    bounds = _length_gate(local, glob, params.length_tolerance)
     pairs: list[MatchPair] = []
-    for lid, star, label in zip(local.ids, local.stars, local.anchor_labels):
+    for lid, star, label, bound in zip(local.ids, local.stars, local.anchor_labels, bounds):
         if star.count - 1 < need:
             continue
-        # Cheap exact reject: no candidate pair can collect need one-to-one
-        # sub-edge pairs when the length bound says fewer exist.
-        keep = live & (glob.anchor_labels == label)
-        keep &= _length_bounds(star, glob, params.length_tolerance) >= need
+        keep = live & (glob.anchor_labels == label) & (bound >= need)
         best: tuple[int, int] | None = None  # (matched edges, global id)
         for s in np.flatnonzero(keep):
             k_e = _matched_edges(star, glob.stars[s], params)

@@ -4,7 +4,8 @@ Subcommands cover the whole workflow: simulate a dataset, build a cluster map
 from labeled frames, relocalize one map inside another, run the online
 localization pipeline, and batch-evaluate either stage.
 
-Exit codes: 0 success, 2 usage, 3 bad input data, 4 relocalization failure.
+Exit codes: 0 success, 2 usage, 3 bad input data or an unwritable output, 4
+relocalization failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .cluster_map import ClusterMap
 from .config import Config, default_config, dump_config, load_config
@@ -84,6 +86,16 @@ def _bounded_range(frames: slice, n: int) -> tuple[int, int]:
     return start, stop
 
 
+def _check_out(path, tree: bool = False) -> None:
+    """Fail before any work unless the output's parent is a directory; for a
+    tree made with its parents, the nearest existing of path and ancestors."""
+    parent = Path(path).parent
+    if tree:
+        parent = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not parent.is_dir():
+        raise PolemapError(f"{path}: {parent} is not a directory")
+
+
 def _odometry_increments(odometry) -> tuple:
     increments = []
     for (_, prev), (ts, curr) in zip(odometry, odometry[1:]):
@@ -92,6 +104,9 @@ def _odometry_increments(odometry) -> tuple:
 
 
 def _cmd_simulate(args) -> int:
+    _check_out(args.out, tree=True)
+    if args.map:  # a map path inside the dataset tree is created with it
+        _check_out(args.map, tree=Path(args.out).resolve() in Path(args.map).resolve().parents)
     cfg = _load_config(args.config)
     scene = _generate_scene(cfg)
     run = simulate_run(scene, cfg.trajectory, cfg.drift, cfg.sensor)
@@ -114,6 +129,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_build_map(args) -> int:
+    _check_out(args.out)
     cfg = _load_config(args.config)
     dataset = Dataset(args.data)
     if args.poses == "odometry":
@@ -184,6 +200,7 @@ def _run_localization(cfg: Config, data: str, map_path: str):
 
 
 def _cmd_localize(args) -> int:
+    _check_out(args.out)
     cfg = _load_config(args.config)
     true_poses, _, result = _run_localization(cfg, args.data, args.map)
     save_poses(args.out, result.trajectory)
@@ -194,6 +211,8 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.out:
+        _check_out(args.out)
     cfg = _load_config(args.config)
     if args.mode == "reloc":
         scene = _generate_scene(cfg)
@@ -309,7 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PolemapError as exc:
+    except (PolemapError, OSError) as exc:  # OSError: a write no up-front check foresaw
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

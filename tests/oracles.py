@@ -244,6 +244,31 @@ def oracle_length_matching(a_lengths, a_labels, b_lengths, b_labels, tol: float)
     return count
 
 
+def oracle_length_bounds(local_lengths, local_labels, stars, tol: float) -> np.ndarray:
+    """The length bound of one local star against every star of a map, from
+    a dense (local edge x map edge) matrix.
+
+    stars is an association._Stars whose edges lie star after star. The
+    bound per star is min(na, nb): na counts local edges with an equal-label
+    partner in the star whose length gap is below tol, nb the star's edges
+    with such a local partner. Empty stars get 0.
+    """
+    local_lengths = np.asarray(local_lengths, dtype=float)
+    local_labels = np.asarray(local_labels, dtype=int)
+    close = (np.abs(local_lengths[:, None] - stars.lengths[None, :]) < tol) & (
+        local_labels[:, None] == stars.labels[None, :]
+    )
+    bounds = np.zeros(len(stars.counts), dtype=int)
+    filled = stars.counts > 0
+    if filled.any():
+        # reduceat gives a[start] for an empty segment, so empty stars get no start
+        starts = (np.cumsum(stars.counts) - stars.counts)[filled]
+        na = np.logical_or.reduceat(close, starts, axis=1).sum(axis=0)
+        nb = np.add.reduceat(close.any(axis=0), starts)
+        bounds[filled] = np.minimum(na, nb)
+    return bounds
+
+
 def _oracle_rigid_fit(src, dst):
     """Kabsch fit of one sample as (rotation, translation), None if degenerate."""
     c_src = src.mean(axis=0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polemap import (
@@ -15,9 +15,11 @@ from polemap import (
     MatchPair,
     associate_maps,
     edge_pair_distance,
+    load_map,
+    save_map,
     sub_edge_distance,
 )
-from polemap.association import _EdgeData, _length_bounds, _Stars, _stars
+from polemap.association import _EdgeData, _length_gate, _Stars, _stars
 from conftest import (
     association_scene,
     cluster_points,
@@ -30,6 +32,7 @@ from oracles import (
     embedding_distance,
     oracle_associate,
     oracle_edge_stars,
+    oracle_length_bounds,
     oracle_length_matching,
 )
 
@@ -107,6 +110,8 @@ def assert_stars_match_reference(cluster_map, radius):
         assert (np.lexsort((star.neighbor_ids, star.lengths)) == np.arange(star.count)).all()
     flat = np.concatenate([np.empty(0)] + [want[1] for want in stars])
     assert same_bytes(got.lengths, flat)
+    assert np.array_equal(got.owners, np.repeat(np.arange(len(stars)), got.counts))
+    assert np.array_equal(got.by_length, np.argsort(flat, kind="stable"))
     return got
 
 
@@ -374,29 +379,82 @@ def edge_star(edge_list) -> _EdgeData:
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(local=edges, star_edges=st.lists(edges, min_size=1, max_size=6))
-def test_length_bound_never_below_greedy_matching(local, star_edges):
-    tol = 0.25
+def flat_stars(star_edges) -> _Stars:
+    """_Stars of one star per list of (length, label) edges."""
     stars = [edge_star(e) for e in star_edges]
-    counts = np.array([star.count for star in stars])
-    flat = _Stars(
+    counts = np.array([star.count for star in stars], dtype=int)
+    lengths = np.concatenate([np.empty(0)] + [star.lengths for star in stars])
+    return _Stars(
         tuple(range(len(stars))),
         tuple(stars),
         np.zeros(len(stars), dtype=int),
         counts,
-        np.cumsum(counts) - counts,
-        np.concatenate([star.lengths for star in stars]),
-        np.concatenate([star.labels for star in stars]),
+        np.repeat(np.arange(len(stars)), counts),
+        lengths,
+        np.concatenate([np.empty(0, dtype=int)] + [star.labels for star in stars]),
+        np.argsort(lengths, kind="stable"),
     )
-    bounds = _length_bounds(edge_star(local), flat, tol)
-    for bound, star in zip(bounds, stars):
+
+
+@settings(max_examples=300, deadline=None)
+@given(local=edges, star_edges=st.lists(edges, min_size=1, max_size=6))
+def test_length_bound_never_below_greedy_matching(local, star_edges):
+    tol = 0.25
+    (bounds,) = _length_gate(flat_stars([local]), flat_stars(star_edges), tol)
+    for bound, star in zip(bounds, star_edges):
         exact = oracle_length_matching(
-            [d for d, _ in local], [c for _, c in local], star.lengths, star.labels, tol
+            [d for d, _ in local], [c for _, c in local], [d for d, _ in star], [c for _, c in star],
+            tol,
         )
         assert bound >= exact
-        if star.count == 0:
+        if not star:
             assert bound == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    local_stars=st.lists(edges, max_size=4),
+    star_edges=st.lists(edges, max_size=6),
+    tol=st.sampled_from([0.125, 0.25, 0.3]),
+)
+# gaps of exactly tol on the 1/8 grid, an empty global star, no local edges
+@example(local_stars=[[(1.0, 0), (2.0, 1)]], star_edges=[[(1.25, 0), (0.75, 0)], [], [(2.25, 1)]],
+         tol=0.25)
+@example(local_stars=[[], []], star_edges=[[(1.0, 0)]], tol=0.25)
+def test_length_gate_equals_dense_oracle(local_stars, star_edges, tol):
+    glob = flat_stars(star_edges)
+    got = _length_gate(flat_stars(local_stars), glob, tol)
+    assert got.shape == (len(local_stars), len(star_edges))
+    for row, local in zip(got, local_stars):
+        want = oracle_length_bounds([d for d, _ in local], [c for _, c in local], glob, tol)
+        assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("mutation", ["add", "remove", "merge_points"])
+def test_length_gate_follows_mutation_between_calls(rng, tmp_path, mutation):
+    local, global_map = association_scene(rng)
+    target = global_map.get(associate_maps(local, global_map)[0].global_id)
+    if mutation == "add":
+        global_map.remove(target.cluster_id)
+    before = associate_maps(local, global_map)
+    if mutation == "add":
+        global_map.add(target.label, target.points)
+    elif mutation == "remove":
+        global_map.remove(target.cluster_id)
+    else:
+        global_map.merge_points(target.cluster_id, target.points + (30.0, 0.0, 0.0))
+    after = associate_maps(local, global_map)
+    save_map(global_map, tmp_path / "map.txt")
+    fresh = load_map(tmp_path / "map.txt")
+    assert after != before
+    assert after == associate_maps(local, fresh)
+    params = AssociationParams()
+    gates = [
+        _length_gate(_stars(local, params.search_radius), _stars(m, params.search_radius),
+                     params.length_tolerance)
+        for m in (global_map, fresh)
+    ]
+    assert np.array_equal(*gates)
 
 
 def test_associate_maps_output_sorted_and_deterministic(rng):

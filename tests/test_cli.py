@@ -234,6 +234,54 @@ def test_data_errors_exit_3(workspace, tmp_path, capsys):
     assert "out of bounds" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["build-map", "--data", "{data}", "--out", "{missing}/x.txt"], id="build-map"),
+        pytest.param(["localize", "--data", "{data}", "--map", "{map}", "--out", "{missing}/x.txt"],
+                     id="localize"),
+        pytest.param(["evaluate", "--mode", "loc", "--data", "{data}", "--map", "{map}",
+                      "--out", "{missing}/x.csv"], id="evaluate-loc"),
+        # the default 50 trials per retention would run for minutes before writing
+        pytest.param(["evaluate", "--mode", "reloc", "--out", "{missing}/x.csv"],
+                     id="evaluate-reloc"),
+        pytest.param(["simulate", "--out", "{file}/x"], id="simulate"),
+        pytest.param(["simulate", "--out", "{tmp}/d", "--map", "{file}/m.txt"], id="simulate-map"),
+        pytest.param(["simulate", "--out", "{tmp}/d", "--map", "{missing}/m.txt"],
+                     id="simulate-map-missing-dir"),
+    ],
+)
+def test_unwritable_output_exits_3_before_any_work(workspace, tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("generate_scene", "extract_clusters", "run_pipeline", "load_map"):
+        monkeypatch.setattr(f"polemap.cli.{name}", no_work)
+    (tmp_path / "file").write_text("", encoding="ascii")
+    paths = {
+        "data": workspace / "data",
+        "map": workspace / "data" / "map.txt",
+        "missing": tmp_path / "missing",
+        "file": tmp_path / "file",
+        "tmp": tmp_path,
+    }
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ")
+    assert "is not a directory" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_failed_write_exits_3(workspace, tmp_path, capsys):
+    # the parent exists, but the output path is itself a directory
+    code = main(["build-map", "--data", str(workspace / "data"), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ")
+    assert str(tmp_path) in captured.err
+
+
 def test_non_finite_point_file_exits_3(workspace, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace / "data", data)
