@@ -10,9 +10,11 @@ label code per point, a Cluster its (n, 3) member coordinates.
 
 A merge updates the centroid at the cost of the new points only. numpy's mean
 over axis 0 of a C-ordered (n, 3) array adds the rows one after another, so
-the map keeps each merged cluster's coordinate sum and folds new rows onto it
-in the same order: the centroid stays bitwise equal to the mean of all
-members.
+the map keeps each cluster's coordinate sum and folds new rows onto it in the
+same order: the centroid stays bitwise equal to the mean of every point the
+cluster observed. With a positive voxel size, add and merge_points keep only
+the first point seen in each voxel as a member, so members stay bounded while
+the centroid and the observed count still cover every point.
 """
 
 from __future__ import annotations
@@ -42,6 +44,40 @@ def _finite_points(xyz) -> np.ndarray:
     return arr
 
 
+# A cell coordinate from this magnitude on is no longer an exact integer.
+_EXACT_CELL = 2.0**53
+
+
+def voxel_keys(points, voxel_size: float) -> list:
+    """Hashable key of the voxel of each row of (n, 3) points.
+
+    A key is the bytes of the floored float64 cell coordinates, so no index
+    is ever cast to an integer and none can wrap. A point whose cell
+    coordinate is not exact (2**53 cells or more from the origin, or past
+    the float range) gets a key equal to no other, so it is always kept.
+    """
+    with np.errstate(over="ignore"):  # an overflow to inf is caught below
+        cells = np.floor(np.asarray(points, dtype=float).reshape(-1, 3) / voxel_size)
+    cells += 0.0  # -0.0 becomes 0.0
+    keys = np.ascontiguousarray(cells).view(np.dtype((np.void, 24))).ravel().tolist()
+    for row in np.flatnonzero(~(np.abs(cells) < _EXACT_CELL)) // 3:
+        keys[row] = object()
+    return keys
+
+
+def _claim(occupied: set, keys) -> list[int]:
+    """Rows whose key is not yet in occupied, the first row of each key;
+    their keys are added to occupied."""
+    if occupied.issuperset(keys):  # the common case once a landmark is covered
+        return []
+    rows = []
+    for row, key in enumerate(keys):
+        if key not in occupied:
+            occupied.add(key)
+            rows.append(row)
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """One labeled scan: a timestamp, (n, 3) sensor-frame points and their
@@ -64,14 +100,21 @@ class Frame:
 class Cluster:
     """A group of same-landmark points, (n, 3) float64, with their centroid.
 
-    Treated as immutable outside ClusterMap; registration appends points
-    through the owning map so the centroid and index stay consistent.
+    observed counts every point the centroid averages; it is at least the
+    number of members and defaults to it. Treated as immutable outside
+    ClusterMap; registration appends points through the owning map so the
+    centroid and index stay consistent.
     """
 
     cluster_id: int
     label: int  # POLE or TRUNK
     points: np.ndarray = field(repr=False)
     centroid3d: np.ndarray = field(repr=False)
+    observed: int | None = None
+
+    def __post_init__(self):
+        if self.observed is None:
+            self.observed = len(self.points)
 
     @classmethod
     def from_points(cls, cluster_id: int, label: int, points) -> "Cluster":
@@ -99,8 +142,13 @@ class ClusterMap:
         self._next_id = 0
         # Values computed from the clusters; every mutation clears them.
         self._derived: dict = {}
-        # Coordinate sum of each cluster merged into, taken on its first merge.
+        # Coordinate sum of every point each cluster observed. A cluster
+        # stored by insert starts from centroid3d * observed on its first merge.
         self._sums: dict[int, np.ndarray] = {}
+        # Voxel keys of each cluster's members on the grid of _voxel_size,
+        # built from the members on the first capped merge.
+        self._voxels: dict[int, set] = {}
+        self._voxel_size = 0.0
 
     def __len__(self) -> int:
         return len(self._clusters)
@@ -125,10 +173,22 @@ class ClusterMap:
             self._derived[key] = build(self)
         return self._derived[key]
 
-    def add(self, label: int, points) -> Cluster:
-        """Create a cluster from points, assign the next free id, store it."""
+    def add(self, label: int, points, voxel_size: float = 0.0, keys=None) -> Cluster:
+        """Create a cluster from points, assign the next free id, store it.
+
+        With a positive voxel_size only the first point in each voxel becomes
+        a member; the centroid and observed count cover every point. keys, if
+        given, are voxel_keys(points, voxel_size).
+        """
         cluster = Cluster.from_points(self._next_id, label, points)
-        self._clusters[cluster.cluster_id] = cluster
+        cid = cluster.cluster_id
+        self._sums[cid] = cluster.points.sum(axis=0)
+        if voxel_size > 0:
+            occupied = self._voxel_sets(voxel_size)[cid] = set()
+            if keys is None:
+                keys = voxel_keys(cluster.points, voxel_size)
+            cluster.points = cluster.points[_claim(occupied, keys)]
+        self._clusters[cid] = cluster
         self._next_id += 1
         self._derived.clear()
         return cluster
@@ -144,26 +204,53 @@ class ClusterMap:
     def remove(self, cluster_id: int) -> None:
         del self._clusters[cluster_id]
         self._sums.pop(cluster_id, None)
+        self._voxels.pop(cluster_id, None)
         self._derived.clear()
 
-    def merge_points(self, cluster_id: int, new_points) -> Cluster:
-        """Append points to an existing cluster and update its centroid.
+    def _voxel_sets(self, voxel_size: float) -> dict[int, set]:
+        """Member voxel keys by cluster id, emptied when the voxel size changes."""
+        if voxel_size != self._voxel_size:
+            self._voxels.clear()
+            self._voxel_size = voxel_size
+        return self._voxels
 
-        The centroid becomes the mean of all members, bitwise equal to
-        points.mean(axis=0), at a cost that grows with the new points only:
-        the new rows are folded one by one onto the kept coordinate sum. A
-        loaded cluster's stored centroid is replaced on its first merge.
-        Non-finite points raise ValueError and leave the cluster unchanged.
+    def merge_points(self, cluster_id: int, new_points, voxel_size: float = 0.0,
+                     keys=None) -> Cluster:
+        """Fold points into an existing cluster and update its centroid.
+
+        The centroid becomes the mean of every point observed, bitwise equal
+        to the mean of all of them in order, at a cost that grows with the
+        new points only: the new rows are folded one by one onto the kept
+        coordinate sum. A cluster stored by insert (a loaded one) starts that
+        sum from centroid3d * observed, so its stored weight carries over.
+        Every new point is appended as a member, or with a positive
+        voxel_size only those in a voxel the cluster has no member in yet,
+        the first point seen winning. keys, if given, are
+        voxel_keys(new_points, voxel_size). Non-finite points raise
+        ValueError and leave the cluster unchanged.
         """
         cluster = self._clusters[cluster_id]
         new_points = _finite_points(new_points)
         total = self._sums.get(cluster_id)
         if total is None:
-            total = cluster.points.sum(axis=0)
+            total = cluster.centroid3d * cluster.observed
         total = np.concatenate([total[None], new_points]).sum(axis=0)
+        if voxel_size > 0:
+            sets = self._voxel_sets(voxel_size)
+            occupied = sets.get(cluster_id)
+            if occupied is None:
+                occupied = sets[cluster_id] = set(voxel_keys(cluster.points, voxel_size))
+            if keys is None:
+                keys = voxel_keys(new_points, voxel_size)
+            kept = new_points[_claim(occupied, keys)]
+        else:
+            kept = new_points
+            self._voxels.pop(cluster_id, None)
         self._sums[cluster_id] = total
-        cluster.points = np.concatenate([cluster.points, new_points])
-        cluster.centroid3d = total / cluster.n_points
+        if len(kept):
+            cluster.points = np.concatenate([cluster.points, kept])
+        cluster.observed += len(new_points)
+        cluster.centroid3d = total / cluster.observed
         self._derived.clear()
         return cluster
 

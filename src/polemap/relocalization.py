@@ -36,6 +36,10 @@ class RelocalizationFailure(Exception):
         self.reason = reason
 
 
+# 50x the default; the sample memo then holds at most 15 MB.
+MAX_RANSAC_ITERATIONS = 10_000
+
+
 @dataclass(frozen=True)
 class RelocParams:
     consistency_tolerance: float = 0.5
@@ -49,8 +53,8 @@ class RelocParams:
     def __post_init__(self):
         if self.min_pairs < 3:
             raise ValueError("min_pairs must be at least 3")
-        if self.ransac_iterations < 1:
-            raise ValueError("ransac_iterations must be at least 1")
+        if not 1 <= self.ransac_iterations <= MAX_RANSAC_ITERATIONS:
+            raise ValueError(f"ransac_iterations must lie in 1..{MAX_RANSAC_ITERATIONS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

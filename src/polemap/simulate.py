@@ -22,6 +22,14 @@ from .localization import OdometryIncrement
 POLE_HEIGHT = 4.0
 TRUNK_HEIGHT = 2.5
 
+# Caps on the size of a simulation, checked when a spec is built, before any
+# allocation or loop. The largest drive in use (the benchmark's two 600 m
+# laps) has 481 frames of 40 points per landmark and no clutter; each cap
+# leaves a margin of 200x or more.
+MAX_FRAMES = 100_000
+MAX_POINTS_PER_CLUSTER = 10_000
+MAX_CLUTTER_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -40,6 +48,8 @@ class SceneSpec:
             raise ValueError("label_mix must lie in [0, 1]")
         if self.min_spacing < 0 or self.points_per_cluster < 1:
             raise ValueError("invalid scene spec")
+        if self.points_per_cluster > MAX_POINTS_PER_CLUSTER:
+            raise ValueError(f"points_per_cluster must be at most {MAX_POINTS_PER_CLUSTER}")
         if self.point_noise_sigma < 0:
             raise ValueError("point_noise_sigma must be non-negative")
         if min(self.area) <= 0:
@@ -79,6 +89,11 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.speed <= 0 or self.frame_period <= 0 or self.length < 0:
             raise ValueError("invalid trajectory spec")
+        if self.length > MAX_FRAMES * self.speed * self.frame_period:
+            raise ValueError(
+                f"trajectory needs more than {MAX_FRAMES} frames: "
+                "length / (speed * frame_period) is too large"
+            )
 
 
 @dataclass(frozen=True)
@@ -94,6 +109,8 @@ class SensorSpec:
             raise ValueError("label_flip_rate must lie in [0, 1]")
         if self.clutter_points < 0:
             raise ValueError("clutter_points must be non-negative")
+        if self.clutter_points > MAX_CLUTTER_POINTS:
+            raise ValueError(f"clutter_points must be at most {MAX_CLUTTER_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -175,6 +192,7 @@ def retain_clusters(cluster_map: ClusterMap, fraction: float, seed: int = 0) -> 
                 cluster.label,
                 cluster.points.copy(),
                 cluster.centroid3d.copy(),
+                cluster.observed,
             )
         )
     return retained

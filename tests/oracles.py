@@ -379,3 +379,44 @@ def oracle_fine_align(pairs, local_map, global_map, init, params):
             return best_pose, best_rms, "converged"
         prev = current
     return best_pose, best_rms, "iterations"
+
+
+def oracle_build_map(frames, merge_radius: float, voxel_size: float) -> dict:
+    """Registration as specified, one point at a time: {id: (label, members,
+    centroid3d, observed)} after registering each (clusters, pose) frame.
+
+    Each frame cluster is posed on its own. Its posed centroid picks the
+    nearest map centroid, as the map stood before the frame, by a linear
+    scan (lowest id on ties); within merge_radius it merges, else it founds
+    the next id with its own label. A centroid is the mean of every point
+    its cluster observed, re-meaned from the full list. With voxel_size > 0
+    a point becomes a member only if no member of its cluster has the same
+    (floor(x / s), floor(y / s), floor(z / s)) cell.
+    """
+    clusters: dict[int, dict] = {}
+    for frame_clusters, pose in frames:
+        before = {cid: c["centroid"][:2] for cid, c in clusters.items()}
+        for frame_cluster in frame_clusters:
+            center = pose.apply(frame_cluster.centroid3d)[:2]
+            best = None
+            for cid in sorted(before):
+                dist = float(np.linalg.norm(before[cid] - center))
+                if best is None or dist < best[0]:
+                    best = (dist, cid)
+            if best is not None and best[0] <= merge_radius:
+                target = clusters[best[1]]
+            else:
+                target = clusters[len(clusters)] = {
+                    "label": frame_cluster.label, "all": [], "members": [], "cells": set()
+                }
+            for point in pose.apply(frame_cluster.points):
+                target["all"].append(point)
+                cell = tuple(math.floor(v / voxel_size) for v in point) if voxel_size > 0 else None
+                if cell is None or cell not in target["cells"]:
+                    target["cells"].add(cell)
+                    target["members"].append(point)
+            target["centroid"] = np.array(target["all"]).mean(axis=0)
+    return {
+        cid: (c["label"], np.array(c["members"]), c["centroid"], len(c["all"]))
+        for cid, c in clusters.items()
+    }

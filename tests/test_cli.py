@@ -378,6 +378,59 @@ def test_bad_simulator_spec_exits_3(tmp_path, capsys, text, error):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_voxel_size_exits_3(workspace, tmp_path, capsys, value):
+    cfg = tmp_path / "voxel.cfg"
+    cfg.write_text(f"registration.voxel_size = {value}\n", encoding="ascii")
+    out = tmp_path / "built.txt"
+    code = main(["build-map", "--data", str(workspace / "data"), "--out", str(out),
+                 "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(f"error: {cfg}")
+    assert "voxel_size" in captured.err
+    assert not out.exists()
+
+
+# Values that once ran out of memory or time; each must stop at its cap
+# while the config loads, before any allocation or loop.
+@pytest.mark.parametrize(
+    "text, command, error",
+    [
+        ("trajectory.speed = 1e-12", ["simulate", "--out", "data"],
+         "trajectory needs more than 100000 frames"),
+        ("trajectory.frame_period = 1e-12", ["simulate", "--out", "data"],
+         "trajectory needs more than 100000 frames"),
+        ("scene.points_per_cluster = 1000000000", ["simulate", "--out", "data"],
+         "points_per_cluster must be at most 10000"),
+        ("sensor.clutter_points = 1000000000", ["simulate", "--out", "data"],
+         "clutter_points must be at most 100000"),
+        ("reloc.ransac_iterations = 1000000000", ["evaluate", "--mode", "reloc", "--trials", "1"],
+         "ransac_iterations must lie in 1..10000"),
+    ],
+    ids=["speed", "frame-period", "points-per-cluster", "clutter-points", "ransac-iterations"],
+)
+def test_oversized_work_exits_3(tmp_path, capsys, monkeypatch, text, command, error):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text + "\n", encoding="ascii")
+    code = main([*command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(f"error: {cfg}: {error}")
+    assert not (tmp_path / "data").exists()
+
+
+def test_bad_observed_count_exits_3(workspace, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("polemap-map 2\nlabels pole=5 trunk=6\n"
+                    "cluster 0 pole 1.0 2.0 0.5 1.0 2.0 4 3\n", encoding="ascii")
+    code = main(["relocalize", "--local", str(path), "--map", str(workspace / "data" / "map.txt")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(f"error: {path}:3: observed count must lie in npoints")
+
+
 # README demo config on a 40 m drive. The digests pin the bytes that
 # simulate, build-map and localize write, and the stdout of relocalizing the
 # built map in the simulated one; any change to them is a change of output
@@ -395,13 +448,13 @@ drift.noise_sigma = 0.004
 drift.seed = 7
 """
 GOLDEN_SHA256 = {
-    "data/map.txt": "b2244332b901b7795bd13eeb155a194cc65f80043f3dbb92c7eb3c9ddde3645d",
+    "data/map.txt": "9a6b1b8203547df1f4557e1314352f2e7da011862435c22c0946393161b25aa8",
     "data/map.txt.points": "a95d5350bcd29396d903b990399701c95a3c20663ed39053cd2ad2b72bbc196b",
-    "built.txt": "9e6ae033216076a91288b3151f9b02b54d6ad15e16bc6f5b7809157da11cdb63",
-    "built.txt.points": "9333ef8582bc17ee45b5fdcb916c7bc41e68ecb9a520d33f21a6a5d313f66945",
-    "estimated.txt": "b4a5e503d757060aedc00bafbe28c7a482d097bf6534ac5e9193b6ab50e5dff3",
+    "built.txt": "facdb537e75809ae264a43bc154eb6b76416ab7c2a1a0820474bd70dc5dc7b80",
+    "built.txt.points": "eddd84b20c58bb77ec8d36718151fe5c1e9d9f8690efdac0d84f328010a73446",
+    "estimated.txt": "c03359b4218108b18a40526547af8dca2a8081a8ddcd9230dc9094c2a0662136",
 }
-GOLDEN_RELOCALIZE_SHA256 = "cc60a346b696729e34f26f26f9a604eff3a145ecba2670023d21b5e6da77ae4d"
+GOLDEN_RELOCALIZE_SHA256 = "a2ed8357c1bf6b082db50ba30af9ddc737574dc36f4be589ca40eb3e63496525"
 
 
 def test_outputs_are_byte_exact(tmp_path, capsys):
@@ -415,7 +468,7 @@ def test_outputs_are_byte_exact(tmp_path, capsys):
     assert capsys.readouterr().out.split("\n") == [
         "frames 17", "clusters 70", "length 40.000",
         "clusters 37", "density 0.925000",
-        "fixes 17 attempts 17", "rmse 0.025781", "",
+        "fixes 17 attempts 17", "rmse 0.026175", "",
     ]
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
@@ -435,6 +488,6 @@ def test_config_output_is_byte_exact(tmp_path, capsys):
         assert main(["config", *extra]) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest())
     assert digests == [
-        "f6ce1ab0246c74cb4f545f2f4a98e94a9fc7408e3e7777f2b09373538cff53b3",
-        "8b261cc52fdbb66624d94101dbf555010aedee911df1f309f4c5cc5a4c387f50",
+        "0d63f820496475a64040c9c1e6b97c89d965da1bb3468f50b9b0e331db9379bc",
+        "d234ad88b31456ce3ea6a4def0c6f8c52704e3d53da7d6de90c44a0a69dd8c2c",
     ]

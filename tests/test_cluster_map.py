@@ -99,42 +99,46 @@ def test_merged_centroid_is_bitwise_the_mean_of_all_members(seed, ops):
         assert np.array_equal(cluster.centroid3d, cluster.points.mean(axis=0))
 
 
-def remeaned(cluster_map, merges) -> ClusterMap:
-    """A copy of the map with each (id, points) merge applied by re-meaning
-    every member, the way merge_points once computed centroids."""
+def folded(cluster_map, merges) -> ClusterMap:
+    """A copy of the map with each (id, points) merge applied the way a
+    loaded cluster takes it: the new rows are summed onto centroid3d *
+    observed, in order, and appended as members."""
     copy = ClusterMap()
     for cluster in cluster_map:
-        points = cluster.points
-        centroid = cluster.centroid3d
-        for cid, new in merges:
-            if cid == cluster.cluster_id:
-                points = np.concatenate([points, new])
-                centroid = points.mean(axis=0)
-        copy.insert(Cluster(cluster.cluster_id, cluster.label, points, centroid))
+        new = [points for cid, points in merges if cid == cluster.cluster_id]
+        if not new:
+            copy.insert(cluster)
+            continue
+        rows = np.concatenate([(cluster.centroid3d * cluster.observed)[None], *new])
+        observed = len(rows) - 1 + cluster.observed
+        copy.insert(Cluster(cluster.cluster_id, cluster.label,
+                            np.concatenate([cluster.points, *new]),
+                            rows.sum(axis=0) / observed, observed))
     return copy
 
 
 @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no-sidecar"])
-def test_merge_into_loaded_cluster_matches_remean(tmp_path, rng, sidecar):
+def test_merge_into_loaded_cluster_continues_stored_weight(tmp_path, rng, sidecar):
     original = ClusterMap()
     for k in range(4):
         original.add(POLE, cluster_points(rng, (250.0 + 10 * k, -280.0, 2.0), n=30))
     path = tmp_path / "map.txt"
     save_map(original, path, include_points=sidecar)
     loaded = load_map(path)
-    before = remeaned(loaded, [])
+    assert [c.observed for c in loaded] == [30] * 4
+    before = load_map(path)
     merges = [(1, cluster_points(rng, (260.0, -280.0, 2.0), n=7)),
               (1, cluster_points(rng, (260.0, -280.0, 2.0), n=1)),
               (3, cluster_points(rng, (280.0, -280.0, 2.0), n=12))]
     for cid, new in merges:
         loaded.merge_points(cid, new)
-    # a cluster never merged keeps its stored centroid, which with a sidecar
-    # is not the mean of the float32 points read back
+    # the stored centroid weighs its 30 observed points, with or without
+    # the sidecar's members
+    assert [c.observed for c in loaded] == [30, 38, 30, 42]
     kept = loaded.get(0)
     assert np.array_equal(kept.centroid3d, original.get(0).centroid3d)
-    assert np.array_equal(kept.centroid3d, kept.points.mean(axis=0)) != sidecar
     want, got = tmp_path / "want.txt", tmp_path / "got.txt"
-    save_map(remeaned(before, merges), want)
+    save_map(folded(before, merges), want)
     save_map(loaded, got)
     assert got.read_bytes() == want.read_bytes()
     assert (tmp_path / "got.txt.points").read_bytes() == (tmp_path / "want.txt.points").read_bytes()

@@ -254,8 +254,8 @@ def test_map_header_validation(tmp_path):
     path.write_text("polemap-map one\n", encoding="ascii")
     with pytest.raises(MapFormatError, match="bad version"):
         load_map(path)
-    path.write_text("polemap-map 2\nlabels pole=5 trunk=6\n", encoding="ascii")
-    with pytest.raises(MapFormatError, match="unsupported map version 2"):
+    path.write_text("polemap-map 3\nlabels pole=5 trunk=6\n", encoding="ascii")
+    with pytest.raises(MapFormatError, match="unsupported map version 3"):
         load_map(path)
     path.write_text("polemap-map 1\n", encoding="ascii")
     with pytest.raises(MapFormatError, match="missing labels"):
@@ -295,3 +295,69 @@ def test_map_duplicate_id_rejected(tmp_path):
     path.write_text(head + row + row, encoding="ascii")
     with pytest.raises(MapFormatError, match="duplicate cluster id"):
         load_map(path)
+
+
+def test_version_1_map_loads_with_observed_equal_to_npoints(tmp_path):
+    path = tmp_path / "v1.txt"
+    path.write_text(
+        "polemap-map 1\nlabels pole=5 trunk=6\n"
+        "cluster 0 pole 1.0 2.0 0.5 1.0 2.0 3\n"
+        "cluster 4 trunk -1.5 2.25 0.75 -1.5 2.25 1\n",
+        encoding="ascii",
+    )
+    points = np.array([[0.5, 2.0, 0.5], [1.0, 2.0, 0.5], [1.5, 2.0, 0.5], [-1.5, 2.25, 0.75]])
+    points.astype("<f4").tofile(tmp_path / "v1.txt.points")
+    loaded = load_map(path)
+    assert [(c.cluster_id, c.n_points, c.observed) for c in loaded] == [(0, 3, 3), (4, 1, 1)]
+    np.testing.assert_array_equal(loaded.get(0).points, points[:3])
+    save_map(loaded, tmp_path / "v2.txt")
+    assert (tmp_path / "v2.txt").read_text(encoding="ascii").split("\n")[0::2] == [
+        "polemap-map 2",
+        "cluster 0 pole 1.0 2.0 0.5 1.0 2.0 3 3",
+        "",
+    ]
+
+
+@pytest.mark.parametrize(
+    "record, error",
+    [
+        ("1.0 2.0 0.5 1.0 2.0 4", ":3: unexpected line"),
+        ("1.0 2.0 0.5 1.0 2.0 4 four", ":3: unparseable cluster record"),
+        ("1.0 2.0 0.5 1.0 2.0 4 4.0", ":3: unparseable cluster record"),
+        ("1.0 2.0 0.5 1.0 2.0 4 3", ":3: observed count must lie in npoints"),
+        ("1.0 2.0 0.5 1.0 2.0 4 9007199254740993", ":3: observed count must lie in npoints"),
+    ],
+    ids=["missing", "word", "float", "below-npoints", "above-2**53"],
+)
+def test_map_v2_observed_validation(tmp_path, record, error):
+    path = tmp_path / "map.txt"
+    path.write_text(f"polemap-map 2\nlabels pole=5 trunk=6\ncluster 0 pole {record}\n",
+                    encoding="ascii")
+    with pytest.raises(MapFormatError, match=error):
+        load_map(path)
+
+
+def test_map_without_sidecar_keeps_its_weights(tmp_path, rng):
+    original = random_map(rng, 5)
+    for cluster in original:
+        original.merge_points(cluster.cluster_id, rng.normal(cluster.centroid3d, 0.1, size=(32, 3)))
+    first, second, third = (tmp_path / f"{name}.txt" for name in ("first", "second", "third"))
+    save_map(original, first, include_points=False)
+    loaded = load_map(first)
+    save_map(loaded, second, include_points=False)
+    # Each line keeps its centroid and observed count; only npoints becomes
+    # the one synthetic member the load made.
+    want = [line.rsplit(" ", 2) for line in first.read_text(encoding="ascii").split("\n")]
+    got = [line.rsplit(" ", 2) for line in second.read_text(encoding="ascii").split("\n")]
+    assert [w[0] for w in want[2:-1]] == [g[0] for g in got[2:-1]]
+    assert [(w[2], "1") for w in want[2:-1]] == [(g[2], g[1]) for g in got[2:-1]]
+    assert [c.observed for c in loaded] == [c.observed for c in original] == [40] * 5
+    # a second round trip is byte-stable
+    save_map(load_map(second), third, include_points=False)
+    assert third.read_bytes() == second.read_bytes()
+    # the next merge weighs the stored centroid by its 40 observed points
+    new = rng.normal(loaded.get(0).centroid3d, 0.1, size=(10, 3))
+    centroid = loaded.get(0).centroid3d
+    merged = loaded.merge_points(0, new)
+    assert merged.observed == 50
+    np.testing.assert_allclose(merged.centroid3d, (40 * centroid + new.sum(axis=0)) / 50, rtol=0, atol=1e-12)

@@ -6,16 +6,24 @@ import pytest
 from polemap import (
     POLE,
     TRUNK,
+    Cluster,
     ClusterMap,
     PoseSE3,
+    RegistrationParams,
+    SceneSpec,
+    TrajectorySpec,
     build_local_map,
+    generate_scene,
     register_frame,
+    simulate_run,
     transform_clusters,
 )
 from polemap.extraction import ExtractionParams, extract_clusters
-from polemap.cluster_map import Frame
+from polemap.cluster_map import Frame, voxel_keys
 from polemap.geometry import rotation_about_z
+from polemap.map_io import save_map
 from conftest import cluster_points
+from oracles import oracle_build_map
 
 
 def single_cluster(rng, center, label=POLE):
@@ -149,3 +157,88 @@ def test_build_local_map_numbers_from_zero(rng):
     local = build_local_map(frame_clusters, pose)
     assert local.ids() == [0, 1, 2, 3]
     assert len(local) == 4
+
+
+# A closed 150 m loop around the centre of a small scene, 60 frames a lap.
+LAP_FRAMES = 60
+
+
+@pytest.fixture(scope="module")
+def loop_frames():
+    """(clusters, true pose) of each frame of the loop driven four times."""
+    scene = generate_scene(SceneSpec(area=(120.0, 120.0), n_clusters=20, seed=3))
+    lap = 2.5 * LAP_FRAMES
+    run = simulate_run(scene, TrajectorySpec(
+        start=(60.0, 60.0 - lap / (2 * math.pi)), length=4 * lap,
+        turn_rate_deg_per_m=360.0 / lap))
+    return [(extract_clusters(frame), pose)
+            for frame, (_, pose) in zip(run.frames[:4 * LAP_FRAMES], run.true_poses)]
+
+
+def test_laps_after_the_first_add_fewer_members_than_it(loop_frames):
+    cluster_map = ClusterMap()
+    added = []
+    for lap in range(4):
+        before = sum(c.n_points for c in cluster_map)
+        for clusters, pose in loop_frames[lap * LAP_FRAMES:(lap + 1) * LAP_FRAMES]:
+            register_frame(cluster_map, clusters, pose)
+        added.append(sum(c.n_points for c in cluster_map) - before)
+    assert sum(added[1:]) < added[0]
+    observed = sum(c.n_points for clusters, _ in loop_frames for c in clusters)
+    assert sum(c.observed for c in cluster_map) == observed
+    assert sum(c.n_points for c in cluster_map) < observed / 10
+
+
+def _saved(tmp_path, name, cluster_map) -> tuple[bytes, bytes]:
+    path = tmp_path / name
+    save_map(cluster_map, path)
+    return path.read_bytes(), (tmp_path / f"{name}.points").read_bytes()
+
+
+@pytest.mark.parametrize("voxel_size", [0.0, 0.1, 0.25])
+def test_register_matches_point_by_point_reference(tmp_path, loop_frames, voxel_size):
+    # Half a lap and its return: merges into clusters built many frames ago.
+    frames = loop_frames[:30] + loop_frames[LAP_FRAMES:LAP_FRAMES + 10]
+    built = ClusterMap()
+    for clusters, pose in frames:
+        register_frame(built, clusters, pose, RegistrationParams(voxel_size=voxel_size))
+    reference = ClusterMap()
+    for cid, (label, members, centroid, observed) in oracle_build_map(
+            frames, 1.0, voxel_size).items():
+        reference.insert(Cluster(cid, label, members, centroid, observed))
+    assert _saved(tmp_path, "built.txt", built) == _saved(tmp_path, "reference.txt", reference)
+    if voxel_size == 0:
+        assert all(c.n_points == c.observed for c in built)
+    else:
+        assert sum(c.n_points for c in built) < sum(c.observed for c in built) / 3
+
+
+@pytest.mark.parametrize("voxel_size", [1e-12, 1e30])
+def test_extreme_voxel_sizes_never_alias(voxel_size):
+    # Pairs of points one voxel apart, at the origin, across zero and at
+    # growing distances; past 2**53 cells (or the float range) a point gets
+    # a key of its own. No pair may share a key.
+    pairs = [(base, base + voxel_size) for base in (0.0, 300.0, 1e25, 1e300)]
+    pairs.append((-voxel_size / 2, voxel_size / 2))
+    points = np.array([[x, 0.0, 0.0] for pair in pairs for x in pair])
+    keys = voxel_keys(points, voxel_size)
+    assert all(a != b for a, b in zip(keys[::2], keys[1::2]))
+    cluster_map = ClusterMap()
+    for pair in points.reshape(-1, 2, 3):
+        assert cluster_map.add(POLE, pair, voxel_size).n_points == 2
+    # the first pair's cells are exact, so seeing it again adds no member
+    cluster = cluster_map.merge_points(0, points[:2], voxel_size)
+    assert (cluster.n_points, cluster.observed) == (2, 4)
+
+
+def test_voxel_keys_fold_signed_zero_and_keep_far_points_apart():
+    a, b = voxel_keys(np.array([[0.0, -0.0, 0.05], [-0.0, 0.0, 0.0]]), 0.1)
+    assert a == b
+    far = np.array([[np.finfo(float).max, 0.0, 0.0]] * 2)
+    assert len(set(voxel_keys(far, 1e-12))) == 2
+
+
+@pytest.mark.parametrize("voxel_size", [-1.0, math.nan, math.inf])
+def test_voxel_size_must_be_zero_or_positive_finite(voxel_size):
+    with pytest.raises(ValueError, match="voxel_size"):
+        RegistrationParams(voxel_size=voxel_size)
