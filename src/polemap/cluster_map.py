@@ -12,9 +12,10 @@ A merge updates the centroid at the cost of the new points only. numpy's mean
 over axis 0 of a C-ordered (n, 3) array adds the rows one after another, so
 the map keeps each cluster's coordinate sum and folds new rows onto it in the
 same order: the centroid stays bitwise equal to the mean of every point the
-cluster observed. With a positive voxel size, add and merge_points keep only
-the first point seen in each voxel as a member, so members stay bounded while
-the centroid and the observed count still cover every point.
+cluster observed. Given the voxel keys of their points, add and merge_points
+keep only the first point seen in each VOXEL_SIZE voxel as a member, so
+members stay bounded while the centroid and the observed count still cover
+every point.
 """
 
 from __future__ import annotations
@@ -44,12 +45,15 @@ def _finite_points(xyz) -> np.ndarray:
     return arr
 
 
+# Edge of the voxel grid, in meters, on which a capped cluster keeps one
+# member per voxel.
+VOXEL_SIZE = 0.1
 # A cell coordinate from this magnitude on is no longer an exact integer.
 _EXACT_CELL = 2.0**53
 
 
-def voxel_keys(points, voxel_size: float) -> list:
-    """Hashable key of the voxel of each row of (n, 3) points.
+def voxel_keys(points) -> list:
+    """Hashable key of the VOXEL_SIZE voxel of each row of (n, 3) points.
 
     A key is the bytes of the floored float64 cell coordinates, so no index
     is ever cast to an integer and none can wrap. A point whose cell
@@ -57,7 +61,7 @@ def voxel_keys(points, voxel_size: float) -> list:
     the float range) gets a key equal to no other, so it is always kept.
     """
     with np.errstate(over="ignore"):  # an overflow to inf is caught below
-        cells = np.floor(np.asarray(points, dtype=float).reshape(-1, 3) / voxel_size)
+        cells = np.floor(np.asarray(points, dtype=float).reshape(-1, 3) / VOXEL_SIZE)
     cells += 0.0  # -0.0 becomes 0.0
     keys = np.ascontiguousarray(cells).view(np.dtype((np.void, 24))).ravel().tolist()
     for row in np.flatnonzero(~(np.abs(cells) < _EXACT_CELL)) // 3:
@@ -65,17 +69,20 @@ def voxel_keys(points, voxel_size: float) -> list:
     return keys
 
 
-def _claim(occupied: set, keys) -> list[int]:
-    """Rows whose key is not yet in occupied, the first row of each key;
-    their keys are added to occupied."""
+def _claim(occupied: set, keys, points: np.ndarray) -> np.ndarray:
+    """Rows of points whose key is not yet in occupied, the first row of
+    each key; their keys are added to occupied. keys must be
+    voxel_keys(points)."""
+    if len(keys) != len(points):
+        raise ValueError("one voxel key per point required")
     if occupied.issuperset(keys):  # the common case once a landmark is covered
-        return []
+        return points[:0]
     rows = []
     for row, key in enumerate(keys):
         if key not in occupied:
             occupied.add(key)
             rows.append(row)
-    return rows
+    return points[rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,10 +152,9 @@ class ClusterMap:
         # Coordinate sum of every point each cluster observed. A cluster
         # stored by insert starts from centroid3d * observed on its first merge.
         self._sums: dict[int, np.ndarray] = {}
-        # Voxel keys of each cluster's members on the grid of _voxel_size,
-        # built from the members on the first capped merge.
+        # Voxel keys of each capped cluster's members; a cluster stored by
+        # insert gets its set from its members on the first capped merge.
         self._voxels: dict[int, set] = {}
-        self._voxel_size = 0.0
 
     def __len__(self) -> int:
         return len(self._clusters)
@@ -173,21 +179,19 @@ class ClusterMap:
             self._derived[key] = build(self)
         return self._derived[key]
 
-    def add(self, label: int, points, voxel_size: float = 0.0, keys=None) -> Cluster:
+    def add(self, label: int, points, keys=None) -> Cluster:
         """Create a cluster from points, assign the next free id, store it.
 
-        With a positive voxel_size only the first point in each voxel becomes
-        a member; the centroid and observed count cover every point. keys, if
-        given, are voxel_keys(points, voxel_size).
+        Every point becomes a member, or, given keys = voxel_keys(points),
+        only the first point in each voxel; the centroid and observed count
+        cover every point.
         """
         cluster = Cluster.from_points(self._next_id, label, points)
         cid = cluster.cluster_id
         self._sums[cid] = cluster.points.sum(axis=0)
-        if voxel_size > 0:
-            occupied = self._voxel_sets(voxel_size)[cid] = set()
-            if keys is None:
-                keys = voxel_keys(cluster.points, voxel_size)
-            cluster.points = cluster.points[_claim(occupied, keys)]
+        if keys is not None:
+            self._voxels[cid] = set()
+            cluster.points = _claim(self._voxels[cid], keys, cluster.points)
         self._clusters[cid] = cluster
         self._next_id += 1
         self._derived.clear()
@@ -207,15 +211,7 @@ class ClusterMap:
         self._voxels.pop(cluster_id, None)
         self._derived.clear()
 
-    def _voxel_sets(self, voxel_size: float) -> dict[int, set]:
-        """Member voxel keys by cluster id, emptied when the voxel size changes."""
-        if voxel_size != self._voxel_size:
-            self._voxels.clear()
-            self._voxel_size = voxel_size
-        return self._voxels
-
-    def merge_points(self, cluster_id: int, new_points, voxel_size: float = 0.0,
-                     keys=None) -> Cluster:
+    def merge_points(self, cluster_id: int, new_points, keys=None) -> Cluster:
         """Fold points into an existing cluster and update its centroid.
 
         The centroid becomes the mean of every point observed, bitwise equal
@@ -223,10 +219,9 @@ class ClusterMap:
         new points only: the new rows are folded one by one onto the kept
         coordinate sum. A cluster stored by insert (a loaded one) starts that
         sum from centroid3d * observed, so its stored weight carries over.
-        Every new point is appended as a member, or with a positive
-        voxel_size only those in a voxel the cluster has no member in yet,
-        the first point seen winning. keys, if given, are
-        voxel_keys(new_points, voxel_size). Non-finite points raise
+        Every new point is appended as a member, or, given keys =
+        voxel_keys(new_points), only those in a voxel the cluster has no
+        member in yet, the first point seen winning. Non-finite points raise
         ValueError and leave the cluster unchanged.
         """
         cluster = self._clusters[cluster_id]
@@ -235,17 +230,15 @@ class ClusterMap:
         if total is None:
             total = cluster.centroid3d * cluster.observed
         total = np.concatenate([total[None], new_points]).sum(axis=0)
-        if voxel_size > 0:
-            sets = self._voxel_sets(voxel_size)
-            occupied = sets.get(cluster_id)
-            if occupied is None:
-                occupied = sets[cluster_id] = set(voxel_keys(cluster.points, voxel_size))
-            if keys is None:
-                keys = voxel_keys(new_points, voxel_size)
-            kept = new_points[_claim(occupied, keys)]
-        else:
+        if keys is None:
             kept = new_points
-            self._voxels.pop(cluster_id, None)
+            self._voxels.pop(cluster_id, None)  # rebuilt from the members if capped later
+        else:
+            occupied = self._voxels.get(cluster_id)
+            if occupied is None:
+                occupied = set(voxel_keys(cluster.points))
+            kept = _claim(occupied, keys, new_points)
+            self._voxels[cluster_id] = occupied
         self._sums[cluster_id] = total
         if len(kept):
             cluster.points = np.concatenate([cluster.points, kept])

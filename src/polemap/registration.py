@@ -3,15 +3,14 @@
 Each frame's clusters are moved into the map frame and either merged into the
 nearest existing cluster (within merge_radius) or inserted as new landmarks.
 A merged cluster keeps the map side's id and label; the incoming points are
-absorbed and the centroid becomes the mean of every point observed. With a
-positive voxel_size (meters) a cluster keeps at most one member per voxel,
-the first point seen, so members stop growing once a landmark has been
-covered; voxel_size 0 keeps every point.
+absorbed and the centroid becomes the mean of every point observed. A
+cluster keeps at most one member per voxel of the cluster_map.VOXEL_SIZE
+grid (0.1 m), the first point seen, so members stop growing once a landmark
+has been covered.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +22,10 @@ from .geometry import PoseSE3
 @dataclass(frozen=True)
 class RegistrationParams:
     merge_radius: float = 1.0
-    voxel_size: float = 0.1
 
     def __post_init__(self):
         if self.merge_radius <= 0:
             raise ValueError("merge_radius must be positive")
-        if not (self.voxel_size >= 0 and math.isfinite(self.voxel_size)):
-            raise ValueError("voxel_size must be 0 or a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -57,9 +53,9 @@ def register_frame(
 
     Every merge target is looked up before the map changes, so merges within
     the same frame do not shift the search targets. The frame's points are
-    moved with one pose.apply and, with a positive voxel_size, given their
-    voxel keys in one pass; each cluster takes its slice of both. An invalid
-    pose raises ValueError before the map is touched.
+    moved with one pose.apply and given their voxel keys in one pass; each
+    cluster takes its slice of both. An invalid pose raises ValueError
+    before the map is touched.
     """
     params = params or RegistrationParams()
     pose.require_valid()
@@ -67,8 +63,7 @@ def register_frame(
     if not frame_clusters:
         return RegistrationStats(inserted=0, merged=0)
     points = pose.apply(np.concatenate([cluster.points for cluster in frame_clusters]))
-    voxel = params.voxel_size
-    keys = voxel_keys(points, voxel) if voxel > 0 else None
+    keys = voxel_keys(points)
     nearest = cluster_map.nearest_each(
         [pose.apply(cluster.centroid3d)[:2] for cluster in frame_clusters]
     )
@@ -78,12 +73,11 @@ def register_frame(
     for cluster, hit in zip(frame_clusters, nearest):
         start, stop = stop, stop + cluster.n_points
         rows = slice(start, stop)
-        own_keys = None if keys is None else keys[rows]
         if hit is not None and hit[1] <= params.merge_radius:
-            cluster_map.merge_points(hit[0], points[rows], voxel, own_keys)
+            cluster_map.merge_points(hit[0], points[rows], keys[rows])
             merged += 1
-        else:  # a copy, so the new cluster does not hold on to the whole frame
-            cluster_map.add(cluster.label, points[rows].copy(), voxel, own_keys)
+        else:
+            cluster_map.add(cluster.label, points[rows], keys[rows])
             inserted += 1
     return RegistrationStats(inserted=inserted, merged=merged)
 

@@ -9,7 +9,6 @@ from polemap import (
     Cluster,
     ClusterMap,
     PoseSE3,
-    RegistrationParams,
     SceneSpec,
     TrajectorySpec,
     build_local_map,
@@ -19,7 +18,7 @@ from polemap import (
     transform_clusters,
 )
 from polemap.extraction import ExtractionParams, extract_clusters
-from polemap.cluster_map import Frame, voxel_keys
+from polemap.cluster_map import VOXEL_SIZE, Frame, voxel_keys
 from polemap.geometry import rotation_about_z
 from polemap.map_io import save_map
 from conftest import cluster_points
@@ -195,50 +194,72 @@ def _saved(tmp_path, name, cluster_map) -> tuple[bytes, bytes]:
     return path.read_bytes(), (tmp_path / f"{name}.points").read_bytes()
 
 
-@pytest.mark.parametrize("voxel_size", [0.0, 0.1, 0.25])
-def test_register_matches_point_by_point_reference(tmp_path, loop_frames, voxel_size):
+def register_uncapped(cluster_map, frame_clusters, pose, merge_radius=1.0):
+    """register_frame's merge-or-insert, with every point kept as a member."""
+    nearest = cluster_map.nearest_each([pose.apply(c.centroid3d)[:2] for c in frame_clusters])
+    for cluster, hit in zip(frame_clusters, nearest):
+        if hit is not None and hit[1] <= merge_radius:
+            cluster_map.merge_points(hit[0], pose.apply(cluster.points))
+        else:
+            cluster_map.add(cluster.label, pose.apply(cluster.points))
+
+
+@pytest.mark.parametrize("capped", [True, False], ids=["capped", "uncapped"])
+def test_register_matches_point_by_point_reference(tmp_path, loop_frames, capped):
     # Half a lap and its return: merges into clusters built many frames ago.
     frames = loop_frames[:30] + loop_frames[LAP_FRAMES:LAP_FRAMES + 10]
     built = ClusterMap()
     for clusters, pose in frames:
-        register_frame(built, clusters, pose, RegistrationParams(voxel_size=voxel_size))
+        (register_frame if capped else register_uncapped)(built, clusters, pose)
     reference = ClusterMap()
     for cid, (label, members, centroid, observed) in oracle_build_map(
-            frames, 1.0, voxel_size).items():
+            frames, 1.0, VOXEL_SIZE if capped else 0.0).items():
         reference.insert(Cluster(cid, label, members, centroid, observed))
     assert _saved(tmp_path, "built.txt", built) == _saved(tmp_path, "reference.txt", reference)
-    if voxel_size == 0:
-        assert all(c.n_points == c.observed for c in built)
-    else:
+    # The oracle's centroids and observed counts do not depend on the cap, so
+    # both builds hold the same ids, labels, centroids and counts.
+    if capped:
         assert sum(c.n_points for c in built) < sum(c.observed for c in built) / 3
+    else:
+        assert all(c.n_points == c.observed for c in built)
 
 
-@pytest.mark.parametrize("voxel_size", [1e-12, 1e30])
-def test_extreme_voxel_sizes_never_alias(voxel_size):
+def test_far_points_never_alias():
     # Pairs of points one voxel apart, at the origin, across zero and at
-    # growing distances; past 2**53 cells (or the float range) a point gets
-    # a key of its own. No pair may share a key.
-    pairs = [(base, base + voxel_size) for base in (0.0, 300.0, 1e25, 1e300)]
-    pairs.append((-voxel_size / 2, voxel_size / 2))
+    # growing distances; from 2**53 cells out a point gets a key of its own,
+    # so even the pair that rounds to one point keeps two keys.
+    pairs = [(base, base + VOXEL_SIZE) for base in (0.0, 300.0, 1e15, 1e25, 1e300)]
+    pairs.append((-VOXEL_SIZE / 2, VOXEL_SIZE / 2))
     points = np.array([[x, 0.0, 0.0] for pair in pairs for x in pair])
-    keys = voxel_keys(points, voxel_size)
+    keys = voxel_keys(points)
     assert all(a != b for a, b in zip(keys[::2], keys[1::2]))
     cluster_map = ClusterMap()
     for pair in points.reshape(-1, 2, 3):
-        assert cluster_map.add(POLE, pair, voxel_size).n_points == 2
+        assert cluster_map.add(POLE, pair, voxel_keys(pair)).n_points == 2
     # the first pair's cells are exact, so seeing it again adds no member
-    cluster = cluster_map.merge_points(0, points[:2], voxel_size)
+    cluster = cluster_map.merge_points(0, points[:2], voxel_keys(points[:2]))
+    assert (cluster.n_points, cluster.observed) == (2, 4)
+    with pytest.raises(ValueError, match="voxel key"):
+        cluster_map.merge_points(0, points[:2], keys[:1])
     assert (cluster.n_points, cluster.observed) == (2, 4)
 
 
+def test_capped_merge_knows_the_members_it_did_not_add(rng):
+    points = cluster_points(rng, (5.0, 5.0, 1.0), n=30)
+    cluster_map = ClusterMap()
+    cluster_map.insert(Cluster.from_points(7, POLE, points))
+    # a stored cluster's members fill its voxels before the first capped merge
+    cluster = cluster_map.merge_points(7, points, voxel_keys(points))
+    assert (cluster.n_points, cluster.observed) == (30, 60)
+    # so do members appended by a merge without keys
+    moved = points + 0.05
+    cluster_map.merge_points(7, moved)
+    cluster = cluster_map.merge_points(7, moved, voxel_keys(moved))
+    assert (cluster.n_points, cluster.observed) == (60, 120)
+
+
 def test_voxel_keys_fold_signed_zero_and_keep_far_points_apart():
-    a, b = voxel_keys(np.array([[0.0, -0.0, 0.05], [-0.0, 0.0, 0.0]]), 0.1)
+    a, b = voxel_keys(np.array([[0.0, -0.0, 0.05], [-0.0, 0.0, 0.0]]))
     assert a == b
     far = np.array([[np.finfo(float).max, 0.0, 0.0]] * 2)
-    assert len(set(voxel_keys(far, 1e-12))) == 2
-
-
-@pytest.mark.parametrize("voxel_size", [-1.0, math.nan, math.inf])
-def test_voxel_size_must_be_zero_or_positive_finite(voxel_size):
-    with pytest.raises(ValueError, match="voxel_size"):
-        RegistrationParams(voxel_size=voxel_size)
+    assert len(set(voxel_keys(far))) == 2
