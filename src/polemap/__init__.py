@@ -45,12 +45,10 @@ from .evaluate import (
 from .extraction import ExtractionParams, euclidean_cluster, extract_clusters
 from .geometry import PoseSE3, rotation_about_z
 from .localization import (
-    HISTORY_LIMIT,
     AnchoredPose,
     OdometryIncrement,
     PipelineConfig,
     PipelineResult,
-    StaleFixError,
     apply_global_fix,
     apply_increment,
     run_pipeline,

@@ -183,6 +183,9 @@ def _run_localization(cfg: Config, data: str, map_path: str):
     if odometry is None:
         raise PolemapError(f"{data}: no odometry.txt")
     true_poses = dataset.poses()
+    if [ts for ts, _ in odometry] != [ts for ts, _ in true_poses]:
+        # each fix lands at its frame's timestamp, which must be an increment's
+        raise PolemapError(f"{data}: odometry.txt timestamps differ from poses.txt")
     frames = [
         dataset.frame(i, cfg.labels, ts) for i, (ts, _) in enumerate(true_poses)
     ]

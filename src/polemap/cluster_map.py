@@ -252,8 +252,8 @@ class ClusterMap:
         ids = self.ids()
         if not ids:
             return np.empty(0, dtype=int), np.empty((0, 2))
-        cents = np.array([self._clusters[i].centroid2d for i in ids])
-        return np.array(ids), cents
+        cents = np.array([self._clusters[i].centroid3d for i in ids])
+        return np.array(ids), cents[:, :2]
 
     def _index(self) -> tuple[cKDTree, np.ndarray]:
         """kd-tree over the 2D centroids and the id of each tree row."""

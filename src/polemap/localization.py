@@ -1,8 +1,8 @@
 """Real-time pose tracking with periodic global corrections.
 
 The output pose is always anchor composed with the product of odometry
-increments received since that anchor. A relocalization fix replaces the
-anchor at the fix timestamp and replays the increments recorded after it, so
+increments received since that anchor. A relocalization fix lands at the
+newest increment: it replaces the anchor and restarts the product, so
 already-emitted poses are never rewritten and odometry keeps streaming at
 full rate between fixes.
 """
@@ -23,14 +23,8 @@ from .relocalization import RelocalizationFailure, RelocParams, RelocResult, rel
 
 log = logging.getLogger(__name__)
 
-# How many trailing increments stay replayable for late-arriving fixes.
-HISTORY_LIMIT = 512
 # Rotation blocks are renormalized after this many compositions.
 RENORM_PERIOD = 100
-
-
-class StaleFixError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,6 @@ class AnchoredPose:
 
     anchor: PoseSE3
     accumulated: PoseSE3
-    history: tuple[OdometryIncrement, ...] = ()
     last_timestamp: float | None = None
     compose_count: int = 0
 
@@ -68,11 +61,9 @@ def apply_increment(state: AnchoredPose, increment: OdometryIncrement) -> Anchor
     count = state.compose_count + 1
     if count % RENORM_PERIOD == 0:
         accumulated = accumulated.renormalized()
-    history = (state.history + (increment,))[-HISTORY_LIMIT:]
     return AnchoredPose(
         anchor=state.anchor,
         accumulated=accumulated,
-        history=history,
         last_timestamp=increment.timestamp,
         compose_count=count,
     )
@@ -82,29 +73,14 @@ def apply_global_fix(state: AnchoredPose, fix: RelocResult, fix_timestamp: float
     """Re-anchor at a corrected absolute pose valid at fix_timestamp.
 
     fix.pose must be the corrected vehicle pose in the global frame at
-    fix_timestamp. Increments recorded after the fix are replayed on top of
-    the new anchor; a fix older than the retained increment window raises
-    StaleFixError.
+    fix_timestamp, which must be the latest increment's timestamp; any other
+    raises ValueError.
     """
-    if state.last_timestamp is not None and fix_timestamp > state.last_timestamp:
-        raise ValueError("fix_timestamp is ahead of the latest increment")
-    tail = [inc for inc in state.history if inc.timestamp > fix_timestamp]
-    if (
-        len(state.history) == HISTORY_LIMIT
-        and state.history
-        and fix_timestamp < state.history[0].timestamp
-    ):
-        raise StaleFixError("stale-fix")
-    accumulated = PoseSE3.identity()
-    for inc in tail:
-        accumulated = accumulated @ inc.relative_pose
-    return AnchoredPose(
-        anchor=fix.pose,
-        accumulated=accumulated,
-        history=state.history,
-        last_timestamp=state.last_timestamp,
-        compose_count=len(tail),
-    )
+    last = state.last_timestamp
+    if last is not None and fix_timestamp != last:
+        side = "ahead of" if fix_timestamp > last else "behind"
+        raise ValueError(f"fix_timestamp {fix_timestamp} is {side} the latest increment {last}")
+    return AnchoredPose(anchor=fix.pose, accumulated=PoseSE3.identity(), last_timestamp=last)
 
 
 @dataclass(frozen=True)
@@ -213,9 +189,5 @@ def _attempt_fix(
         if jump > config.max_fix_jump:
             log.info("fix rejected at t=%.3f: jump %.2f m", frame.timestamp, jump)
             return state, False, "fix-gated"
-    fix = replace(result, pose=corrected)
-    try:
-        state = apply_global_fix(state, fix, frame.timestamp)
-    except StaleFixError:
-        return state, False, "stale-fix"
+    state = apply_global_fix(state, replace(result, pose=corrected), frame.timestamp)
     return state, True, None

@@ -2,8 +2,9 @@
 
 The accepted pipeline is association, pairwise-distance consistency
 filtering, RANSAC over cluster centroids, a closed-form rigid fit, and
-point-to-point ICP refinement over the member points of the surviving pairs.
-The returned pose maps local-map coordinates into global-map coordinates.
+point-to-point ICP refinement over the member points of the surviving pairs,
+which re-queries only the points whose nearest target can have changed. The
+returned pose maps local-map coordinates into global-map coordinates.
 """
 
 from __future__ import annotations
@@ -205,6 +206,25 @@ def _stacked_points(pairs, local_map: ClusterMap, global_map: ClusterMap) -> tup
     return src, dst
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distances, summed in the kd-tree's own order, so a
+    distance is bit-equal to the one cKDTree.query returns for the pair."""
+    sq = (a - b) ** 2
+    return np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+
+
+def _query_two(tree: cKDTree, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest distances and rows as tree.query(points) returns them, and each
+    point's second-nearest distance (inf when the tree holds one point)."""
+    d, i = tree.query(points, k=2)
+    nearest = i[:, 0]
+    tied = d[:, 0] == d[:, 1]
+    if tied.any():
+        # k=2 may list equal distances in either order; k=1 breaks the tie.
+        nearest[tied] = tree.query(points[tied])[1]
+    return d[:, 0], nearest, d[:, 1]
+
+
 def fine_align(
     pairs,
     local_map: ClusterMap,
@@ -217,6 +237,11 @@ def fine_align(
     Starts at init and never returns a residual above the starting one. With
     no member points available the initial pose is returned with a centroid
     residual and a logged warning.
+
+    Each source point keeps its nearest target while its distance to it stays
+    strictly below a lower bound on every other target's: the second-nearest
+    distance of its last query, less how far it has moved since. Only the
+    other points are queried again; results equal a full query per step.
     """
     params = params or RelocParams()
     pairs = list(pairs)
@@ -228,26 +253,30 @@ def fine_align(
         return init, residual
 
     tree = cKDTree(dst)
-
-    def query(pose: PoseSE3) -> tuple[np.ndarray, np.ndarray, float]:
-        """Moved source points, their nearest targets and the rms distance."""
-        moved = pose.apply(src)
-        d, idx = tree.query(moved)
-        return moved, idx, float(np.sqrt(np.mean(d * d)))
-
-    # Each query serves the residual of one pose and the correspondences of
-    # the next step.
-    moved, idx, best_rms = query(init)
+    moved = init.apply(src)
+    dist, idx, second = _query_two(tree, moved)
+    queried_at = moved.copy()
+    best_rms = float(np.sqrt(np.mean(dist * dist)))
     best_pose = init
     prev = best_rms
     pose = init
     for _ in range(params.icp_max_iterations):
+        matched = dst[idx]
         try:
-            delta = estimate_rigid_transform(moved, dst[idx])
+            delta = estimate_rigid_transform(moved, matched)
         except ValueError:
             break
         pose = delta @ pose
-        moved, idx, current = query(pose)
+        moved = pose.apply(src)
+        dist = _distances(moved, matched)
+        # Take off a rounding slack of 1e-9 * (1 + second), written so that
+        # the inf bound of a single target stays inf.
+        bound = second * (1.0 - 1e-9) - 1e-9 - _distances(moved, queried_at)
+        stale = ~(dist < bound)
+        if stale.any():
+            dist[stale], idx[stale], second[stale] = _query_two(tree, moved[stale])
+            queried_at[stale] = moved[stale]
+        current = float(np.sqrt(np.mean(dist * dist)))
         if current < best_rms:
             best_pose, best_rms = pose, current
         if current > prev or prev - current < params.icp_convergence:

@@ -7,7 +7,7 @@ import pytest
 
 from polemap import POLE, ClusterMap
 from polemap.cli import main
-from polemap.dataset_io import load_poses, read_point_file, write_point_file
+from polemap.dataset_io import load_poses, read_point_file, save_poses, write_point_file
 from polemap.map_io import load_map, save_map
 
 CONFIG_TEXT = """
@@ -280,6 +280,21 @@ def test_failed_write_exits_3(workspace, tmp_path, capsys):
     assert code == 3
     assert captured.err.startswith("error: ")
     assert str(tmp_path) in captured.err
+
+
+@pytest.mark.parametrize("shift", [-0.25, 0.25])
+def test_odometry_timestamps_must_match_poses(workspace, tmp_path, capsys, shift):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    odometry = load_poses(data / "odometry.txt")
+    ts, pose = odometry[3]
+    odometry[3] = (ts + shift, pose)
+    save_poses(data / "odometry.txt", odometry)
+    out = tmp_path / "trajectory.txt"
+    code = main(["localize", "--data", str(data), "--map", str(data / "map.txt"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {data}: odometry.txt timestamps differ from poses.txt\n"
 
 
 def test_non_finite_point_file_exits_3(workspace, tmp_path, capsys):

@@ -10,12 +10,11 @@ from polemap import (
     OdometryIncrement,
     PipelineConfig,
     PoseSE3,
-    StaleFixError,
     apply_global_fix,
     apply_increment,
     run_pipeline,
 )
-from polemap.localization import HISTORY_LIMIT, RENORM_PERIOD
+from polemap.localization import RENORM_PERIOD
 from polemap.relocalization import RelocResult
 from polemap.simulate import (
     DriftSpec,
@@ -57,26 +56,18 @@ def test_increments_must_move_forward_in_time():
         apply_increment(state, step(0.5))
 
 
-def test_global_fix_replaces_anchor_and_replays_tail():
-    state = AnchoredPose.start(PoseSE3.identity())
-    for k in range(1, 6):
-        state = apply_increment(state, step(float(k)))
-    assert np.allclose(state.output.translation, [5.0, 0.0, 0.0])
-    # fix at t=3 says the true pose there was x=10; the two later steps replay
-    corrected = PoseSE3(np.eye(3), np.array([10.0, 0.0, 0.0]))
-    fixed = apply_global_fix(state, fix_at(corrected), 3.0)
-    assert np.allclose(fixed.output.translation, [12.0, 0.0, 0.0], atol=1e-12)
-    assert fixed.last_timestamp == 5.0
-    assert fixed.compose_count == 2
-
-
 def test_global_fix_at_latest_timestamp_replays_nothing():
     state = AnchoredPose.start(PoseSE3.identity())
     for k in range(1, 4):
         state = apply_increment(state, step(float(k)))
     target = PoseSE3(rotation_about_z(0.3), np.array([7.0, -1.0, 0.0]))
     fixed = apply_global_fix(state, fix_at(target), 3.0)
-    assert np.allclose(fixed.output.as_matrix(), target.as_matrix())
+    assert fixed.output.as_matrix().tobytes() == target.as_matrix().tobytes()
+    assert fixed.last_timestamp == 3.0
+    assert fixed.compose_count == 0
+    # later increments compose onto the new anchor
+    moved = apply_increment(fixed, step(4.0))
+    assert np.allclose(moved.output.translation, target.apply(np.array([1.0, 0.0, 0.0])))
 
 
 def test_global_fix_cannot_lead_the_stream():
@@ -85,27 +76,12 @@ def test_global_fix_cannot_lead_the_stream():
         apply_global_fix(state, fix_at(PoseSE3.identity()), 2.0)
 
 
-def test_stale_fix_rejected_when_window_overflows():
+def test_global_fix_cannot_trail_the_stream():
     state = AnchoredPose.start(PoseSE3.identity())
-    for k in range(1, HISTORY_LIMIT + 10):
-        state = apply_increment(state, step(float(k), dx=0.01))
-    assert len(state.history) == HISTORY_LIMIT
-    oldest_kept = state.history[0].timestamp
-    with pytest.raises(StaleFixError):
-        apply_global_fix(state, fix_at(PoseSE3.identity()), oldest_kept - 0.5)
-    # a fix inside the window still works
-    fixed = apply_global_fix(state, fix_at(PoseSE3.identity()), oldest_kept)
-    assert fixed.compose_count == HISTORY_LIMIT - 1
-
-
-def test_fix_before_full_window_is_allowed():
-    # with a short history the whole stream is replayable
-    state = AnchoredPose.start(PoseSE3.identity())
-    for k in range(1, 5):
+    for k in range(1, 4):
         state = apply_increment(state, step(float(k)))
-    fixed = apply_global_fix(state, fix_at(PoseSE3.identity()), 0.5)
-    assert fixed.compose_count == 4
-    assert np.allclose(fixed.output.translation, [4.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="behind"):
+        apply_global_fix(state, fix_at(PoseSE3.identity()), 2.0)
 
 
 def test_rotation_stays_orthonormal_over_long_runs():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from polemap import (
     POLE,
@@ -20,8 +21,10 @@ from polemap import (
 from polemap import relocalization
 from polemap.association import AssociationParams
 from polemap.geometry import rotation_about_z
+from polemap.map_io import load_map, save_map
 from polemap.relocalization import _ransac_samples
 from conftest import moved_copy, planar_pose, random_map
+import oracles
 from oracles import oracle_fine_align, oracle_ransac_filter
 
 
@@ -262,8 +265,6 @@ def test_fine_align_never_degrades(rng):
     _, rms = fine_align(identity_pairs(8), local, global_map, bad_init)
 
     # recompute the starting residual the same way fine_align does
-    from scipy.spatial import cKDTree
-
     src = np.vstack([c.points for c in local])
     dst = np.vstack([c.points for c in global_map])
     d, _ = cKDTree(dst).query(bad_init.apply(src))
@@ -280,7 +281,27 @@ def icp_scene(seed):
     return local, global_map, planar_pose(rng, 3.0, 0.5) @ truth
 
 
-def test_fine_align_matches_reference_loop():
+def tied_scene():
+    """Five two-point global clusters and a local map holding each midpoint:
+    at the identity start every source point is exactly 1 m from two
+    targets, and a k=2 query lists the later of the two first."""
+    centers = [(0.0, 0.0), (7.0, 1.0), (3.0, 9.0), (-6.0, 5.0), (-2.0, -8.0)]
+    global_map, local = ClusterMap(), ClusterMap()
+    for x, y in centers:
+        global_map.add(POLE, [(x - 1.0, y, 0.0), (x + 1.0, y, 0.0)])
+        local.add(POLE, [(x, y, 0.0)])
+    return local, global_map
+
+
+def doubled(cluster_map) -> ClusterMap:
+    """The map with every member point stored twice."""
+    out = ClusterMap()
+    for cluster in cluster_map:
+        out.add(cluster.label, np.vstack([cluster.points, cluster.points]))
+    return out
+
+
+def test_fine_align_matches_reference_loop(tmp_path):
     cases = []
     for seed in range(6):
         local, global_map, init = icp_scene(seed)
@@ -291,15 +312,99 @@ def test_fine_align_matches_reference_loop():
     line = point_map([(2.0 * k, 0.0) for k in range(6)])
     nudge = PoseSE3(np.eye(3), np.array([0.3, 0.2, 0.0]))
     cases.append((identity_pairs(6), line, line, nudge, RelocParams()))
-    exits = set()
+    # every source point tied between two targets at the start
+    local, global_map = tied_scene()
+    cases.append((identity_pairs(5), local, global_map, PoseSE3.identity(), RelocParams()))
+    # a map saved without its sidecar: one target point per pair
+    local, global_map, init = icp_scene(6)
+    save_map(global_map, tmp_path / "map.txt", include_points=False)
+    centroids_only = load_map(tmp_path / "map.txt")
+    assert all(c.n_points == 1 for c in centroids_only)
+    cases.append((identity_pairs(10), local, centroids_only, init, RelocParams()))
+    # every target point duplicated: every query is a tie
+    local, global_map, init = icp_scene(7)
+    cases.append((identity_pairs(10), local, doubled(global_map), init, RelocParams()))
+    # a start far enough off that most rows go stale on the first steps
+    rng = np.random.default_rng(8)
+    local, global_map, init = icp_scene(8)
+    far = planar_pose(rng, 20.0, 3.0) @ init
+    cases.append((identity_pairs(10), local, global_map, far, RelocParams()))
+    # a far start still closing in when icp_max_iterations stops it
+    rng = np.random.default_rng(9)
+    local, global_map, init = icp_scene(9)
+    far = planar_pose(rng, 20.0, 3.0) @ init
+    cases.append((identity_pairs(10), local, global_map, far, RelocParams(icp_max_iterations=8)))
+    exits = []
     for case in cases:
         want_pose, want_rms, exit_ = oracle_fine_align(*case)
         pose, rms = fine_align(*case)
         assert pose.rotation.tobytes() == want_pose.rotation.tobytes()
         assert pose.translation.tobytes() == want_pose.translation.tobytes()
         assert rms == want_rms
-        exits.add(exit_)
-    assert exits == {"converged", "rose", "degenerate", "iterations"}
+        exits.append(exit_)
+    assert set(exits) == {"converged", "rose", "degenerate", "iterations"}
+    assert exits[-1] == "iterations"
+
+
+def test_fine_align_correspondences_exact_along_swinging_path(monkeypatch):
+    """Scripted ICP steps swing the sources back and forth across dense
+    targets with shrinking amplitude, so nearest targets change, change
+    back and tie; every step's correspondences must be a full query's."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        global_map = ClusterMap()
+        for _ in range(4):
+            center = rng.uniform(-5.0, 5.0, size=2)
+            xy = center + rng.uniform(-0.3, 0.3, size=(40, 2))
+            global_map.add(POLE, np.c_[xy, rng.uniform(0.0, 1.0, 40)])
+        dst = np.vstack([c.points for c in global_map])
+        tree = cKDTree(dst)
+        angle, shift = rng.normal(0.0, 0.03), rng.normal(0.0, 0.3, size=2)
+        path = [
+            PoseSE3(rotation_about_z(angle * (-0.8) ** k), np.r_[shift * (-0.8) ** k, 0.0])
+            for k in range(31)
+        ]
+
+        def scripted(check):
+            steps = iter(range(1, len(path)))
+
+            def step(moved, matched):
+                if check:
+                    assert np.array_equal(matched, dst[tree.query(moved)[1]])
+                k = next(steps)
+                return path[k] @ path[k - 1].inverse()
+
+            return step
+
+        # the sources are the targets themselves, so the truth is the identity
+        params = RelocParams(icp_convergence=-np.inf)
+        case = (identity_pairs(4), global_map, global_map, path[0], params)
+        monkeypatch.setattr(oracles, "estimate_rigid_transform", scripted(False))
+        want_pose, want_rms, exit_ = oracle_fine_align(*case)
+        assert exit_ == "iterations"
+        monkeypatch.setattr(relocalization, "estimate_rigid_transform", scripted(True))
+        pose, rms = fine_align(*case)
+        assert pose.as_matrix().tobytes() == want_pose.as_matrix().tobytes()
+        assert rms == want_rms
+
+
+def test_fine_align_requeries_only_stale_rows(monkeypatch):
+    rows = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            rows.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(relocalization, "cKDTree", CountingTree)
+    local, global_map, init = icp_scene(0)
+    n_src = sum(c.n_points for c in local)
+    # no convergence stop: ICP runs until its residual rises
+    fine_align(identity_pairs(10), local, global_map, init, RelocParams(icp_convergence=0.0))
+    # the start queries every row; each later query only the stale ones
+    assert rows[0] == n_src
+    assert len(rows) > 3
+    assert all(0 < r < n_src for r in rows[2:])
 
 
 # -------------------------------------------------------------- relocalize
