@@ -51,6 +51,7 @@ from .localization import (
     PipelineResult,
     apply_global_fix,
     apply_increment,
+    relocalize_frame,
     run_pipeline,
 )
 from .map_io import load_map, save_map
@@ -59,7 +60,6 @@ from .registration import (
     RegistrationStats,
     build_local_map,
     register_frame,
-    transform_clusters,
 )
 from .relocalization import (
     RelocalizationFailure,

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import AssociationParams
-from .extraction import ExtractionParams, extract_clusters
+from .extraction import ExtractionParams
 from .geometry import PoseSE3, rotation_about_z
-from .registration import build_local_map
-from .relocalization import RelocalizationFailure, RelocParams, relocalize
+from .localization import relocalize_frame
+from .relocalization import RelocalizationFailure, RelocParams
 from .simulate import Scene, SensorSpec, retain_clusters, sensor_frame
 
 
@@ -87,10 +87,9 @@ def evaluate_relocalization(
     and sensor stream against each retained map, so sparser maps differ only
     in the clusters they kept.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     protocol = protocol or RelocEvalProtocol()
-    extraction = extraction or ExtractionParams()
-    association = association or AssociationParams()
-    relocalization = relocalization or RelocParams()
     sensor = sensor or SensorSpec()
 
     reports = []
@@ -115,7 +114,7 @@ def evaluate_relocalization(
                 retention=float(retention),
                 trial_count=trials,
                 success_count=successes,
-                success_rate=successes / trials if trials else 0.0,
+                success_rate=successes / trials,
                 distance_p50=float(p50),
                 distance_p90=float(p90),
                 distance_p95=float(p95),
@@ -131,9 +130,9 @@ def _drive_until_success(
     retained_map,
     trial: int,
     protocol: RelocEvalProtocol,
-    extraction: ExtractionParams,
-    association: AssociationParams,
-    relocalization_params: RelocParams,
+    extraction: ExtractionParams | None,
+    association: AssociationParams | None,
+    relocalization: RelocParams | None,
     sensor: SensorSpec,
 ) -> float | None:
     rng = np.random.default_rng((protocol.seed, trial))
@@ -156,17 +155,15 @@ def _drive_until_success(
             rotation_about_z(heading), np.array([position[0], position[1], 0.0])
         )
         frame = sensor_frame(rng, scene, pose, k * protocol.frame_period, sensor)
-        clusters = extract_clusters(frame, extraction)
-        if clusters:
-            local_map = build_local_map(clusters, pose)
-            try:
-                result = relocalize(local_map, retained_map, association, relocalization_params)
-            except RelocalizationFailure:
-                result = None
-            if result is not None:
-                estimate = (result.pose @ pose).translation
-                if success(estimate, pose.translation, protocol.success_radius):
-                    return traveled
+        try:
+            fix = relocalize_frame(
+                frame, pose, retained_map, extraction, association, relocalization
+            )
+        except RelocalizationFailure:
+            pass
+        else:
+            if success(fix.pose.translation, pose.translation, protocol.success_radius):
+                return traveled
         traveled += step
         k += 1
     return None

@@ -4,7 +4,8 @@ The output pose is always anchor composed with the product of odometry
 increments received since that anchor. A relocalization fix lands at the
 newest increment: it replaces the anchor and restarts the product, so
 already-emitted poses are never rewritten and odometry keeps streaming at
-full rate between fixes.
+full rate between fixes. relocalize_frame is the one attempt that turns a
+frame into such a fix; run_pipeline and the relocalization study both call it.
 """
 
 from __future__ import annotations
@@ -122,18 +123,16 @@ def run_pipeline(
     """Track a frame sequence against a global map.
 
     frames[i] is reached by increments[i-1]; increments must therefore number
-    one less than frames. Every reloc_period seconds the current frame's
-    clusters are posed at the running estimate and relocalized against the
-    global map; failures are logged and skipped.
+    one less than frames. Every reloc_period seconds relocalize_frame poses
+    the current frame's clusters at the running estimate and relocalizes them
+    against the global map; failures and fixes that jump farther than
+    max_fix_jump are logged and skipped.
     """
     frames = list(frames)
     increments = list(increments)
     if len(increments) != max(len(frames) - 1, 0):
         raise ValueError("expected one increment between consecutive frames")
     config = config or PipelineConfig()
-    extraction = extraction or ExtractionParams()
-    association = association or AssociationParams()
-    relocalization = relocalization or RelocParams()
 
     state = AnchoredPose.start(initial_pose or PoseSE3.identity())
     trajectory: list[tuple[float, PoseSE3]] = []
@@ -148,13 +147,22 @@ def run_pipeline(
         if config.reloc_enabled and frame.timestamp >= next_attempt:
             next_attempt = frame.timestamp + config.reloc_period
             attempts += 1
-            state, fixed, reason = _attempt_fix(
-                state, frame, global_map, extraction, association, relocalization, config
-            )
-            if fixed:
-                fixes += 1
-            elif reason is not None:
-                failures.append((frame.timestamp, reason))
+            estimate = state.output
+            try:
+                fix = relocalize_frame(
+                    frame, estimate, global_map, extraction, association, relocalization
+                )
+            except RelocalizationFailure as exc:
+                log.info("relocalization failed at t=%.3f: %s", frame.timestamp, exc.reason)
+                failures.append((frame.timestamp, exc.reason))
+            else:
+                jump = float(np.linalg.norm(fix.pose.translation - estimate.translation))
+                if config.max_fix_jump is not None and jump > config.max_fix_jump:
+                    log.info("fix rejected at t=%.3f: jump %.2f m", frame.timestamp, jump)
+                    failures.append((frame.timestamp, "fix-gated"))
+                else:
+                    state = apply_global_fix(state, fix, frame.timestamp)
+                    fixes += 1
         trajectory.append((frame.timestamp, state.output))
     return PipelineResult(
         trajectory=tuple(trajectory),
@@ -164,30 +172,24 @@ def run_pipeline(
     )
 
 
-def _attempt_fix(
-    state: AnchoredPose,
+def relocalize_frame(
     frame: Frame,
+    estimate: PoseSE3,
     global_map: ClusterMap,
-    extraction: ExtractionParams,
-    association: AssociationParams,
-    relocalization: RelocParams,
-    config: PipelineConfig,
-) -> tuple[AnchoredPose, bool, str | None]:
+    extraction: ExtractionParams | None = None,
+    association: AssociationParams | None = None,
+    relocalization: RelocParams | None = None,
+) -> RelocResult:
+    """One relocalization attempt: the frame's clusters, posed at estimate,
+    matched against the global map.
+
+    The result's pose is the corrected vehicle pose in the global frame,
+    ready for apply_global_fix. A frame with no landmark cluster raises
+    RelocalizationFailure("no-clusters"); relocalize raises the others.
+    """
     clusters = extract_clusters(frame, extraction)
     if not clusters:
-        return state, False, "no-clusters"
-    estimate = state.output
+        raise RelocalizationFailure("no-clusters")
     local_map = build_local_map(clusters, estimate)
-    try:
-        result = relocalize(local_map, global_map, association, relocalization)
-    except RelocalizationFailure as exc:
-        log.info("relocalization failed at t=%.3f: %s", frame.timestamp, exc.reason)
-        return state, False, exc.reason
-    corrected = result.pose @ estimate
-    if config.max_fix_jump is not None:
-        jump = float(np.linalg.norm(corrected.translation - estimate.translation))
-        if jump > config.max_fix_jump:
-            log.info("fix rejected at t=%.3f: jump %.2f m", frame.timestamp, jump)
-            return state, False, "fix-gated"
-    state = apply_global_fix(state, replace(result, pose=corrected), frame.timestamp)
-    return state, True, None
+    result = relocalize(local_map, global_map, association, relocalization)
+    return replace(result, pose=result.pose @ estimate)

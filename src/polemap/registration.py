@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster_map import Cluster, ClusterMap, voxel_keys
+from .cluster_map import ClusterMap, voxel_keys
 from .geometry import PoseSE3
 
 
@@ -32,15 +32,6 @@ class RegistrationParams:
 class RegistrationStats:
     inserted: int
     merged: int
-
-
-def transform_clusters(clusters, pose: PoseSE3) -> list[Cluster]:
-    """Map clusters rigidly into another frame, ids and labels untouched."""
-    pose.require_valid()
-    return [
-        Cluster(c.cluster_id, c.label, pose.apply(c.points), pose.apply(c.centroid3d), c.observed)
-        for c in clusters
-    ]
 
 
 def register_frame(
@@ -83,8 +74,12 @@ def register_frame(
 
 
 def build_local_map(frame_clusters, pose: PoseSE3) -> ClusterMap:
-    """Fresh map holding one frame's clusters posed into the odometry frame."""
+    """Fresh map holding one frame's clusters posed into the odometry frame.
+
+    An invalid pose raises ValueError.
+    """
+    pose.require_valid()
     local = ClusterMap()
-    for cluster in transform_clusters(frame_clusters, pose):
-        local.add(cluster.label, cluster.points)
+    for cluster in frame_clusters:
+        local.add(cluster.label, pose.apply(cluster.points))
     return local

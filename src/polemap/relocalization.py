@@ -10,7 +10,6 @@ returned pose maps local-map coordinates into global-map coordinates.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -20,8 +19,6 @@ from scipy.spatial import cKDTree
 from .association import AssociationParams, MatchPair, associate_maps
 from .cluster_map import ClusterMap
 from .geometry import PoseSE3
-
-log = logging.getLogger(__name__)
 
 FAILURE_NO_MATCHES = "no-matches"
 FAILURE_CONSISTENCY = "consistency-collapse"
@@ -199,10 +196,8 @@ def coarse_align(pairs, local_map: ClusterMap, global_map: ClusterMap) -> PoseSE
 
 
 def _stacked_points(pairs, local_map: ClusterMap, global_map: ClusterMap) -> tuple[np.ndarray, np.ndarray]:
-    src = [local_map.get(p.local_id).points for p in pairs]
-    dst = [global_map.get(p.global_id).points for p in pairs]
-    src = np.vstack(src) if src else np.empty((0, 3))
-    dst = np.vstack(dst) if dst else np.empty((0, 3))
+    src = np.vstack([local_map.get(p.local_id).points for p in pairs])
+    dst = np.vstack([global_map.get(p.global_id).points for p in pairs])
     return src, dst
 
 
@@ -234,9 +229,8 @@ def fine_align(
 ) -> tuple[PoseSE3, float]:
     """Point-to-point ICP over the member points of the matched clusters.
 
-    Starts at init and never returns a residual above the starting one. With
-    no member points available the initial pose is returned with a centroid
-    residual and a logged warning.
+    Starts at init and never returns a residual above the starting one.
+    Empty pairs raise ValueError.
 
     Each source point keeps its nearest target while its distance to it stays
     strictly below a lower bound on every other target's: the second-nearest
@@ -245,12 +239,9 @@ def fine_align(
     """
     params = params or RelocParams()
     pairs = list(pairs)
+    if not pairs:
+        raise ValueError("insufficient pairs")
     src, dst = _stacked_points(pairs, local_map, global_map)
-    if len(src) == 0 or len(dst) == 0:
-        log.warning("fine_align: no member points, falling back to initial pose")
-        c_src, c_dst = _pair_centroids(pairs, local_map, global_map)
-        residual = float(np.sqrt(np.mean(np.sum((c_dst - init.apply(c_src)) ** 2, axis=1))))
-        return init, residual
 
     tree = cKDTree(dst)
     moved = init.apply(src)

@@ -456,6 +456,9 @@ GOLDEN_SHA256 = {
     "estimated.txt": "c03359b4218108b18a40526547af8dca2a8081a8ddcd9230dc9094c2a0662136",
 }
 GOLDEN_RELOCALIZE_SHA256 = "a2ed8357c1bf6b082db50ba30af9ddc737574dc36f4be589ca40eb3e63496525"
+# The distance-to-relocalize study on the same scene, four trials per
+# retention; at 0.25 every trial is censored at the drive's maximum distance.
+GOLDEN_EVALUATE_SHA256 = "9d87fcb4bb0a1f2168e379f35fc7ca2dcdbd2edcad8b26a332b396e450e77f5a"
 
 
 def test_outputs_are_byte_exact(tmp_path, capsys):
@@ -479,6 +482,16 @@ def test_outputs_are_byte_exact(tmp_path, capsys):
                  "--config", str(cfg)]) == 0
     relocalized = capsys.readouterr().out.encode("ascii")
     assert hashlib.sha256(relocalized).hexdigest() == GOLDEN_RELOCALIZE_SHA256
+
+
+def test_relocalization_study_output_is_byte_exact(tmp_path, capsys):
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GOLDEN_CONFIG, encoding="ascii")
+    assert main(["evaluate", "--mode", "reloc", "--trials", "4", "--retentions", "1.0,0.4,0.25",
+                 "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert out.split("\n")[-2] == "0.25,4,0,0.0000,120.000,120.000,120.000,120.000,0.036000"
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GOLDEN_EVALUATE_SHA256
 
 
 def test_config_output_is_byte_exact(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from polemap import (
     PoseSE3,
     apply_global_fix,
     apply_increment,
+    relocalize_frame,
     run_pipeline,
 )
 from polemap.localization import RENORM_PERIOD
-from polemap.relocalization import RelocResult
+from polemap.extraction import extract_clusters
+from polemap.registration import build_local_map
+from polemap.relocalization import RelocalizationFailure, RelocResult, relocalize
 from polemap.simulate import (
     DriftSpec,
     SceneSpec,
@@ -199,6 +203,64 @@ def test_pipeline_fix_jump_gate():
     final = ungated.trajectory[-1][1].translation
     truth = run.true_poses[-1][1].translation
     assert np.linalg.norm(final - truth) < 1.0
+
+
+def _edge_drive():
+    """The golden 160 m scene entered from 80 m outside its west edge, so a
+    45 m sensor sees no landmark in the first frames."""
+    scene = generate_scene(SceneSpec(area=(160.0, 160.0), n_clusters=70, seed=7))
+    run = simulate_run(
+        scene,
+        TrajectorySpec(start=(-80.0, 80.0), length=150.0),
+        DriftSpec(translational_drift=0.01, noise_sigma=0.004, seed=4),
+        SensorSpec(radius=45.0),
+    )
+    return scene, run
+
+
+def test_pipeline_reports_each_failure_reason():
+    scene, run = _edge_drive()
+    result = run_pipeline(
+        run.frames, run.increments, scene.cluster_map, initial_pose=run.initial_pose
+    )
+    assert (result.attempts, result.fixes_applied) == (61, 30)
+    assert Counter(reason for _, reason in result.failures) == {"no-clusters": 17, "no-matches": 14}
+    assert result.failures[:3] == ((0.0, "no-clusters"), (0.5, "no-clusters"), (1.0, "no-clusters"))
+    # 5 m off at the start: every fix jumps too far, and the other reasons stay
+    shifted = PoseSE3(
+        run.initial_pose.rotation, run.initial_pose.translation + np.array([5.0, 0.0, 0.0])
+    )
+    gated = run_pipeline(
+        run.frames,
+        run.increments,
+        scene.cluster_map,
+        initial_pose=shifted,
+        config=PipelineConfig(max_fix_jump=1.0),
+    )
+    assert (gated.attempts, gated.fixes_applied) == (61, 0)
+    assert Counter(reason for _, reason in gated.failures) == {
+        "fix-gated": 30, "no-clusters": 17, "no-matches": 14,
+    }
+
+
+def test_relocalize_frame_returns_the_global_vehicle_pose():
+    scene, run = _sim_setup(length=20.0)
+    frame = run.frames[4]
+    truth = run.true_poses[4][1]
+    estimate = PoseSE3(truth.rotation, truth.translation + np.array([0.8, -0.5, 0.0]))
+    fix = relocalize_frame(frame, estimate, scene.cluster_map)
+    local_map = build_local_map(extract_clusters(frame), estimate)
+    result = relocalize(local_map, scene.cluster_map)
+    assert fix.pose.as_matrix().tobytes() == (result.pose @ estimate).as_matrix().tobytes()
+    assert fix.inlier_pairs == result.inlier_pairs
+    assert fix.residual_rms == result.residual_rms
+    assert np.linalg.norm(fix.pose.translation - truth.translation) < 0.2
+
+
+def test_relocalize_frame_without_clusters_fails():
+    with pytest.raises(RelocalizationFailure) as failure:
+        relocalize_frame(Frame(0.0, (), ()), PoseSE3.identity(), ClusterMap())
+    assert failure.value.reason == "no-clusters"
 
 
 def test_pipeline_trajectory_timestamps_match_frames():

@@ -15,7 +15,6 @@ from polemap import (
     generate_scene,
     register_frame,
     simulate_run,
-    transform_clusters,
 )
 from polemap.extraction import ExtractionParams, extract_clusters
 from polemap.cluster_map import VOXEL_SIZE, Frame, voxel_keys
@@ -30,26 +29,23 @@ def single_cluster(rng, center, label=POLE):
     return extract_clusters(frame, ExtractionParams(min_points=1))
 
 
-def test_transform_moves_points_and_centroid(rng):
-    clusters = single_cluster(rng, (2.0, 0.0, 1.0))
+def test_build_local_map_poses_points_and_centroid(rng):
+    clusters = single_cluster(rng, (2.0, 0.0, 1.0), label=TRUNK)
     pose = PoseSE3(rotation_about_z(math.pi / 2), np.array([1.0, 0.0, 0.0]))
-    moved = transform_clusters(clusters, pose)
-    assert len(moved) == 1
-    src, dst = clusters[0], moved[0]
-    assert dst.cluster_id == src.cluster_id
-    assert dst.label == src.label
+    local = build_local_map(clusters, pose)
+    assert len(local) == 1
+    src, dst = clusters[0], local.get(0)
+    assert dst.label == TRUNK
+    assert dst.points.tobytes() == pose.apply(src.points).tobytes()
     # (2, 0) rotates onto (0, 2), then shifts to (1, 2)
     assert np.allclose(dst.centroid2d, [1.0, 2.0], atol=0.2)
-    assert np.allclose(
-        dst.centroid3d, pose.apply(src.centroid3d), atol=1e-12
-    )
-    assert dst.n_points == src.n_points
+    assert np.allclose(dst.centroid3d, pose.apply(src.centroid3d), atol=1e-12)
 
 
-def test_transform_rejects_bad_pose(rng):
+def test_build_local_map_rejects_bad_pose(rng):
     clusters = single_cluster(rng, (0.0, 0.0, 1.0))
     with pytest.raises(ValueError, match="orthonormal"):
-        transform_clusters(clusters, PoseSE3(np.eye(3) * 1.5, np.zeros(3)))
+        build_local_map(clusters, PoseSE3(np.eye(3) * 1.5, np.zeros(3)))
 
 
 @pytest.mark.parametrize("pose", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,15 @@ def test_fine_align_never_degrades(rng):
     d, _ = cKDTree(dst).query(bad_init.apply(src))
     init_rms = float(np.sqrt(np.mean(d * d)))
     assert rms <= init_rms + 1e-12
+
+
+def test_fine_align_rejects_empty_pairs(rng):
+    global_map = random_map(rng, 4, extent=20.0)
+    local = moved_copy(global_map, PoseSE3.identity())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="insufficient pairs"):
+            fine_align([], local, global_map, PoseSE3.identity())
 
 
 def icp_scene(seed):

@@ -287,6 +287,12 @@ def test_evaluate_relocalization_reports_and_pairing():
     assert reports[0].distance_p90 <= 10.0
 
 
+def test_evaluate_relocalization_needs_a_trial():
+    scene = generate_scene(SceneSpec(area=(100.0, 100.0), n_clusters=0, seed=0))
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        evaluate_relocalization(scene, retentions=(1.0,), trials=0)
+
+
 def test_evaluate_relocalization_censors_failed_trials_at_max_distance():
     scene = generate_scene(SceneSpec(area=(100.0, 100.0), n_clusters=0, seed=0))
     protocol = RelocEvalProtocol(max_distance=10.0)
