@@ -159,9 +159,6 @@ class ClusterMap:
     def __len__(self) -> int:
         return len(self._clusters)
 
-    def __contains__(self, cluster_id: int) -> bool:
-        return cluster_id in self._clusters
-
     def __iter__(self):
         for cid in sorted(self._clusters):
             yield self._clusters[cid]
@@ -203,12 +200,6 @@ class ClusterMap:
             raise ValueError(f"duplicate cluster id {cluster.cluster_id}")
         self._clusters[cluster.cluster_id] = cluster
         self._next_id = max(self._next_id, cluster.cluster_id + 1)
-        self._derived.clear()
-
-    def remove(self, cluster_id: int) -> None:
-        del self._clusters[cluster_id]
-        self._sums.pop(cluster_id, None)
-        self._voxels.pop(cluster_id, None)
         self._derived.clear()
 
     def merge_points(self, cluster_id: int, new_points, keys=None) -> Cluster:
@@ -259,16 +250,15 @@ class ClusterMap:
         """kd-tree over the 2D centroids and the id of each tree row."""
         return self.derived("index", _build_index)
 
-    def nearest(self, center) -> tuple[int, float] | None:
-        """Closest cluster to a 2D point as (id, distance), ties to lowest id."""
-        return self.nearest_each(np.asarray(center, dtype=float).reshape(1, 2))[0]
-
     def nearest_each(self, centers) -> list[tuple[int, float] | None]:
-        """nearest for each row of (m, 2) centers, with one kd-tree query.
+        """Closest cluster to each row of (m, 2) centers as (id, distance),
+        ties to the lowest id, with one kd-tree query.
 
         Every center tied with the closest is among the k rows returned
         unless all k tie; those rows are queried again over the whole map,
-        so the lowest id wins however many tie.
+        so the lowest id wins however many tie. A row is None when no
+        cluster lies at a finite distance: an empty map, or a squared
+        distance that overflows, for which the kd-tree reports no neighbour.
         """
         centers = np.asarray(centers, dtype=float).reshape(-1, 2)
         if not self._clusters:
@@ -289,7 +279,9 @@ class ClusterMap:
             wide = np.flatnonzero(dists[:, -1] == dists[:, 0])
             if len(wide):
                 rows[wide] = lowest_tied_row(*tree.query(centers[wide], k=n))
-        return [(int(tree_ids[r]), float(d)) for r, d in zip(rows, dists[:, 0])]
+        return [
+            (int(tree_ids[r]), float(d)) if r < n else None for r, d in zip(rows, dists[:, 0])
+        ]
 
 
 def _build_index(cluster_map: ClusterMap) -> tuple[cKDTree, np.ndarray]:

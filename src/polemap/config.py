@@ -6,7 +6,8 @@ loudly; keys left out keep their defaults.
 
 The keys are derived from the parameter dataclasses: each field of each
 group of Config is one "group.field" key, cast by its annotation, so adding
-a field adds its key. Only the spellings in _KEY_NAMES differ.
+a field adds its key. Only the spellings in _KEY_NAMES differ. Every value
+is a number: a finite float or an int.
 """
 
 from __future__ import annotations
@@ -44,15 +45,6 @@ def default_config() -> Config:
     return Config(**{name: group() for name, group in get_type_hints(Config).items()})
 
 
-def _bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    raise ValueError(f"expected true or false, got {raw!r}")
-
-
 def _float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -60,13 +52,7 @@ def _float(raw: str) -> float:
     return value
 
 
-def _opt_float(raw: str):
-    if raw.lower() == "none":
-        return None
-    return _float(raw)
-
-
-_CASTERS = {float: _float, int: int, bool: _bool, float | None: _opt_float}
+_CASTERS = {float: _float, int: int}
 
 # Key names that are not the field name: a tuple field gets one key per
 # element, and the label ids drop their "_id".
@@ -146,16 +132,6 @@ def load_config(path) -> Config:
     return parse_config(text, source=str(path))
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def dump_config(config: Config) -> str:
     """Render every key with its current value, grouped by section."""
     lines = []
@@ -168,5 +144,5 @@ def dump_config(config: Config) -> str:
         value = getattr(getattr(config, group), field_name)
         if index is not None:
             value = value[index]
-        lines.append(f"{key} = {_format_value(value)}")
+        lines.append(f"{key} = {value}")  # str(float) is its shortest round-trip repr
     return "\n".join(lines) + "\n"

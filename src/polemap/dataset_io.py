@@ -11,7 +11,8 @@ frame plus text pose files:
 
 Pose components are written with shortest round-trip decimals so that
 load(save(x)) reproduces x exactly. Decoders reject truncated or oversized
-files instead of guessing.
+files, non-finite pose fields and timestamps that do not strictly increase
+instead of guessing.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ def write_frame(point_path, label_path, frame: Frame, label_map: LabelMap) -> No
 
 
 def load_poses(path) -> list[tuple[float, PoseSE3]]:
-    """Parse a timestamped pose file; quaternions must be unit to 1e-6."""
+    """Parse a timestamped pose file. Every field must be finite, timestamps
+    must strictly increase and quaternions must be unit to 1e-6."""
     poses = []
     with open(path, "r", encoding="ascii") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -127,7 +129,11 @@ def load_poses(path) -> list[tuple[float, PoseSE3]]:
                 values = [float(v) for v in parts]
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: non-numeric field") from None
+            if not all(map(math.isfinite, values)):
+                raise DatasetError(f"{path}:{lineno}: non-finite field")
             t, tx, ty, tz, qx, qy, qz, qw = values
+            if poses and t <= poses[-1][0]:
+                raise DatasetError(f"{path}:{lineno}: timestamp {t!r} does not increase")
             norm = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
             if abs(norm - 1.0) > 1e-6:
                 raise DatasetError(f"{path}:{lineno}: quaternion norm {norm} is not 1")

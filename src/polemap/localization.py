@@ -6,14 +6,15 @@ newest increment: it replaces the anchor and restarts the product, so
 already-emitted poses are never rewritten and odometry keeps streaming at
 full rate between fixes. relocalize_frame is the one attempt that turns a
 frame into such a fix; run_pipeline and the relocalization study both call it.
+run_pipeline applies every fix: nothing gates a fix by how far it moves the
+estimate, and nothing turns relocalization off. Tracking against an empty map
+gives the odometry-only trajectory.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .association import AssociationParams
 from .cluster_map import ClusterMap, Frame
@@ -87,10 +88,6 @@ def apply_global_fix(state: AnchoredPose, fix: RelocResult, fix_timestamp: float
 @dataclass(frozen=True)
 class PipelineConfig:
     reloc_period: float = 0.5
-    reloc_enabled: bool = True
-    # Reject fixes that jump farther than this from the current output; None
-    # disables the gate.
-    max_fix_jump: float | None = None
 
     def __post_init__(self):
         if self.reloc_period <= 0:
@@ -125,8 +122,9 @@ def run_pipeline(
     frames[i] is reached by increments[i-1]; increments must therefore number
     one less than frames. Every reloc_period seconds relocalize_frame poses
     the current frame's clusters at the running estimate and relocalizes them
-    against the global map; failures and fixes that jump farther than
-    max_fix_jump are logged and skipped.
+    against the global map. Every fix is applied; a failure is logged and
+    recorded with its reason. Against an empty map every attempt fails, so
+    the trajectory is the odometry alone.
     """
     frames = list(frames)
     increments = list(increments)
@@ -144,25 +142,19 @@ def run_pipeline(
     for i, frame in enumerate(frames):
         if i > 0:
             state = apply_increment(state, increments[i - 1])
-        if config.reloc_enabled and frame.timestamp >= next_attempt:
+        if frame.timestamp >= next_attempt:
             next_attempt = frame.timestamp + config.reloc_period
             attempts += 1
-            estimate = state.output
             try:
                 fix = relocalize_frame(
-                    frame, estimate, global_map, extraction, association, relocalization
+                    frame, state.output, global_map, extraction, association, relocalization
                 )
             except RelocalizationFailure as exc:
                 log.info("relocalization failed at t=%.3f: %s", frame.timestamp, exc.reason)
                 failures.append((frame.timestamp, exc.reason))
             else:
-                jump = float(np.linalg.norm(fix.pose.translation - estimate.translation))
-                if config.max_fix_jump is not None and jump > config.max_fix_jump:
-                    log.info("fix rejected at t=%.3f: jump %.2f m", frame.timestamp, jump)
-                    failures.append((frame.timestamp, "fix-gated"))
-                else:
-                    state = apply_global_fix(state, fix, frame.timestamp)
-                    fixes += 1
+                state = apply_global_fix(state, fix, frame.timestamp)
+                fixes += 1
         trajectory.append((frame.timestamp, state.output))
     return PipelineResult(
         trajectory=tuple(trajectory),

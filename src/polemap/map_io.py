@@ -14,10 +14,10 @@ running coordinate sum from centroid * observed, so a save, load and merge
 weighs the stored centroid exactly. Version 1 files, whose cluster lines end
 at npoints, still load, with observed = npoints.
 
-Member points live in an optional binary sidecar (<path>.points, float32
-x y z per point, clusters in file order); without the sidecar each cluster
-reloads with a single synthetic point at its centroid and keeps its observed
-count.
+Member points live in a binary sidecar (<path>.points, float32 x y z per
+point, clusters in file order) that save_map always writes. A map read
+without its sidecar reloads each cluster with a single synthetic point at its
+centroid and keeps its observed count.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ _LABEL_WORDS = {POLE: "pole", TRUNK: "trunk"}
 _WORD_LABELS = {"pole": POLE, "trunk": TRUNK}
 
 
-def save_map(cluster_map: ClusterMap, path, label_map: LabelMap | None = None,
-             include_points: bool = True) -> None:
-    """Serialize a map; the point sidecar is written unless disabled."""
+def save_map(cluster_map: ClusterMap, path, label_map: LabelMap | None = None) -> None:
+    """Serialize a map and its point sidecar."""
     label_map = label_map or LabelMap()
     path = Path(path)
     lines = [
@@ -66,12 +65,8 @@ def save_map(cluster_map: ClusterMap, path, label_map: LabelMap | None = None,
             )
         )
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    sidecar = path.with_name(path.name + ".points")
-    if include_points:
-        points = [cluster.points for cluster in cluster_map]
-        sidecar.write_bytes(np.concatenate(points or [np.empty((0, 3))]).astype("<f4").tobytes())
-    elif sidecar.exists():
-        sidecar.unlink()
+    points = np.concatenate([cluster.points for cluster in cluster_map] or [np.empty((0, 3))])
+    path.with_name(path.name + ".points").write_bytes(points.astype("<f4").tobytes())
 
 
 def load_map(path) -> ClusterMap:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -324,16 +325,20 @@ def test_associate_maps_matches_oracle(rng):
         assert got == want, f"trial {trial}"
 
 
-def rebuilt(cluster_map) -> ClusterMap:
-    """A fresh map holding copies of the same clusters under the same ids."""
+def rebuilt(cluster_map, without=None) -> ClusterMap:
+    """A fresh map holding copies of the same clusters under the same ids,
+    leaving out the cluster with id without."""
     out = ClusterMap()
     for c in cluster_map:
-        out.insert(Cluster.from_points(c.cluster_id, c.label, c.points))
+        if c.cluster_id != without:
+            out.insert(Cluster.from_points(c.cluster_id, c.label, c.points))
     return out
 
 
 def test_derived_stars_follow_every_mutation(rng):
-    local, global_map = association_scene(rng)
+    local, full_map = association_scene(rng)
+    left_out = full_map.get(associate_maps(local, full_map)[0].global_id)
+    global_map = rebuilt(full_map, without=left_out.cluster_id)
     before = associate_maps(local, global_map)
 
     def changed():
@@ -344,14 +349,11 @@ def test_derived_stars_follow_every_mutation(rng):
         assert after == associate_maps(local, rebuilt(global_map))
         before = after
 
-    removed = global_map.get(before[0].global_id)
-    global_map.remove(removed.cluster_id)
+    added = global_map.add(left_out.label, left_out.points)
     changed()
-    added = global_map.add(removed.label, removed.points)
+    global_map.merge_points(added.cluster_id, left_out.points + (30.0, 0.0, 0.0))
     changed()
-    global_map.merge_points(added.cluster_id, removed.points + (30.0, 0.0, 0.0))
-    changed()
-    global_map.insert(removed)
+    global_map.insert(replace(left_out, cluster_id=added.cluster_id + 1))
     changed()
 
 
@@ -430,17 +432,17 @@ def test_length_gate_equals_dense_oracle(local_stars, star_edges, tol):
         assert np.array_equal(row, want)
 
 
-@pytest.mark.parametrize("mutation", ["add", "remove", "merge_points"])
+@pytest.mark.parametrize("mutation", ["add", "insert", "merge_points"])
 def test_length_gate_follows_mutation_between_calls(rng, tmp_path, mutation):
     local, global_map = association_scene(rng)
     target = global_map.get(associate_maps(local, global_map)[0].global_id)
-    if mutation == "add":
-        global_map.remove(target.cluster_id)
+    if mutation != "merge_points":
+        global_map = rebuilt(global_map, without=target.cluster_id)
     before = associate_maps(local, global_map)
     if mutation == "add":
         global_map.add(target.label, target.points)
-    elif mutation == "remove":
-        global_map.remove(target.cluster_id)
+    elif mutation == "insert":
+        global_map.insert(target)
     else:
         global_map.merge_points(target.cluster_id, target.points + (30.0, 0.0, 0.0))
     after = associate_maps(local, global_map)

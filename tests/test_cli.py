@@ -338,6 +338,60 @@ def test_non_finite_map_sidecar_exits_3(workspace, tmp_path, capsys):
     assert captured.err == f"error: {sidecar}: non-finite point coordinate\n"
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["pipeline.reloc_enabled", "pipeline.max_fix_jump", "reloc.ransac_first",
+     "registration.strict_labels"],
+)
+def test_removed_config_key_exits_3(tmp_path, capsys, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 1\n", encoding="ascii")
+    code = main(["config", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {cfg}:1: unknown key {key!r}\n"
+
+
+def _set_pose_field(path, lineno, index, value):
+    lines = path.read_text(encoding="ascii").split("\n")
+    fields = lines[lineno - 1].split()
+    fields[index] = value
+    lines[lineno - 1] = " ".join(fields)
+    path.write_text("\n".join(lines), encoding="ascii")
+
+
+@pytest.mark.parametrize(
+    "command, name, index, value, error",
+    [
+        ("build-map", "poses.txt", 1, "nan", "non-finite field"),
+        ("build-map", "poses.txt", 4, "nan", "non-finite field"),
+        ("build-map", "poses.txt", 1, "inf", "non-finite field"),
+        ("build-map", "poses.txt", 0, "0.0", "timestamp 0.0 does not increase"),
+        ("localize", "poses.txt", 1, "nan", "non-finite field"),
+        ("localize", "poses.txt", 0, "0.0", "timestamp 0.0 does not increase"),
+        ("localize", "odometry.txt", 4, "nan", "non-finite field"),
+        ("localize", "odometry.txt", 0, "0.0", "timestamp 0.0 does not increase"),
+    ],
+    ids=["build-map-nan-translation", "build-map-nan-quaternion", "build-map-inf-translation",
+         "build-map-repeated-timestamp", "localize-nan-translation",
+         "localize-repeated-timestamp", "localize-odometry-nan-quaternion",
+         "localize-odometry-repeated-timestamp"],
+)
+def test_bad_pose_file_exits_3(workspace, tmp_path, capsys, command, name, index, value, error):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    _set_pose_field(data / name, 2, index, value)
+    out = str(tmp_path / "out.txt")
+    if command == "build-map":
+        argv = ["build-map", "--data", str(data), "--out", out]
+    else:
+        argv = ["localize", "--data", str(data), "--map", str(data / "map.txt"), "--out", out]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {data / name}:2: {error}\n"
+
+
 def test_non_finite_config_value_exits_3(tmp_path, capsys):
     cfg = tmp_path / "inf.cfg"
     cfg.write_text("trajectory.length = inf\n", encoding="ascii")
@@ -502,6 +556,6 @@ def test_config_output_is_byte_exact(tmp_path, capsys):
         assert main(["config", *extra]) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest())
     assert digests == [
-        "f6ce1ab0246c74cb4f545f2f4a98e94a9fc7408e3e7777f2b09373538cff53b3",
-        "8b261cc52fdbb66624d94101dbf555010aedee911df1f309f4c5cc5a4c387f50",
+        "f884b358eb958194645f728dd4c8c4f99f89ac1b070e86c22764293d4bfcda7b",
+        "ca647c12af6769fff1291b1a1d45596723438164030ac5102a50895ee81fa782",
     ]

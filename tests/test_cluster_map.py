@@ -42,14 +42,13 @@ def test_non_landmark_cluster_rejected():
 
 def test_ids_are_monotone_and_iteration_sorted(rng):
     cluster_map = ClusterMap()
-    for k in range(5):
-        c = cluster_map.add(POLE, cluster_points(rng, (float(k), 0.0, 1.0)))
-        assert c.cluster_id == k
-    cluster_map.remove(2)
-    c = cluster_map.add(TRUNK, cluster_points(rng, (9.0, 0.0, 1.0)))
-    assert c.cluster_id == 5  # removed ids are never reused
-    assert [c.cluster_id for c in cluster_map] == [0, 1, 3, 4, 5]
-    assert cluster_map.ids() == [0, 1, 3, 4, 5]
+    cluster_map.insert(Cluster.from_points(7, POLE, cluster_points(rng, (7.0, 0.0, 1.0))))
+    cluster_map.insert(Cluster.from_points(2, POLE, cluster_points(rng, (2.0, 0.0, 1.0))))
+    for k in range(3):
+        c = cluster_map.add(POLE, cluster_points(rng, (float(k), 5.0, 1.0)))
+        assert c.cluster_id == 8 + k  # add never reuses an id at or below one stored
+    assert [c.cluster_id for c in cluster_map] == [2, 7, 8, 9, 10]
+    assert cluster_map.ids() == [2, 7, 8, 9, 10]
 
 
 def test_insert_rejects_duplicate_id(rng):
@@ -123,7 +122,9 @@ def test_merge_into_loaded_cluster_continues_stored_weight(tmp_path, rng, sideca
     for k in range(4):
         original.add(POLE, cluster_points(rng, (250.0 + 10 * k, -280.0, 2.0), n=30))
     path = tmp_path / "map.txt"
-    save_map(original, path, include_points=sidecar)
+    save_map(original, path)
+    if not sidecar:
+        (tmp_path / "map.txt.points").unlink()
     loaded = load_map(path)
     assert [c.observed for c in loaded] == [30] * 4
     before = load_map(path)
@@ -163,42 +164,25 @@ def test_rejected_merge_changes_nothing(rng):
     assert np.array_equal(rejected.get(0).centroid3d, rejected.get(0).points.mean(axis=0))
 
 
-def test_merge_after_remove_is_the_exact_mean(rng):
-    cluster_map = ClusterMap()
-    for k in range(3):
-        cluster_map.add(POLE, cluster_points(rng, (float(k), 0.0, 1.0)))
-        cluster_map.merge_points(k, cluster_points(rng, (float(k), 0.0, 1.0)))
-    cluster_map.remove(1)
-    added = cluster_map.add(TRUNK, cluster_points(rng, (-300.0, 5.0, 1.0)))
-    cluster_map.merge_points(added.cluster_id, cluster_points(rng, (-300.0, 5.0, 1.0)))
-    # an id removed and stored again must not reuse the old cluster's sum
-    cluster_map.remove(0)
-    cluster_map.insert(Cluster.from_points(0, POLE, cluster_points(rng, (300.0, 9.0, 1.0))))
-    cluster_map.merge_points(0, cluster_points(rng, (300.0, 9.0, 1.0), n=1))
-    for cluster in cluster_map:
-        assert np.array_equal(cluster.centroid3d, cluster.points.mean(axis=0))
-
-
 def test_nearest_breaks_ties_toward_lowest_id():
     cluster_map = ClusterMap()
     cluster_map.add(POLE, [(-3.0, 0.0, 1.0)])
     cluster_map.add(POLE, [(3.0, 0.0, 1.0)])
-    cid, dist = cluster_map.nearest((0.0, 0.0))
-    assert cid == 0
-    assert dist == 3.0
-    assert ClusterMap().nearest((0.0, 0.0)) is None
+    assert cluster_map.nearest_each([(0.0, 0.0)]) == [(0, 3.0)]
+    assert ClusterMap().nearest_each([(0.0, 0.0)]) == [None]
 
 
 def test_index_refreshes_after_mutation(rng):
     cluster_map = ClusterMap()
     cluster_map.add(POLE, cluster_points(rng, (0.0, 0.0, 1.0)))
-    assert cluster_map.nearest((0.0, 0.0))[0] == 0
+    assert cluster_map.nearest_each([(1.0, 1.0)])[0][0] == 0
     cluster_map.add(POLE, cluster_points(rng, (1.0, 1.0, 1.0)))
-    cid, _ = cluster_map.nearest((1.0, 1.0))
-    assert cid == 1
-    cluster_map.remove(1)
-    cid, _ = cluster_map.nearest((1.0, 1.0))
-    assert cid == 0
+    assert cluster_map.nearest_each([(1.0, 1.0)])[0][0] == 1
+    # a merge far away moves cluster 1's centroid off (1, 1)
+    cluster_map.merge_points(1, cluster_points(rng, (40.0, 40.0, 1.0), n=200))
+    assert cluster_map.nearest_each([(1.0, 1.0)])[0][0] == 0
+    cluster_map.insert(Cluster.from_points(5, TRUNK, [(1.0, 1.5, 1.0)]))
+    assert cluster_map.nearest_each([(1.0, 1.0)]) == [(5, 0.5)]
 
 
 def point_map(xys) -> ClusterMap:
@@ -234,7 +218,9 @@ def test_nearest_keeps_lowest_id_among_more_ties_than_it_queries(rng):
     maps = [point_map([xys[i] for i in order]) for order in orders]
     # ids are positions in order; the ring holds entries 0..11 of xys
     lowest_on_ring = [int(np.flatnonzero(order < len(RING_5M))[0]) for order in orders]
-    assert [m.nearest((0.0, 0.0)) for m in maps] == [(cid, 5.0) for cid in lowest_on_ring]
+    assert [m.nearest_each([(0.0, 0.0)])[0] for m in maps] == [
+        (cid, 5.0) for cid in lowest_on_ring
+    ]
     for order, cluster_map, cid in zip(orders, maps, lowest_on_ring):
         assert cluster_map.nearest_each([(0.0, 0.0), (5.0, 0.0)]) == [
             (cid, 5.0), (int(np.flatnonzero(order == 0)[0]), 0.0)
@@ -257,7 +243,8 @@ def test_nearest_each_matches_brute_force(rng, grid):
         want = [brute_nearest(cluster_map, c) for c in centers]
         assert [cid for cid, _ in got] == [cid for cid, _ in want]
         assert [d for _, d in got] == pytest.approx([d for _, d in want], rel=1e-12, abs=0)
-        assert got == [cluster_map.nearest(c) for c in centers]
+        # one query per row gives the same answers as one for all rows
+        assert got == [cluster_map.nearest_each([c])[0] for c in centers]
 
 
 def test_nearest_each_edge_cases():
@@ -268,3 +255,8 @@ def test_nearest_each_edge_cases():
     assert single.nearest_each([(0.0, 0.0), (3.0, 4.0)]) == [(0, 5.0), (0, 0.0)]
     assert single.nearest_each(np.empty((0, 2))) == []
     assert single.nearest_each([]) == []
+    # a squared distance that overflows: the kd-tree reports no neighbour
+    far = point_map([(1e300, 0.0)])
+    assert far.nearest_each([(-1e300, 0.0), (1e300, 3.0)]) == [None, (0, 3.0)]
+    two = point_map([(1e300, 0.0), (1e300, 5.0)])
+    assert two.nearest_each([(0.0, 0.0), (1e300, 4.0)]) == [None, (1, 1.0)]

@@ -141,6 +141,29 @@ def test_pose_file_rejects_denormalized_quaternion(tmp_path):
         load_poses(path)
 
 
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("0.5 nan 0.0 0.0 0.0 0.0 0.0 1.0", "non-finite field"),
+        ("0.5 5.0 0.0 0.0 nan 0.0 0.0 1.0", "non-finite field"),
+        ("0.5 5.0 0.0 0.0 0.0 0.0 0.0 inf", "non-finite field"),
+        ("0.5 -inf 0.0 0.0 0.0 0.0 0.0 1.0", "non-finite field"),
+        ("nan 5.0 0.0 0.0 0.0 0.0 0.0 1.0", "non-finite field"),
+        ("0.0 5.0 0.0 0.0 0.0 0.0 0.0 1.0", "timestamp 0.0 does not increase"),
+        ("-0.5 5.0 0.0 0.0 0.0 0.0 0.0 1.0", "timestamp -0.5 does not increase"),
+    ],
+    ids=["nan-translation", "nan-quaternion", "inf-quaternion", "inf-translation",
+         "nan-timestamp", "repeated-timestamp", "decreasing-timestamp"],
+)
+def test_pose_file_rejects_non_finite_fields_and_unordered_timestamps(tmp_path, line, error):
+    path = tmp_path / "poses.txt"
+    first, last = "0.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0", "1.0 9.0 0.0 0.0 0.0 0.0 0.0 1.0"
+    path.write_text(f"{first}\n{line}\n{last}\n", encoding="ascii")
+    with pytest.raises(DatasetError) as exc:
+        load_poses(path)
+    assert str(exc.value) == f"{path}:2: {error}"
+
+
 # --------------------------------------------------------------- dataset
 
 
@@ -222,10 +245,8 @@ def test_map_round_trip_with_points(tmp_path, rng):
 def test_map_without_sidecar_synthesizes_centroid_points(tmp_path, rng):
     original = random_map(rng, 6)
     path = tmp_path / "map.txt"
-    save_map(original, path, include_points=True)
-    assert (tmp_path / "map.txt.points").exists()
-    save_map(original, path, include_points=False)
-    assert not (tmp_path / "map.txt.points").exists()
+    save_map(original, path)
+    (tmp_path / "map.txt.points").unlink()
     loaded = load_map(path)
     for cid in loaded.ids():
         cluster = loaded.get(cid)
@@ -342,9 +363,11 @@ def test_map_without_sidecar_keeps_its_weights(tmp_path, rng):
     for cluster in original:
         original.merge_points(cluster.cluster_id, rng.normal(cluster.centroid3d, 0.1, size=(32, 3)))
     first, second, third = (tmp_path / f"{name}.txt" for name in ("first", "second", "third"))
-    save_map(original, first, include_points=False)
+    save_map(original, first)
+    (tmp_path / "first.txt.points").unlink()
     loaded = load_map(first)
-    save_map(loaded, second, include_points=False)
+    save_map(loaded, second)
+    (tmp_path / "second.txt.points").unlink()
     # Each line keeps its centroid and observed count; only npoints becomes
     # the one synthetic member the load made.
     want = [line.rsplit(" ", 2) for line in first.read_text(encoding="ascii").split("\n")]
@@ -353,7 +376,7 @@ def test_map_without_sidecar_keeps_its_weights(tmp_path, rng):
     assert [(w[2], "1") for w in want[2:-1]] == [(g[2], g[1]) for g in got[2:-1]]
     assert [c.observed for c in loaded] == [c.observed for c in original] == [40] * 5
     # a second round trip is byte-stable
-    save_map(load_map(second), third, include_points=False)
+    save_map(load_map(second), third)
     assert third.read_bytes() == second.read_bytes()
     # the next merge weighs the stored centroid by its 40 observed points
     new = rng.normal(loaded.get(0).centroid3d, 0.1, size=(10, 3))

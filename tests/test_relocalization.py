@@ -327,7 +327,8 @@ def test_fine_align_matches_reference_loop(tmp_path):
     cases.append((identity_pairs(5), local, global_map, PoseSE3.identity(), RelocParams()))
     # a map saved without its sidecar: one target point per pair
     local, global_map, init = icp_scene(6)
-    save_map(global_map, tmp_path / "map.txt", include_points=False)
+    save_map(global_map, tmp_path / "map.txt")
+    (tmp_path / "map.txt.points").unlink()
     centroids_only = load_map(tmp_path / "map.txt")
     assert all(c.n_points == 1 for c in centroids_only)
     cases.append((identity_pairs(10), local, centroids_only, init, RelocParams()))
