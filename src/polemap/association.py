@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .cluster_map import ClusterMap
 
@@ -107,9 +108,8 @@ def _stars(cluster_map: ClusterMap, search_radius: float) -> _Stars:
         if not ids:
             empty = np.empty(0, dtype=int)
             return _Stars((), (), anchor_labels, empty, empty, np.empty(0), empty, empty)
-        tree, tree_ids = m._index()
-        cents = tree.data  # row r is cluster tree_ids[r]; ids ascending
-        hits = tree.query_ball_point(cents, search_radius)  # inclusive cutoff
+        tree_ids, cents = m.centroids_2d()  # row r is cluster tree_ids[r]; ids ascending
+        hits = cKDTree(cents).query_ball_point(cents, search_radius)  # inclusive cutoff
         n_hits = [len(h) for h in hits]
         rows = np.repeat(np.arange(len(ids)), n_hits)
         cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=int, count=sum(n_hits))

@@ -1,8 +1,8 @@
 """Semantic cluster data model and planar spatial queries.
 
 A cluster map stores labeled landmark clusters addressable by integer id and
-answers 2D centroid queries through a kd-tree. The kd-tree and any other data
-derived from the clusters (such as association's edge stars) are built on
+answers nearest-centroid queries in 2D from one exact distance matrix per
+call. Data derived from the clusters (association's edge stars) is built on
 first use and kept until the next mutation. Readers may share a map freely;
 mutation requires exclusive access.
 Points are numpy arrays throughout: a Frame holds (n, 3) coordinates with one
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 
 # Label codes as stored in Frame.labels and Cluster.label. Only pole and
@@ -110,7 +110,7 @@ class Cluster:
     observed counts every point the centroid averages; it is at least the
     number of members and defaults to it. Treated as immutable outside
     ClusterMap; registration appends points through the owning map so the
-    centroid and index stay consistent.
+    centroid and the map's derived data stay consistent.
     """
 
     cluster_id: int
@@ -130,7 +130,11 @@ class Cluster:
         points = _finite_points(points)
         if len(points) == 0:
             raise ValueError("empty cluster")
-        return cls(cluster_id, label, points, points.mean(axis=0))
+        with np.errstate(over="ignore"):  # an overflow to inf raises below
+            centroid = points.mean(axis=0)
+        if not np.isfinite(centroid).all():
+            raise ValueError("coordinate sum overflows")
+        return cls(cluster_id, label, points, centroid)
 
     @property
     def centroid2d(self) -> np.ndarray:
@@ -142,7 +146,7 @@ class Cluster:
 
 
 class ClusterMap:
-    """Id-addressable cluster store with 2D nearest-neighbor queries."""
+    """Id-addressable cluster store with exact 2D nearest-centroid queries."""
 
     def __init__(self):
         self._clusters: dict[int, Cluster] = {}
@@ -212,15 +216,18 @@ class ClusterMap:
         sum from centroid3d * observed, so its stored weight carries over.
         Every new point is appended as a member, or, given keys =
         voxel_keys(new_points), only those in a voxel the cluster has no
-        member in yet, the first point seen winning. Non-finite points raise
-        ValueError and leave the cluster unchanged.
+        member in yet, the first point seen winning. Non-finite points or an
+        overflowing sum raise ValueError and leave the cluster unchanged.
         """
         cluster = self._clusters[cluster_id]
         new_points = _finite_points(new_points)
         total = self._sums.get(cluster_id)
-        if total is None:
-            total = cluster.centroid3d * cluster.observed
-        total = np.concatenate([total[None], new_points]).sum(axis=0)
+        with np.errstate(over="ignore"):  # an overflow to inf raises below
+            if total is None:
+                total = cluster.centroid3d * cluster.observed
+            total = np.concatenate([total[None], new_points]).sum(axis=0)
+        if not np.isfinite(total).all():
+            raise ValueError("coordinate sum overflows")
         if keys is None:
             kept = new_points
             self._voxels.pop(cluster_id, None)  # rebuilt from the members if capped later
@@ -246,44 +253,22 @@ class ClusterMap:
         cents = np.array([self._clusters[i].centroid3d for i in ids])
         return np.array(ids), cents[:, :2]
 
-    def _index(self) -> tuple[cKDTree, np.ndarray]:
-        """kd-tree over the 2D centroids and the id of each tree row."""
-        return self.derived("index", _build_index)
-
     def nearest_each(self, centers) -> list[tuple[int, float] | None]:
         """Closest cluster to each row of (m, 2) centers as (id, distance),
-        ties to the lowest id, with one kd-tree query.
+        ties to the lowest id, from one distance matrix over the centroids.
 
-        Every center tied with the closest is among the k rows returned
-        unless all k tie; those rows are queried again over the whole map,
-        so the lowest id wins however many tie. A row is None when no
-        cluster lies at a finite distance: an empty map, or a squared
-        distance that overflows, for which the kd-tree reports no neighbour.
+        A row is None when no cluster lies at a finite distance: an empty
+        map, or a squared distance that overflows.
         """
         centers = np.asarray(centers, dtype=float).reshape(-1, 2)
         if not self._clusters:
             return [None] * len(centers)
-        if len(centers) == 0:
-            return []
-        tree, tree_ids = self._index()
-        n = len(tree_ids)
-
-        def lowest_tied_row(dists, idx):
-            # Tree rows ascend with id, so the lowest tied row is the lowest id.
-            return np.where(dists == dists[:, :1], idx, n).min(axis=1)
-
-        k = min(8, n)
-        dists, idx = (a.reshape(len(centers), k) for a in tree.query(centers, k=k))
-        rows = lowest_tied_row(dists, idx)
-        if k < n:
-            wide = np.flatnonzero(dists[:, -1] == dists[:, 0])
-            if len(wide):
-                rows[wide] = lowest_tied_row(*tree.query(centers[wide], k=n))
+        ids, cents = self.centroids_2d()
+        dists = cdist(centers, cents)
+        # Columns ascend with id, so the first minimum is the lowest tied id.
+        cols = dists.argmin(axis=1)
+        best = dists.min(axis=1)
         return [
-            (int(tree_ids[r]), float(d)) if r < n else None for r, d in zip(rows, dists[:, 0])
+            (int(ids[c]), d) if d < np.inf else None
+            for c, d in zip(cols.tolist(), best.tolist())
         ]
-
-
-def _build_index(cluster_map: ClusterMap) -> tuple[cKDTree, np.ndarray]:
-    ids, cents = cluster_map.centroids_2d()
-    return cKDTree(cents), ids

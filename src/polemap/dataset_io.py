@@ -11,8 +11,8 @@ frame plus text pose files:
 
 Pose components are written with shortest round-trip decimals so that
 load(save(x)) reproduces x exactly. Decoders reject truncated or oversized
-files, non-finite pose fields and timestamps that do not strictly increase
-instead of guessing.
+files, non-finite pose fields, translations beyond MAX_COORDINATE and
+timestamps that do not strictly increase instead of guessing.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from .geometry import PoseSE3
 
 POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
+# Largest magnitude, in meters, of a pose translation or map centroid field
+# read from a file: 100x what Earth-fixed frames need (ECEF within 6.4e6 m,
+# UTM northings below 1e7 m), and far below where sums and squares overflow.
+MAX_COORDINATE = 1e9
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,9 @@ def write_frame(point_path, label_path, frame: Frame, label_map: LabelMap) -> No
 
 
 def load_poses(path) -> list[tuple[float, PoseSE3]]:
-    """Parse a timestamped pose file. Every field must be finite, timestamps
-    must strictly increase and quaternions must be unit to 1e-6."""
+    """Parse a timestamped pose file. Every field must be finite, each
+    translation field at most MAX_COORDINATE in magnitude, timestamps must
+    strictly increase and quaternions must be unit to 1e-6."""
     poses = []
     with open(path, "r", encoding="ascii") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -132,6 +137,8 @@ def load_poses(path) -> list[tuple[float, PoseSE3]]:
             if not all(map(math.isfinite, values)):
                 raise DatasetError(f"{path}:{lineno}: non-finite field")
             t, tx, ty, tz, qx, qy, qz, qw = values
+            if max(abs(tx), abs(ty), abs(tz)) > MAX_COORDINATE:
+                raise DatasetError(f"{path}:{lineno}: translation beyond {MAX_COORDINATE:g} m")
             if poses and t <= poses[-1][0]:
                 raise DatasetError(f"{path}:{lineno}: timestamp {t!r} does not increase")
             norm = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)

@@ -119,17 +119,25 @@ def run_pipeline(
 ) -> PipelineResult:
     """Track a frame sequence against a global map.
 
-    frames[i] is reached by increments[i-1]; increments must therefore number
-    one less than frames. Every reloc_period seconds relocalize_frame poses
-    the current frame's clusters at the running estimate and relocalizes them
-    against the global map. Every fix is applied; a failure is logged and
-    recorded with its reason. Against an empty map every attempt fails, so
-    the trajectory is the odometry alone.
+    frames[i] is reached by increments[i-1], so increments must number one
+    less than frames and increments[i-1].timestamp must equal
+    frames[i].timestamp; a mismatch raises ValueError, naming the first
+    mismatched index, before any work. Every reloc_period seconds
+    relocalize_frame poses the current frame's clusters at the running
+    estimate and relocalizes them against the global map. Every fix is
+    applied; a failure is logged and recorded with its reason. Against an
+    empty map every attempt fails, so the trajectory is the odometry alone.
     """
     frames = list(frames)
     increments = list(increments)
     if len(increments) != max(len(frames) - 1, 0):
         raise ValueError("expected one increment between consecutive frames")
+    for i, increment in enumerate(increments, start=1):
+        if increment.timestamp != frames[i].timestamp:
+            raise ValueError(
+                f"increments[{i - 1}].timestamp {increment.timestamp!r} differs "
+                f"from frames[{i}].timestamp {frames[i].timestamp!r}"
+            )
     config = config or PipelineConfig()
 
     state = AnchoredPose.start(initial_pose or PoseSE3.identity())

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster_map import POLE, TRUNK, Cluster, ClusterMap
-from .dataset_io import LabelMap
+from .dataset_io import MAX_COORDINATE, LabelMap
 from .errors import MapFormatError
 
 FORMAT_NAME = "polemap-map"
@@ -73,9 +73,10 @@ def load_map(path) -> ClusterMap:
     """Decode a map file, restoring ids, labels, centroids and points.
 
     Reads versions 1 and 2. Raises MapFormatError on any other version,
-    malformed or trailing content, inconsistent centroids, an observed count
-    below the point count, or a sidecar whose size disagrees with the
-    declared point counts. Nothing is returned partially decoded.
+    malformed or trailing content, inconsistent centroids or ones beyond
+    MAX_COORDINATE, an observed count below the point count, or a sidecar
+    whose size disagrees with the declared point counts. Nothing is returned
+    partially decoded.
     """
     path = Path(path)
     try:
@@ -124,6 +125,8 @@ def load_map(path) -> ClusterMap:
             )
         if not np.isfinite(centroids).all():
             raise MapFormatError(f"{path}:{lineno}: non-finite centroid")
+        if (np.abs(centroids) > MAX_COORDINATE).any():
+            raise MapFormatError(f"{path}:{lineno}: centroid beyond {MAX_COORDINATE:g} m")
         if (centroids[3:] != centroids[:2]).any():
             raise MapFormatError(f"{path}:{lineno}: 2D centroid disagrees with 3D centroid")
         records.append((cid, label, centroids[:3], count, observed))

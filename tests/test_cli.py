@@ -325,6 +325,20 @@ def test_non_finite_map_centroid_exits_3(workspace, tmp_path, capsys, value):
     assert captured.err == f"error: {path}:4: non-finite centroid\n"
 
 
+def test_map_centroid_beyond_limit_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text(
+        "polemap-map 2\nlabels pole=5 trunk=6\n"
+        "cluster 0 pole 1.0 2.0 0.5 1.0 2.0 1 1\n"
+        "cluster 1 trunk 1e308 2.0 0.5 1e308 2.0 1 1\n",
+        encoding="ascii",
+    )
+    code = main(["relocalize", "--local", str(path), "--map", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {path}:4: centroid beyond 1e+09 m\n"
+
+
 def test_non_finite_map_sidecar_exits_3(workspace, tmp_path, capsys):
     path = tmp_path / "bad.txt"
     shutil.copy(workspace / "data" / "map.txt", path)
@@ -371,11 +385,14 @@ def _set_pose_field(path, lineno, index, value):
         ("localize", "poses.txt", 0, "0.0", "timestamp 0.0 does not increase"),
         ("localize", "odometry.txt", 4, "nan", "non-finite field"),
         ("localize", "odometry.txt", 0, "0.0", "timestamp 0.0 does not increase"),
+        ("build-map", "poses.txt", 1, "1e308", "translation beyond 1e+09 m"),
+        ("localize", "odometry.txt", 1, "1e308", "translation beyond 1e+09 m"),
     ],
     ids=["build-map-nan-translation", "build-map-nan-quaternion", "build-map-inf-translation",
          "build-map-repeated-timestamp", "localize-nan-translation",
          "localize-repeated-timestamp", "localize-odometry-nan-quaternion",
-         "localize-odometry-repeated-timestamp"],
+         "localize-odometry-repeated-timestamp", "build-map-huge-translation",
+         "localize-odometry-huge-translation"],
 )
 def test_bad_pose_file_exits_3(workspace, tmp_path, capsys, command, name, index, value, error):
     data = tmp_path / "data"

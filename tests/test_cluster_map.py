@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from polemap import POLE, TRUNK, Cluster, ClusterMap, Frame, other_label
+from polemap.cluster_map import voxel_keys
 from polemap.map_io import load_map, save_map
 from conftest import cluster_points
 
@@ -32,6 +34,32 @@ def test_non_finite_point_rejected():
     cluster_map.add(POLE, [(0.0, 0.0, 0.0)])
     with pytest.raises(ValueError, match="non-finite"):
         cluster_map.merge_points(0, [(float("inf"), 0.0, 0.0)])
+
+
+def test_overflowing_coordinate_sum_rejected():
+    huge = (1e308, 0.0, 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        Cluster.from_points(0, POLE, [huge, huge])
+    cluster_map = ClusterMap()
+    with pytest.raises(ValueError, match="overflows"):
+        cluster_map.add(POLE, [huge, huge])
+    assert len(cluster_map) == 0
+    cluster_map.add(POLE, [huge], voxel_keys([huge]))
+    small = (0.0, 5.0, 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        cluster_map.merge_points(0, [huge, small], voxel_keys([huge, small]))
+    cluster = cluster_map.get(0)
+    assert (cluster.n_points, cluster.observed) == (1, 1)
+    assert np.array_equal(cluster.centroid3d, huge)
+    # the rejected merge claimed no voxel, so small still becomes a member
+    cluster = cluster_map.merge_points(0, [small], voxel_keys([small]))
+    assert (cluster.n_points, cluster.observed) == (2, 2)
+    assert np.isfinite(cluster.centroid3d).all()
+    # a stored cluster's running sum starts from centroid3d * observed
+    cluster_map.insert(Cluster(5, POLE, np.array([huge]), np.array(huge), 2))
+    with pytest.raises(ValueError, match="overflows"):
+        cluster_map.merge_points(5, [(0.0, 0.0, 1.0)])
+    assert cluster_map.get(5).observed == 2
 
 
 def test_non_landmark_cluster_rejected():
@@ -204,8 +232,8 @@ def brute_nearest(cluster_map, center):
     return best[0], float(np.sqrt(best[1]))
 
 
-# the twelve integer points exactly 5 m from the origin, and twelve farther
-# off so that the kd-tree splits into more than one leaf
+# the twelve integer points exactly 5 m from the origin, more ties than an
+# eight-nearest query returns, and twelve farther off
 RING_5M = [(5, 0), (-5, 0), (0, 5), (0, -5), (3, 4), (3, -4), (-3, 4), (-3, -4),
            (4, 3), (4, -3), (-4, 3), (-4, -3)]
 FAR = [(x, y) for x in (-9, 0, 9) for y in (-9, 0, 9) if (x, y) != (0, 0)]
@@ -251,12 +279,65 @@ def test_nearest_each_edge_cases():
     assert ClusterMap().nearest_each([(0.0, 0.0), (1.0, 1.0)]) == [None, None]
     assert ClusterMap().nearest_each(np.empty((0, 2))) == []
     single = point_map([(3.0, 4.0)])
-    # k = 1 here, where the kd-tree answers with 1-D arrays
+    # one cluster: a distance matrix with a single column
     assert single.nearest_each([(0.0, 0.0), (3.0, 4.0)]) == [(0, 5.0), (0, 0.0)]
     assert single.nearest_each(np.empty((0, 2))) == []
     assert single.nearest_each([]) == []
-    # a squared distance that overflows: the kd-tree reports no neighbour
+    # a squared distance that overflows: no cluster lies at a finite distance
     far = point_map([(1e300, 0.0)])
     assert far.nearest_each([(-1e300, 0.0), (1e300, 3.0)]) == [None, (0, 3.0)]
     two = point_map([(1e300, 0.0), (1e300, 5.0)])
     assert two.nearest_each([(0.0, 0.0), (1e300, 4.0)]) == [None, (1, 1.0)]
+
+
+def kdtree_nearest(cluster_map, centers) -> tuple[list, int]:
+    """nearest_each's answer from a kd-tree queried for every cluster: the
+    lowest id tied at the smallest distance, None where that distance is not
+    finite; and the most clusters tied for any center."""
+    ids, cents = cluster_map.centroids_2d()
+    dists, rows = cKDTree(cents).query(centers, k=list(range(1, len(ids) + 1)))
+    out, most_tied = [], 0
+    for d, r in zip(dists, rows):
+        if not np.isfinite(d[0]):
+            out.append(None)
+            continue
+        tied = r[d == d[0]]
+        most_tied = max(most_tied, len(tied))
+        out.append((int(ids[tied.min()]), float(d[0])))
+    return out, most_tied
+
+
+@pytest.mark.parametrize("kind", ["random", "tied-grid", "wide-scale", "overflow"])
+def test_nearest_each_distances_are_bitwise_the_kdtree_ones(rng, kind):
+    # merge decisions compare these distances with merge_radius, so the ids
+    # must agree and every distance bit with the kd-tree's
+    most_tied = 0
+    for _ in range(30):
+        n = int(rng.integers(1, 60))
+        if kind == "random":
+            xys = rng.uniform(-50.0, 50.0, size=(n, 2))
+            centers = rng.uniform(-60.0, 60.0, size=(40, 2))
+        elif kind == "tied-grid":
+            # repeated points on a 5 x 5 grid and half-integer centers
+            xys = rng.integers(-2, 3, size=(n + 40, 2)).astype(float)
+            centers = rng.integers(-6, 7, size=(40, 2)) / 2.0
+        elif kind == "wide-scale":
+            scale = 10.0 ** int(rng.integers(-3, 7))
+            xys = scale * rng.standard_normal((n, 2))
+            centers = scale * rng.standard_normal((40, 2))
+        else:
+            # half the centers are too far for a finite squared distance
+            xys = 1e300 * rng.uniform(-1.0, 1.0, size=(n, 2))
+            near = xys[rng.integers(n, size=20)] + 1e150 * rng.uniform(-1.0, 1.0, size=(20, 2))
+            centers = np.vstack([1e300 * rng.uniform(-1.0, 1.0, size=(20, 2)), near])
+        cluster_map = point_map(xys)
+        want, tied = kdtree_nearest(cluster_map, centers)
+        most_tied = max(most_tied, tied)
+        got = cluster_map.nearest_each(centers)
+        assert [hit and (hit[0], hit[1].hex()) for hit in got] == [
+            hit and (hit[0], hit[1].hex()) for hit in want
+        ]
+        if kind == "overflow":
+            assert None in got and any(hit is not None for hit in got)
+    if kind == "tied-grid":
+        assert most_tied > 8

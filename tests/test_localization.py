@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,3 +249,18 @@ def test_pipeline_trajectory_timestamps_match_frames():
         run.frames, run.increments, scene.cluster_map, initial_pose=run.initial_pose
     )
     assert [t for t, _ in result.trajectory] == [f.timestamp for f in run.frames]
+
+
+@pytest.mark.parametrize("empty_map", [True, False], ids=["empty-map", "scene-map"])
+@pytest.mark.parametrize("first", [0, 3])
+def test_pipeline_rejects_increments_off_the_frame_timestamps(empty_map, first):
+    # a fix lands at the newest increment, so increments[i-1] must carry
+    # frames[i]'s timestamp; the check comes before any attempt, with either map
+    scene, run = _sim_setup(length=20.0)
+    increments = list(run.increments)
+    for i in range(first, len(increments)):
+        increments[i] = replace(increments[i], timestamp=increments[i].timestamp + 0.25)
+    global_map = ClusterMap() if empty_map else scene.cluster_map
+    expected = rf"increments\[{first}\]\.timestamp .* differs from frames\[{first + 1}\]"
+    with pytest.raises(ValueError, match=expected):
+        run_pipeline(run.frames, increments, global_map, initial_pose=run.initial_pose)
