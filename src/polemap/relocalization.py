@@ -276,20 +276,20 @@ def fine_align(
     return best_pose, best_rms
 
 
-def relocalize(
+def fit_pairs(
+    pairs,
     local_map: ClusterMap,
     global_map: ClusterMap,
-    assoc_params: AssociationParams | None = None,
-    reloc_params: RelocParams | None = None,
+    params: RelocParams | None = None,
 ) -> RelocResult:
-    """Full relocalization of a local map inside a global map.
+    """Pose from candidate pairs: consistency filter, RANSAC, the coarse fit
+    and ICP.
 
     Raises RelocalizationFailure with an enumerated reason when any stage
     leaves fewer than min_pairs correspondences or the fit degenerates.
     """
-    assoc_params = assoc_params or AssociationParams()
-    params = reloc_params or RelocParams()
-    pairs: list[MatchPair] = associate_maps(local_map, global_map, assoc_params)
+    params = params or RelocParams()
+    pairs = list(pairs)
     if len(pairs) < params.min_pairs:
         raise RelocalizationFailure(FAILURE_NO_MATCHES)
 
@@ -309,3 +309,19 @@ def relocalize(
         raise RelocalizationFailure(FAILURE_DEGENERATE) from None
     pose, residual = fine_align(pairs, local_map, global_map, coarse, params)
     return RelocResult(pose=pose, inlier_pairs=tuple(pairs), residual_rms=residual)
+
+
+def relocalize(
+    local_map: ClusterMap,
+    global_map: ClusterMap,
+    assoc_params: AssociationParams | None = None,
+    reloc_params: RelocParams | None = None,
+) -> RelocResult:
+    """Full relocalization of a local map inside a global map: star
+    association, then fit_pairs.
+
+    Raises RelocalizationFailure with an enumerated reason when any stage
+    leaves fewer than min_pairs correspondences or the fit degenerates.
+    """
+    pairs = associate_maps(local_map, global_map, assoc_params or AssociationParams())
+    return fit_pairs(pairs, local_map, global_map, reloc_params)
