@@ -68,7 +68,9 @@ from .relocalization import (
     coarse_align,
     estimate_rigid_transform,
     fine_align,
+    fit_pairs,
     geometric_consistency_filter,
+    guided_pairs,
     ransac_filter,
     relocalize,
 )

@@ -9,6 +9,13 @@ frame into such a fix; run_pipeline and the relocalization study both call it.
 run_pipeline applies every fix: nothing gates a fix by how far it moves the
 estimate, and nothing turns relocalization off. Tracking against an empty map
 gives the odometry-only trajectory.
+
+run_pipeline's first attempt is prior-free star association. Once it has
+applied a fix, each attempt passes PipelineConfig.track_gate, so relocalize
+first pairs each cluster posed at the estimate with the nearest same-label
+global centroid within the gate, and falls back to star association within
+the same call when that fails. The relocalization study never passes the
+gate: it poses frames at the true pose.
 """
 
 from __future__ import annotations
@@ -88,10 +95,15 @@ def apply_global_fix(state: AnchoredPose, fix: RelocResult, fix_timestamp: float
 @dataclass(frozen=True)
 class PipelineConfig:
     reloc_period: float = 0.5
+    # Meters within which an attempt after the first fix pairs clusters at
+    # the estimate; keep it below half the landmark spacing.
+    track_gate: float = 2.0
 
     def __post_init__(self):
         if self.reloc_period <= 0:
             raise ValueError("reloc_period must be positive")
+        if not self.track_gate > 0:
+            raise ValueError("track_gate must be positive")
 
 
 @dataclass(frozen=True)
@@ -145,6 +157,7 @@ def run_pipeline(
     failures: list[tuple[float, str]] = []
     fixes = 0
     attempts = 0
+    track_gate = None  # prior-free until the first fix
     next_attempt = frames[0].timestamp if frames else 0.0
 
     for i, frame in enumerate(frames):
@@ -155,7 +168,8 @@ def run_pipeline(
             attempts += 1
             try:
                 fix = relocalize_frame(
-                    frame, state.output, global_map, extraction, association, relocalization
+                    frame, state.output, global_map, extraction, association, relocalization,
+                    track_gate=track_gate,
                 )
             except RelocalizationFailure as exc:
                 log.info("relocalization failed at t=%.3f: %s", frame.timestamp, exc.reason)
@@ -163,6 +177,7 @@ def run_pipeline(
             else:
                 state = apply_global_fix(state, fix, frame.timestamp)
                 fixes += 1
+                track_gate = config.track_gate
         trajectory.append((frame.timestamp, state.output))
     return PipelineResult(
         trajectory=tuple(trajectory),
@@ -179,17 +194,23 @@ def relocalize_frame(
     extraction: ExtractionParams | None = None,
     association: AssociationParams | None = None,
     relocalization: RelocParams | None = None,
+    *,
+    track_gate: float | None = None,
 ) -> RelocResult:
     """One relocalization attempt: the frame's clusters, posed at estimate,
-    matched against the global map.
+    matched against the global map by one relocalize call.
 
     The result's pose is the corrected vehicle pose in the global frame,
     ready for apply_global_fix. A frame with no landmark cluster raises
     RelocalizationFailure("no-clusters"); relocalize raises the others.
+    track_gate is passed on to relocalize: left at None, the attempt is
+    prior-free.
     """
     clusters = extract_clusters(frame, extraction)
     if not clusters:
         raise RelocalizationFailure("no-clusters")
     local_map = build_local_map(clusters, estimate)
-    result = relocalize(local_map, global_map, association, relocalization)
+    result = relocalize(
+        local_map, global_map, association, relocalization, track_gate=track_gate
+    )
     return replace(result, pose=result.pose @ estimate)

@@ -5,16 +5,24 @@ filtering, RANSAC over cluster centroids, a closed-form rigid fit, and
 point-to-point ICP refinement over the member points of the surviving pairs,
 which re-queries only the points whose nearest target can have changed. The
 returned pose maps local-map coordinates into global-map coordinates.
+
+fit_pairs runs every stage after association on any candidate pairs. Two
+sources feed it: prior-free star association, and, when a caller that
+tracks a pose estimate passes relocalize a track_gate, guided pairs that
+match each local cluster to the nearest same-label global centroid within
+the gate. A guided attempt that fails falls back to star association within
+the same relocalize call; RelocResult.path names the source that served.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .association import AssociationParams, MatchPair, associate_maps
 from .cluster_map import ClusterMap
@@ -62,6 +70,7 @@ class RelocResult:
     pose: PoseSE3
     inlier_pairs: tuple[MatchPair, ...]
     residual_rms: float
+    path: str = "star"  # the pairs that served: "guided" or "star"
 
     def __post_init__(self):
         object.__setattr__(self, "inlier_pairs", tuple(self.inlier_pairs))
@@ -311,17 +320,64 @@ def fit_pairs(
     return RelocResult(pose=pose, inlier_pairs=tuple(pairs), residual_rms=residual)
 
 
+def _labeled_centroids(cluster_map: ClusterMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, 2D centroids, labels) in ascending id order."""
+    ids, cents = cluster_map.centroids_2d()
+    labels = np.array([cluster_map.get(cid).label for cid in ids.tolist()], dtype=int)
+    return ids, cents, labels
+
+
+def guided_pairs(local_map: ClusterMap, global_map: ClusterMap, gate: float) -> list[MatchPair]:
+    """Each local cluster paired with the nearest same-label global centroid
+    at a planar distance of at most gate meters, ties to the lowest global id.
+
+    One distance matrix against the global centroids, which the global map
+    keeps until it next changes. The local map must already be posed at the
+    estimate. A guided pair has no matched edges, so it carries 0.
+    """
+    global_ids, global_cents, global_labels = global_map.derived(
+        "labeled_centroids", _labeled_centroids
+    )
+    local_ids, local_cents, local_labels = _labeled_centroids(local_map)
+    if not len(global_ids) or not len(local_ids):
+        return []
+    dists = cdist(local_cents, global_cents)
+    dists[local_labels[:, None] != global_labels[None, :]] = np.inf
+    # Columns ascend with id, so the first minimum is the lowest tied id.
+    cols = dists.argmin(axis=1)
+    best = dists[np.arange(len(cols)), cols]
+    return [
+        MatchPair(lid, int(global_ids[col]), 0)
+        for lid, col, dist in zip(local_ids.tolist(), cols.tolist(), best.tolist())
+        if dist <= gate
+    ]
+
+
 def relocalize(
     local_map: ClusterMap,
     global_map: ClusterMap,
     assoc_params: AssociationParams | None = None,
     reloc_params: RelocParams | None = None,
+    *,
+    track_gate: float | None = None,
 ) -> RelocResult:
     """Full relocalization of a local map inside a global map: star
     association, then fit_pairs.
 
-    Raises RelocalizationFailure with an enumerated reason when any stage
-    leaves fewer than min_pairs correspondences or the fit degenerates.
+    With track_gate set, fit_pairs first runs on guided_pairs within that
+    gate, which needs the local map posed at a good estimate; on any
+    RelocalizationFailure the call falls back to star association. Raises
+    RelocalizationFailure with an enumerated reason when any stage of the
+    star path leaves fewer than min_pairs correspondences or the fit
+    degenerates.
     """
+    if track_gate is not None:
+        pairs = guided_pairs(local_map, global_map, track_gate)
+        try:
+            result = fit_pairs(pairs, local_map, global_map, reloc_params)
+        except RelocalizationFailure:
+            pass
+        else:
+            return replace(result, path="guided")
     pairs = associate_maps(local_map, global_map, assoc_params or AssociationParams())
     return fit_pairs(pairs, local_map, global_map, reloc_params)

@@ -524,7 +524,7 @@ GOLDEN_SHA256 = {
     "data/map.txt.points": "a95d5350bcd29396d903b990399701c95a3c20663ed39053cd2ad2b72bbc196b",
     "built.txt": "facdb537e75809ae264a43bc154eb6b76416ab7c2a1a0820474bd70dc5dc7b80",
     "built.txt.points": "eddd84b20c58bb77ec8d36718151fe5c1e9d9f8690efdac0d84f328010a73446",
-    "estimated.txt": "c03359b4218108b18a40526547af8dca2a8081a8ddcd9230dc9094c2a0662136",
+    "estimated.txt": "7051c6142fae50571ba76b594195113da6042f8fe5993fc4ffbb5447f6069bae",
 }
 GOLDEN_RELOCALIZE_SHA256 = "a2ed8357c1bf6b082db50ba30af9ddc737574dc36f4be589ca40eb3e63496525"
 # The distance-to-relocalize study on the same scene, four trials per
@@ -543,7 +543,7 @@ def test_outputs_are_byte_exact(tmp_path, capsys):
     assert capsys.readouterr().out.split("\n") == [
         "frames 17", "clusters 70", "length 40.000",
         "clusters 37", "density 0.925000",
-        "fixes 17 attempts 17", "rmse 0.026175", "",
+        "fixes 17 attempts 17", "rmse 0.025702", "",
     ]
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
@@ -573,6 +573,6 @@ def test_config_output_is_byte_exact(tmp_path, capsys):
         assert main(["config", *extra]) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest())
     assert digests == [
-        "f884b358eb958194645f728dd4c8c4f99f89ac1b070e86c22764293d4bfcda7b",
-        "ca647c12af6769fff1291b1a1d45596723438164030ac5102a50895ee81fa782",
+        "62a9b7e06193c24714221a6aa4cdc0bcc9324665e967e8b44fcab51362d89aeb",
+        "87a2a5067b102deb7460e429e297196ff2ca8b2f81aff57414b9c4f2542d517a",
     ]

@@ -17,6 +17,7 @@ from polemap import (
     relocalize_frame,
     run_pipeline,
 )
+from polemap import localization
 from polemap.localization import RENORM_PERIOD
 from polemap.extraction import extract_clusters
 from polemap.registration import build_local_map
@@ -29,7 +30,7 @@ from polemap.simulate import (
     generate_scene,
     simulate_run,
 )
-from polemap.evaluate import evaluate_localization
+from polemap.evaluate import RelocEvalProtocol, evaluate_localization, evaluate_relocalization
 from polemap.geometry import rotation_about_z
 
 
@@ -99,6 +100,12 @@ def test_rotation_stays_orthonormal_over_long_runs():
 def test_pipeline_config_rejects_bad_period():
     with pytest.raises(ValueError, match="reloc_period"):
         PipelineConfig(reloc_period=0.0)
+
+
+@pytest.mark.parametrize("gate", [0.0, -1.0, math.nan])
+def test_pipeline_config_rejects_non_positive_gate(gate):
+    with pytest.raises(ValueError, match="track_gate"):
+        PipelineConfig(track_gate=gate)
 
 
 def test_pipeline_rejects_mismatched_lengths():
@@ -179,6 +186,63 @@ def test_pipeline_against_empty_map_is_odometry_only():
         pose.as_matrix().tobytes() == want.as_matrix().tobytes()
         for (_, pose), want in zip(result.trajectory, odometry)
     )
+
+
+def _spy_relocalize(monkeypatch):
+    """Record each relocalize call of the localization module as
+    (track_gate, path of the result or the failure reason)."""
+    calls = []
+
+    def spy(*args, track_gate=None):
+        try:
+            result = relocalize(*args, track_gate=track_gate)
+        except RelocalizationFailure as exc:
+            calls.append((track_gate, exc.reason))
+            raise
+        calls.append((track_gate, result.path))
+        return result
+
+    monkeypatch.setattr(localization, "relocalize", spy)
+    return calls
+
+
+def test_pipeline_tracks_with_the_gate_after_the_first_fix(monkeypatch):
+    calls = _spy_relocalize(monkeypatch)
+    scene, run = _sim_setup(length=20.0)
+    result = run_pipeline(
+        run.frames, run.increments, scene.cluster_map, initial_pose=run.initial_pose,
+        config=PipelineConfig(track_gate=1.5),
+    )
+    # one relocalize call per attempt: the first prior-free, every later one
+    # guided at the configured gate
+    assert result.attempts == len(calls) == len(run.frames)
+    assert result.fixes_applied == result.attempts
+    assert calls == [(None, "star")] + [(1.5, "guided")] * (len(calls) - 1)
+
+
+def test_pipeline_stays_prior_free_until_a_fix(monkeypatch):
+    # the edge drive starts outside the map: no fix, so no gate, until the
+    # first landmarks come into view
+    calls = _spy_relocalize(monkeypatch)
+    scene, run = _edge_drive()
+    result = run_pipeline(
+        run.frames, run.increments, scene.cluster_map, initial_pose=run.initial_pose
+    )
+    first_fix = next(i for i, (_, outcome) in enumerate(calls) if outcome == "star")
+    assert all(gate is None for gate, _ in calls[: first_fix + 1])
+    assert all(gate == 2.0 for gate, _ in calls[first_fix + 1:])
+    # frames without a cluster never reach relocalize
+    no_clusters = sum(reason == "no-clusters" for _, reason in result.failures)
+    assert len(calls) == result.attempts - no_clusters
+
+
+def test_relocalization_study_never_passes_the_gate(monkeypatch):
+    calls = _spy_relocalize(monkeypatch)
+    scene = generate_scene(SceneSpec(area=(120.0, 120.0), n_clusters=45, seed=11))
+    evaluate_relocalization(
+        scene, retentions=(1.0, 0.4), trials=2, protocol=RelocEvalProtocol(max_distance=10.0)
+    )
+    assert calls and all(gate is None for gate, _ in calls)
 
 
 def test_pipeline_fix_removes_a_planted_offset():

@@ -7,6 +7,7 @@ from scipy.spatial import cKDTree
 
 from polemap import (
     POLE,
+    TRUNK,
     ClusterMap,
     MatchPair,
     PoseSE3,
@@ -16,6 +17,7 @@ from polemap import (
     estimate_rigid_transform,
     fine_align,
     geometric_consistency_filter,
+    guided_pairs,
     ransac_filter,
     relocalize,
 )
@@ -479,6 +481,109 @@ def test_relocalize_ransac_failure(monkeypatch):
     with pytest.raises(RelocalizationFailure) as info:
         relocalize(mirrored, global_map)
     assert info.value.reason == "ransac-failure"
+
+
+# ------------------------------------------------------------ guided path
+
+
+def labeled_map(rows) -> ClusterMap:
+    """One single-point cluster per (label, x, y) row, ids in row order."""
+    m = ClusterMap()
+    for label, x, y in rows:
+        m.add(label, [(float(x), float(y), 0.0)])
+    return m
+
+
+def test_guided_pairs_same_label_inclusive_gate_lowest_id():
+    global_map = labeled_map([
+        (TRUNK, 0.0, 0.0),    # 0: on top of local 0, but the wrong label
+        (POLE, 2.0, 0.0),     # 1: exactly at the gate
+        (POLE, 0.0, 2.0),     # 2: tied with 1, the higher id
+        (TRUNK, 22.5, 0.0),   # 3: beyond the gate of local 1
+        (POLE, 40.0, 0.5),    # 4: the wrong label for local 2
+        (TRUNK, 41.5, 0.0),   # 5
+    ])
+    local = labeled_map([(POLE, 0.0, 0.0), (TRUNK, 20.0, 0.0), (TRUNK, 40.0, 0.0)])
+    assert guided_pairs(local, global_map, 2.0) == [MatchPair(0, 1, 0), MatchPair(2, 5, 0)]
+    assert guided_pairs(local, global_map, 1.999) == [MatchPair(2, 5, 0)]
+    assert guided_pairs(local, ClusterMap(), 2.0) == []
+    assert guided_pairs(ClusterMap(), global_map, 2.0) == []
+
+
+def test_guided_path_serves_a_local_map_posed_at_a_good_estimate(rng, monkeypatch):
+    global_map = random_map(rng, 25, extent=60.0, min_spacing=4.0)
+    # posed at an estimate 0.3 m off: every cluster lies within the gate
+    offset = PoseSE3(rotation_about_z(0.002), np.array([0.3, -0.1, 0.0]))
+    local = moved_copy(global_map, offset, rng, sigma=0.02)
+    star = relocalize(local, global_map)
+
+    def no_star(*args):
+        raise AssertionError("star association ran on the guided path")
+
+    monkeypatch.setattr(relocalization, "associate_maps", no_star)
+    guided = relocalize(local, global_map, track_gate=2.0)
+    assert (star.path, guided.path) == ("star", "guided")
+    assert all(p.matched_edges == 0 for p in guided.inlier_pairs)
+    truth = offset.inverse()
+    assert np.linalg.norm(guided.pose.translation - truth.translation) < 0.1
+    assert rotation_angle_deg(guided.pose.rotation.T @ truth.rotation) < 0.5
+
+
+def test_too_few_guided_pairs_fall_back_to_star_in_one_call(rng):
+    global_map = random_map(rng, 25, extent=60.0, min_spacing=4.0)
+    # posed 350 m away: no global centroid lies within the gate
+    pose = PoseSE3(rotation_about_z(0.7), np.array([300.0, -180.0, 0.0]))
+    local = moved_copy(global_map, pose, rng, sigma=0.02)
+    assert guided_pairs(local, global_map, 2.0) == []
+    result = relocalize(local, global_map, track_gate=2.0)
+    star = relocalize(local, global_map)
+    assert result.path == "star"
+    assert result.pose.as_matrix().tobytes() == star.pose.as_matrix().tobytes()
+    assert result.inlier_pairs == star.inlier_pairs
+
+
+def test_failed_fallback_reports_the_star_reason(rng):
+    # the guided path finds piece a's four pairs, one short of min_pairs;
+    # the star path then fails at the consistency filter, and that is raised
+    local, global_map, assoc = scrambled_piece_scene(rng)
+    assert len(guided_pairs(local, global_map, 2.0)) == 4
+    with pytest.raises(RelocalizationFailure) as info:
+        relocalize(local, global_map, assoc, RelocParams(min_pairs=5), track_gate=2.0)
+    assert info.value.reason == "consistency-collapse"
+
+
+# Exact (dyadic) offsets of each cluster's member points from its center, so
+# centroids and the distances between shifted copies carry no rounding.
+_POLE_POINTS = [(dx, dy, z) for dx, dy in ((0.125, 0.0), (-0.125, 0.0), (0.0, 0.125), (0.0, -0.125))
+                for z in (0.5, 1.5, 2.5, 3.5)]
+_TRUNK_POINTS = [(dx, dy, z) for dx, dy in ((0.25, 0.0), (-0.25, 0.0), (0.0, 0.25), (0.0, -0.25))
+                 for z in (0.25, 0.75, 1.25)]
+# Irregular off-row trunks, so the row's period does not hold for the scene.
+_ROW_TRUNKS = [(5.0, 7.0), (21.0, -6.0), (38.0, 9.0), (59.0, -4.5), (77.0, 6.5)]
+
+
+def pole_row_map(shift=0.0) -> ClusterMap:
+    """12 poles 8 m apart along x plus 5 off-row trunks, shifted along x."""
+    m = ClusterMap()
+    for k in range(12):
+        m.add(POLE, [(8.0 * k + shift + dx, dy, z) for dx, dy, z in _POLE_POINTS])
+    for x, y in _ROW_TRUNKS:
+        m.add(TRUNK, [(x + shift + dx, y + dy, z) for dx, dy, z in _TRUNK_POINTS])
+    return m
+
+
+@pytest.mark.parametrize("offset, path", [(2.0, "guided"), (3.0, "star"), (4.0, "star")])
+def test_periodic_pole_row(offset, path):
+    # The vehicle sits at the origin of the global frame, and its estimate is
+    # off by offset along the row, so the local map lies shifted by it. At 2 m
+    # every cluster pairs with its own landmark; at 3 and 4 m none lies within
+    # the gate, and star association, which ignores the estimate, serves.
+    estimate = PoseSE3(np.eye(3), np.array([offset, 0.0, 0.0]))
+    result = relocalize(pole_row_map(offset), pole_row_map(), track_gate=2.0)
+    fix = result.pose @ estimate
+    assert (result.path, len(result.inlier_pairs)) == (path, 17)
+    assert np.linalg.norm(fix.translation) < 0.1
+    assert rotation_angle_deg(fix.rotation) < 0.5
 
 
 def test_reloc_params_validated():
