@@ -10,12 +10,13 @@ run_pipeline applies every fix: nothing gates a fix by how far it moves the
 estimate, and nothing turns relocalization off. Tracking against an empty map
 gives the odometry-only trajectory.
 
-run_pipeline's first attempt is prior-free star association. Once it has
-applied a fix, each attempt passes PipelineConfig.track_gate, so relocalize
-first pairs each cluster posed at the estimate with the nearest same-label
-global centroid within the gate, and falls back to star association within
-the same call when that fails. The relocalization study never passes the
-gate: it poses frames at the true pose.
+run_pipeline's first attempt, and the attempt after any failure, is
+prior-free star association. An attempt that directly follows a fix passes
+TRACK_GATE, so relocalize first pairs each cluster posed at the estimate
+with the nearest same-label global centroid within the gate, and falls back
+to star association within the same call when that fails or its inliers do
+not span the plane. The relocalization study never passes the gate: it
+poses frames at the true pose.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ log = logging.getLogger(__name__)
 
 # Rotation blocks are renormalized after this many compositions.
 RENORM_PERIOD = 100
+# Meters within which an attempt that follows a fix pairs clusters posed at
+# the estimate. Below half the landmark spacing, so a cluster cannot reach
+# its neighbour's landmark while the estimate is within the gate of the truth.
+TRACK_GATE = 2.0
 
 
 @dataclass(frozen=True)
@@ -95,15 +100,10 @@ def apply_global_fix(state: AnchoredPose, fix: RelocResult, fix_timestamp: float
 @dataclass(frozen=True)
 class PipelineConfig:
     reloc_period: float = 0.5
-    # Meters within which an attempt after the first fix pairs clusters at
-    # the estimate; keep it below half the landmark spacing.
-    track_gate: float = 2.0
 
     def __post_init__(self):
         if self.reloc_period <= 0:
             raise ValueError("reloc_period must be positive")
-        if not self.track_gate > 0:
-            raise ValueError("track_gate must be positive")
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def run_pipeline(
     failures: list[tuple[float, str]] = []
     fixes = 0
     attempts = 0
-    track_gate = None  # prior-free until the first fix
+    track_gate = None  # prior-free until a fix, and again after any failure
     next_attempt = frames[0].timestamp if frames else 0.0
 
     for i, frame in enumerate(frames):
@@ -174,10 +174,11 @@ def run_pipeline(
             except RelocalizationFailure as exc:
                 log.info("relocalization failed at t=%.3f: %s", frame.timestamp, exc.reason)
                 failures.append((frame.timestamp, exc.reason))
+                track_gate = None
             else:
                 state = apply_global_fix(state, fix, frame.timestamp)
                 fixes += 1
-                track_gate = config.track_gate
+                track_gate = TRACK_GATE
         trajectory.append((frame.timestamp, state.output))
     return PipelineResult(
         trajectory=tuple(trajectory),

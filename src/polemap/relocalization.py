@@ -10,8 +10,9 @@ fit_pairs runs every stage after association on any candidate pairs. Two
 sources feed it: prior-free star association, and, when a caller that
 tracks a pose estimate passes relocalize a track_gate, guided pairs that
 match each local cluster to the nearest same-label global centroid within
-the gate. A guided attempt that fails falls back to star association within
-the same relocalize call; RelocResult.path names the source that served.
+the gate. A guided attempt that fails, or whose inliers lie along a line,
+falls back to star association within the same relocalize call;
+RelocResult.path names the source that served.
 """
 
 from __future__ import annotations
@@ -320,6 +321,21 @@ def fit_pairs(
     return RelocResult(pose=pose, inlier_pairs=tuple(pairs), residual_rms=residual)
 
 
+# A guided fit serves only when the planar centroids of its inliers span the
+# plane: the smaller singular value of those centred xy centroids must be at
+# least this share of the larger, so the roll about their main axis is held
+# at least a tenth as firmly as the pitch along it. Pairs along one line,
+# such as a row of poles, hold neither that roll nor which period of a
+# regular row the estimate sits in.
+GUIDED_MIN_SPREAD = 0.1
+
+
+def _spans_plane(pairs, global_map: ClusterMap) -> bool:
+    xy = np.array([global_map.get(p.global_id).centroid3d[:2] for p in pairs])
+    s = np.linalg.svd(xy - xy.mean(axis=0), compute_uv=False)
+    return bool(s[1] >= GUIDED_MIN_SPREAD * s[0])
+
+
 def _labeled_centroids(cluster_map: ClusterMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ids, 2D centroids, labels) in ascending id order."""
     ids, cents = cluster_map.centroids_2d()
@@ -366,7 +382,8 @@ def relocalize(
 
     With track_gate set, fit_pairs first runs on guided_pairs within that
     gate, which needs the local map posed at a good estimate; on any
-    RelocalizationFailure the call falls back to star association. Raises
+    RelocalizationFailure, or when the guided inliers do not span the plane
+    (GUIDED_MIN_SPREAD), the call falls back to star association. Raises
     RelocalizationFailure with an enumerated reason when any stage of the
     star path leaves fewer than min_pairs correspondences or the fit
     degenerates.
@@ -378,6 +395,7 @@ def relocalize(
         except RelocalizationFailure:
             pass
         else:
-            return replace(result, path="guided")
+            if _spans_plane(result.inlier_pairs, global_map):
+                return replace(result, path="guided")
     pairs = associate_maps(local_map, global_map, assoc_params or AssociationParams())
     return fit_pairs(pairs, local_map, global_map, reloc_params)

@@ -573,6 +573,6 @@ def test_config_output_is_byte_exact(tmp_path, capsys):
         assert main(["config", *extra]) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest())
     assert digests == [
-        "62a9b7e06193c24714221a6aa4cdc0bcc9324665e967e8b44fcab51362d89aeb",
-        "87a2a5067b102deb7460e429e297196ff2ca8b2f81aff57414b9c4f2542d517a",
+        "f884b358eb958194645f728dd4c8c4f99f89ac1b070e86c22764293d4bfcda7b",
+        "ca647c12af6769fff1291b1a1d45596723438164030ac5102a50895ee81fa782",
     ]

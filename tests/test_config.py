@@ -71,8 +71,6 @@ def test_bad_values_rejected_with_location():
 def test_group_validation_errors_become_config_errors():
     with pytest.raises(ConfigError, match="reloc_period"):
         parse_config("pipeline.reloc_period = -1.0")
-    with pytest.raises(ConfigError, match="track_gate must be positive"):
-        parse_config("pipeline.track_gate = 0")
     for text, message in (
         # class ids beyond the low 16 bits of a label word never match
         ("labels.pole = -1", r"label ids must lie in \[0, 65535\]"),

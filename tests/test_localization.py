@@ -18,7 +18,7 @@ from polemap import (
     run_pipeline,
 )
 from polemap import localization
-from polemap.localization import RENORM_PERIOD
+from polemap.localization import RENORM_PERIOD, TRACK_GATE
 from polemap.extraction import extract_clusters
 from polemap.registration import build_local_map
 from polemap.relocalization import RelocalizationFailure, RelocResult, relocalize
@@ -100,12 +100,6 @@ def test_rotation_stays_orthonormal_over_long_runs():
 def test_pipeline_config_rejects_bad_period():
     with pytest.raises(ValueError, match="reloc_period"):
         PipelineConfig(reloc_period=0.0)
-
-
-@pytest.mark.parametrize("gate", [0.0, -1.0, math.nan])
-def test_pipeline_config_rejects_non_positive_gate(gate):
-    with pytest.raises(ValueError, match="track_gate"):
-        PipelineConfig(track_gate=gate)
 
 
 def test_pipeline_rejects_mismatched_lengths():
@@ -210,14 +204,13 @@ def test_pipeline_tracks_with_the_gate_after_the_first_fix(monkeypatch):
     calls = _spy_relocalize(monkeypatch)
     scene, run = _sim_setup(length=20.0)
     result = run_pipeline(
-        run.frames, run.increments, scene.cluster_map, initial_pose=run.initial_pose,
-        config=PipelineConfig(track_gate=1.5),
+        run.frames, run.increments, scene.cluster_map, initial_pose=run.initial_pose
     )
     # one relocalize call per attempt: the first prior-free, every later one
-    # guided at the configured gate
+    # guided at the gate
     assert result.attempts == len(calls) == len(run.frames)
     assert result.fixes_applied == result.attempts
-    assert calls == [(None, "star")] + [(1.5, "guided")] * (len(calls) - 1)
+    assert calls == [(None, "star")] + [(TRACK_GATE, "guided")] * (len(calls) - 1)
 
 
 def test_pipeline_stays_prior_free_until_a_fix(monkeypatch):
@@ -230,10 +223,33 @@ def test_pipeline_stays_prior_free_until_a_fix(monkeypatch):
     )
     first_fix = next(i for i, (_, outcome) in enumerate(calls) if outcome == "star")
     assert all(gate is None for gate, _ in calls[: first_fix + 1])
-    assert all(gate == 2.0 for gate, _ in calls[first_fix + 1:])
+    assert all(gate == TRACK_GATE for gate, _ in calls[first_fix + 1:])
     # frames without a cluster never reach relocalize
     no_clusters = sum(reason == "no-clusters" for _, reason in result.failures)
     assert len(calls) == result.attempts - no_clusters
+
+
+def test_pipeline_failure_makes_the_next_attempt_prior_free(monkeypatch):
+    # The edge drive with a 2 s sensor blackout well after the first fix: the
+    # blank frames fail with no-clusters, which drops the gate, so the vehicle
+    # comes back onto the map with a prior-free attempt, as on first entry.
+    calls = _spy_relocalize(monkeypatch)
+    scene, run = _edge_drive()
+    blackout = [i for i, frame in enumerate(run.frames) if 20.0 <= frame.timestamp < 22.0]
+    frames = list(run.frames)
+    for i in blackout:
+        frames[i] = Frame(frames[i].timestamp, (), ())
+    result = run_pipeline(frames, run.increments, scene.cluster_map, initial_pose=run.initial_pose)
+    assert [f for f in result.failures if f[0] >= 15.5] == [
+        (20.0, "no-clusters"), (20.5, "no-clusters"), (21.0, "no-clusters"), (21.5, "no-clusters")
+    ]
+    # the first fix is at 15.5 s; the eight attempts from 16.0 s to 19.5 s
+    # each follow a fix, the first attempt after the blackout does not
+    first_fix = calls.index((None, "star"))
+    resumed = calls.index((None, "star"), first_fix + 1)
+    assert calls[first_fix + 1: resumed] == [(TRACK_GATE, "guided")] * 8
+    assert len(calls) > resumed + 1
+    assert calls[resumed + 1:] == [(TRACK_GATE, "guided")] * (len(calls) - resumed - 1)
 
 
 def test_relocalization_study_never_passes_the_gate(monkeypatch):

@@ -16,6 +16,7 @@ from polemap import (
     coarse_align,
     estimate_rigid_transform,
     fine_align,
+    fit_pairs,
     geometric_consistency_filter,
     guided_pairs,
     ransac_filter,
@@ -562,13 +563,17 @@ _TRUNK_POINTS = [(dx, dy, z) for dx, dy in ((0.25, 0.0), (-0.25, 0.0), (0.0, 0.2
 _ROW_TRUNKS = [(5.0, 7.0), (21.0, -6.0), (38.0, 9.0), (59.0, -4.5), (77.0, 6.5)]
 
 
-def pole_row_map(shift=0.0) -> ClusterMap:
-    """12 poles 8 m apart along x plus 5 off-row trunks, shifted along x."""
+def pole_row_map(shift=0.0, rng=None, sigma=0.0) -> ClusterMap:
+    """12 poles 8 m apart along x plus 5 off-row trunks, shifted along x;
+    with rng, every member point gets Gaussian noise of sigma meters."""
     m = ClusterMap()
-    for k in range(12):
-        m.add(POLE, [(8.0 * k + shift + dx, dy, z) for dx, dy, z in _POLE_POINTS])
-    for x, y in _ROW_TRUNKS:
-        m.add(TRUNK, [(x + shift + dx, y + dy, z) for dx, dy, z in _TRUNK_POINTS])
+    rows = [(POLE, 8.0 * k, 0.0, _POLE_POINTS) for k in range(12)]
+    rows += [(TRUNK, x, y, _TRUNK_POINTS) for x, y in _ROW_TRUNKS]
+    for label, x, y, offsets in rows:
+        points = np.array([(x + shift + dx, y + dy, z) for dx, dy, z in offsets])
+        if rng is not None:
+            points += sigma * rng.standard_normal(points.shape)
+        m.add(label, points)
     return m
 
 
@@ -582,6 +587,26 @@ def test_periodic_pole_row(offset, path):
     result = relocalize(pole_row_map(offset), pole_row_map(), track_gate=2.0)
     fix = result.pose @ estimate
     assert (result.path, len(result.inlier_pairs)) == (path, 17)
+    assert np.linalg.norm(fix.translation) < 0.1
+    assert rotation_angle_deg(fix.rotation) < 0.5
+
+
+def test_collinear_guided_inliers_fall_back_to_star():
+    # Off by one full period of the noisy row, each pole lies within the gate
+    # of its neighbour's landmark and no trunk lies within the gate of its
+    # own. fit_pairs accepts those 11 collinear pairs, which confirm the wrong
+    # estimate and leave the roll about the row free; they do not span the
+    # plane, so star association serves and finds the true pose.
+    rng = np.random.default_rng(5)
+    global_map = pole_row_map(rng=rng, sigma=0.02)
+    local = pole_row_map(8.0, rng=rng, sigma=0.02)
+    pairs = guided_pairs(local, global_map, 2.0)
+    assert [(p.local_id, p.global_id) for p in pairs] == [(k, k + 1) for k in range(11)]
+    assert len(fit_pairs(pairs, local, global_map).inlier_pairs) == 11
+    estimate = PoseSE3(np.eye(3), np.array([8.0, 0.0, 0.0]))
+    result = relocalize(local, global_map, track_gate=2.0)
+    fix = result.pose @ estimate
+    assert (result.path, len(result.inlier_pairs)) == ("star", 17)
     assert np.linalg.norm(fix.translation) < 0.1
     assert rotation_angle_deg(fix.rotation) < 0.5
 
