@@ -36,8 +36,9 @@ log = logging.getLogger(__name__)
 # Rotation blocks are renormalized after this many compositions.
 RENORM_PERIOD = 100
 # Meters within which an attempt that follows a fix pairs clusters posed at
-# the estimate. Below half the landmark spacing, so a cluster cannot reach
-# its neighbour's landmark while the estimate is within the gate of the truth.
+# the estimate. Below half the default scene's 6 m minimum landmark spacing,
+# so a cluster cannot reach its neighbour's landmark while the estimate is
+# within the gate of the truth.
 TRACK_GATE = 2.0
 
 
