@@ -103,12 +103,11 @@ def _stars(cluster_map: ClusterMap, search_radius: float) -> _Stars:
     every star as slices of arrays sorted by (anchor, length, neighbor id)."""
 
     def build(m: ClusterMap) -> _Stars:
-        ids = m.ids()
-        anchor_labels = np.array([m.get(cid).label for cid in ids], dtype=int)
+        tree_ids, cents, anchor_labels = m.centroid_table()  # row r is cluster tree_ids[r]
+        ids = tree_ids.tolist()
         if not ids:
             empty = np.empty(0, dtype=int)
             return _Stars((), (), anchor_labels, empty, empty, np.empty(0), empty, empty)
-        tree_ids, cents = m.centroids_2d()  # row r is cluster tree_ids[r]; ids ascending
         hits = cKDTree(cents).query_ball_point(cents, search_radius)  # inclusive cutoff
         n_hits = [len(h) for h in hits]
         rows = np.repeat(np.arange(len(ids)), n_hits)

@@ -1,10 +1,12 @@
 """Semantic cluster data model and planar spatial queries.
 
 A cluster map stores labeled landmark clusters addressable by integer id and
-answers nearest-centroid queries in 2D from one exact distance matrix per
-call. Data derived from the clusters (association's edge stars) is built on
-first use and kept until the next mutation. Readers may share a map freely;
-mutation requires exclusive access.
+answers nearest-centroid queries in 2D, optionally restricted to one label per
+query, from one exact distance matrix per call. Data derived from the
+clusters is built on first use and kept until the next mutation: the
+read-only centroid table (ids, 2D centroids and label codes in ascending id
+order) that every query and association's edge stars read, and those stars.
+Readers may share a map freely; mutation requires exclusive access.
 Points are numpy arrays throughout: a Frame holds (n, 3) coordinates with one
 label code per point, a Cluster its (n, 3) member coordinates.
 
@@ -245,26 +247,46 @@ class ClusterMap:
         self._derived.clear()
         return cluster
 
-    def centroids_2d(self) -> tuple[np.ndarray, np.ndarray]:
-        """Snapshot of (ids, 2D centroids) in ascending id order."""
-        ids = self.ids()
-        if not ids:
-            return np.empty(0, dtype=int), np.empty((0, 2))
-        cents = np.array([self._clusters[i].centroid3d for i in ids])
-        return np.array(ids), cents[:, :2]
+    def centroid_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, (n, 2) centroids, label codes) in ascending id order, built
+        on first use and kept until the map next changes; read-only."""
 
-    def nearest_each(self, centers) -> list[tuple[int, float] | None]:
+        def build(m: ClusterMap):
+            clusters = list(m)
+            ids = np.array([c.cluster_id for c in clusters], dtype=int)
+            cents = np.array([c.centroid3d for c in clusters], dtype=float).reshape(-1, 3)[:, :2]
+            labels = np.array([c.label for c in clusters], dtype=int)
+            for column in (ids, cents, labels):
+                column.flags.writeable = False
+            return ids, cents, labels
+
+        return self.derived("centroid_table", build)
+
+    def centroids_2d(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, 2D centroids) columns of the centroid table."""
+        ids, cents, _ = self.centroid_table()
+        return ids, cents
+
+    def nearest_each(self, centers, labels=None) -> list[tuple[int, float] | None]:
         """Closest cluster to each row of (m, 2) centers as (id, distance),
         ties to the lowest id, from one distance matrix over the centroids.
 
-        A row is None when no cluster lies at a finite distance: an empty
-        map, or a squared distance that overflows.
+        Given one label code per center, a row considers only the clusters
+        of its own label. A row is None when no such cluster lies at a finite
+        distance: an empty map, no cluster of the label, or a squared
+        distance that overflows.
         """
         centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+        if labels is not None:
+            labels = np.asarray(labels, dtype=int).reshape(-1)
+            if len(labels) != len(centers):
+                raise ValueError(f"{len(labels)} labels for {len(centers)} centers")
         if not self._clusters:
             return [None] * len(centers)
-        ids, cents = self.centroids_2d()
+        ids, cents, codes = self.centroid_table()
         dists = cdist(centers, cents)
+        if labels is not None:
+            dists[labels[:, None] != codes[None, :]] = np.inf
         # Columns ascend with id, so the first minimum is the lowest tied id.
         cols = dists.argmin(axis=1)
         best = dists.min(axis=1)

@@ -33,11 +33,6 @@ class PoseSE3:
         return cls(np.eye(3), np.zeros(3))
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "PoseSE3":
-        m = np.asarray(matrix, dtype=float).reshape(4, 4)
-        return cls(m[:3, :3], m[:3, 3])
-
-    @classmethod
     def from_quaternion(cls, translation, quat_xyzw) -> "PoseSE3":
         rot = Rotation.from_quat(np.asarray(quat_xyzw, dtype=float)).as_matrix()
         return cls(rot, translation)

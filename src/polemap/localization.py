@@ -11,11 +11,11 @@ estimate, and nothing turns relocalization off. Tracking against an empty map
 gives the odometry-only trajectory.
 
 run_pipeline's first attempt, and the attempt after any failure, is
-prior-free star association. An attempt that directly follows a fix passes
-TRACK_GATE, so relocalize first pairs each cluster posed at the estimate
-with the nearest same-label global centroid within the gate, and falls back
-to star association within the same call when that fails or its inliers do
-not span the plane. The relocalization study never passes the gate: it
+prior-free star association. An attempt that directly follows a fix is
+guided: relocalize first pairs each cluster posed at the estimate with the
+nearest same-label global centroid within relocalization.TRACK_GATE, and
+falls back to star association within the same call when that fails or its
+inliers do not span the plane. The relocalization study is never guided: it
 poses frames at the true pose.
 """
 
@@ -35,11 +35,6 @@ log = logging.getLogger(__name__)
 
 # Rotation blocks are renormalized after this many compositions.
 RENORM_PERIOD = 100
-# Meters within which an attempt that follows a fix pairs clusters posed at
-# the estimate. Below half the default scene's 6 m minimum landmark spacing,
-# so a cluster cannot reach its neighbour's landmark while the estimate is
-# within the gate of the truth.
-TRACK_GATE = 2.0
 
 
 @dataclass(frozen=True)
@@ -111,12 +106,16 @@ class PipelineConfig:
 class PipelineResult:
     trajectory: tuple[tuple[float, PoseSE3], ...]
     fixes_applied: int = 0
-    attempts: int = 0
     failures: tuple[tuple[float, str], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "trajectory", tuple(self.trajectory))
         object.__setattr__(self, "failures", tuple(self.failures))
+
+    @property
+    def attempts(self) -> int:
+        """Every attempt ends as either a fix or a failure."""
+        return self.fixes_applied + len(self.failures)
 
 
 def run_pipeline(
@@ -157,8 +156,7 @@ def run_pipeline(
     trajectory: list[tuple[float, PoseSE3]] = []
     failures: list[tuple[float, str]] = []
     fixes = 0
-    attempts = 0
-    track_gate = None  # prior-free until a fix, and again after any failure
+    guided = False  # prior-free until a fix, and again after any failure
     next_attempt = frames[0].timestamp if frames else 0.0
 
     for i, frame in enumerate(frames):
@@ -166,25 +164,23 @@ def run_pipeline(
             state = apply_increment(state, increments[i - 1])
         if frame.timestamp >= next_attempt:
             next_attempt = frame.timestamp + config.reloc_period
-            attempts += 1
             try:
                 fix = relocalize_frame(
                     frame, state.output, global_map, extraction, association, relocalization,
-                    track_gate=track_gate,
+                    guided=guided,
                 )
             except RelocalizationFailure as exc:
                 log.info("relocalization failed at t=%.3f: %s", frame.timestamp, exc.reason)
                 failures.append((frame.timestamp, exc.reason))
-                track_gate = None
+                guided = False
             else:
                 state = apply_global_fix(state, fix, frame.timestamp)
                 fixes += 1
-                track_gate = TRACK_GATE
+                guided = True
         trajectory.append((frame.timestamp, state.output))
     return PipelineResult(
         trajectory=tuple(trajectory),
         fixes_applied=fixes,
-        attempts=attempts,
         failures=tuple(failures),
     )
 
@@ -197,7 +193,7 @@ def relocalize_frame(
     association: AssociationParams | None = None,
     relocalization: RelocParams | None = None,
     *,
-    track_gate: float | None = None,
+    guided: bool = False,
 ) -> RelocResult:
     """One relocalization attempt: the frame's clusters, posed at estimate,
     matched against the global map by one relocalize call.
@@ -205,14 +201,12 @@ def relocalize_frame(
     The result's pose is the corrected vehicle pose in the global frame,
     ready for apply_global_fix. A frame with no landmark cluster raises
     RelocalizationFailure("no-clusters"); relocalize raises the others.
-    track_gate is passed on to relocalize: left at None, the attempt is
+    guided is passed on to relocalize: left False, the attempt is
     prior-free.
     """
     clusters = extract_clusters(frame, extraction)
     if not clusters:
         raise RelocalizationFailure("no-clusters")
     local_map = build_local_map(clusters, estimate)
-    result = relocalize(
-        local_map, global_map, association, relocalization, track_gate=track_gate
-    )
+    result = relocalize(local_map, global_map, association, relocalization, guided=guided)
     return replace(result, pose=result.pose @ estimate)

@@ -8,11 +8,11 @@ returned pose maps local-map coordinates into global-map coordinates.
 
 fit_pairs runs every stage after association on any candidate pairs. Two
 sources feed it: prior-free star association, and, when a caller that
-tracks a pose estimate passes relocalize a track_gate, guided pairs that
+tracks a pose estimate passes relocalize guided=True, guided pairs that
 match each local cluster to the nearest same-label global centroid within
-the gate. A guided attempt that fails, or whose inliers lie along a line,
-falls back to star association within the same relocalize call;
-RelocResult.path names the source that served.
+TRACK_GATE, by the global map's nearest_each. A guided attempt that fails,
+or whose inliers lie along a line, falls back to star association within
+the same relocalize call; RelocResult.path names the source that served.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .association import AssociationParams, MatchPair, associate_maps
 from .cluster_map import ClusterMap
@@ -321,6 +320,11 @@ def fit_pairs(
     return RelocResult(pose=pose, inlier_pairs=tuple(pairs), residual_rms=residual)
 
 
+# Meters within which a guided attempt pairs clusters posed at the estimate.
+# Below half the default scene's 6 m minimum landmark spacing, so a cluster
+# cannot reach its neighbour's landmark while the estimate is within the gate
+# of the truth.
+TRACK_GATE = 2.0
 # A guided fit serves only when the planar centroids of its inliers span the
 # plane: the smaller singular value of those centred xy centroids must be at
 # least this share of the larger, so the roll about their main axis is held
@@ -336,36 +340,18 @@ def _spans_plane(pairs, global_map: ClusterMap) -> bool:
     return bool(s[1] >= GUIDED_MIN_SPREAD * s[0])
 
 
-def _labeled_centroids(cluster_map: ClusterMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ids, 2D centroids, labels) in ascending id order."""
-    ids, cents = cluster_map.centroids_2d()
-    labels = np.array([cluster_map.get(cid).label for cid in ids.tolist()], dtype=int)
-    return ids, cents, labels
-
-
 def guided_pairs(local_map: ClusterMap, global_map: ClusterMap, gate: float) -> list[MatchPair]:
     """Each local cluster paired with the nearest same-label global centroid
-    at a planar distance of at most gate meters, ties to the lowest global id.
-
-    One distance matrix against the global centroids, which the global map
-    keeps until it next changes. The local map must already be posed at the
-    estimate. A guided pair has no matched edges, so it carries 0.
+    at a planar distance of at most gate meters, ties to the lowest global id,
+    by one global_map.nearest_each query. The local map must already be
+    posed at the estimate. A guided pair has no matched edges, so it
+    carries 0.
     """
-    global_ids, global_cents, global_labels = global_map.derived(
-        "labeled_centroids", _labeled_centroids
-    )
-    local_ids, local_cents, local_labels = _labeled_centroids(local_map)
-    if not len(global_ids) or not len(local_ids):
-        return []
-    dists = cdist(local_cents, global_cents)
-    dists[local_labels[:, None] != global_labels[None, :]] = np.inf
-    # Columns ascend with id, so the first minimum is the lowest tied id.
-    cols = dists.argmin(axis=1)
-    best = dists[np.arange(len(cols)), cols]
+    ids, cents, labels = local_map.centroid_table()
     return [
-        MatchPair(lid, int(global_ids[col]), 0)
-        for lid, col, dist in zip(local_ids.tolist(), cols.tolist(), best.tolist())
-        if dist <= gate
+        MatchPair(lid, hit[0], 0)
+        for lid, hit in zip(ids.tolist(), global_map.nearest_each(cents, labels))
+        if hit is not None and hit[1] <= gate
     ]
 
 
@@ -375,21 +361,21 @@ def relocalize(
     assoc_params: AssociationParams | None = None,
     reloc_params: RelocParams | None = None,
     *,
-    track_gate: float | None = None,
+    guided: bool = False,
 ) -> RelocResult:
     """Full relocalization of a local map inside a global map: star
     association, then fit_pairs.
 
-    With track_gate set, fit_pairs first runs on guided_pairs within that
-    gate, which needs the local map posed at a good estimate; on any
+    With guided set, fit_pairs first runs on guided_pairs within TRACK_GATE,
+    which needs the local map posed at a good estimate; on any
     RelocalizationFailure, or when the guided inliers do not span the plane
     (GUIDED_MIN_SPREAD), the call falls back to star association. Raises
     RelocalizationFailure with an enumerated reason when any stage of the
     star path leaves fewer than min_pairs correspondences or the fit
     degenerates.
     """
-    if track_gate is not None:
-        pairs = guided_pairs(local_map, global_map, track_gate)
+    if guided:
+        pairs = guided_pairs(local_map, global_map, TRACK_GATE)
         try:
             result = fit_pairs(pairs, local_map, global_map, reloc_params)
         except RelocalizationFailure:

@@ -213,23 +213,27 @@ def test_index_refreshes_after_mutation(rng):
     assert cluster_map.nearest_each([(1.0, 1.0)]) == [(5, 0.5)]
 
 
-def point_map(xys) -> ClusterMap:
-    """One single-point cluster per (x, y), so each centroid is exact."""
+def point_map(xys, labels=None) -> ClusterMap:
+    """One single-point cluster per (x, y), so each centroid is exact; all
+    poles unless one label code per point is given."""
     cluster_map = ClusterMap()
-    for x, y in xys:
-        cluster_map.add(POLE, [(x, y, 1.0)])
+    for (x, y), label in zip(xys, [POLE] * len(xys) if labels is None else labels):
+        cluster_map.add(label, [(x, y, 1.0)])
     return cluster_map
 
 
-def brute_nearest(cluster_map, center):
-    """(id, distance) of the closest centroid, ties to the lowest id."""
+def brute_nearest(cluster_map, center, label=None):
+    """(id, distance) of the closest centroid, ties to the lowest id, among
+    the clusters of label when one is given; None when there is none."""
     best = None
     for cluster in cluster_map:
+        if label is not None and cluster.label != label:
+            continue
         dx, dy = cluster.centroid2d - center
         d2 = dx * dx + dy * dy
         if best is None or d2 < best[1]:
             best = (cluster.cluster_id, d2)
-    return best[0], float(np.sqrt(best[1]))
+    return best and (best[0], float(np.sqrt(best[1])))
 
 
 # the twelve integer points exactly 5 m from the origin, more ties than an
@@ -255,9 +259,13 @@ def test_nearest_keeps_lowest_id_among_more_ties_than_it_queries(rng):
         ]
 
 
-@pytest.mark.parametrize("grid", [False, True], ids=["random", "integer-grid"])
-def test_nearest_each_matches_brute_force(rng, grid):
-    for _ in range(30):
+@pytest.mark.parametrize(
+    "grid, labelled", [(False, False), (True, False), (True, True)],
+    ids=["random", "integer-grid", "labelled"],
+)
+def test_nearest_each_matches_brute_force(rng, grid, labelled):
+    missed = 0
+    for trial in range(30):
         n = int(rng.integers(1, 40))
         if grid:
             # many exact ties: centroids and centers on a small integer grid
@@ -266,13 +274,26 @@ def test_nearest_each_matches_brute_force(rng, grid):
         else:
             xys = rng.uniform(-20.0, 20.0, size=(n, 2))
             centers = rng.uniform(-25.0, 25.0, size=(25, 2))
-        cluster_map = point_map(xys)
-        got = cluster_map.nearest_each(centers)
-        want = [brute_nearest(cluster_map, c) for c in centers]
-        assert [cid for cid, _ in got] == [cid for cid, _ in want]
-        assert [d for _, d in got] == pytest.approx([d for _, d in want], rel=1e-12, abs=0)
+        codes, labels = None, [None] * len(centers)
+        if labelled:
+            # a random code per centroid and per center; the first map holds
+            # poles only, so its trunk centers find no cluster
+            codes = rng.integers(POLE, TRUNK + 1, size=n) if trial else np.full(n, POLE)
+            labels = rng.integers(POLE, TRUNK + 1, size=len(centers))
+        cluster_map = point_map(xys, codes)
+        got = cluster_map.nearest_each(centers, None if codes is None else labels)
+        want = [brute_nearest(cluster_map, c, label) for c, label in zip(centers, labels)]
+        assert [hit and hit[0] for hit in got] == [hit and hit[0] for hit in want]
+        assert [hit[1] for hit in got if hit] == pytest.approx(
+            [hit[1] for hit in want if hit], rel=1e-12, abs=0
+        )
+        missed += got.count(None)
         # one query per row gives the same answers as one for all rows
-        assert got == [cluster_map.nearest_each([c])[0] for c in centers]
+        assert got == [
+            cluster_map.nearest_each([c], None if codes is None else [label])[0]
+            for c, label in zip(centers, labels)
+        ]
+    assert (missed > 0) == labelled
 
 
 def test_nearest_each_edge_cases():
@@ -288,6 +309,49 @@ def test_nearest_each_edge_cases():
     assert far.nearest_each([(-1e300, 0.0), (1e300, 3.0)]) == [None, (0, 3.0)]
     two = point_map([(1e300, 0.0), (1e300, 5.0)])
     assert two.nearest_each([(0.0, 0.0), (1e300, 4.0)]) == [None, (1, 1.0)]
+    # one label code per center, or none at all
+    for cluster_map in (ClusterMap(), single):
+        with pytest.raises(ValueError, match="2 labels for 1 centers"):
+            cluster_map.nearest_each([(0.0, 0.0)], [POLE, TRUNK])
+
+
+def test_centroid_table_is_read_only_and_follows_every_mutation():
+    cluster_map = point_map([(0.0, 0.0), (4.0, 0.0)])
+    centers, labels = [(1.0, 0.0), (3.0, 0.0)], [TRUNK, POLE]
+
+    def state():
+        """The table as lists, checked read-only and against the clusters,
+        and the labelled nearest_each answer for centers."""
+        table = cluster_map.centroid_table()
+        for column in table:
+            with pytest.raises(ValueError, match="read-only"):
+                column[:1] = 0
+        ids, cents, codes = (column.tolist() for column in table)
+        assert ids == cluster_map.ids()
+        assert cents == [c.centroid2d.tolist() for c in cluster_map]
+        assert codes == [c.label for c in cluster_map]
+        got_ids, got_cents = cluster_map.centroids_2d()
+        assert (got_ids.tolist(), got_cents.tolist()) == (ids, cents)
+        return ids, cents, codes, cluster_map.nearest_each(centers, labels)
+
+    # no trunk yet: the trunk center finds no cluster
+    assert state() == ([0, 1], [[0.0, 0.0], [4.0, 0.0]], [POLE, POLE], [None, (1, 1.0)])
+    cluster_map.add(TRUNK, [(2.0, 0.0, 1.0)])
+    assert state() == (
+        [0, 1, 2], [[0.0, 0.0], [4.0, 0.0], [2.0, 0.0]], [POLE, POLE, TRUNK],
+        [(2, 1.0), (1, 1.0)],
+    )
+    # a merge moves cluster 1's centroid from (4, 0) to (5, 0)
+    cluster_map.merge_points(1, [(6.0, 0.0, 1.0)])
+    assert state() == (
+        [0, 1, 2], [[0.0, 0.0], [5.0, 0.0], [2.0, 0.0]], [POLE, POLE, TRUNK],
+        [(2, 1.0), (1, 2.0)],
+    )
+    cluster_map.insert(Cluster.from_points(7, TRUNK, [(1.0, 0.5, 1.0)]))
+    assert state() == (
+        [0, 1, 2, 7], [[0.0, 0.0], [5.0, 0.0], [2.0, 0.0], [1.0, 0.5]],
+        [POLE, POLE, TRUNK, TRUNK], [(7, 0.5), (1, 2.0)],
+    )
 
 
 def kdtree_nearest(cluster_map, centers) -> tuple[list, int]:

@@ -51,7 +51,8 @@ def test_apply_single_and_batch_agree(rng):
 
 def test_matrix_roundtrip(rng):
     pose = random_pose(rng)
-    again = PoseSE3.from_matrix(pose.as_matrix())
+    m = pose.as_matrix()
+    again = PoseSE3(m[:3, :3], m[:3, 3])
     assert np.array_equal(again.rotation, pose.rotation)
     assert np.array_equal(again.translation, pose.translation)
 

@@ -18,10 +18,10 @@ from polemap import (
     run_pipeline,
 )
 from polemap import localization
-from polemap.localization import RENORM_PERIOD, TRACK_GATE
+from polemap.localization import RENORM_PERIOD
 from polemap.extraction import extract_clusters
 from polemap.registration import build_local_map
-from polemap.relocalization import RelocalizationFailure, RelocResult, relocalize
+from polemap.relocalization import TRACK_GATE, RelocalizationFailure, RelocResult, relocalize
 from polemap.simulate import (
     DriftSpec,
     SceneSpec,
@@ -184,16 +184,16 @@ def test_pipeline_against_empty_map_is_odometry_only():
 
 def _spy_relocalize(monkeypatch):
     """Record each relocalize call of the localization module as
-    (track_gate, path of the result or the failure reason)."""
+    (guided, path of the result or the failure reason)."""
     calls = []
 
-    def spy(*args, track_gate=None):
+    def spy(*args, guided=False):
         try:
-            result = relocalize(*args, track_gate=track_gate)
+            result = relocalize(*args, guided=guided)
         except RelocalizationFailure as exc:
-            calls.append((track_gate, exc.reason))
+            calls.append((guided, exc.reason))
             raise
-        calls.append((track_gate, result.path))
+        calls.append((guided, result.path))
         return result
 
     monkeypatch.setattr(localization, "relocalize", spy)
@@ -210,7 +210,10 @@ def test_pipeline_tracks_with_the_gate_after_the_first_fix(monkeypatch):
     # guided at the gate
     assert result.attempts == len(calls) == len(run.frames)
     assert result.fixes_applied == result.attempts
-    assert calls == [(None, "star")] + [(TRACK_GATE, "guided")] * (len(calls) - 1)
+    assert calls == [(False, "star")] + [(True, "guided")] * (len(calls) - 1)
+    # a guided cluster cannot reach its neighbour's landmark while the
+    # estimate lies within the gate of the truth
+    assert TRACK_GATE < SceneSpec().min_spacing / 2
 
 
 def test_pipeline_stays_prior_free_until_a_fix(monkeypatch):
@@ -222,8 +225,8 @@ def test_pipeline_stays_prior_free_until_a_fix(monkeypatch):
         run.frames, run.increments, scene.cluster_map, initial_pose=run.initial_pose
     )
     first_fix = next(i for i, (_, outcome) in enumerate(calls) if outcome == "star")
-    assert all(gate is None for gate, _ in calls[: first_fix + 1])
-    assert all(gate == TRACK_GATE for gate, _ in calls[first_fix + 1:])
+    assert all(not guided for guided, _ in calls[: first_fix + 1])
+    assert all(guided for guided, _ in calls[first_fix + 1:])
     # frames without a cluster never reach relocalize
     no_clusters = sum(reason == "no-clusters" for _, reason in result.failures)
     assert len(calls) == result.attempts - no_clusters
@@ -245,11 +248,11 @@ def test_pipeline_failure_makes_the_next_attempt_prior_free(monkeypatch):
     ]
     # the first fix is at 15.5 s; the eight attempts from 16.0 s to 19.5 s
     # each follow a fix, the first attempt after the blackout does not
-    first_fix = calls.index((None, "star"))
-    resumed = calls.index((None, "star"), first_fix + 1)
-    assert calls[first_fix + 1: resumed] == [(TRACK_GATE, "guided")] * 8
+    first_fix = calls.index((False, "star"))
+    resumed = calls.index((False, "star"), first_fix + 1)
+    assert calls[first_fix + 1: resumed] == [(True, "guided")] * 8
     assert len(calls) > resumed + 1
-    assert calls[resumed + 1:] == [(TRACK_GATE, "guided")] * (len(calls) - resumed - 1)
+    assert calls[resumed + 1:] == [(True, "guided")] * (len(calls) - resumed - 1)
 
 
 def test_relocalization_study_never_passes_the_gate(monkeypatch):
@@ -258,7 +261,7 @@ def test_relocalization_study_never_passes_the_gate(monkeypatch):
     evaluate_relocalization(
         scene, retentions=(1.0, 0.4), trials=2, protocol=RelocEvalProtocol(max_distance=10.0)
     )
-    assert calls and all(gate is None for gate, _ in calls)
+    assert calls and all(not guided for guided, _ in calls)
 
 
 def test_pipeline_fix_removes_a_planted_offset():

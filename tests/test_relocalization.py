@@ -507,6 +507,12 @@ def test_guided_pairs_same_label_inclusive_gate_lowest_id():
     local = labeled_map([(POLE, 0.0, 0.0), (TRUNK, 20.0, 0.0), (TRUNK, 40.0, 0.0)])
     assert guided_pairs(local, global_map, 2.0) == [MatchPair(0, 1, 0), MatchPair(2, 5, 0)]
     assert guided_pairs(local, global_map, 1.999) == [MatchPair(2, 5, 0)]
+    # an unbounded gate still pairs within a label only: local 1 reaches
+    # trunk 3, and a local trunk finds no pair among poles alone
+    assert guided_pairs(local, global_map, math.inf) == [
+        MatchPair(0, 1, 0), MatchPair(1, 3, 0), MatchPair(2, 5, 0)
+    ]
+    assert guided_pairs(local, labeled_map([(POLE, 40.0, 0.5)]), math.inf) == [MatchPair(0, 0, 0)]
     assert guided_pairs(local, ClusterMap(), 2.0) == []
     assert guided_pairs(ClusterMap(), global_map, 2.0) == []
 
@@ -522,7 +528,7 @@ def test_guided_path_serves_a_local_map_posed_at_a_good_estimate(rng, monkeypatc
         raise AssertionError("star association ran on the guided path")
 
     monkeypatch.setattr(relocalization, "associate_maps", no_star)
-    guided = relocalize(local, global_map, track_gate=2.0)
+    guided = relocalize(local, global_map, guided=True)
     assert (star.path, guided.path) == ("star", "guided")
     assert all(p.matched_edges == 0 for p in guided.inlier_pairs)
     truth = offset.inverse()
@@ -536,7 +542,7 @@ def test_too_few_guided_pairs_fall_back_to_star_in_one_call(rng):
     pose = PoseSE3(rotation_about_z(0.7), np.array([300.0, -180.0, 0.0]))
     local = moved_copy(global_map, pose, rng, sigma=0.02)
     assert guided_pairs(local, global_map, 2.0) == []
-    result = relocalize(local, global_map, track_gate=2.0)
+    result = relocalize(local, global_map, guided=True)
     star = relocalize(local, global_map)
     assert result.path == "star"
     assert result.pose.as_matrix().tobytes() == star.pose.as_matrix().tobytes()
@@ -549,7 +555,7 @@ def test_failed_fallback_reports_the_star_reason(rng):
     local, global_map, assoc = scrambled_piece_scene(rng)
     assert len(guided_pairs(local, global_map, 2.0)) == 4
     with pytest.raises(RelocalizationFailure) as info:
-        relocalize(local, global_map, assoc, RelocParams(min_pairs=5), track_gate=2.0)
+        relocalize(local, global_map, assoc, RelocParams(min_pairs=5), guided=True)
     assert info.value.reason == "consistency-collapse"
 
 
@@ -584,7 +590,7 @@ def test_periodic_pole_row(offset, path):
     # every cluster pairs with its own landmark; at 3 and 4 m none lies within
     # the gate, and star association, which ignores the estimate, serves.
     estimate = PoseSE3(np.eye(3), np.array([offset, 0.0, 0.0]))
-    result = relocalize(pole_row_map(offset), pole_row_map(), track_gate=2.0)
+    result = relocalize(pole_row_map(offset), pole_row_map(), guided=True)
     fix = result.pose @ estimate
     assert (result.path, len(result.inlier_pairs)) == (path, 17)
     assert np.linalg.norm(fix.translation) < 0.1
@@ -604,7 +610,7 @@ def test_collinear_guided_inliers_fall_back_to_star():
     assert [(p.local_id, p.global_id) for p in pairs] == [(k, k + 1) for k in range(11)]
     assert len(fit_pairs(pairs, local, global_map).inlier_pairs) == 11
     estimate = PoseSE3(np.eye(3), np.array([8.0, 0.0, 0.0]))
-    result = relocalize(local, global_map, track_gate=2.0)
+    result = relocalize(local, global_map, guided=True)
     fix = result.pose @ estimate
     assert (result.path, len(result.inlier_pairs)) == ("star", 17)
     assert np.linalg.norm(fix.translation) < 0.1
