@@ -14,10 +14,10 @@ A merge updates the centroid at the cost of the new points only. numpy's mean
 over axis 0 of a C-ordered (n, 3) array adds the rows one after another, so
 the map keeps each cluster's coordinate sum and folds new rows onto it in the
 same order: the centroid stays bitwise equal to the mean of every point the
-cluster observed. Given the voxel keys of their points, add and merge_points
-keep only the first point seen in each VOXEL_SIZE voxel as a member, so
-members stay bounded while the centroid and the observed count still cover
-every point.
+cluster observed. merge_points, and add when given the voxel keys of its
+points, keep only the first point seen in each VOXEL_SIZE voxel as a member,
+so members stay bounded while the centroid and the observed count still
+cover every point.
 """
 
 from __future__ import annotations
@@ -158,8 +158,9 @@ class ClusterMap:
         # Coordinate sum of every point each cluster observed. A cluster
         # stored by insert starts from centroid3d * observed on its first merge.
         self._sums: dict[int, np.ndarray] = {}
-        # Voxel keys of each capped cluster's members; a cluster stored by
-        # insert gets its set from its members on the first capped merge.
+        # Voxel keys of each cluster's members; a cluster stored by insert,
+        # or by add without keys, gets its set from its members on its first
+        # merge.
         self._voxels: dict[int, set] = {}
 
     def __len__(self) -> int:
@@ -208,7 +209,7 @@ class ClusterMap:
         self._next_id = max(self._next_id, cluster.cluster_id + 1)
         self._derived.clear()
 
-    def merge_points(self, cluster_id: int, new_points, keys=None) -> Cluster:
+    def merge_points(self, cluster_id: int, new_points, keys) -> Cluster:
         """Fold points into an existing cluster and update its centroid.
 
         The centroid becomes the mean of every point observed, bitwise equal
@@ -216,10 +217,10 @@ class ClusterMap:
         new points only: the new rows are folded one by one onto the kept
         coordinate sum. A cluster stored by insert (a loaded one) starts that
         sum from centroid3d * observed, so its stored weight carries over.
-        Every new point is appended as a member, or, given keys =
-        voxel_keys(new_points), only those in a voxel the cluster has no
-        member in yet, the first point seen winning. Non-finite points or an
-        overflowing sum raise ValueError and leave the cluster unchanged.
+        keys must be voxel_keys(new_points): only the new points in a voxel
+        the cluster has no member in yet become members, the first point
+        seen winning. Non-finite points or an overflowing sum raise
+        ValueError and leave the cluster unchanged.
         """
         cluster = self._clusters[cluster_id]
         new_points = _finite_points(new_points)
@@ -230,15 +231,9 @@ class ClusterMap:
             total = np.concatenate([total[None], new_points]).sum(axis=0)
         if not np.isfinite(total).all():
             raise ValueError("coordinate sum overflows")
-        if keys is None:
-            kept = new_points
-            self._voxels.pop(cluster_id, None)  # rebuilt from the members if capped later
-        else:
-            occupied = self._voxels.get(cluster_id)
-            if occupied is None:
-                occupied = set(voxel_keys(cluster.points))
-            kept = _claim(occupied, keys, new_points)
-            self._voxels[cluster_id] = occupied
+        if cluster_id not in self._voxels:
+            self._voxels[cluster_id] = set(voxel_keys(cluster.points))
+        kept = _claim(self._voxels[cluster_id], keys, new_points)
         self._sums[cluster_id] = total
         if len(kept):
             cluster.points = np.concatenate([cluster.points, kept])

@@ -9,6 +9,9 @@ frame plus text pose files:
     poses.txt           one "timestamp tx ty tz qx qy qz qw" line per frame
     odometry.txt        optional, same format, a drifting odometry track
 
+Frames are the point files in sorted order; each needs a label file of the
+same stem, and the i-th pose belongs to the i-th frame.
+
 Pose components are written with shortest round-trip decimals so that
 load(save(x)) reproduces x exactly. Decoders reject truncated or oversized
 files, non-finite pose fields, translations beyond MAX_COORDINATE and
@@ -178,6 +181,12 @@ class Dataset:
                 f"{root}: {len(self._point_files)} point files but "
                 f"{len(self._label_files)} label files"
             )
+        for point_file, label_file in zip(self._point_files, self._label_files):
+            if point_file.stem != label_file.stem:
+                raise DatasetError(
+                    f"{root}: points/{point_file.name} pairs with "
+                    f"labels/{label_file.name}; file stems must match"
+                )
 
     @property
     def frame_count(self) -> int:

@@ -50,10 +50,7 @@ class PoseSE3:
         return q
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            return self.rotation @ pts + self.translation
-        return pts @ self.rotation.T + self.translation
+        return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
     def __matmul__(self, other: "PoseSE3") -> "PoseSE3":
         return PoseSE3(

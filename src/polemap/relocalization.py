@@ -57,10 +57,15 @@ class RelocParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("consistency_tolerance", "ransac_threshold"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.min_pairs < 3:
             raise ValueError("min_pairs must be at least 3")
         if not 1 <= self.ransac_iterations <= MAX_RANSAC_ITERATIONS:
             raise ValueError(f"ransac_iterations must lie in 1..{MAX_RANSAC_ITERATIONS}")
+        if self.icp_max_iterations < 0:
+            raise ValueError("icp_max_iterations must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

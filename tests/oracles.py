@@ -389,9 +389,9 @@ def oracle_build_map(frames, merge_radius: float, voxel_size: float) -> dict:
     nearest map centroid, as the map stood before the frame, by a linear
     scan (lowest id on ties); within merge_radius it merges, else it founds
     the next id with its own label. A centroid is the mean of every point
-    its cluster observed, re-meaned from the full list. With voxel_size > 0
-    a point becomes a member only if no member of its cluster has the same
-    (floor(x / s), floor(y / s), floor(z / s)) cell.
+    its cluster observed, re-meaned from the full list. A point becomes a
+    member only if no member of its cluster has the same (floor(x / s),
+    floor(y / s), floor(z / s)) cell, s = voxel_size.
     """
     clusters: dict[int, dict] = {}
     for frame_clusters, pose in frames:
@@ -411,8 +411,8 @@ def oracle_build_map(frames, merge_radius: float, voxel_size: float) -> dict:
                 }
             for point in pose.apply(frame_cluster.points):
                 target["all"].append(point)
-                cell = tuple(math.floor(v / voxel_size) for v in point) if voxel_size > 0 else None
-                if cell is None or cell not in target["cells"]:
+                cell = tuple(math.floor(v / voxel_size) for v in point)
+                if cell not in target["cells"]:
                     target["cells"].add(cell)
                     target["members"].append(point)
             target["centroid"] = np.array(target["all"]).mean(axis=0)

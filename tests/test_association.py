@@ -21,6 +21,7 @@ from polemap import (
     sub_edge_distance,
 )
 from polemap.association import _EdgeData, _length_gate, _Stars, _stars
+from polemap.cluster_map import voxel_keys
 from conftest import (
     association_scene,
     cluster_points,
@@ -351,7 +352,8 @@ def test_derived_stars_follow_every_mutation(rng):
 
     added = global_map.add(left_out.label, left_out.points)
     changed()
-    global_map.merge_points(added.cluster_id, left_out.points + (30.0, 0.0, 0.0))
+    moved = left_out.points + (30.0, 0.0, 0.0)
+    global_map.merge_points(added.cluster_id, moved, voxel_keys(moved))
     changed()
     global_map.insert(replace(left_out, cluster_id=added.cluster_id + 1))
     changed()
@@ -444,7 +446,8 @@ def test_length_gate_follows_mutation_between_calls(rng, tmp_path, mutation):
     elif mutation == "insert":
         global_map.insert(target)
     else:
-        global_map.merge_points(target.cluster_id, target.points + (30.0, 0.0, 0.0))
+        moved = target.points + (30.0, 0.0, 0.0)
+        global_map.merge_points(target.cluster_id, moved, voxel_keys(moved))
     after = associate_maps(local, global_map)
     save_map(global_map, tmp_path / "map.txt")
     fresh = load_map(tmp_path / "map.txt")

@@ -493,6 +493,28 @@ def test_oversized_work_exits_3(tmp_path, capsys, monkeypatch, text, command, er
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("reloc.consistency_tolerance = -1", "consistency_tolerance must be positive"),
+        ("reloc.ransac_threshold = 0", "ransac_threshold must be positive"),
+        ("reloc.icp_max_iterations = -5", "icp_max_iterations must be non-negative"),
+    ],
+    ids=["consistency-tolerance", "ransac-threshold", "icp-iterations"],
+)
+def test_reloc_value_that_disables_relocalization_exits_3(workspace, tmp_path, capsys, text, error):
+    cfg = tmp_path / "reloc.cfg"
+    cfg.write_text(text + "\n", encoding="ascii")
+    out = tmp_path / "est.txt"
+    data = workspace / "data"
+    code = main(["localize", "--data", str(data), "--map", str(data / "map.txt"),
+                 "--out", str(out), "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {cfg}: {error}\n"
+    assert not out.exists()
+
+
 def test_bad_observed_count_exits_3(workspace, tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("polemap-map 2\nlabels pole=5 trunk=6\n"
@@ -553,6 +575,32 @@ def test_outputs_are_byte_exact(tmp_path, capsys):
                  "--config", str(cfg)]) == 0
     relocalized = capsys.readouterr().out.encode("ascii")
     assert hashlib.sha256(relocalized).hexdigest() == GOLDEN_RELOCALIZE_SHA256
+
+
+def test_build_map_from_odometry_poses(tmp_path, capsys):
+    # The README demo dataset: the full 120 m drive of GOLDEN_CONFIG's scene.
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(GOLDEN_CONFIG.replace("trajectory.length = 40.0", "trajectory.length = 120.0"),
+                   encoding="ascii")
+    data = tmp_path / "data"
+    assert main(["simulate", "--out", str(data), "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    densities = []
+    for track in ("poses", "odometry"):
+        out = tmp_path / f"{track}.txt"
+        assert main(["build-map", "--data", str(data), "--out", str(out), "--config", str(cfg),
+                     "--poses", track]) == 0
+        densities.append(capsys.readouterr().out)
+    # the drifting track's length, not the truth's, divides the cluster count
+    assert densities == ["clusters 57\ndensity 0.475000\n", "clusters 57\ndensity 0.470412\n"]
+    (data / "odometry.txt").unlink()
+    out = tmp_path / "none.txt"
+    code = main(["build-map", "--data", str(data), "--out", str(out), "--config", str(cfg),
+                 "--poses", "odometry"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {data}: no odometry.txt\n"
+    assert not out.exists()
 
 
 def test_relocalization_study_output_is_byte_exact(tmp_path, capsys):

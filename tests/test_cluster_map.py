@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from polemap import POLE, TRUNK, Cluster, ClusterMap, Frame, other_label
-from polemap.cluster_map import voxel_keys
+from polemap.cluster_map import VOXEL_SIZE, voxel_keys
 from polemap.map_io import load_map, save_map
 from conftest import cluster_points
 
@@ -32,8 +32,9 @@ def test_non_finite_point_rejected():
         ClusterMap().add(POLE, bad)
     cluster_map = ClusterMap()
     cluster_map.add(POLE, [(0.0, 0.0, 0.0)])
+    far = [(float("inf"), 0.0, 0.0)]
     with pytest.raises(ValueError, match="non-finite"):
-        cluster_map.merge_points(0, [(float("inf"), 0.0, 0.0)])
+        cluster_map.merge_points(0, far, voxel_keys(far))
 
 
 def test_overflowing_coordinate_sum_rejected():
@@ -57,8 +58,9 @@ def test_overflowing_coordinate_sum_rejected():
     assert np.isfinite(cluster.centroid3d).all()
     # a stored cluster's running sum starts from centroid3d * observed
     cluster_map.insert(Cluster(5, POLE, np.array([huge]), np.array(huge), 2))
+    origin = [(0.0, 0.0, 1.0)]
     with pytest.raises(ValueError, match="overflows"):
-        cluster_map.merge_points(5, [(0.0, 0.0, 1.0)])
+        cluster_map.merge_points(5, origin, voxel_keys(origin))
     assert cluster_map.get(5).observed == 2
 
 
@@ -90,7 +92,7 @@ def test_insert_rejects_duplicate_id(rng):
 def test_merge_points_recomputes_centroid():
     cluster_map = ClusterMap()
     cluster_map.add(POLE, [(0.0, 0.0, 0.0)])
-    cluster_map.merge_points(0, [(2.0, 2.0, 2.0)])
+    cluster_map.merge_points(0, [(2.0, 2.0, 2.0)], voxel_keys([(2.0, 2.0, 2.0)]))
     merged = cluster_map.get(0)
     assert merged.n_points == 2
     assert np.array_equal(merged.centroid3d, [1.0, 1.0, 1.0])
@@ -108,28 +110,36 @@ MERGE_OPS = st.lists(
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), ops=MERGE_OPS)
-def test_merged_centroid_is_bitwise_the_mean_of_all_members(seed, ops):
+def test_merged_centroid_is_bitwise_the_mean_of_all_observed_points(seed, ops):
     # merge_points folds new rows onto a kept sum; this holds only while
     # numpy's mean over axis 0 adds the rows of a C-ordered array in order.
+    # The voxel cap drops members, never observed points, so the reference
+    # is the mean of every point each cluster was given.
     rng = np.random.default_rng(seed)
     cluster_map = ClusterMap()
-    cluster_map.add(TRUNK, rng.uniform(-300.0, 300.0, size=(100_000, 3)))
-    cluster_map.add(POLE, [(300.0, -300.0, 1.0)])
+    given_points = {}
+    for label, points in ((TRUNK, rng.uniform(-300.0, 300.0, size=(100_000, 3))),
+                          (POLE, np.array([(300.0, -300.0, 1.0)]))):
+        given_points[cluster_map.add(label, points).cluster_id] = [points]
     for index, n, offset in [(0, 1, 300.0), (1, 1, -300.0)] + ops:
         scale = rng.choice([1e-3, 1.0, 50.0])
         points = offset + scale * rng.standard_normal((n, 3))
         ids = cluster_map.ids()
         if index >= len(ids):
-            cluster_map.add(POLE, points)
+            given_points[cluster_map.add(POLE, points).cluster_id] = [points]
             continue
-        cluster = cluster_map.merge_points(ids[index], points)
-        assert np.array_equal(cluster.centroid3d, cluster.points.mean(axis=0))
+        given_points[ids[index]].append(points)
+        cluster = cluster_map.merge_points(ids[index], points, voxel_keys(points))
+        every = np.concatenate(given_points[ids[index]])
+        assert cluster.observed == len(every)
+        assert np.array_equal(cluster.centroid3d, every.mean(axis=0))
 
 
 def folded(cluster_map, merges) -> ClusterMap:
     """A copy of the map with each (id, points) merge applied the way a
     loaded cluster takes it: the new rows are summed onto centroid3d *
-    observed, in order, and appended as members."""
+    observed, in order, and a new row becomes a member only when no member
+    before it shares its voxel."""
     copy = ClusterMap()
     for cluster in cluster_map:
         new = [points for cid, points in merges if cid == cluster.cluster_id]
@@ -138,8 +148,14 @@ def folded(cluster_map, merges) -> ClusterMap:
             continue
         rows = np.concatenate([(cluster.centroid3d * cluster.observed)[None], *new])
         observed = len(rows) - 1 + cluster.observed
-        copy.insert(Cluster(cluster.cluster_id, cluster.label,
-                            np.concatenate([cluster.points, *new]),
+        members = list(cluster.points)
+        cells = {tuple(np.floor(p / VOXEL_SIZE)) for p in members}
+        for point in np.concatenate(new):
+            cell = tuple(np.floor(point / VOXEL_SIZE))
+            if cell not in cells:
+                cells.add(cell)
+                members.append(point)
+        copy.insert(Cluster(cluster.cluster_id, cluster.label, np.array(members),
                             rows.sum(axis=0) / observed, observed))
     return copy
 
@@ -160,7 +176,7 @@ def test_merge_into_loaded_cluster_continues_stored_weight(tmp_path, rng, sideca
               (1, cluster_points(rng, (260.0, -280.0, 2.0), n=1)),
               (3, cluster_points(rng, (280.0, -280.0, 2.0), n=12))]
     for cid, new in merges:
-        loaded.merge_points(cid, new)
+        loaded.merge_points(cid, new, voxel_keys(new))
     # the stored centroid weighs its 30 observed points, with or without
     # the sidecar's members
     assert [c.observed for c in loaded] == [30, 38, 30, 42]
@@ -178,18 +194,19 @@ def test_rejected_merge_changes_nothing(rng):
     clean, rejected = ClusterMap(), ClusterMap()
     for cluster_map in (clean, rejected):
         cluster_map.add(POLE, start)
-        cluster_map.merge_points(0, first)
+        cluster_map.merge_points(0, first, voxel_keys(first))
     points, centroid = rejected.get(0).points.copy(), rejected.get(0).centroid3d.copy()
     bad = np.vstack([cluster_points(rng, (300.0, 0.0, 1.0), n=3), [(np.nan, 0.0, 1.0)]])
     with pytest.raises(ValueError, match="non-finite"):
-        rejected.merge_points(0, bad)
+        rejected.merge_points(0, bad, voxel_keys(bad))
     assert np.array_equal(rejected.get(0).points, points)
     assert np.array_equal(rejected.get(0).centroid3d, centroid)
     for cluster_map in (clean, rejected):
-        cluster_map.merge_points(0, second)
+        cluster_map.merge_points(0, second, voxel_keys(second))
     assert np.array_equal(rejected.get(0).points, clean.get(0).points)
     assert np.array_equal(rejected.get(0).centroid3d, clean.get(0).centroid3d)
-    assert np.array_equal(rejected.get(0).centroid3d, rejected.get(0).points.mean(axis=0))
+    every = np.concatenate([start, first, second])
+    assert np.array_equal(rejected.get(0).centroid3d, every.mean(axis=0))
 
 
 def test_nearest_breaks_ties_toward_lowest_id():
@@ -207,7 +224,8 @@ def test_index_refreshes_after_mutation(rng):
     cluster_map.add(POLE, cluster_points(rng, (1.0, 1.0, 1.0)))
     assert cluster_map.nearest_each([(1.0, 1.0)])[0][0] == 1
     # a merge far away moves cluster 1's centroid off (1, 1)
-    cluster_map.merge_points(1, cluster_points(rng, (40.0, 40.0, 1.0), n=200))
+    far = cluster_points(rng, (40.0, 40.0, 1.0), n=200)
+    cluster_map.merge_points(1, far, voxel_keys(far))
     assert cluster_map.nearest_each([(1.0, 1.0)])[0][0] == 0
     cluster_map.insert(Cluster.from_points(5, TRUNK, [(1.0, 1.5, 1.0)]))
     assert cluster_map.nearest_each([(1.0, 1.0)]) == [(5, 0.5)]
@@ -342,7 +360,7 @@ def test_centroid_table_is_read_only_and_follows_every_mutation():
         [(2, 1.0), (1, 1.0)],
     )
     # a merge moves cluster 1's centroid from (4, 0) to (5, 0)
-    cluster_map.merge_points(1, [(6.0, 0.0, 1.0)])
+    cluster_map.merge_points(1, [(6.0, 0.0, 1.0)], voxel_keys([(6.0, 0.0, 1.0)]))
     assert state() == (
         [0, 1, 2], [[0.0, 0.0], [5.0, 0.0], [2.0, 0.0]], [POLE, POLE, TRUNK],
         [(2, 1.0), (1, 2.0)],

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_map
 from polemap import POLE, TRUNK, DatasetError, MapFormatError, PoseSE3
-from polemap.cluster_map import Frame, other_label
+from polemap.cluster_map import Frame, other_label, voxel_keys
 from polemap.dataset_io import (
     Dataset,
     LabelMap,
@@ -215,6 +215,17 @@ def test_dataset_file_count_mismatch_rejected(tmp_path):
         Dataset(tmp_path)
 
 
+def test_dataset_file_stem_mismatch_rejected(tmp_path):
+    frames = [_frame(0.0, [1]), _frame(0.5, [2]), _frame(1.0, [3])]
+    poses = [(f.timestamp, _planar(0.0)) for f in frames]
+    write_dataset(tmp_path, frames, poses, LabelMap())
+    # the counts agree, but frame 1 would read 000002.bin with 000001.label
+    (tmp_path / "points" / "000001.bin").unlink()
+    (tmp_path / "labels" / "000002.label").unlink()
+    with pytest.raises(DatasetError, match=r"points/000002\.bin pairs with labels/000001\.label"):
+        Dataset(tmp_path)
+
+
 def test_dataset_pose_count_mismatch_rejected(tmp_path):
     frames = [_frame(0.0, [1]), _frame(0.5, [2])]
     poses = [(f.timestamp, _planar(0.0)) for f in frames]
@@ -361,7 +372,8 @@ def test_map_v2_observed_validation(tmp_path, record, error):
 def test_map_without_sidecar_keeps_its_weights(tmp_path, rng):
     original = random_map(rng, 5)
     for cluster in original:
-        original.merge_points(cluster.cluster_id, rng.normal(cluster.centroid3d, 0.1, size=(32, 3)))
+        new = rng.normal(cluster.centroid3d, 0.1, size=(32, 3))
+        original.merge_points(cluster.cluster_id, new, voxel_keys(new))
     first, second, third = (tmp_path / f"{name}.txt" for name in ("first", "second", "third"))
     save_map(original, first)
     (tmp_path / "first.txt.points").unlink()
@@ -381,6 +393,6 @@ def test_map_without_sidecar_keeps_its_weights(tmp_path, rng):
     # the next merge weighs the stored centroid by its 40 observed points
     new = rng.normal(loaded.get(0).centroid3d, 0.1, size=(10, 3))
     centroid = loaded.get(0).centroid3d
-    merged = loaded.merge_points(0, new)
+    merged = loaded.merge_points(0, new, voxel_keys(new))
     assert merged.observed == 50
     np.testing.assert_allclose(merged.centroid3d, (40 * centroid + new.sum(axis=0)) / 50, rtol=0, atol=1e-12)

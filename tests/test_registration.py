@@ -190,34 +190,18 @@ def _saved(tmp_path, name, cluster_map) -> tuple[bytes, bytes]:
     return path.read_bytes(), (tmp_path / f"{name}.points").read_bytes()
 
 
-def register_uncapped(cluster_map, frame_clusters, pose, merge_radius=1.0):
-    """register_frame's merge-or-insert, with every point kept as a member."""
-    nearest = cluster_map.nearest_each([pose.apply(c.centroid3d)[:2] for c in frame_clusters])
-    for cluster, hit in zip(frame_clusters, nearest):
-        if hit is not None and hit[1] <= merge_radius:
-            cluster_map.merge_points(hit[0], pose.apply(cluster.points))
-        else:
-            cluster_map.add(cluster.label, pose.apply(cluster.points))
-
-
-@pytest.mark.parametrize("capped", [True, False], ids=["capped", "uncapped"])
-def test_register_matches_point_by_point_reference(tmp_path, loop_frames, capped):
+def test_register_matches_point_by_point_reference(tmp_path, loop_frames):
     # Half a lap and its return: merges into clusters built many frames ago.
     frames = loop_frames[:30] + loop_frames[LAP_FRAMES:LAP_FRAMES + 10]
     built = ClusterMap()
     for clusters, pose in frames:
-        (register_frame if capped else register_uncapped)(built, clusters, pose)
+        register_frame(built, clusters, pose)
     reference = ClusterMap()
     for cid, (label, members, centroid, observed) in oracle_build_map(
-            frames, 1.0, VOXEL_SIZE if capped else 0.0).items():
+            frames, 1.0, VOXEL_SIZE).items():
         reference.insert(Cluster(cid, label, members, centroid, observed))
     assert _saved(tmp_path, "built.txt", built) == _saved(tmp_path, "reference.txt", reference)
-    # The oracle's centroids and observed counts do not depend on the cap, so
-    # both builds hold the same ids, labels, centroids and counts.
-    if capped:
-        assert sum(c.n_points for c in built) < sum(c.observed for c in built) / 3
-    else:
-        assert all(c.n_points == c.observed for c in built)
+    assert sum(c.n_points for c in built) < sum(c.observed for c in built) / 3
 
 
 def test_far_points_never_alias():
@@ -244,14 +228,9 @@ def test_capped_merge_knows_the_members_it_did_not_add(rng):
     points = cluster_points(rng, (5.0, 5.0, 1.0), n=30)
     cluster_map = ClusterMap()
     cluster_map.insert(Cluster.from_points(7, POLE, points))
-    # a stored cluster's members fill its voxels before the first capped merge
+    # a stored cluster's members fill its voxels before its first merge
     cluster = cluster_map.merge_points(7, points, voxel_keys(points))
     assert (cluster.n_points, cluster.observed) == (30, 60)
-    # so do members appended by a merge without keys
-    moved = points + 0.05
-    cluster_map.merge_points(7, moved)
-    cluster = cluster_map.merge_points(7, moved, voxel_keys(moved))
-    assert (cluster.n_points, cluster.observed) == (60, 120)
 
 
 def test_voxel_keys_fold_signed_zero_and_keep_far_points_apart():

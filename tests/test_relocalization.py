@@ -622,3 +622,12 @@ def test_reloc_params_validated():
         RelocParams(min_pairs=2)
     with pytest.raises(ValueError):
         RelocParams(ransac_iterations=0)
+    # values that would turn relocalization off without a word
+    for name in ("consistency_tolerance", "ransac_threshold"):
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                RelocParams(**{name: value})
+    with pytest.raises(ValueError, match="icp_max_iterations must be non-negative"):
+        RelocParams(icp_max_iterations=-5)
+    # no ICP step is valid: the coarse fit alone
+    assert RelocParams(icp_max_iterations=0).icp_max_iterations == 0
