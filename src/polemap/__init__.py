@@ -35,7 +35,6 @@ from .dataset_io import (
 from .errors import ConfigError, DatasetError, MapFormatError, PolemapError
 from .evaluate import (
     EvalReport,
-    RelocEvalProtocol,
     cluster_density,
     evaluate_localization,
     evaluate_relocalization,

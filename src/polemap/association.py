@@ -41,13 +41,13 @@ class AssociationParams:
     candidate_count: int = 5
 
     def __post_init__(self):
-        if self.search_radius <= 0:
+        if not self.search_radius > 0:
             raise ValueError("search_radius must be positive")
         for name in ("length_tolerance", "angle_tolerance", "sub_edge_tolerance", "edge_tolerance"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("min_sub_edge_matches", "min_edge_matches", "candidate_count"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
 
 

@@ -105,8 +105,6 @@ def _odometry_increments(odometry) -> tuple:
 
 def _cmd_simulate(args) -> int:
     _check_out(args.out, tree=True)
-    if args.map:  # a map path inside the dataset tree is created with it
-        _check_out(args.map, tree=Path(args.out).resolve() in Path(args.map).resolve().parents)
     cfg = _load_config(args.config)
     scene = _generate_scene(cfg)
     run = simulate_run(scene, cfg.trajectory, cfg.drift, cfg.sensor)
@@ -118,8 +116,7 @@ def _cmd_simulate(args) -> int:
         odometry.append((inc.timestamp, pose))
 
     write_dataset(args.out, run.frames, run.true_poses, cfg.labels, odometry=odometry)
-    map_path = args.map if args.map else f"{args.out}/map.txt"
-    save_map(scene.cluster_map, map_path, cfg.labels)
+    save_map(scene.cluster_map, f"{args.out}/map.txt", cfg.labels)
 
     length = trajectory_length([p.translation for _, p in run.true_poses])
     print(f"frames {len(run.frames)}")
@@ -271,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic labeled dataset")
-    p.add_argument("--out", required=True, help="dataset output directory")
+    p.add_argument("--out", required=True, help="dataset and map.txt output directory")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--map", help="ground-truth map path (default OUT/map.txt)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("build-map", help="build a cluster map from a dataset")

@@ -152,11 +152,18 @@ def load_poses(path) -> list[tuple[float, PoseSE3]]:
 
 
 def save_poses(path, poses) -> None:
-    """Write timestamped poses with exact round-trip decimals."""
+    """Write timestamped poses with exact round-trip decimals; refuse what load_poses rejects."""
     lines = []
-    for t, pose in poses:
-        q = pose.quaternion_xyzw()
-        fields = [t, *pose.translation.tolist(), *q.tolist()]
+    previous = -math.inf
+    for index, (t, pose) in enumerate(poses):
+        if not (math.isfinite(t) and np.isfinite(pose.as_matrix()).all()):
+            raise DatasetError(f"{path}: pose {index}: non-finite field")
+        if np.abs(pose.translation).max() > MAX_COORDINATE:
+            raise DatasetError(f"{path}: pose {index}: translation beyond {MAX_COORDINATE:g} m")
+        if not t > previous:
+            raise DatasetError(f"{path}: pose {index}: timestamp {float(t)!r} does not increase")
+        previous = t
+        fields = [t, *pose.translation.tolist(), *pose.quaternion_xyzw().tolist()]
         lines.append(" ".join(repr(float(v)) for v in fields))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
 

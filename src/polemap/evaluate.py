@@ -22,6 +22,15 @@ from .relocalization import RelocalizationFailure, RelocParams
 from .simulate import Scene, SensorSpec, retain_clusters, sensor_frame
 
 
+# The relocalization study's one drive protocol.
+SUCCESS_RADIUS = 2.0  # m from the truth for a fix to count
+MAX_DISTANCE = 120.0  # m driven before a trial is censored
+SPEED = 5.0  # m/s
+FRAME_PERIOD = 0.5  # s
+REFERENCE_LENGTH = 500.0  # m of path per reported density
+START_MARGIN = 0.25  # share of each area side that starts keep clear of
+
+
 def success(position_est, position_gt, delta: float) -> bool:
     """Strict position test: estimate closer than delta to the truth."""
     est = np.asarray(position_est, dtype=float).reshape(-1)
@@ -57,25 +66,11 @@ class EvalReport:
     cluster_density: float
 
 
-@dataclass(frozen=True)
-class RelocEvalProtocol:
-    """Drive parameters for the distance-to-relocalization study."""
-
-    success_radius: float = 2.0
-    max_distance: float = 120.0
-    speed: float = 5.0
-    frame_period: float = 0.5
-    reference_length: float = 500.0
-    start_margin: float = 0.25  # fraction of each area dimension kept clear
-    seed: int = 0
-
-
 def evaluate_relocalization(
     scene: Scene,
-    retentions=(1.0, 0.8, 0.6),
-    trials: int = 50,
+    retentions,
+    trials: int,
     *,
-    protocol: RelocEvalProtocol | None = None,
     extraction: ExtractionParams | None = None,
     association: AssociationParams | None = None,
     relocalization: RelocParams | None = None,
@@ -85,29 +80,26 @@ def evaluate_relocalization(
 
     Trials are paired across retentions: trial k replays the same start pose
     and sensor stream against each retained map, so sparser maps differ only
-    in the clusters they kept.
+    in the clusters they kept (retention v: seed v; trial k: default_rng((0, k))).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    protocol = protocol or RelocEvalProtocol()
     sensor = sensor or SensorSpec()
 
     reports = []
     for v, retention in enumerate(retentions):
-        retained = retain_clusters(
-            scene.cluster_map, retention, seed=(protocol.seed * 1000 + v)
-        )
+        retained = retain_clusters(scene.cluster_map, retention, seed=v)
         distances = []
         successes = 0
         for trial in range(trials):
             dist = _drive_until_success(
-                scene, retained, trial, protocol, extraction, association, relocalization, sensor
+                scene, retained, trial, extraction, association, relocalization, sensor
             )
             if dist is not None:
                 successes += 1
                 distances.append(dist)
             else:
-                distances.append(protocol.max_distance)
+                distances.append(MAX_DISTANCE)
         p50, p90, p95, p99 = np.percentile(distances, [50, 90, 95, 99])
         reports.append(
             EvalReport(
@@ -119,7 +111,7 @@ def evaluate_relocalization(
                 distance_p90=float(p90),
                 distance_p95=float(p95),
                 distance_p99=float(p99),
-                cluster_density=cluster_density(len(retained), protocol.reference_length),
+                cluster_density=cluster_density(len(retained), REFERENCE_LENGTH),
             )
         )
     return reports
@@ -129,32 +121,31 @@ def _drive_until_success(
     scene: Scene,
     retained_map,
     trial: int,
-    protocol: RelocEvalProtocol,
     extraction: ExtractionParams | None,
     association: AssociationParams | None,
     relocalization: RelocParams | None,
     sensor: SensorSpec,
 ) -> float | None:
-    rng = np.random.default_rng((protocol.seed, trial))
+    rng = np.random.default_rng((0, trial))
     width, height = scene.spec.area
-    mx, my = protocol.start_margin * width, protocol.start_margin * height
+    mx, my = START_MARGIN * width, START_MARGIN * height
     start = np.array(
         [rng.uniform(mx, width - mx), rng.uniform(my, height - my)]
     )
     to_center = np.array([width / 2.0, height / 2.0]) - start
     base_heading = math.atan2(to_center[1], to_center[0])
     heading = base_heading + math.radians(rng.uniform(-45.0, 45.0))
-    step = protocol.speed * protocol.frame_period
+    step = SPEED * FRAME_PERIOD
     direction = np.array([math.cos(heading), math.sin(heading)])
 
     traveled = 0.0
     k = 0
-    while traveled <= protocol.max_distance:
+    while traveled <= MAX_DISTANCE:
         position = start + traveled * direction
         pose = PoseSE3(
             rotation_about_z(heading), np.array([position[0], position[1], 0.0])
         )
-        frame = sensor_frame(rng, scene, pose, k * protocol.frame_period, sensor)
+        frame = sensor_frame(rng, scene, pose, k * FRAME_PERIOD, sensor)
         try:
             fix = relocalize_frame(
                 frame, pose, retained_map, extraction, association, relocalization
@@ -162,7 +153,7 @@ def _drive_until_success(
         except RelocalizationFailure:
             pass
         else:
-            if success(fix.pose.translation, pose.translation, protocol.success_radius):
+            if success(fix.pose.translation, pose.translation, SUCCESS_RADIUS):
                 return traveled
         traveled += step
         k += 1

@@ -22,9 +22,9 @@ class ExtractionParams:
     min_points: int = 10
 
     def __post_init__(self):
-        if self.cluster_distance <= 0:
+        if not self.cluster_distance > 0:
             raise ValueError("cluster_distance must be positive")
-        if self.min_points < 1:
+        if not self.min_points >= 1:
             raise ValueError("min_points must be at least 1")
 
 

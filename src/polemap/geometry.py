@@ -68,15 +68,15 @@ class PoseSE3:
         rot = u @ np.diag([1.0, 1.0, d]) @ vt
         return PoseSE3(rot, self.translation)
 
-    def is_valid(self, tol: float = ORTHONORMALITY_TOL) -> bool:
+    def is_valid(self) -> bool:
         if not np.all(np.isfinite(self.rotation)) or not np.all(np.isfinite(self.translation)):
             return False
         gram_err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
         det_err = abs(np.linalg.det(self.rotation) - 1.0)
-        return bool(gram_err <= tol and det_err <= tol)
+        return bool(gram_err <= ORTHONORMALITY_TOL and det_err <= ORTHONORMALITY_TOL)
 
-    def require_valid(self, tol: float = ORTHONORMALITY_TOL) -> None:
-        if not self.is_valid(tol):
+    def require_valid(self) -> None:
+        if not self.is_valid():
             raise ValueError("invalid rigid transform: rotation is not orthonormal")
 
 

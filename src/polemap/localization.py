@@ -98,7 +98,7 @@ class PipelineConfig:
     reloc_period: float = 0.5
 
     def __post_init__(self):
-        if self.reloc_period <= 0:
+        if not self.reloc_period > 0:
             raise ValueError("reloc_period must be positive")
 
 

@@ -41,7 +41,7 @@ _WORD_LABELS = {"pole": POLE, "trunk": TRUNK}
 
 
 def save_map(cluster_map: ClusterMap, path, label_map: LabelMap | None = None) -> None:
-    """Serialize a map and its point sidecar."""
+    """Serialize a map and its point sidecar; refuse, before writing, what load_map rejects."""
     label_map = label_map or LabelMap()
     path = Path(path)
     lines = [
@@ -51,6 +51,10 @@ def save_map(cluster_map: ClusterMap, path, label_map: LabelMap | None = None) -
     for cluster in cluster_map:
         c3 = cluster.centroid3d
         c2 = cluster.centroid2d
+        if not (np.abs(c3) <= MAX_COORDINATE).all():
+            raise MapFormatError(
+                f"{path}: cluster {cluster.cluster_id}: centroid beyond {MAX_COORDINATE:g} m"
+            )
         lines.append(
             "cluster {} {} {} {} {} {} {} {} {}".format(
                 cluster.cluster_id,
@@ -64,8 +68,10 @@ def save_map(cluster_map: ClusterMap, path, label_map: LabelMap | None = None) -
                 cluster.observed,
             )
         )
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
     points = np.concatenate([cluster.points for cluster in cluster_map] or [np.empty((0, 3))])
+    if not (np.abs(points) <= np.finfo("<f4").max).all():
+        raise MapFormatError(f"{path}: member point beyond the float32 range")
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
     path.with_name(path.name + ".points").write_bytes(points.astype("<f4").tobytes())
 
 

@@ -24,7 +24,7 @@ class RegistrationParams:
     merge_radius: float = 1.0
 
     def __post_init__(self):
-        if self.merge_radius <= 0:
+        if not self.merge_radius > 0:
             raise ValueError("merge_radius must be positive")
 
 

@@ -58,15 +58,15 @@ class RelocParams:
 
     def __post_init__(self):
         for name in ("consistency_tolerance", "ransac_threshold"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.min_pairs < 3:
+        if not self.min_pairs >= 3:
             raise ValueError("min_pairs must be at least 3")
         if not 1 <= self.ransac_iterations <= MAX_RANSAC_ITERATIONS:
             raise ValueError(f"ransac_iterations must lie in 1..{MAX_RANSAC_ITERATIONS}")
-        if self.icp_max_iterations < 0:
+        if not self.icp_max_iterations >= 0:
             raise ValueError("icp_max_iterations must be non-negative")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be non-negative")
 
 
@@ -91,7 +91,7 @@ def geometric_consistency_filter(
     pairs,
     local_map: ClusterMap,
     global_map: ClusterMap,
-    tolerance: float = 0.5,
+    tolerance: float,
 ) -> list[MatchPair]:
     """Largest found subset of pairs with mutually consistent distances.
 

@@ -42,21 +42,21 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_clusters < 0:
+        if not self.n_clusters >= 0:
             raise ValueError("n_clusters must be non-negative")
         if not 0.0 <= self.label_mix <= 1.0:
             raise ValueError("label_mix must lie in [0, 1]")
-        if self.min_spacing < 0 or self.points_per_cluster < 1:
+        if not (self.min_spacing >= 0 and self.points_per_cluster >= 1):
             raise ValueError("invalid scene spec")
         if self.points_per_cluster > MAX_POINTS_PER_CLUSTER:
             raise ValueError(f"points_per_cluster must be at most {MAX_POINTS_PER_CLUSTER}")
-        if self.point_noise_sigma < 0:
+        if not self.point_noise_sigma >= 0:
             raise ValueError("point_noise_sigma must be non-negative")
-        if min(self.area) <= 0:
+        if not all(side > 0 for side in self.area):
             raise ValueError("scene width and height must be positive")
         if not math.isfinite(self.min_spacing * self.min_spacing):
             raise ValueError("min_spacing is too large")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be non-negative")
 
 
@@ -87,7 +87,7 @@ class TrajectorySpec:
     turn_rate_deg_per_m: float = 0.0
 
     def __post_init__(self):
-        if self.speed <= 0 or self.frame_period <= 0 or self.length < 0:
+        if not (self.speed > 0 and self.frame_period > 0 and self.length >= 0):
             raise ValueError("invalid trajectory spec")
         if self.length > MAX_FRAMES * self.speed * self.frame_period:
             raise ValueError(
@@ -103,11 +103,11 @@ class SensorSpec:
     clutter_points: int = 0
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("sensor radius must be positive")
         if not 0.0 <= self.label_flip_rate <= 1.0:
             raise ValueError("label_flip_rate must lie in [0, 1]")
-        if self.clutter_points < 0:
+        if not self.clutter_points >= 0:
             raise ValueError("clutter_points must be non-negative")
         if self.clutter_points > MAX_CLUTTER_POINTS:
             raise ValueError(f"clutter_points must be at most {MAX_CLUTTER_POINTS}")
@@ -121,9 +121,9 @@ class DriftSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be non-negative")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be non-negative")
 
 

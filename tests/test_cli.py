@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 
 import numpy as np
@@ -192,6 +193,8 @@ EVALUATE_RELOC = ["evaluate", "--mode", "reloc", "--config", "{config}"]
     [
         pytest.param([], id="no-command"),
         pytest.param(["simulate", "--no-such-flag"], id="unknown-flag"),
+        # simulate always writes its map to OUT/map.txt
+        pytest.param(["simulate", "--out", "{out}", "--map", "{out}"], id="removed-simulate-map"),
         pytest.param(BUILD_MAP + ["--frames", "a:b"], id="frames-not-integers"),
         pytest.param(BUILD_MAP + ["--frames", "5"], id="frames-without-colon"),
         pytest.param(EVALUATE_RELOC + ["--retentions", "1.0,abc"], id="retention-not-a-number"),
@@ -246,9 +249,6 @@ def test_data_errors_exit_3(workspace, tmp_path, capsys):
         pytest.param(["evaluate", "--mode", "reloc", "--out", "{missing}/x.csv"],
                      id="evaluate-reloc"),
         pytest.param(["simulate", "--out", "{file}/x"], id="simulate"),
-        pytest.param(["simulate", "--out", "{tmp}/d", "--map", "{file}/m.txt"], id="simulate-map"),
-        pytest.param(["simulate", "--out", "{tmp}/d", "--map", "{missing}/m.txt"],
-                     id="simulate-map-missing-dir"),
     ],
 )
 def test_unwritable_output_exits_3_before_any_work(workspace, tmp_path, capsys, monkeypatch, argv):
@@ -263,7 +263,6 @@ def test_unwritable_output_exits_3_before_any_work(workspace, tmp_path, capsys, 
         "map": workspace / "data" / "map.txt",
         "missing": tmp_path / "missing",
         "file": tmp_path / "file",
-        "tmp": tmp_path,
     }
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
@@ -624,3 +623,45 @@ def test_config_output_is_byte_exact(tmp_path, capsys):
         "f884b358eb958194645f728dd4c8c4f99f89ac1b070e86c22764293d4bfcda7b",
         "ca647c12af6769fff1291b1a1d45596723438164030ac5102a50895ee81fa782",
     ]
+
+
+def test_build_map_refuses_a_map_its_reader_rejects(tmp_path, capsys):
+    # GOLDEN_CONFIG's 40 m drive moved to within 80 m of the 1e9 m limit:
+    # every pose loads, but the landmarks seen ahead lie beyond it
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GOLDEN_CONFIG, encoding="ascii")
+    data, out = tmp_path / "data", tmp_path / "far.txt"
+    assert main(["simulate", "--out", str(data), "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    lines = []
+    for line in (data / "poses.txt").read_text(encoding="ascii").splitlines():
+        fields = line.split()
+        fields[1] = repr(float(fields[1]) + 1e9 - 80.0)
+        lines.append(" ".join(fields) + "\n")
+    (data / "poses.txt").write_text("".join(lines), encoding="ascii")
+    code = main(["build-map", "--data", str(data), "--out", str(out), "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert re.fullmatch(rf"error: {re.escape(str(out))}: cluster \d+: centroid beyond 1e\+09 m\n",
+                        captured.err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "golden.cfg"]
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("scene.width", "3e9", r"data/map\.txt: cluster \d+: centroid beyond 1e\+09 m"),
+        ("trajectory.start_x", "2e9", r"data/poses\.txt: pose 0: translation beyond 1e\+09 m"),
+    ],
+    ids=["scene-beyond-limit", "drive-beyond-limit"],
+)
+def test_simulate_refuses_files_its_readers_reject(tmp_path, capsys, key, value, error):
+    cfg = tmp_path / "far.cfg"
+    text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", GOLDEN_CONFIG, flags=re.M)
+    assert text != GOLDEN_CONFIG
+    cfg.write_text(text, encoding="ascii")
+    code = main(["simulate", "--out", str(tmp_path / "data"), "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert re.fullmatch(rf"error: {re.escape(str(tmp_path))}/{error}\n", captured.err)
+    assert not (tmp_path / "data" / "map.txt").exists()

@@ -99,6 +99,37 @@ def test_group_validation_errors_become_config_errors():
     assert (edges.sensor.label_flip_rate, edges.sensor.clutter_points) == (1.0, 0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "group, field, value",
+    [
+        *[("reloc", f, NAN) for f in (
+            "consistency_tolerance", "ransac_threshold", "min_pairs", "icp_max_iterations", "seed")],
+        *[("association", f, NAN) for f in (
+            "search_radius", "length_tolerance", "angle_tolerance", "sub_edge_tolerance",
+            "edge_tolerance", "min_sub_edge_matches", "min_edge_matches", "candidate_count")],
+        ("registration", "merge_radius", NAN),
+        ("extraction", "cluster_distance", NAN),
+        ("extraction", "min_points", NAN),
+        ("pipeline", "reloc_period", NAN),
+        ("sensor", "radius", NAN),
+        ("sensor", "clutter_points", NAN),
+        *[("trajectory", f, NAN) for f in ("speed", "frame_period", "length")],
+        ("drift", "noise_sigma", NAN),
+        ("drift", "seed", NAN),
+        *[("scene", f, NAN) for f in ("n_clusters", "points_per_cluster", "point_noise_sigma", "seed")],
+        pytest.param("scene", "area", (NAN, 100.0), id="scene-width-nan"),
+        pytest.param("scene", "area", (100.0, NAN), id="scene-height-nan"),
+    ],
+)
+def test_nan_fails_every_range_check(group, field, value):
+    # config files reject non-finite values; the Python API meets these checks
+    with pytest.raises(ValueError):
+        replace(getattr(default_config(), group), **{field: value})
+
+
 def test_dump_parse_round_trip_is_identity():
     cfg = parse_config(
         "\n".join(

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_map
 from polemap import POLE, TRUNK, DatasetError, MapFormatError, PoseSE3
-from polemap.cluster_map import Frame, other_label, voxel_keys
+from polemap.cluster_map import Cluster, ClusterMap, Frame, other_label, voxel_keys
 from polemap.dataset_io import (
     Dataset,
     LabelMap,
@@ -112,6 +112,9 @@ def test_pose_file_round_trip(tmp_path, rng):
         assert t1 == t0
         np.testing.assert_array_equal(p1.translation, p0.translation)
         np.testing.assert_allclose(p1.rotation, p0.rotation, atol=1e-12)
+    # the coordinate limit itself is written and read back
+    save_poses(path, [(0.0, _planar(-1e9)), (0.5, _planar(1e9))])
+    assert [p.translation[0] for _, p in load_poses(path)] == [-1e9, 1e9]
 
 
 def test_pose_file_skips_comments_and_blank_lines(tmp_path):
@@ -162,6 +165,28 @@ def test_pose_file_rejects_non_finite_fields_and_unordered_timestamps(tmp_path, 
     with pytest.raises(DatasetError) as exc:
         load_poses(path)
     assert str(exc.value) == f"{path}:2: {error}"
+
+
+@pytest.mark.parametrize(
+    "index, t, x, error",
+    [
+        (1, 0.5, float("nan"), "non-finite field"),
+        (1, float("nan"), 5.0, "non-finite field"),
+        (1, 0.5, 2e9, "translation beyond 1e+09 m"),
+        (1, 0.5, -2e9, "translation beyond 1e+09 m"),
+        (1, 0.0, 5.0, "timestamp 0.0 does not increase"),
+        (1, -0.5, 5.0, "timestamp -0.5 does not increase"),
+    ],
+    ids=["nan-translation", "nan-timestamp", "huge-translation", "huge-negative-translation",
+         "repeated-timestamp", "decreasing-timestamp"],
+)
+def test_save_poses_refuses_what_load_poses_rejects(tmp_path, index, t, x, error):
+    path = tmp_path / "poses.txt"
+    poses = [(0.0, PoseSE3.identity()), (t, _planar(x)), (1.0, _planar(9.0))]
+    with pytest.raises(DatasetError) as exc:
+        save_poses(path, poses)
+    assert str(exc.value) == f"{path}: pose {index}: {error}"
+    assert not path.exists()
 
 
 # --------------------------------------------------------------- dataset
@@ -251,6 +276,27 @@ def test_map_round_trip_with_points(tmp_path, rng):
         np.testing.assert_array_equal(b.centroid2d, a.centroid2d)
         assert b.n_points == a.n_points
         np.testing.assert_array_equal(b.points, a.points.astype("<f4").astype(float))
+
+
+@pytest.mark.parametrize(
+    "points, error",
+    [
+        ([(2e9, 0.0, 1.0)], "cluster 7: centroid beyond 1e+09 m"),
+        ([(0.0, -1e9 - 1.0, 1.0), (0.0, -1e9 - 3.0, 1.0)], "cluster 7: centroid beyond 1e+09 m"),
+        # the mean is 0, but neither member is finite as float32
+        ([(4e38, 0.0, 1.0), (-4e38, 0.0, 1.0)], "member point beyond the float32 range"),
+    ],
+    ids=["centroid-x", "centroid-negative-y", "member-overflows-float32"],
+)
+def test_save_map_refuses_what_load_map_rejects(tmp_path, points, error):
+    cluster_map = ClusterMap()
+    cluster_map.insert(Cluster.from_points(3, POLE, [(1.0, 2.0, 1.0)]))
+    cluster_map.insert(Cluster.from_points(7, TRUNK, points))
+    path = tmp_path / "map.txt"
+    with pytest.raises(MapFormatError) as exc:
+        save_map(cluster_map, path)
+    assert str(exc.value) == f"{path}: {error}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_map_without_sidecar_synthesizes_centroid_points(tmp_path, rng):

@@ -30,7 +30,7 @@ from polemap.simulate import (
     generate_scene,
     simulate_run,
 )
-from polemap.evaluate import RelocEvalProtocol, evaluate_localization, evaluate_relocalization
+from polemap.evaluate import evaluate_localization, evaluate_relocalization
 from polemap.geometry import rotation_about_z
 
 
@@ -94,7 +94,7 @@ def test_rotation_stays_orthonormal_over_long_runs():
     state = AnchoredPose.start(PoseSE3.identity())
     for k in range(1, 5 * RENORM_PERIOD):
         state = apply_increment(state, step(float(k), dx=0.1, dyaw=0.013))
-    assert state.output.is_valid(tol=1e-9)
+    assert state.output.is_valid()
 
 
 def test_pipeline_config_rejects_bad_period():
@@ -258,9 +258,7 @@ def test_pipeline_failure_makes_the_next_attempt_prior_free(monkeypatch):
 def test_relocalization_study_never_passes_the_gate(monkeypatch):
     calls = _spy_relocalize(monkeypatch)
     scene = generate_scene(SceneSpec(area=(120.0, 120.0), n_clusters=45, seed=11))
-    evaluate_relocalization(
-        scene, retentions=(1.0, 0.4), trials=2, protocol=RelocEvalProtocol(max_distance=10.0)
-    )
+    evaluate_relocalization(scene, retentions=(1.0, 0.4), trials=2)
     assert calls and all(not guided for guided, _ in calls)
 
 

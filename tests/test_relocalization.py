@@ -78,15 +78,15 @@ def test_consistency_tolerance_is_inclusive():
 
 def test_consistency_small_inputs_pass_through():
     local = point_map([(0.0, 0.0)])
-    assert geometric_consistency_filter([], local, local) == []
+    assert geometric_consistency_filter([], local, local, 0.5) == []
     pairs = identity_pairs(1)
-    assert geometric_consistency_filter(pairs, local, local) == pairs
+    assert geometric_consistency_filter(pairs, local, local, 0.5) == pairs
 
 
 def test_consistency_output_sorted_by_local_id(rng):
     global_map = random_map(rng, 10, extent=30.0)
     pairs = list(reversed(identity_pairs(10)))
-    kept = geometric_consistency_filter(pairs, global_map, global_map)
+    kept = geometric_consistency_filter(pairs, global_map, global_map, 0.5)
     assert [p.local_id for p in kept] == list(range(10))
 
 

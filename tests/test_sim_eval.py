@@ -5,8 +5,8 @@ import pytest
 
 from polemap import ClusterMap, PoseSE3, POLE, TRUNK
 from polemap.evaluate import (
+    MAX_DISTANCE,
     EvalReport,
-    RelocEvalProtocol,
     cluster_density,
     evaluate_localization,
     evaluate_relocalization,
@@ -269,8 +269,7 @@ def test_evaluate_localization_rmse_and_alignment_checks():
 
 def test_evaluate_relocalization_reports_and_pairing():
     scene = generate_scene(SceneSpec(area=(100.0, 100.0), n_clusters=30, seed=12))
-    protocol = RelocEvalProtocol(max_distance=30.0, seed=2)
-    kwargs = dict(retentions=(1.0, 0.5), trials=3, protocol=protocol)
+    kwargs = dict(retentions=(1.0, 0.5), trials=3)
     reports = evaluate_relocalization(scene, **kwargs)
     again = evaluate_relocalization(scene, **kwargs)
     assert reports == again
@@ -281,7 +280,7 @@ def test_evaluate_relocalization_reports_and_pairing():
         assert 0 <= report.success_count <= 3
         assert report.success_rate == report.success_count / 3
         assert report.distance_p50 <= report.distance_p90 <= report.distance_p95
-        assert report.distance_p95 <= report.distance_p99 <= protocol.max_distance
+        assert report.distance_p95 <= report.distance_p99 <= MAX_DISTANCE
     # a full map over a well-covered scene relocates without driving far
     assert reports[0].success_rate == 1.0
     assert reports[0].distance_p90 <= 10.0
@@ -295,10 +294,11 @@ def test_evaluate_relocalization_needs_a_trial():
 
 def test_evaluate_relocalization_censors_failed_trials_at_max_distance():
     scene = generate_scene(SceneSpec(area=(100.0, 100.0), n_clusters=0, seed=0))
-    protocol = RelocEvalProtocol(max_distance=10.0)
-    reports = evaluate_relocalization(scene, retentions=(1.0,), trials=4, protocol=protocol)
+    reports = evaluate_relocalization(scene, retentions=(1.0,), trials=4)
     report = reports[0]
     assert report.success_count == 0
     assert report.success_rate == 0.0
-    assert report.distance_p50 == 10.0
-    assert report.distance_p99 == 10.0
+    # the study's one protocol censors at 120 m
+    assert MAX_DISTANCE == 120.0
+    assert report.distance_p50 == 120.0
+    assert report.distance_p99 == 120.0
