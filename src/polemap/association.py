@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .bounds import bounded, check_bounds
 from .cluster_map import ClusterMap
 
 # Sentinel for an edge pair that does not reach the minimum sub-edge support.
@@ -31,24 +32,16 @@ UNMATCHED = math.inf
 
 @dataclass(frozen=True)
 class AssociationParams:
-    search_radius: float = 50.0
-    length_tolerance: float = 0.3
-    angle_tolerance: float = 10.0
-    sub_edge_tolerance: float = 0.2
-    edge_tolerance: float = 0.25
-    min_sub_edge_matches: int = 5
-    min_edge_matches: int = 5
-    candidate_count: int = 5
+    search_radius: float = bounded(50.0, 0, above=True)
+    length_tolerance: float = bounded(0.3, 0, above=True)
+    angle_tolerance: float = bounded(10.0, 0, above=True)
+    sub_edge_tolerance: float = bounded(0.2, 0, above=True)
+    edge_tolerance: float = bounded(0.25, 0, above=True)
+    min_sub_edge_matches: int = bounded(5, 1)
+    min_edge_matches: int = bounded(5, 1)
+    candidate_count: int = bounded(5, 1)
 
-    def __post_init__(self):
-        if not self.search_radius > 0:
-            raise ValueError("search_radius must be positive")
-        for name in ("length_tolerance", "angle_tolerance", "sub_edge_tolerance", "edge_tolerance"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("min_sub_edge_matches", "min_edge_matches", "candidate_count"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)

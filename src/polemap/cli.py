@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .cluster_map import ClusterMap
 from .config import Config, default_config, dump_config, load_config
-from .dataset_io import Dataset, save_poses, write_dataset
+from .dataset_io import Dataset, save_poses, write_dataset, write_files
 from .errors import ConfigError, PolemapError
 from .evaluate import (
     evaluate_localization,
@@ -26,7 +26,7 @@ from .evaluate import (
 )
 from .extraction import extract_clusters
 from .localization import OdometryIncrement, run_pipeline
-from .map_io import load_map, save_map
+from .map_io import load_map, map_files, save_map
 from .registration import register_frame
 from .relocalization import RelocalizationFailure, relocalize
 from .simulate import generate_scene, simulate_run
@@ -115,8 +115,10 @@ def _cmd_simulate(args) -> int:
         pose = pose @ inc.relative_pose
         odometry.append((inc.timestamp, pose))
 
+    # the map is checked before the dataset, which is checked before it is written
+    map_contents = map_files(scene.cluster_map, Path(args.out) / "map.txt", cfg.labels)
     write_dataset(args.out, run.frames, run.true_poses, cfg.labels, odometry=odometry)
-    save_map(scene.cluster_map, f"{args.out}/map.txt", cfg.labels)
+    write_files(map_contents)
 
     length = trajectory_length([p.translation for _, p in run.true_poses])
     print(f"frames {len(run.frames)}")

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
 from .cluster_map import POLE, TRUNK, Frame, other_label
 from .errors import DatasetError
 from .geometry import PoseSE3
@@ -42,13 +43,12 @@ MAX_COORDINATE = 1e9
 class LabelMap:
     """Mapping between raw class ids and frame label codes (see Frame)."""
 
-    pole_id: int = 5
-    trunk_id: int = 6
+    # label files carry the class id in their low 16 bits
+    pole_id: int = bounded(5, 0, 0xFFFF, name="label ids")
+    trunk_id: int = bounded(6, 0, 0xFFFF, name="label ids")
 
     def __post_init__(self):
-        # label files carry the class id in their low 16 bits
-        if not (0 <= self.pole_id <= 0xFFFF and 0 <= self.trunk_id <= 0xFFFF):
-            raise ValueError("label ids must lie in [0, 65535]")
+        check_bounds(self)
         if self.pole_id == self.trunk_id:
             raise ValueError("pole and trunk label ids must differ")
 
@@ -113,7 +113,14 @@ def load_frame(point_path, label_path, label_map: LabelMap, timestamp: float) ->
     return Frame(timestamp, xyz, label_map.decode(labels & 0xFFFF))
 
 
+def _check_frame(point_path, frame: Frame) -> None:
+    """Refuse a point beyond the float32 range, which load_frame reads as non-finite."""
+    if not (np.abs(frame.xyz) <= np.finfo("<f4").max).all():
+        raise DatasetError(f"{point_path}: point beyond the float32 range")
+
+
 def write_frame(point_path, label_path, frame: Frame, label_map: LabelMap) -> None:
+    _check_frame(point_path, frame)
     pts = np.zeros((len(frame.xyz), 4), dtype="<f4")
     pts[:, :3] = frame.xyz
     write_point_file(point_path, pts)
@@ -151,8 +158,8 @@ def load_poses(path) -> list[tuple[float, PoseSE3]]:
     return poses
 
 
-def save_poses(path, poses) -> None:
-    """Write timestamped poses with exact round-trip decimals; refuse what load_poses rejects."""
+def _encode_poses(path, poses) -> bytes:
+    """Timestamped poses in exact round-trip decimals; refuses what load_poses rejects."""
     lines = []
     previous = -math.inf
     for index, (t, pose) in enumerate(poses):
@@ -165,7 +172,12 @@ def save_poses(path, poses) -> None:
         previous = t
         fields = [t, *pose.translation.tolist(), *pose.quaternion_xyzw().tolist()]
         lines.append(" ".join(repr(float(v)) for v in fields))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
+    return ("\n".join(lines) + ("\n" if lines else "")).encode("ascii")
+
+
+def save_poses(path, poses) -> None:
+    """Write timestamped poses with exact round-trip decimals; refuse what load_poses rejects."""
+    Path(path).write_bytes(_encode_poses(path, poses))
 
 
 class Dataset:
@@ -223,9 +235,21 @@ class Dataset:
         )
 
 
+def write_files(files: dict) -> None:
+    """Write each path -> contents item of files."""
+    for path, data in files.items():
+        path.write_bytes(data)
+
+
 def write_dataset(root, frames, poses, label_map: LabelMap, odometry=None) -> None:
-    """Lay out a dataset directory from in-memory frames and pose tracks."""
+    """Lay out a dataset directory from in-memory frames and pose tracks.
+    Every frame and pose track is checked before the first file is written."""
     root = Path(root)
+    for i, frame in enumerate(frames):
+        _check_frame(root / "points" / f"{i:06d}.bin", frame)
+    tracks = {root / "poses.txt": _encode_poses(root / "poses.txt", poses)}
+    if odometry is not None:
+        tracks[root / "odometry.txt"] = _encode_poses(root / "odometry.txt", odometry)
     (root / "points").mkdir(parents=True, exist_ok=True)
     (root / "labels").mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(frames):
@@ -235,6 +259,4 @@ def write_dataset(root, frames, poses, label_map: LabelMap, odometry=None) -> No
             frame,
             label_map,
         )
-    save_poses(root / "poses.txt", poses)
-    if odometry is not None:
-        save_poses(root / "odometry.txt", odometry)
+    write_files(tracks)

@@ -13,19 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .bounds import bounded, check_bounds
 from .cluster_map import POLE, TRUNK, Cluster, Frame
 
 
 @dataclass(frozen=True)
 class ExtractionParams:
-    cluster_distance: float = 0.5
-    min_points: int = 10
+    cluster_distance: float = bounded(0.5, 0, above=True)
+    min_points: int = bounded(10, 1)
 
-    def __post_init__(self):
-        if not self.cluster_distance > 0:
-            raise ValueError("cluster_distance must be positive")
-        if not self.min_points >= 1:
-            raise ValueError("min_points must be at least 1")
+    __post_init__ = check_bounds
 
 
 def _component_roots(n: int, pairs: np.ndarray) -> np.ndarray:

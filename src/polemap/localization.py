@@ -25,6 +25,7 @@ import logging
 from dataclasses import dataclass, replace
 
 from .association import AssociationParams
+from .bounds import bounded, check_bounds
 from .cluster_map import ClusterMap, Frame
 from .extraction import ExtractionParams, extract_clusters
 from .geometry import PoseSE3
@@ -95,11 +96,9 @@ def apply_global_fix(state: AnchoredPose, fix: RelocResult, fix_timestamp: float
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    reloc_period: float = 0.5
+    reloc_period: float = bounded(0.5, 0, above=True)
 
-    def __post_init__(self):
-        if not self.reloc_period > 0:
-            raise ValueError("reloc_period must be positive")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster_map import POLE, TRUNK, Cluster, ClusterMap
-from .dataset_io import MAX_COORDINATE, LabelMap
+from .dataset_io import MAX_COORDINATE, LabelMap, write_files
 from .errors import MapFormatError
 
 FORMAT_NAME = "polemap-map"
@@ -40,8 +40,9 @@ _LABEL_WORDS = {POLE: "pole", TRUNK: "trunk"}
 _WORD_LABELS = {"pole": POLE, "trunk": TRUNK}
 
 
-def save_map(cluster_map: ClusterMap, path, label_map: LabelMap | None = None) -> None:
-    """Serialize a map and its point sidecar; refuse, before writing, what load_map rejects."""
+def map_files(cluster_map: ClusterMap, path, label_map: LabelMap | None = None) -> dict:
+    """The map file and its point sidecar, path -> contents; refuses what
+    load_map rejects. Nothing is written."""
     label_map = label_map or LabelMap()
     path = Path(path)
     lines = [
@@ -71,8 +72,15 @@ def save_map(cluster_map: ClusterMap, path, label_map: LabelMap | None = None) -
     points = np.concatenate([cluster.points for cluster in cluster_map] or [np.empty((0, 3))])
     if not (np.abs(points) <= np.finfo("<f4").max).all():
         raise MapFormatError(f"{path}: member point beyond the float32 range")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    path.with_name(path.name + ".points").write_bytes(points.astype("<f4").tobytes())
+    return {
+        path: ("\n".join(lines) + "\n").encode("ascii"),
+        path.with_name(path.name + ".points"): points.astype("<f4").tobytes(),
+    }
+
+
+def save_map(cluster_map: ClusterMap, path, label_map: LabelMap | None = None) -> None:
+    """Serialize a map and its point sidecar; refuse, before writing, what load_map rejects."""
+    write_files(map_files(cluster_map, path, label_map))
 
 
 def load_map(path) -> ClusterMap:

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
 from .cluster_map import ClusterMap, voxel_keys
 from .geometry import PoseSE3
 
 
 @dataclass(frozen=True)
 class RegistrationParams:
-    merge_radius: float = 1.0
+    merge_radius: float = bounded(1.0, 0, above=True)
 
-    def __post_init__(self):
-        if not self.merge_radius > 0:
-            raise ValueError("merge_radius must be positive")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .association import AssociationParams, MatchPair, associate_maps
+from .bounds import bounded, check_bounds
 from .cluster_map import ClusterMap
 from .geometry import PoseSE3
 
@@ -48,26 +49,15 @@ MAX_RANSAC_ITERATIONS = 10_000
 
 @dataclass(frozen=True)
 class RelocParams:
-    consistency_tolerance: float = 0.5
-    ransac_threshold: float = 0.5
-    ransac_iterations: int = 200
-    min_pairs: int = 4
-    icp_max_iterations: int = 30
+    consistency_tolerance: float = bounded(0.5, 0, above=True)
+    ransac_threshold: float = bounded(0.5, 0, above=True)
+    ransac_iterations: int = bounded(200, 1, MAX_RANSAC_ITERATIONS)
+    min_pairs: int = bounded(4, 3)
+    icp_max_iterations: int = bounded(30, 0)
     icp_convergence: float = 1e-4
-    seed: int = 0
+    seed: int = bounded(0, 0)
 
-    def __post_init__(self):
-        for name in ("consistency_tolerance", "ransac_threshold"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.min_pairs >= 3:
-            raise ValueError("min_pairs must be at least 3")
-        if not 1 <= self.ransac_iterations <= MAX_RANSAC_ITERATIONS:
-            raise ValueError(f"ransac_iterations must lie in 1..{MAX_RANSAC_ITERATIONS}")
-        if not self.icp_max_iterations >= 0:
-            raise ValueError("icp_max_iterations must be non-negative")
-        if not self.seed >= 0:
-            raise ValueError("seed must be non-negative")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)

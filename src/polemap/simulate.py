@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import bounded, check_bounds
 from .cluster_map import POLE, TRUNK, Cluster, ClusterMap, Frame, other_label
+from .dataset_io import MAX_COORDINATE
 from .geometry import PoseSE3, rotation_about_z
 from .localization import OdometryIncrement
 
@@ -24,40 +26,30 @@ TRUNK_HEIGHT = 2.5
 
 # Caps on the size of a simulation, checked when a spec is built, before any
 # allocation or loop. The largest drive in use (the benchmark's two 600 m
-# laps) has 481 frames of 40 points per landmark and no clutter; each cap
-# leaves a margin of 200x or more.
+# laps) has 481 frames of 40 points per landmark and no clutter; each of
+# those caps leaves a margin of 200x or more. Landmark placement makes up to
+# 1000 + 200 * n_clusters attempts, so MAX_CLUSTERS (15x the default 160)
+# bounds the time to give up on a crowded area: at the default 300 m area,
+# 2,500 landmarks are refused after about 11 s on a 2-core x86 host.
 MAX_FRAMES = 100_000
+MAX_CLUSTERS = 2_500
 MAX_POINTS_PER_CLUSTER = 10_000
 MAX_CLUTTER_POINTS = 100_000
 
 
 @dataclass(frozen=True)
 class SceneSpec:
-    area: tuple[float, float] = (300.0, 300.0)
-    n_clusters: int = 160
-    label_mix: float = 0.5  # fraction of pole landmarks
-    min_spacing: float = 6.0
-    points_per_cluster: int = 40
-    point_noise_sigma: float = 0.03
-    seed: int = 0
+    area: tuple[float, float] = bounded(
+        (300.0, 300.0), 0, MAX_COORDINATE, above=True, name="scene width and height"
+    )
+    n_clusters: int = bounded(160, 0, MAX_CLUSTERS)
+    label_mix: float = bounded(0.5, 0.0, 1.0)  # fraction of pole landmarks
+    min_spacing: float = bounded(6.0, 0, MAX_COORDINATE)
+    points_per_cluster: int = bounded(40, 1, MAX_POINTS_PER_CLUSTER)
+    point_noise_sigma: float = bounded(0.03, 0)
+    seed: int = bounded(0, 0)
 
-    def __post_init__(self):
-        if not self.n_clusters >= 0:
-            raise ValueError("n_clusters must be non-negative")
-        if not 0.0 <= self.label_mix <= 1.0:
-            raise ValueError("label_mix must lie in [0, 1]")
-        if not (self.min_spacing >= 0 and self.points_per_cluster >= 1):
-            raise ValueError("invalid scene spec")
-        if self.points_per_cluster > MAX_POINTS_PER_CLUSTER:
-            raise ValueError(f"points_per_cluster must be at most {MAX_POINTS_PER_CLUSTER}")
-        if not self.point_noise_sigma >= 0:
-            raise ValueError("point_noise_sigma must be non-negative")
-        if not all(side > 0 for side in self.area):
-            raise ValueError("scene width and height must be positive")
-        if not math.isfinite(self.min_spacing * self.min_spacing):
-            raise ValueError("min_spacing is too large")
-        if not self.seed >= 0:
-            raise ValueError("seed must be non-negative")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
@@ -81,14 +73,13 @@ class Scene:
 class TrajectorySpec:
     start: tuple[float, float] = (50.0, 150.0)
     heading_deg: float = 0.0
-    speed: float = 5.0
-    length: float = 500.0
-    frame_period: float = 0.5
+    speed: float = bounded(5.0, 0, above=True)
+    length: float = bounded(500.0, 0)
+    frame_period: float = bounded(0.5, 0, above=True)
     turn_rate_deg_per_m: float = 0.0
 
     def __post_init__(self):
-        if not (self.speed > 0 and self.frame_period > 0 and self.length >= 0):
-            raise ValueError("invalid trajectory spec")
+        check_bounds(self)
         if self.length > MAX_FRAMES * self.speed * self.frame_period:
             raise ValueError(
                 f"trajectory needs more than {MAX_FRAMES} frames: "
@@ -98,33 +89,21 @@ class TrajectorySpec:
 
 @dataclass(frozen=True)
 class SensorSpec:
-    radius: float = 60.0
-    label_flip_rate: float = 0.0
-    clutter_points: int = 0
+    radius: float = bounded(60.0, 0, MAX_COORDINATE, above=True, name="sensor radius")
+    label_flip_rate: float = bounded(0.0, 0.0, 1.0)
+    clutter_points: int = bounded(0, 0, MAX_CLUTTER_POINTS)
 
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("sensor radius must be positive")
-        if not 0.0 <= self.label_flip_rate <= 1.0:
-            raise ValueError("label_flip_rate must lie in [0, 1]")
-        if not self.clutter_points >= 0:
-            raise ValueError("clutter_points must be non-negative")
-        if self.clutter_points > MAX_CLUTTER_POINTS:
-            raise ValueError(f"clutter_points must be at most {MAX_CLUTTER_POINTS}")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
 class DriftSpec:
     translational_drift: float = 0.0  # fraction of distance traveled
     rotational_drift: float = 0.0  # degrees of yaw bias per meter
-    noise_sigma: float = 0.0  # per-increment translation noise, meters
-    seed: int = 0
+    noise_sigma: float = bounded(0.0, 0)  # per-increment translation noise, meters
+    seed: int = bounded(0, 0)
 
-    def __post_init__(self):
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be non-negative")
-        if not self.seed >= 0:
-            raise ValueError("seed must be non-negative")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)
@@ -151,22 +130,26 @@ def generate_scene(spec: SceneSpec | None = None) -> Scene:
     spec = spec or SceneSpec()
     rng = np.random.default_rng(spec.seed)
     width, height = spec.area
-    positions: list[tuple[float, float]] = []
+    xs, ys = np.empty(spec.n_clusters), np.empty(spec.n_clusters)
+    placed = 0
     max_attempts = 1000 + 200 * spec.n_clusters
     attempts = 0
-    while len(positions) < spec.n_clusters:
+    while placed < spec.n_clusters:
         if attempts >= max_attempts:
             raise ValueError(
-                f"scene spec infeasible: placed {len(positions)} of "
+                f"scene spec infeasible: placed {placed} of "
                 f"{spec.n_clusters} clusters with spacing {spec.min_spacing}"
             )
         attempts += 1
-        x = float(rng.uniform(0.0, width))
-        y = float(rng.uniform(0.0, height))
-        if all((x - px) ** 2 + (y - py) ** 2 >= spec.min_spacing**2 for px, py in positions):
-            positions.append((x, y))
+        x = rng.uniform(0.0, width)
+        y = rng.uniform(0.0, height)
+        dx, dy = xs[:placed] - x, ys[:placed] - y
+        if (dx * dx + dy * dy >= spec.min_spacing**2).all():
+            xs[placed], ys[placed] = x, y
+            placed += 1
     landmarks = [
-        Landmark(x, y, POLE if rng.random() < spec.label_mix else TRUNK) for x, y in positions
+        Landmark(x, y, POLE if rng.random() < spec.label_mix else TRUNK)
+        for x, y in zip(xs.tolist(), ys.tolist())
     ]
     cluster_map = ClusterMap()
     for landmark in landmarks:

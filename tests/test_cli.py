@@ -422,11 +422,11 @@ def test_non_finite_config_value_exits_3(tmp_path, capsys):
     "text, command, error",
     [
         ("scene.width = -5", ["simulate", "--out", "data"],
-         "error: {cfg}: scene width and height must be positive"),
-        # two landmarks cannot be 1e100 m apart inside the default area
-        ("scene.n_clusters = 2\nscene.min_spacing = 1e100", ["simulate", "--out", "data"],
+         "error: {cfg}: scene width and height must lie in (0, 1e+09]"),
+        # two landmarks cannot be 1e9 m apart inside the default area
+        ("scene.n_clusters = 2\nscene.min_spacing = 1e9", ["simulate", "--out", "data"],
          "error: scene spec infeasible: placed 1 of 2 clusters"),
-        ("scene.n_clusters = 2\nscene.min_spacing = 1e100", ["evaluate", "--mode", "reloc"],
+        ("scene.n_clusters = 2\nscene.min_spacing = 1e9", ["evaluate", "--mode", "reloc"],
          "error: scene spec infeasible: placed 1 of 2 clusters"),
     ],
     ids=["negative-width", "infeasible-simulate", "infeasible-evaluate"],
@@ -445,9 +445,9 @@ def test_impossible_scene_exits_3(tmp_path, capsys, monkeypatch, text, command, 
 @pytest.mark.parametrize(
     "text, error",
     [
-        ("sensor.radius = -60", "sensor radius must be positive"),
+        ("sensor.radius = -60", "sensor radius must lie in (0, 1e+09]"),
         ("sensor.label_flip_rate = 1.5", "label_flip_rate must lie in [0, 1]"),
-        ("sensor.clutter_points = -5", "clutter_points must be non-negative"),
+        ("sensor.clutter_points = -5", "clutter_points must lie in [0, 100000]"),
         ("scene.point_noise_sigma = -0.03", "point_noise_sigma must be non-negative"),
         ("drift.noise_sigma = -1", "noise_sigma must be non-negative"),
     ],
@@ -463,8 +463,9 @@ def test_bad_simulator_spec_exits_3(tmp_path, capsys, text, error):
     assert not (tmp_path / "data").exists()
 
 
-# Values that once ran out of memory or time; each must stop at its cap
-# while the config loads, before any allocation or loop.
+# Values that once ran out of memory or time, or raised OverflowError on
+# squaring; each must stop at its bound while the config loads, before any
+# allocation or loop.
 @pytest.mark.parametrize(
     "text, command, error",
     [
@@ -473,13 +474,25 @@ def test_bad_simulator_spec_exits_3(tmp_path, capsys, text, error):
         ("trajectory.frame_period = 1e-12", ["simulate", "--out", "data"],
          "trajectory needs more than 100000 frames"),
         ("scene.points_per_cluster = 1000000000", ["simulate", "--out", "data"],
-         "points_per_cluster must be at most 10000"),
+         "points_per_cluster must lie in [1, 10000]"),
         ("sensor.clutter_points = 1000000000", ["simulate", "--out", "data"],
-         "clutter_points must be at most 100000"),
+         "clutter_points must lie in [0, 100000]"),
         ("reloc.ransac_iterations = 1000000000", ["evaluate", "--mode", "reloc", "--trials", "1"],
-         "ransac_iterations must lie in 1..10000"),
+         "ransac_iterations must lie in [1, 10000]"),
+        ("scene.width = 1e300", ["simulate", "--out", "data"],
+         "scene width and height must lie in (0, 1e+09]"),
+        ("scene.height = 1e300", ["simulate", "--out", "data"],
+         "scene width and height must lie in (0, 1e+09]"),
+        ("sensor.radius = 1e300", ["simulate", "--out", "data"],
+         "sensor radius must lie in (0, 1e+09]"),
+        ("sensor.radius = 1e300", ["evaluate", "--mode", "reloc", "--trials", "1"],
+         "sensor radius must lie in (0, 1e+09]"),
+        ("scene.n_clusters = 1000000000", ["simulate", "--out", "data"],
+         "n_clusters must lie in [0, 2500]"),
     ],
-    ids=["speed", "frame-period", "points-per-cluster", "clutter-points", "ransac-iterations"],
+    ids=["speed", "frame-period", "points-per-cluster", "clutter-points", "ransac-iterations",
+         "scene-width", "scene-height", "sensor-radius-simulate", "sensor-radius-evaluate",
+         "n-clusters"],
 )
 def test_oversized_work_exits_3(tmp_path, capsys, monkeypatch, text, command, error):
     monkeypatch.chdir(tmp_path)
@@ -650,18 +663,22 @@ def test_build_map_refuses_a_map_its_reader_rejects(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value, error",
     [
-        ("scene.width", "3e9", r"data/map\.txt: cluster \d+: centroid beyond 1e\+09 m"),
+        # landmark members scattered 1e10 m: the frames fit float32, the map does not
+        ("scene.point_noise_sigma", "1e10", r"data/map\.txt: cluster \d+: centroid beyond 1e\+09 m"),
         ("trajectory.start_x", "2e9", r"data/poses\.txt: pose 0: translation beyond 1e\+09 m"),
+        ("drift.translational_drift", "1e12",
+         r"data/odometry\.txt: pose 1: translation beyond 1e\+09 m"),
     ],
-    ids=["scene-beyond-limit", "drive-beyond-limit"],
+    ids=["scene-beyond-limit", "drive-beyond-limit", "odometry-beyond-limit"],
 )
 def test_simulate_refuses_files_its_readers_reject(tmp_path, capsys, key, value, error):
+    # every file is checked before the first is written, so none is left behind
     cfg = tmp_path / "far.cfg"
-    text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", GOLDEN_CONFIG, flags=re.M)
-    assert text != GOLDEN_CONFIG
-    cfg.write_text(text, encoding="ascii")
+    line = f"{key} = {value}"
+    text = re.sub(rf"^{re.escape(key)} = .*$", line, GOLDEN_CONFIG, flags=re.M)
+    cfg.write_text(text if line in text else text + line + "\n", encoding="ascii")
     code = main(["simulate", "--out", str(tmp_path / "data"), "--config", str(cfg)])
     captured = capsys.readouterr()
     assert code == 3
     assert re.fullmatch(rf"error: {re.escape(str(tmp_path))}/{error}\n", captured.err)
-    assert not (tmp_path / "data" / "map.txt").exists()
+    assert not (tmp_path / "data").exists()

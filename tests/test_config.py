@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -5,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from polemap import ConfigError
+from polemap.bounds import declared_bounds, describe
 from polemap.config import (
+    _SCHEMA,
     Config,
     default_config,
     dump_config,
@@ -80,15 +83,15 @@ def test_group_validation_errors_become_config_errors():
         ("reloc.seed = -1", "seed must be non-negative"),
         ("scene.seed = -1", "seed must be non-negative"),
         ("drift.seed = -1", "seed must be non-negative"),
-        ("scene.width = -5", "scene width and height must be positive"),
-        ("scene.width = 0", "scene width and height must be positive"),
-        ("scene.height = 0.0", "scene width and height must be positive"),
-        ("scene.min_spacing = 1e300", "min_spacing is too large"),
-        ("sensor.radius = -60", "sensor radius must be positive"),
-        ("sensor.radius = 0", "sensor radius must be positive"),
+        ("scene.width = -5", r"scene width and height must lie in \(0, 1e\+09\]"),
+        ("scene.width = 0", r"scene width and height must lie in \(0, 1e\+09\]"),
+        ("scene.height = 0.0", r"scene width and height must lie in \(0, 1e\+09\]"),
+        ("scene.min_spacing = 1e300", r"min_spacing must lie in \[0, 1e\+09\]"),
+        ("sensor.radius = -60", r"sensor radius must lie in \(0, 1e\+09\]"),
+        ("sensor.radius = 0", r"sensor radius must lie in \(0, 1e\+09\]"),
         ("sensor.label_flip_rate = 1.5", r"label_flip_rate must lie in \[0, 1\]"),
         ("sensor.label_flip_rate = -0.1", r"label_flip_rate must lie in \[0, 1\]"),
-        ("sensor.clutter_points = -5", "clutter_points must be non-negative"),
+        ("sensor.clutter_points = -5", r"clutter_points must lie in \[0, 100000\]"),
         ("scene.point_noise_sigma = -0.03", "point_noise_sigma must be non-negative"),
         ("drift.noise_sigma = -1", "noise_sigma must be non-negative"),
     ):
@@ -102,32 +105,83 @@ def test_group_validation_errors_become_config_errors():
 NAN = float("nan")
 
 
+def _declared_ranges():
+    """(group, key name, field, tuple index or None, (low, high, above)) of
+    every config key whose field declares a range, in config order."""
+    defaults = default_config()
+    ranges = []
+    for key, (group, field_name, index, _) in _SCHEMA.items():
+        for name, _, bounds in declared_bounds(type(getattr(defaults, group))):
+            if name == field_name:
+                ranges.append((group, key.split(".", 1)[1], field_name, index, bounds))
+    return ranges
+
+
+DECLARED = _declared_ranges()
+# Every other field, each a number: a new field must either declare its range
+# or join this list.
+UNBOUNDED = {
+    ("reloc", "icp_convergence"),
+    ("trajectory", "start"),
+    ("trajectory", "heading_deg"),
+    ("trajectory", "turn_rate_deg_per_m"),
+    ("drift", "translational_drift"),
+    ("drift", "rotational_drift"),
+}
+
+
+def _group_with(group, field_name, index, value):
+    """The default group with one field, or one element of a tuple field, set."""
+    default = getattr(default_config(), group)
+    if group == "trajectory":
+        default = replace(default, length=0.0)  # needs no frames at any speed or period
+    if index is not None:
+        items = list(getattr(default, field_name))
+        items[index] = value
+        value = tuple(items)
+    return replace(default, **{field_name: value})
+
+
+def test_every_field_declares_a_range_or_is_listed_unbounded():
+    defaults = default_config()
+    every = {(g.name, f.name) for g in fields(defaults) for f in fields(getattr(defaults, g.name))}
+    assert every - {(group, field_name) for group, _, field_name, _, _ in DECLARED} == UNBOUNDED
+
+
 @pytest.mark.parametrize(
-    "group, field, value",
-    [
-        *[("reloc", f, NAN) for f in (
-            "consistency_tolerance", "ransac_threshold", "min_pairs", "icp_max_iterations", "seed")],
-        *[("association", f, NAN) for f in (
-            "search_radius", "length_tolerance", "angle_tolerance", "sub_edge_tolerance",
-            "edge_tolerance", "min_sub_edge_matches", "min_edge_matches", "candidate_count")],
-        ("registration", "merge_radius", NAN),
-        ("extraction", "cluster_distance", NAN),
-        ("extraction", "min_points", NAN),
-        ("pipeline", "reloc_period", NAN),
-        ("sensor", "radius", NAN),
-        ("sensor", "clutter_points", NAN),
-        *[("trajectory", f, NAN) for f in ("speed", "frame_period", "length")],
-        ("drift", "noise_sigma", NAN),
-        ("drift", "seed", NAN),
-        *[("scene", f, NAN) for f in ("n_clusters", "points_per_cluster", "point_noise_sigma", "seed")],
-        pytest.param("scene", "area", (NAN, 100.0), id="scene-width-nan"),
-        pytest.param("scene", "area", (100.0, NAN), id="scene-height-nan"),
-    ],
+    "group, field_name, index",
+    [(group, field_name, index) for group, _, field_name, index, _ in DECLARED],
+    ids=[f"{group}-{key}-nan" for group, key, *_ in DECLARED],
 )
-def test_nan_fails_every_range_check(group, field, value):
+def test_nan_fails_every_range_check(group, field_name, index):
     # config files reject non-finite values; the Python API meets these checks
     with pytest.raises(ValueError):
-        replace(getattr(default_config(), group), **{field: value})
+        _group_with(group, field_name, index, NAN)
+
+
+@pytest.mark.parametrize(
+    "group, field_name, index, bounds",
+    [(group, field_name, index, bounds) for group, _, field_name, index, bounds in DECLARED],
+    ids=[f"{group}-{key}" for group, key, *_ in DECLARED],
+)
+def test_every_declared_bound_is_exact(group, field_name, index, bounds):
+    # each finite bound admits itself and refuses the next number outside it,
+    # or, when exclusive, refuses itself and admits the next number inside
+    default = getattr(getattr(default_config(), group), field_name)
+    integer = isinstance(default if index is None else default[index], int)
+
+    def step(value, direction):
+        return value + direction if integer else math.nextafter(value, direction * math.inf)
+
+    low, high, above = bounds
+    edges = [(low, -1, above)]
+    if high < math.inf:
+        edges.append((high, 1, False))
+    for edge, outward, exclusive in edges:
+        inside, outside = (step(edge, -outward), edge) if exclusive else (edge, step(edge, outward))
+        _group_with(group, field_name, index, inside)
+        with pytest.raises(ValueError, match=re.escape(f" must {describe(*bounds)}")):
+            _group_with(group, field_name, index, outside)
 
 
 def test_dump_parse_round_trip_is_identity():
@@ -200,3 +254,16 @@ def test_readme_lists_exactly_the_dumped_keys():
     ]
     dumped = [line.split(" = ")[0] for line in dump_config(default_config()).split("\n") if line]
     assert documented == dumped
+
+
+def test_readme_lists_every_declared_range():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+    documented = [
+        (rule, re.findall(r"`([\w.]+)`", keys))
+        for rule, keys in re.findall(r"^\| ((?:be|lie in) [^|]*) \| (.*) \|$", table, re.M)
+    ]
+    declared = {}
+    for group, key, _, _, bounds in DECLARED:
+        declared.setdefault(describe(*bounds), []).append(f"{group}.{key}")
+    assert documented == list(declared.items())

@@ -216,6 +216,19 @@ def test_write_and_open_dataset(tmp_path):
     assert frame.xyz[0, 0] == 4.0
 
 
+def test_write_dataset_refuses_a_frame_beyond_float32_before_writing(tmp_path):
+    # frame 1 is finite as float64 but would read back as inf
+    frames = [_frame(0.0, [1]), _frame(0.5, [4e38]), _frame(1.0, [2])]
+    poses = [(f.timestamp, _planar(0.0)) for f in frames]
+    with pytest.raises(DatasetError) as exc:
+        write_dataset(tmp_path / "data", frames, poses, LabelMap())
+    assert str(exc.value) == f"{tmp_path}/data/points/000001.bin: point beyond the float32 range"
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(DatasetError, match="float32 range"):
+        write_frame(tmp_path / "f.bin", tmp_path / "f.label", frames[1], LabelMap())
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dataset_without_odometry(tmp_path):
     frames = [_frame(0.0, [1])]
     write_dataset(tmp_path, frames, [(0.0, _planar(0.0))], LabelMap())
