@@ -1,24 +1,27 @@
 """Pose recovery from associated cluster pairs.
 
 The accepted pipeline is association, pairwise-distance consistency
-filtering, RANSAC over cluster centroids, a closed-form rigid fit, and
-point-to-point ICP refinement over the member points of the surviving pairs,
-which re-queries only the points whose nearest target can have changed. The
-returned pose maps local-map coordinates into global-map coordinates.
+filtering, RANSAC over two-point hypotheses on cluster centroids, a
+closed-form fit, and point-to-point ICP refinement over the member points of
+the surviving pairs, which re-queries only the points whose nearest target
+can have changed. The returned pose maps local-map coordinates into
+global-map coordinates. Every fit solves a yaw about z and a 3D translation:
+pole and trunk centroids sit at nearly one height and hold roll and pitch
+poorly, so both maps are taken as gravity-aligned, and relocalize_frame keeps
+the roll and pitch of the estimate it poses the local map at.
 
 fit_pairs runs every stage after association on any candidate pairs. Two
 sources feed it: prior-free star association, and, when a caller that
 tracks a pose estimate passes relocalize guided=True, guided pairs that
 match each local cluster to the nearest same-label global centroid within
 TRACK_GATE, by the global map's nearest_each. A guided attempt that fails,
-or whose inliers lie along a line, falls back to star association within
-the same relocalize call; RelocResult.path names the source that served.
+or whose inliers lie along a line (which cannot tell the periods of a
+regular row apart), falls back to star association within the same
+relocalize call; RelocResult.path names the source that served.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +46,8 @@ class RelocalizationFailure(Exception):
         self.reason = reason
 
 
-# 50x the default; the sample memo then holds at most 15 MB.
+# 50x the default. RANSAC scores at most this many hypotheses at once, in
+# arrays of hypotheses x pairs x 3 floats.
 MAX_RANSAC_ITERATIONS = 10_000
 
 
@@ -55,7 +59,6 @@ class RelocParams:
     min_pairs: int = bounded(4, 3)
     icp_max_iterations: int = bounded(30, 0)
     icp_convergence: float = 1e-4
-    seed: int = bounded(0, 0)
 
     __post_init__ = check_bounds
 
@@ -112,56 +115,42 @@ def geometric_consistency_filter(
     return [pairs[i] for i in clique]
 
 
-def _fit_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares rigid fits of a stack of correspondence sets.
+def _fit_yaw(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares fits of a yaw about z and a 3D translation to a stack of
+    correspondence sets.
 
-    src and dst are (m, n, 3). Returns rotations (m, 3, 3), translations
-    (m, 3) and a mask of the fits whose points span a non-degenerate
-    configuration; the other fits hold meaningless values.
+    src and dst are (m, n, 3). The yaw is the atan2 of the summed planar
+    cross and dot products of the centred sets. Returns rotations (m, 3, 3),
+    translations (m, 3) and a mask of the fits in which both sets hold two
+    distinct planar points; the other fits hold meaningless values.
     """
     c_src = src.mean(axis=1)
     c_dst = dst.mean(axis=1)
-    h = np.matmul((src - c_src[:, None, :]).transpose(0, 2, 1), dst - c_dst[:, None, :])
-    u, s, vt = np.linalg.svd(h)
-    valid = ~((s[:, 0] <= 0.0) | (s[:, 1] <= 1e-9 * s[:, 0]))
-    v = vt.transpose(0, 2, 1)
-    ut = u.transpose(0, 2, 1)
-    flip = np.zeros((len(h), 3, 3))
-    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
-    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
-    rot = v @ flip @ ut
+    a = src[:, :, :2] - c_src[:, None, :2]
+    b = dst[:, :, :2] - c_dst[:, None, :2]
+    cross = (a[:, :, 0] * b[:, :, 1] - a[:, :, 1] * b[:, :, 0]).sum(axis=1)
+    dot = (a * b).sum(axis=(1, 2))
+    valid = np.ptp(src[:, :, :2], axis=1).any(axis=1) & np.ptp(dst[:, :, :2], axis=1).any(axis=1)
+    yaw = np.arctan2(cross, dot)
+    cos, sin, zero, one = np.cos(yaw), np.sin(yaw), np.zeros_like(yaw), np.ones_like(yaw)
+    rot = np.stack([cos, -sin, zero, sin, cos, zero, zero, zero, one], axis=1).reshape(-1, 3, 3)
     return rot, c_dst - np.matmul(rot, c_src[:, :, None])[:, :, 0], valid
 
 
 def estimate_rigid_transform(src: np.ndarray, dst: np.ndarray) -> PoseSE3:
-    """Least-squares rigid transform with dst ~= R @ src + t.
+    """Least-squares yaw and translation with dst ~= Rz(yaw) @ src + t.
 
-    Requires at least three correspondences spanning a non-degenerate
-    configuration; collinear or coincident points raise.
+    Requires at least two correspondences; when either set's points all
+    coincide in xy, no yaw is fixed and the fit raises.
     """
     src = np.asarray(src, dtype=float).reshape(-1, 3)
     dst = np.asarray(dst, dtype=float).reshape(-1, 3)
-    if len(src) != len(dst) or len(src) < 3:
+    if len(src) != len(dst) or len(src) < 2:
         raise ValueError("degenerate correspondences")
-    rot, trans, valid = _fit_rigid(src[None], dst[None])
+    rot, trans, valid = _fit_yaw(src[None], dst[None])
     if not valid[0]:
         raise ValueError("degenerate correspondences")
     return PoseSE3(rot[0], trans[0])
-
-
-@functools.lru_cache(maxsize=64)
-def _ransac_samples(seed: int, n: int, iterations: int) -> np.ndarray:
-    """The (iterations, 3) int64 table of three-of-n index samples that a
-    generator seeded with seed draws, one rng.choice per row; read-only.
-
-    Kept for the 64 most recent (seed, n, iterations) keys, so the memo holds
-    at most 64 x iterations x 3 int64 values: 300 KB at the default 200
-    iterations. A hit returns the table a fresh draw would give.
-    """
-    rng = np.random.default_rng(seed)
-    samples = np.array([rng.choice(n, size=3, replace=False) for _ in range(iterations)])
-    samples.flags.writeable = False
-    return samples
 
 
 def ransac_filter(
@@ -170,22 +159,27 @@ def ransac_filter(
     global_map: ClusterMap,
     params: RelocParams | None = None,
 ) -> list[MatchPair]:
-    """Largest inlier subset of pairs under a sampled rigid transform.
+    """Largest inlier subset of pairs under a two-point hypothesis.
 
-    Samples of three centroid correspondences seed candidate transforms; a
-    pair is an inlier when its global centroid sits within ransac_threshold
-    of the transformed local centroid. Deterministic for a given seed.
+    Each two pairs (i, j), i < j, in np.triu_indices order, give a yaw and
+    translation fit; a pair is an inlier when its global centroid sits
+    within ransac_threshold of the transformed local centroid. Above
+    ransac_iterations hypotheses, that many are scored, at evenly spaced
+    positions of that order. The first hypothesis with the most inliers wins.
     """
     params = params or RelocParams()
     pairs = list(pairs)
     if len(pairs) < 3:
         raise ValueError("insufficient pairs")
     src, dst = _pair_centroids(pairs, local_map, global_map)
-    samples = _ransac_samples(params.seed, len(pairs), params.ransac_iterations)
-    rot, trans, valid = _fit_rigid(src[samples], dst[samples])
+    hypotheses = np.stack(np.triu_indices(len(pairs), 1), axis=1)
+    cap = params.ransac_iterations
+    if len(hypotheses) > cap:
+        hypotheses = hypotheses[np.arange(cap) * len(hypotheses) // cap]
+    rot, trans, valid = _fit_yaw(src[hypotheses], dst[hypotheses])
     moved = np.matmul(src[None], rot.transpose(0, 2, 1)) + trans[:, None, :]
     masks = np.linalg.norm(dst[None] - moved, axis=2) < params.ransac_threshold
-    # The first sample with the most inliers wins; degenerate samples never do.
+    # Degenerate hypotheses never win.
     inliers = np.where(valid, masks.sum(axis=1), -1)
     best = int(np.argmax(inliers))
     if inliers[best] < 3:
@@ -194,7 +188,7 @@ def ransac_filter(
 
 
 def coarse_align(pairs, local_map: ClusterMap, global_map: ClusterMap) -> PoseSE3:
-    """Closed-form rigid fit over the centroids of the surviving pairs."""
+    """Closed-form yaw and translation fit over the surviving pairs' centroids."""
     src, dst = _pair_centroids(list(pairs), local_map, global_map)
     return estimate_rigid_transform(src, dst)
 
@@ -322,10 +316,9 @@ def fit_pairs(
 TRACK_GATE = 2.0
 # A guided fit serves only when the planar centroids of its inliers span the
 # plane: the smaller singular value of those centred xy centroids must be at
-# least this share of the larger, so the roll about their main axis is held
-# at least a tenth as firmly as the pitch along it. Pairs along one line,
-# such as a row of poles, hold neither that roll nor which period of a
-# regular row the estimate sits in.
+# least this share of the larger. Pairs along one line, such as a row of
+# poles, still fix a yaw, but they do not tell which period of a regular row
+# the estimate sits in.
 GUIDED_MIN_SPREAD = 0.1
 
 

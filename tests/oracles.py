@@ -5,8 +5,8 @@ indexes, a scalar union-find over an all-pairs distance scan where
 production runs a vectorized one over kd-tree pairs, an association
 routine written as plain nested loops over explicit feature tuples, edge
 stars built one anchor and one neighbor at a time, a RANSAC that fits one
-sample at a time, and an ICP that queries its kd-tree twice per step. The
-production code must agree with these exactly on the same inputs.
+two-pair hypothesis at a time, and an ICP that queries its kd-tree twice per
+step. The production code must agree with these exactly on the same inputs.
 """
 
 from __future__ import annotations
@@ -269,33 +269,43 @@ def oracle_length_bounds(local_lengths, local_labels, stars, tol: float) -> np.n
     return bounds
 
 
-def _oracle_rigid_fit(src, dst):
-    """Kabsch fit of one sample as (rotation, translation), None if degenerate."""
+def _oracle_yaw_fit(src, dst):
+    """Yaw and translation fit of one set as (rotation, translation), from
+    the complex planar offsets of the centred sets; None when the points of
+    either side all share one planar position."""
+    if min(len({(p[0], p[1]) for p in points}) for points in (src, dst)) < 2:
+        return None
     c_src = src.mean(axis=0)
     c_dst = dst.mean(axis=0)
-    h = (src - c_src).T @ (dst - c_dst)
-    u, s, vt = np.linalg.svd(h)
-    if s[0] <= 0.0 or s[1] <= 1e-9 * s[0]:
-        return None
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    total = 0j
+    for u, v in zip(src - c_src, dst - c_dst):
+        total += complex(u[0], u[1]).conjugate() * complex(v[0], v[1])
+    yaw = math.atan2(total.imag, total.real)
+    c, s = math.cos(yaw), math.sin(yaw)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     return rot, c_dst - rot @ c_src
 
 
 def oracle_ransac_filter(pairs, local_map, global_map, params):
-    """Reference RANSAC: one fit per sample, the first strictly best mask wins.
+    """Reference RANSAC: one fit per two-pair hypothesis, the first strictly
+    best mask wins.
 
-    Draws the same samples as the production filter and raises ValueError
-    when no sample leaves three inliers.
+    Hypotheses run over i < j in nested-loop order; above ransac_iterations
+    of them only the k-th, for k = t * total // ransac_iterations, is scored.
+    Raises ValueError when no hypothesis leaves three inliers.
     """
     pairs = list(pairs)
+    if len(pairs) < 3:
+        raise ValueError("insufficient pairs")
     src = np.array([local_map.get(p.local_id).centroid3d for p in pairs])
     dst = np.array([global_map.get(p.global_id).centroid3d for p in pairs])
-    rng = np.random.default_rng(params.seed)
+    hypotheses = [(i, j) for i in range(len(pairs)) for j in range(i + 1, len(pairs))]
+    cap = params.ransac_iterations
+    if len(hypotheses) > cap:
+        hypotheses = [hypotheses[t * len(hypotheses) // cap] for t in range(cap)]
     best_mask = None
-    for _ in range(params.ransac_iterations):
-        sample = rng.choice(len(pairs), size=3, replace=False)
-        fit = _oracle_rigid_fit(src[sample], dst[sample])
+    for i, j in hypotheses:
+        fit = _oracle_yaw_fit(src[[i, j]], dst[[i, j]])
         if fit is None:
             continue
         rot, trans = fit

@@ -353,7 +353,7 @@ def test_non_finite_map_sidecar_exits_3(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key",
-    ["pipeline.reloc_enabled", "pipeline.max_fix_jump", "reloc.ransac_first",
+    ["pipeline.reloc_enabled", "pipeline.max_fix_jump", "reloc.ransac_first", "reloc.seed",
      "registration.strict_labels"],
 )
 def test_removed_config_key_exits_3(tmp_path, capsys, key):
@@ -558,9 +558,9 @@ GOLDEN_SHA256 = {
     "data/map.txt.points": "a95d5350bcd29396d903b990399701c95a3c20663ed39053cd2ad2b72bbc196b",
     "built.txt": "facdb537e75809ae264a43bc154eb6b76416ab7c2a1a0820474bd70dc5dc7b80",
     "built.txt.points": "eddd84b20c58bb77ec8d36718151fe5c1e9d9f8690efdac0d84f328010a73446",
-    "estimated.txt": "7051c6142fae50571ba76b594195113da6042f8fe5993fc4ffbb5447f6069bae",
+    "estimated.txt": "93f38d8cec298702540c117b216ae6f1d850968071697946292f60e6976901e5",
 }
-GOLDEN_RELOCALIZE_SHA256 = "a2ed8357c1bf6b082db50ba30af9ddc737574dc36f4be589ca40eb3e63496525"
+GOLDEN_RELOCALIZE_SHA256 = "d725cbf66ed5f724891eb26e455993d99160571df31adae373428b7539b98b9d"
 # The distance-to-relocalize study on the same scene, four trials per
 # retention; at 0.25 every trial is censored at the drive's maximum distance.
 GOLDEN_EVALUATE_SHA256 = "9d87fcb4bb0a1f2168e379f35fc7ca2dcdbd2edcad8b26a332b396e450e77f5a"
@@ -577,7 +577,7 @@ def test_outputs_are_byte_exact(tmp_path, capsys):
     assert capsys.readouterr().out.split("\n") == [
         "frames 17", "clusters 70", "length 40.000",
         "clusters 37", "density 0.925000",
-        "fixes 17 attempts 17", "rmse 0.025702", "",
+        "fixes 17 attempts 17", "rmse 0.020696", "",
     ]
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
@@ -633,8 +633,8 @@ def test_config_output_is_byte_exact(tmp_path, capsys):
         assert main(["config", *extra]) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest())
     assert digests == [
-        "f884b358eb958194645f728dd4c8c4f99f89ac1b070e86c22764293d4bfcda7b",
-        "ca647c12af6769fff1291b1a1d45596723438164030ac5102a50895ee81fa782",
+        "efff084669a070fcc21acef9b33589ecea2e3bdf0e7288724608fb9d65a5ecc0",
+        "bccb85de07d7a2b9501c655bec878b33abcbaeecbf300ee760e0945572877a05",
     ]
 
 

@@ -80,7 +80,6 @@ def test_group_validation_errors_become_config_errors():
         ("labels.pole = 70000", r"label ids must lie in \[0, 65535\]"),
         ("labels.trunk = 65536", r"label ids must lie in \[0, 65535\]"),
         ("labels.pole = 6", "pole and trunk label ids must differ"),
-        ("reloc.seed = -1", "seed must be non-negative"),
         ("scene.seed = -1", "seed must be non-negative"),
         ("drift.seed = -1", "seed must be non-negative"),
         ("scene.width = -5", r"scene width and height must lie in \(0, 1e\+09\]"),

@@ -318,6 +318,24 @@ def test_relocalize_frame_returns_the_global_vehicle_pose():
     assert np.linalg.norm(fix.pose.translation - truth.translation) < 0.2
 
 
+def test_relocalize_frame_keeps_the_estimate_roll_and_pitch():
+    # the fix turns the estimate about the vertical only, so the rotation's
+    # third row, the vertical in the vehicle frame, is the estimate's
+    scene, run = _sim_setup(length=20.0)
+    frame = run.frames[4]
+    truth = run.true_poses[4][1]
+    tilt = PoseSE3.from_quaternion(np.zeros(3), [0.004, -0.003, 0.0, 1.0])
+    estimate = PoseSE3(
+        rotation_about_z(0.01) @ tilt.rotation @ truth.rotation,
+        truth.translation + np.array([0.8, -0.5, 0.0]),
+    )
+    assert abs(estimate.rotation[2, 2]) < 1.0 - 1e-5
+    fix = relocalize_frame(frame, estimate, scene.cluster_map)
+    assert np.array_equal(fix.pose.rotation[2], estimate.rotation[2])
+    assert not np.allclose(fix.pose.rotation, estimate.rotation, atol=1e-4)
+    assert np.linalg.norm(fix.pose.translation[:2] - truth.translation[:2]) < 0.2
+
+
 def test_relocalize_frame_without_clusters_fails():
     with pytest.raises(RelocalizationFailure) as failure:
         relocalize_frame(Frame(0.0, (), ()), PoseSE3.identity(), ClusterMap())

@@ -26,16 +26,17 @@ from polemap import relocalization
 from polemap.association import AssociationParams
 from polemap.geometry import rotation_about_z
 from polemap.map_io import load_map, save_map
-from polemap.relocalization import _ransac_samples
 from conftest import moved_copy, planar_pose, random_map
 import oracles
 from oracles import oracle_fine_align, oracle_ransac_filter
 
 
 def point_map(coords) -> ClusterMap:
+    """One single-point pole cluster per (x, y) or (x, y, z) row, z = 0 when
+    not given, ids in row order."""
     m = ClusterMap()
-    for x, y in coords:
-        m.add(POLE, [(float(x), float(y), 0.0)])
+    for row in coords:
+        m.add(POLE, [tuple(map(float, row)) + (0.0,) * (3 - len(row))])
     return m
 
 
@@ -96,9 +97,7 @@ def test_consistency_output_sorted_by_local_id(rng):
 def test_rigid_fit_recovers_random_transform(rng):
     for _ in range(20):
         src = rng.uniform(-10, 10, (12, 3))
-        quat = rng.standard_normal(4)
-        quat /= np.linalg.norm(quat)
-        pose = PoseSE3.from_quaternion(rng.uniform(-30, 30, 3), quat)
+        pose = PoseSE3(rotation_about_z(rng.uniform(-math.pi, math.pi)), rng.uniform(-30, 30, 3))
         dst = pose.apply(src)
         fit = estimate_rigid_transform(src, dst)
         assert np.allclose(fit.rotation, pose.rotation, atol=1e-9)
@@ -106,16 +105,28 @@ def test_rigid_fit_recovers_random_transform(rng):
         assert abs(np.linalg.det(fit.rotation) - 1.0) < 1e-9
 
 
-def test_rigid_fit_rejects_collinear():
-    src = np.array([[float(k), 0.0, 0.0] for k in range(5)])
-    with pytest.raises(ValueError, match="degenerate"):
-        estimate_rigid_transform(src, src)
+def test_rigid_fit_from_two_planar_points():
+    # two distinct planar points, at different heights, fix yaw and translation
+    src = np.array([[3.0, -1.0, 0.5], [-2.0, 4.0, 2.5]])
+    pose = PoseSE3(rotation_about_z(2.0), np.array([7.0, -3.0, 1.5]))
+    fit = estimate_rigid_transform(src, pose.apply(src))
+    assert np.allclose(fit.as_matrix(), pose.as_matrix(), atol=1e-12)
+
+
+def test_rigid_fit_rejects_points_coincident_in_xy(rng):
+    # a vertical line of points holds no yaw, on either side, though
+    # rounding leaves its centred points a hair off zero
+    line = np.array([[0.1, 0.7, float(k)] for k in range(6)])
+    spread = rng.uniform(-5, 5, (6, 3))
+    for src, dst in ((line, line + 1.0), (spread, line), (line, spread)):
+        with pytest.raises(ValueError, match="degenerate"):
+            estimate_rigid_transform(src, dst)
 
 
 def test_rigid_fit_rejects_short_or_mismatched_input():
-    two = np.zeros((2, 3))
+    one = np.ones((1, 3))
     with pytest.raises(ValueError, match="degenerate"):
-        estimate_rigid_transform(two, two)
+        estimate_rigid_transform(one, one)
     with pytest.raises(ValueError, match="degenerate"):
         estimate_rigid_transform(np.zeros((4, 3)), np.zeros((5, 3)))
 
@@ -151,15 +162,14 @@ def outlier_scene(rng, n_inliers=15, n_outliers=5):
 
 def test_ransac_drops_gross_outliers(rng):
     local, global_map, _, pairs = outlier_scene(rng)
-    kept = ransac_filter(pairs, local, global_map, RelocParams(seed=3))
+    kept = ransac_filter(pairs, local, global_map)
     assert [p.local_id for p in kept] == list(range(15))
 
 
 def test_ransac_is_deterministic(rng):
     local, global_map, _, pairs = outlier_scene(rng)
-    params = RelocParams(seed=42)
-    a = ransac_filter(pairs, local, global_map, params)
-    b = ransac_filter(pairs, local, global_map, params)
+    a = ransac_filter(pairs, local, global_map)
+    b = ransac_filter(pairs, local, global_map)
     assert a == b
 
 
@@ -170,16 +180,17 @@ def test_ransac_needs_three_pairs(rng):
 
 
 def test_ransac_all_samples_degenerate(rng):
-    line = point_map([(float(k) * 2.0, 0.0) for k in range(6)])
+    # every centroid at one planar position: no two-point hypothesis fixes a yaw
+    stack = point_map([(4.0, -3.0, 1.5 * k) for k in range(6)])
     with pytest.raises(ValueError, match="insufficient"):
-        ransac_filter(identity_pairs(6), line, line)
+        ransac_filter(identity_pairs(6), stack, stack)
     with pytest.raises(ValueError, match="insufficient"):
-        oracle_ransac_filter(identity_pairs(6), line, line, RelocParams())
+        oracle_ransac_filter(identity_pairs(6), stack, stack, RelocParams())
 
 
 def two_motion_scene(rng):
-    """Pairs 0-5 agree with one motion and 6-11 with another, so samples
-    from either half find six inliers; the first such sample decides."""
+    """Pairs 0-5 agree with one motion and 6-11 with another, so hypotheses
+    from either half find six inliers; the first such hypothesis decides."""
     global_map = point_map([tuple(rng.uniform(0, 60, 2)) for _ in range(12)])
     local = ClusterMap()
     for k, c in enumerate(global_map):
@@ -188,12 +199,21 @@ def two_motion_scene(rng):
     return local, global_map, identity_pairs(12)
 
 
-def collinear_scene(rng):
-    """Five centroids on a line and three off it: many samples are degenerate."""
-    coords = [(3.0 * k, 0.0) for k in range(5)] + [(2.0, 9.0), (11.0, -7.0), (5.0, 4.0)]
+def stacked_scene(rng):
+    """Four centroids stacked at one planar position and four spread out:
+    every hypothesis within the stack is degenerate."""
+    coords = [(6.0, 2.0, 1.5 * k) for k in range(4)]
+    coords += [(0.0, 0.0, 0.0), (2.0, 9.0, 0.5), (11.0, -7.0, 1.0), (5.0, 4.0, 0.0)]
     global_map = point_map(coords)
     local = moved_copy(global_map, planar_pose(rng))
     return local, global_map, identity_pairs(len(coords))
+
+
+def collinear_scene(rng):
+    """Eight centroids on a line: every hypothesis is a valid fit."""
+    global_map = point_map([(3.0 * k, 0.0) for k in range(8)])
+    local = moved_copy(global_map, planar_pose(rng))
+    return local, global_map, identity_pairs(8)
 
 
 def assert_ransac_agrees(pairs, local, global_map, params):
@@ -207,35 +227,18 @@ def assert_ransac_agrees(pairs, local, global_map, params):
 
 
 def test_ransac_matches_reference_loop(rng):
-    scenes = [two_motion_scene(rng), collinear_scene(rng)]
+    scenes = [two_motion_scene(rng), stacked_scene(rng), collinear_scene(rng)]
     for n_outliers in (5, 10):
         local, global_map, _, pairs = outlier_scene(rng, 8, n_outliers)
         scenes.append((local, global_map, pairs))
+    # outliers first: the hypotheses at the front of the order all miss
+    scenes.append((local, global_map, pairs[::-1]))
     for local, global_map, pairs in scenes:
-        for seed in range(8):
-            for iterations in (1, 5, 200):
-                params = RelocParams(seed=seed, ransac_iterations=iterations)
-                assert_ransac_agrees(pairs, local, global_map, params)
-
-
-def test_ransac_sample_memo(rng):
-    _ransac_samples.cache_clear()
-    table = _ransac_samples(3, 10, 50)
-    assert table is _ransac_samples(3, 10, 50)
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0] = 0
-    assert _ransac_samples.cache_info().maxsize == 64
-    # Interleaved keys, each (seed, n, iterations) with its own samples. On
-    # these scenes a change of any one key part alone changes the outcome.
-    scenes = [two_motion_scene(rng), collinear_scene(rng)]
-    calls = [(0, 12, 0, 200), (0, 12, 6, 200), (0, 12, 1, 1), (0, 12, 0, 1),
-             (0, 12, 5, 5), (0, 12, 5, 200), (1, 8, 1, 1), (1, 6, 1, 1),
-             (0, 12, 6, 200), (1, 8, 1, 1), (0, 12, 0, 200), (0, 12, 5, 5)]
-    for scene, n, seed, iterations in calls:
-        local, global_map, pairs = scenes[scene]
-        params = RelocParams(seed=seed, ransac_iterations=iterations)
-        assert_ransac_agrees(pairs[:n], local, global_map, params)
-    assert _ransac_samples.cache_info().hits >= 4
+        # below, at and above the C(n, 2) hypotheses, and strides that do
+        # not divide them
+        for iterations in (1, 5, 7, 27, 28, 66, 200):
+            params = RelocParams(ransac_iterations=iterations)
+            assert_ransac_agrees(pairs, local, global_map, params)
 
 
 # --------------------------------------------------------------- alignment
@@ -321,10 +324,11 @@ def test_fine_align_matches_reference_loop(tmp_path):
         for iterations in (30, 1):
             params = RelocParams(icp_max_iterations=iterations)
             cases.append((identity_pairs(10), local, global_map, init, params))
-    # one member point per cluster, all on a line: the first step is degenerate
-    line = point_map([(2.0 * k, 0.0) for k in range(6)])
+    # one member point per cluster, all at one planar position: the first
+    # step is degenerate
+    stack = point_map([(4.0, -3.0, 1.5 * k) for k in range(6)])
     nudge = PoseSE3(np.eye(3), np.array([0.3, 0.2, 0.0]))
-    cases.append((identity_pairs(6), line, line, nudge, RelocParams()))
+    cases.append((identity_pairs(6), stack, stack, nudge, RelocParams()))
     # every source point tied between two targets at the start
     local, global_map = tied_scene()
     cases.append((identity_pairs(5), local, global_map, PoseSE3.identity(), RelocParams()))
@@ -347,7 +351,7 @@ def test_fine_align_matches_reference_loop(tmp_path):
     rng = np.random.default_rng(9)
     local, global_map, init = icp_scene(9)
     far = planar_pose(rng, 20.0, 3.0) @ init
-    cases.append((identity_pairs(10), local, global_map, far, RelocParams(icp_max_iterations=8)))
+    cases.append((identity_pairs(10), local, global_map, far, RelocParams(icp_max_iterations=5)))
     exits = []
     for case in cases:
         want_pose, want_rms, exit_ = oracle_fine_align(*case)
