@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .bounds import bounded, check_bounds
-from .cluster_map import ClusterMap
+from .cluster_map import ClusterMap, kdtree
 
 # Sentinel for an edge pair that does not reach the minimum sub-edge support.
 # Using infinity keeps minimum and threshold comparisons natural.
@@ -101,7 +100,7 @@ def _stars(cluster_map: ClusterMap, search_radius: float) -> _Stars:
         if not ids:
             empty = np.empty(0, dtype=int)
             return _Stars((), (), anchor_labels, empty, empty, np.empty(0), empty, empty)
-        hits = cKDTree(cents).query_ball_point(cents, search_radius)  # inclusive cutoff
+        hits = kdtree(cents).query_ball_point(cents, search_radius)  # inclusive cutoff
         n_hits = [len(h) for h in hits]
         rows = np.repeat(np.arange(len(ids)), n_hits)
         cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=int, count=sum(n_hits))

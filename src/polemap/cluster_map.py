@@ -18,6 +18,9 @@ cluster observed. merge_points, and add when given the voxel keys of its
 points, keep only the first point seen in each VOXEL_SIZE voxel as a member,
 so members stay bounded while the centroid and the observed count still
 cover every point.
+
+kdtree is the package's one kd-tree constructor. It imports scipy.spatial
+when it builds its first tree, so a process that builds none never loads it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 # Label codes as stored in Frame.labels and Cluster.label. Only pole and
@@ -37,6 +39,13 @@ TRUNK = 1
 def other_label(category: int) -> int:
     """Code of a point class that never becomes a landmark: 2 + category."""
     return 2 + category
+
+
+def kdtree(points):
+    """scipy's cKDTree over points, imported on the first call."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
 
 
 def _finite_points(xyz) -> np.ndarray:
@@ -279,7 +288,12 @@ class ClusterMap:
         if not self._clusters:
             return [None] * len(centers)
         ids, cents, codes = self.centroid_table()
-        dists = cdist(centers, cents)
+        # scipy's cdist arithmetic, so distances stay bit-equal to it; an
+        # overflow to inf reads as no cluster.
+        with np.errstate(over="ignore"):
+            dx = centers[:, :1] - cents[:, 0]
+            dy = centers[:, 1:] - cents[:, 1]
+            dists = np.sqrt(dx * dx + dy * dy)
         if labels is not None:
             dists[labels[:, None] != codes[None, :]] = np.inf
         # Columns ascend with id, so the first minimum is the lowest tied id.

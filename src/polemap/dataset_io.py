@@ -165,6 +165,8 @@ def _encode_poses(path, poses) -> bytes:
     for index, (t, pose) in enumerate(poses):
         if not (math.isfinite(t) and np.isfinite(pose.as_matrix()).all()):
             raise DatasetError(f"{path}: pose {index}: non-finite field")
+        if not pose.is_valid():
+            raise DatasetError(f"{path}: pose {index}: rotation is not orthonormal")
         if np.abs(pose.translation).max() > MAX_COORDINATE:
             raise DatasetError(f"{path}: pose {index}: translation beyond {MAX_COORDINATE:g} m")
         if not t > previous:

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .bounds import bounded, check_bounds
-from .cluster_map import POLE, TRUNK, Cluster, Frame
+from .cluster_map import POLE, TRUNK, Cluster, Frame, kdtree
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ def euclidean_cluster(points, params: ExtractionParams | None = None) -> list[np
     n = len(points)
     if n == 0:
         return []
-    pairs = cKDTree(points).query_pairs(params.cluster_distance, output_type="ndarray")
+    pairs = kdtree(points).query_pairs(params.cluster_distance, output_type="ndarray")
     roots = _component_roots(n, pairs)
     # Sorting by root orders groups by smallest member; stability keeps
     # each group's members in input order.

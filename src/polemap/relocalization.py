@@ -25,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .association import AssociationParams, MatchPair, associate_maps
 from .bounds import bounded, check_bounds
-from .cluster_map import ClusterMap
+from .cluster_map import ClusterMap, kdtree
 from .geometry import PoseSE3
 
 FAILURE_NO_MATCHES = "no-matches"
@@ -201,12 +200,12 @@ def _stacked_points(pairs, local_map: ClusterMap, global_map: ClusterMap) -> tup
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Euclidean distances, summed in the kd-tree's own order, so a
-    distance is bit-equal to the one cKDTree.query returns for the pair."""
+    distance is bit-equal to the one a kd-tree query returns for the pair."""
     sq = (a - b) ** 2
     return np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
 
 
-def _query_two(tree: cKDTree, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _query_two(tree, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest distances and rows as tree.query(points) returns them, and each
     point's second-nearest distance (inf when the tree holds one point)."""
     d, i = tree.query(points, k=2)
@@ -241,7 +240,7 @@ def fine_align(
         raise ValueError("insufficient pairs")
     src, dst = _stacked_points(pairs, local_map, global_map)
 
-    tree = cKDTree(dst)
+    tree = kdtree(dst)
     moved = init.apply(src)
     dist, idx, second = _query_two(tree, moved)
     queried_at = moved.copy()

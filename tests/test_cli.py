@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polemap
 from polemap import POLE, ClusterMap
 from polemap.cli import main
 from polemap.dataset_io import load_poses, read_point_file, save_poses, write_point_file
@@ -682,3 +687,40 @@ def test_simulate_refuses_files_its_readers_reject(tmp_path, capsys, key, value,
     assert code == 3
     assert re.fullmatch(rf"error: {re.escape(str(tmp_path))}/{error}\n", captured.err)
     assert not (tmp_path / "data").exists()
+
+
+# Runs in a fresh interpreter: each step's exit code and the scipy.spatial
+# modules loaded after it.
+COLD_START = """
+import contextlib, io, json, sys
+
+def spatial():
+    return sorted(m for m in sys.modules if m == "scipy.spatial" or m.startswith("scipy.spatial."))
+
+cfg, bad, out, report = sys.argv[1:]
+steps = []
+import polemap.cli
+steps.append(["import", 0, spatial()])
+for name, argv in [("config", ["config"]), ("config-error", ["config", "--config", bad]),
+                   ("simulate", ["simulate", "--out", out, "--config", cfg])]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = polemap.cli.main(argv)
+    steps.append([name, code, spatial()])
+with open(report, "w", encoding="ascii") as handle:
+    json.dump(steps, handle)
+"""
+
+
+def test_commands_that_build_no_kdtree_never_import_scipy_spatial(tmp_path):
+    cfg, bad = tmp_path / "golden.cfg", tmp_path / "bad.cfg"
+    cfg.write_text(GOLDEN_CONFIG, encoding="ascii")
+    bad.write_text("reloc.seed = 0\n", encoding="ascii")
+    report = tmp_path / "report.json"
+    src = str(Path(polemap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", COLD_START, str(cfg), str(bad), str(tmp_path / "data"),
+                    str(report)], env=env, check=True, timeout=120)
+    assert json.loads(report.read_text(encoding="ascii")) == [
+        ["import", 0, []], ["config", 0, []], ["config-error", 3, []], ["simulate", 0, []],
+    ]
+    assert len(load_poses(tmp_path / "data" / "poses.txt")) == 17

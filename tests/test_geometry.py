@@ -66,6 +66,44 @@ def test_quaternion_roundtrip_and_sign(rng):
         assert np.allclose(again.rotation, pose.rotation, atol=1e-12)
 
 
+def test_quaternion_conversion_is_bit_equal_to_scipy(rng):
+    from scipy.spatial.transform import Rotation
+
+    def scipy_quaternion(m):
+        q = Rotation.from_matrix(m).as_quat()
+        return -q if q[3] < 0.0 else q
+
+    quats = rng.standard_normal((300, 4))
+    quats[:100] /= np.linalg.norm(quats[:100], axis=1, keepdims=True)
+    quats[200:] *= 1e3
+    for q in quats:
+        pose = PoseSE3.from_quaternion(np.zeros(3), q)
+        assert np.array_equal(pose.rotation, Rotation.from_quat(q).as_matrix())
+        assert np.array_equal(pose.quaternion_xyzw(), scipy_quaternion(pose.rotation))
+    # Shepperd's method picks its case by the largest of m00, m11, m22 and the trace.
+    tilt = PoseSE3.from_quaternion(np.zeros(3), [0.01, -0.02, 0.03, 1.0]).rotation
+    cases = [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+             np.diag([-1.0, -1.0, 1.0]), rotation_about_z(0.1)]
+    for case, m in enumerate(cases):
+        tilted = m @ tilt
+        assert np.argmax([*np.diag(tilted), np.trace(tilted)]) == case
+        assert np.array_equal(PoseSE3(tilted, np.zeros(3)).quaternion_xyzw(), scipy_quaternion(tilted))
+    # A Gram error of 1e-10 takes the re-orthogonalizing SVD branch.
+    for q in quats[:50]:
+        m = Rotation.from_quat(q).as_matrix() + 1e-10 * rng.standard_normal((3, 3))
+        assert not np.allclose(m @ m.T, np.eye(3), rtol=1e-5, atol=1e-12)
+        assert np.array_equal(PoseSE3(m, np.zeros(3)).quaternion_xyzw(), scipy_quaternion(m))
+    for m in (np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3))):
+        with pytest.raises(ValueError):
+            Rotation.from_matrix(m)
+        with pytest.raises(ValueError):
+            PoseSE3(m, np.zeros(3)).quaternion_xyzw()
+    with pytest.raises(ValueError):
+        Rotation.from_quat(np.zeros(4))
+    with pytest.raises(ValueError):
+        PoseSE3.from_quaternion(np.zeros(3), np.zeros(4))
+
+
 def test_rotation_about_z_quarter_turn():
     rot = rotation_about_z(math.pi / 2)
     assert np.allclose(rot @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)

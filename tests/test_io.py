@@ -189,6 +189,20 @@ def test_save_poses_refuses_what_load_poses_rejects(tmp_path, index, t, x, error
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "rotation",
+    [1.001 * np.eye(3), np.diag([1.0, 1.0, -1.0])],
+    ids=["scaled", "reflection"],
+)
+def test_save_poses_refuses_a_rotation_that_is_not_orthonormal(tmp_path, rotation):
+    path = tmp_path / "poses.txt"
+    poses = [(0.0, PoseSE3.identity()), (0.5, PoseSE3(rotation, [5.0, 0.0, 0.0])), (1.0, _planar(9.0))]
+    with pytest.raises(DatasetError) as exc:
+        save_poses(path, poses)
+    assert str(exc.value) == f"{path}: pose 1: rotation is not orthonormal"
+    assert not path.exists()
+
+
 # --------------------------------------------------------------- dataset
 
 

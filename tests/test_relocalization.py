@@ -414,7 +414,7 @@ def test_fine_align_requeries_only_stale_rows(monkeypatch):
             rows.append(len(x))
             return super().query(x, *args, **kwargs)
 
-    monkeypatch.setattr(relocalization, "cKDTree", CountingTree)
+    monkeypatch.setattr(relocalization, "kdtree", CountingTree)
     local, global_map, init = icp_scene(0)
     n_src = sum(c.n_points for c in local)
     # no convergence stop: ICP runs until its residual rises
