@@ -8,7 +8,11 @@ can have changed. The returned pose maps local-map coordinates into
 global-map coordinates. Every fit solves a yaw about z and a 3D translation:
 pole and trunk centroids sit at nearly one height and hold roll and pitch
 poorly, so both maps are taken as gravity-aligned, and relocalize_frame keeps
-the roll and pitch of the estimate it poses the local map at.
+the roll and pitch of the estimate it poses the local map at. One fit of a
+single correspondence set serves estimate_rigid_transform, coarse_align and
+every ICP step. It adds its rows in the order that a mean over a stack of
+sets adds them, and so equals the batched mean/ptp form bit for bit under the
+numpy release that constraints.txt pins; tests/oracles.py keeps that form.
 
 fit_pairs runs every stage after association on any candidate pairs. Two
 sources feed it: prior-free star association, and, when a caller that
@@ -46,7 +50,7 @@ class RelocalizationFailure(Exception):
 
 
 # 50x the default. RANSAC scores at most this many hypotheses at once, in
-# arrays of hypotheses x pairs x 3 floats.
+# per-coordinate arrays of hypotheses x pairs floats.
 MAX_RANSAC_ITERATIONS = 10_000
 
 
@@ -103,37 +107,51 @@ def geometric_consistency_filter(
     adj = np.abs(d_local - d_global) <= tolerance
     np.fill_diagonal(adj, False)
     degree = adj.sum(axis=1)
-    seed = int(np.argmax(degree))  # ties resolve to the lowest index
-    clique = [seed]
-    candidates = set(np.nonzero(adj[seed])[0].tolist())
-    while candidates:
-        pick = max(candidates, key=lambda v: (degree[v], -v))
-        clique.append(pick)
-        candidates &= set(np.nonzero(adj[pick])[0].tolist())
+    # One walk by falling degree, ties to the lowest index: a vertex joins when
+    # it is compatible with every member so far. A vertex passed over stays
+    # out, since the compatible set only shrinks, so each join is the
+    # highest-ranked vertex compatible with the clique.
+    clique = []
+    compatible = np.ones(n, dtype=bool)
+    for v in np.argsort(-degree, kind="stable").tolist():
+        if compatible[v]:
+            clique.append(v)
+            compatible &= adj[v]
     clique.sort()
     return [pairs[i] for i in clique]
 
 
-def _fit_yaw(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares fits of a yaw about z and a 3D translation to a stack of
-    correspondence sets.
+def _centroid(points: np.ndarray) -> np.ndarray:
+    """Mean of (n, 3) points, its rows added in order along each coordinate
+    plane, the order in which a mean over the rows of an (m, n, 3) stack adds
+    them."""
+    return np.cumsum(points.T.copy(), axis=1)[:, -1] / len(points)
 
-    src and dst are (m, n, 3). The yaw is the atan2 of the summed planar
-    cross and dot products of the centred sets. Returns rotations (m, 3, 3),
-    translations (m, 3) and a mask of the fits in which both sets hold two
-    distinct planar points; the other fits hold meaningless values.
+
+def _spread_xy(points: np.ndarray) -> bool:
+    """Whether some point differs from the first in x or y."""
+    return bool((points[:, :2] != points[0, :2]).any())
+
+
+def _fit_yaw(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Least-squares fit of a yaw about z and a 3D translation to one
+    correspondence set.
+
+    src and dst are (n, 3). The yaw is the atan2 of the summed planar cross
+    and dot products of the centred sets. Returns the rotation (3, 3), the
+    translation (3,) and whether both sets hold two distinct planar points;
+    without them the rotation and translation are meaningless.
     """
-    c_src = src.mean(axis=1)
-    c_dst = dst.mean(axis=1)
-    a = src[:, :, :2] - c_src[:, None, :2]
-    b = dst[:, :, :2] - c_dst[:, None, :2]
-    cross = (a[:, :, 0] * b[:, :, 1] - a[:, :, 1] * b[:, :, 0]).sum(axis=1)
-    dot = (a * b).sum(axis=(1, 2))
-    valid = np.ptp(src[:, :, :2], axis=1).any(axis=1) & np.ptp(dst[:, :, :2], axis=1).any(axis=1)
+    c_src = _centroid(src)
+    c_dst = _centroid(dst)
+    a = src[:, :2] - c_src[:2]
+    b = dst[:, :2] - c_dst[:2]
+    cross = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]).sum()
+    dot = (a * b).sum()
     yaw = np.arctan2(cross, dot)
-    cos, sin, zero, one = np.cos(yaw), np.sin(yaw), np.zeros_like(yaw), np.ones_like(yaw)
-    rot = np.stack([cos, -sin, zero, sin, cos, zero, zero, zero, one], axis=1).reshape(-1, 3, 3)
-    return rot, c_dst - np.matmul(rot, c_src[:, :, None])[:, :, 0], valid
+    cos, sin = np.cos(yaw), np.sin(yaw)
+    rot = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
+    return rot, c_dst - rot @ c_src, _spread_xy(src) and _spread_xy(dst)
 
 
 def estimate_rigid_transform(src: np.ndarray, dst: np.ndarray) -> PoseSE3:
@@ -146,10 +164,10 @@ def estimate_rigid_transform(src: np.ndarray, dst: np.ndarray) -> PoseSE3:
     dst = np.asarray(dst, dtype=float).reshape(-1, 3)
     if len(src) != len(dst) or len(src) < 2:
         raise ValueError("degenerate correspondences")
-    rot, trans, valid = _fit_yaw(src[None], dst[None])
-    if not valid[0]:
+    rot, trans, valid = _fit_yaw(src, dst)
+    if not valid:
         raise ValueError("degenerate correspondences")
-    return PoseSE3(rot[0], trans[0])
+    return PoseSE3(rot, trans)
 
 
 def ransac_filter(
@@ -171,13 +189,30 @@ def ransac_filter(
     if len(pairs) < 3:
         raise ValueError("insufficient pairs")
     src, dst = _pair_centroids(pairs, local_map, global_map)
-    hypotheses = np.stack(np.triu_indices(len(pairs), 1), axis=1)
+    i, j = np.triu_indices(len(pairs), 1)
     cap = params.ransac_iterations
-    if len(hypotheses) > cap:
-        hypotheses = hypotheses[np.arange(cap) * len(hypotheses) // cap]
-    rot, trans, valid = _fit_yaw(src[hypotheses], dst[hypotheses])
-    moved = np.matmul(src[None], rot.transpose(0, 2, 1)) + trans[:, None, :]
-    masks = np.linalg.norm(dst[None] - moved, axis=2) < params.ransac_threshold
+    if len(i) > cap:
+        pick = np.arange(cap) * len(i) // cap
+        i, j = i[pick], j[pick]
+    # Each hypothesis's fit in closed form on (m,) columns, in the operation
+    # order of the mean-based fit on its two pairs.
+    s, d = src.T, dst.T
+    c_src, c_dst = (s[:, i] + s[:, j]) / 2, (d[:, i] + d[:, j]) / 2
+    (aix, aiy), (ajx, ajy) = s[:2, i] - c_src[:2], s[:2, j] - c_src[:2]
+    (bix, biy), (bjx, bjy) = d[:2, i] - c_dst[:2], d[:2, j] - c_dst[:2]
+    cross = (aix * biy - aiy * bix) + (ajx * bjy - ajy * bjx)
+    dot = ((aix * bix + aiy * biy) + ajx * bjx) + ajy * bjy
+    valid = (s[:2, i] != s[:2, j]).any(axis=0) & (d[:2, i] != d[:2, j]).any(axis=0)
+    yaw = np.arctan2(cross, dot)
+    cos, sin = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
+    (cx, cy, cz), (gx, gy, gz) = c_src[:, :, None], c_dst[:, :, None]
+    tx, ty, tz = gx - (cos * cx - sin * cy), gy - (sin * cx + cos * cy), gz - cz
+    # Residuals of every pair under every hypothesis, one (m, n) plane per
+    # coordinate.
+    ex = d[0] - ((cos * s[0] - sin * s[1]) + tx)
+    ey = d[1] - ((sin * s[0] + cos * s[1]) + ty)
+    ez = d[2] - (s[2] + tz)
+    masks = np.sqrt((ex * ex + ey * ey) + ez * ez) < params.ransac_threshold
     # Degenerate hypotheses never win.
     inliers = np.where(valid, masks.sum(axis=1), -1)
     best = int(np.argmax(inliers))

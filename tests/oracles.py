@@ -4,9 +4,11 @@ Everything here favors clarity over speed: linear scans instead of spatial
 indexes, a scalar union-find over an all-pairs distance scan where
 production runs a vectorized one over kd-tree pairs, an association
 routine written as plain nested loops over explicit feature tuples, edge
-stars built one anchor and one neighbor at a time, a RANSAC that fits one
-two-pair hypothesis at a time, and an ICP that queries its kd-tree twice per
-step. The production code must agree with these exactly on the same inputs.
+stars built one anchor and one neighbor at a time, a consistency filter
+that grows its clique over Python sets, a yaw fit of a stack of sets in
+mean/ptp form, a RANSAC that fits one two-pair hypothesis at a time, and an
+ICP that queries its kd-tree twice per step. The production code must agree
+with these exactly on the same inputs.
 """
 
 from __future__ import annotations
@@ -267,6 +269,61 @@ def oracle_length_bounds(local_lengths, local_labels, stars, tol: float) -> np.n
         nb = np.add.reduceat(close.any(axis=0), starts)
         bounds[filled] = np.minimum(na, nb)
     return bounds
+
+
+def oracle_consistency_filter(pairs, local_map, global_map, tolerance: float):
+    """Reference consistency filter: a greedy clique over Python sets.
+
+    Two pairs are compatible when their local and global centroid distances
+    differ by at most tolerance. The clique starts at the highest-degree
+    pair and keeps adding the highest-degree pair compatible with every
+    member so far, ties to the lowest index in (local id, global id) order.
+    """
+    pairs = sorted(pairs, key=lambda p: (p.local_id, p.global_id))
+    n = len(pairs)
+    if n < 2:
+        return pairs
+    src = [local_map.get(p.local_id).centroid3d.tolist() for p in pairs]
+    dst = [global_map.get(p.global_id).centroid3d.tolist() for p in pairs]
+
+    def dist(a, b):
+        dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+    adj = [
+        {j for j in range(n) if j != i and abs(dist(src[i], src[j]) - dist(dst[i], dst[j])) <= tolerance}
+        for i in range(n)
+    ]
+    rank = {v: (len(adj[v]), -v) for v in range(n)}
+    seed = max(range(n), key=rank.get)
+    clique = [seed]
+    candidates = set(adj[seed])
+    while candidates:
+        pick = max(candidates, key=rank.get)
+        clique.append(pick)
+        candidates &= adj[pick]
+    return [pairs[i] for i in sorted(clique)]
+
+
+def oracle_batched_yaw_fit(src, dst):
+    """Yaw and translation fits of a stack of correspondence sets, in the
+    mean/ptp form the single-set fit must equal bit for bit.
+
+    src and dst are (m, n, 3). Returns rotations (m, 3, 3), translations
+    (m, 3) and a mask of the fits in which both sets hold two distinct planar
+    points; the other fits hold meaningless values.
+    """
+    c_src = src.mean(axis=1)
+    c_dst = dst.mean(axis=1)
+    a = src[:, :, :2] - c_src[:, None, :2]
+    b = dst[:, :, :2] - c_dst[:, None, :2]
+    cross = (a[:, :, 0] * b[:, :, 1] - a[:, :, 1] * b[:, :, 0]).sum(axis=1)
+    dot = (a * b).sum(axis=(1, 2))
+    valid = np.ptp(src[:, :, :2], axis=1).any(axis=1) & np.ptp(dst[:, :, :2], axis=1).any(axis=1)
+    yaw = np.arctan2(cross, dot)
+    cos, sin, zero, one = np.cos(yaw), np.sin(yaw), np.zeros_like(yaw), np.ones_like(yaw)
+    rot = np.stack([cos, -sin, zero, sin, cos, zero, zero, zero, one], axis=1).reshape(-1, 3, 3)
+    return rot, c_dst - np.matmul(rot, c_src[:, :, None])[:, :, 0], valid
 
 
 def _oracle_yaw_fit(src, dst):

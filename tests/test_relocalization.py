@@ -28,7 +28,12 @@ from polemap.geometry import rotation_about_z
 from polemap.map_io import load_map, save_map
 from conftest import moved_copy, planar_pose, random_map
 import oracles
-from oracles import oracle_fine_align, oracle_ransac_filter
+from oracles import (
+    oracle_batched_yaw_fit,
+    oracle_consistency_filter,
+    oracle_fine_align,
+    oracle_ransac_filter,
+)
 
 
 def point_map(coords) -> ClusterMap:
@@ -91,6 +96,52 @@ def test_consistency_output_sorted_by_local_id(rng):
     assert [p.local_id for p in kept] == list(range(10))
 
 
+def consistency_scene(rng, n, sigma):
+    """Pairs between a random map and a moved copy whose centroids jitter by
+    sigma; about a quarter point at a wrong global cluster, and the pairs
+    come shuffled."""
+    global_map = random_map(rng, n)
+    local = moved_copy(global_map, planar_pose(rng), rng, sigma)
+    pairs = [
+        MatchPair(i, int(rng.integers(n)) if rng.random() < 0.25 else i, 5)
+        for i in range(n)
+    ]
+    return local, global_map, [pairs[k] for k in rng.permutation(n)]
+
+
+def tie_scene(order):
+    """Three rigid triangles far apart, each moved by its own motion, so
+    every pair is compatible with exactly the two of its own triangle: all
+    nine tie on degree. order lists the (triangle, corner) of each local id;
+    the global ids run triangle by triangle."""
+    corners = [(0.0, 0.0), (5.0, 1.0), (2.0, 6.0)]
+    global_map = point_map([(x + 40.0 * t, y) for t in range(3) for x, y in corners])
+    local_coords = []
+    for t, k in order:
+        x, y = corners[k]
+        turn = rotation_about_z(0.5 * math.pi * t)
+        local_coords.append(turn @ np.array([x, y, 0.0]) + np.array([0.0, 150.0 * t, 0.0]))
+    local = point_map(local_coords)
+    pairs = [MatchPair(i, 3 * t + k, 5) for i, (t, k) in enumerate(order)]
+    return local, global_map, pairs
+
+
+def test_consistency_matches_reference_loop(rng):
+    scenes = [consistency_scene(rng, n, sigma) for n in range(2, 41) for sigma in (0.0, 0.05, 0.3)]
+    triangles = [(t, k) for t in range(3) for k in range(3)]
+    interleaved = [(1, 0), (0, 0), (2, 0), (0, 1), (2, 1), (1, 1), (2, 2), (0, 2), (1, 2)]
+    for order in (triangles, interleaved):
+        local, global_map, pairs = tie_scene(order)
+        # the triangle of local id 0 wins the tie
+        kept = geometric_consistency_filter(pairs, local, global_map, 0.5)
+        assert [order[p.local_id][0] for p in kept] == [order[0][0]] * 3
+        scenes.append((local, global_map, pairs))
+    for local, global_map, pairs in scenes:
+        for tolerance in (0.05, 0.2, 0.5, 2.0):
+            want = oracle_consistency_filter(pairs, local, global_map, tolerance)
+            assert geometric_consistency_filter(pairs, local, global_map, tolerance) == want
+
+
 # --------------------------------------------------------------- rigid fit
 
 
@@ -121,6 +172,31 @@ def test_rigid_fit_rejects_points_coincident_in_xy(rng):
     for src, dst in ((line, line + 1.0), (spread, line), (line, spread)):
         with pytest.raises(ValueError, match="degenerate"):
             estimate_rigid_transform(src, dst)
+
+
+def test_yaw_fit_is_bitwise_the_batched_reference(rng):
+    """The single-set fit equals the batched mean/ptp fit bit for bit, which
+    rests on numpy's reduction order (constraints.txt pins the release)."""
+    sizes = [2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129, 720, 1000]
+    sets = []
+    for n in sizes + rng.integers(2, 1001, 40).tolist():
+        offset = rng.uniform(-1e3, 1e3, 3)
+        scale = 10.0 ** rng.uniform(-1.0, 2.0)
+        src = offset + scale * rng.standard_normal((n, 3))
+        dst = planar_pose(rng).apply(src) + 0.01 * scale * rng.standard_normal((n, 3))
+        sets.append((src, dst))
+    # every point at one xy, on either side
+    stack = np.array([[0.1, 0.7, float(k)] for k in range(6)])
+    spread = rng.uniform(-5, 5, (6, 3))
+    sets += [(stack, spread), (spread, stack), (stack, stack + 1.0)]
+    for src, dst in sets:
+        rot, trans, valid = relocalization._fit_yaw(src, dst)
+        want_rot, want_trans, want_valid = oracle_batched_yaw_fit(src[None], dst[None])
+        assert np.array_equal(rot, want_rot[0])
+        assert np.array_equal(trans, want_trans[0])
+        assert valid == bool(want_valid[0])
+    for src, dst in sets[-3:]:
+        assert not relocalization._fit_yaw(src, dst)[2]
 
 
 def test_rigid_fit_rejects_short_or_mismatched_input():
@@ -186,6 +262,15 @@ def test_ransac_all_samples_degenerate(rng):
         ransac_filter(identity_pairs(6), stack, stack)
     with pytest.raises(ValueError, match="insufficient"):
         oracle_ransac_filter(identity_pairs(6), stack, stack, RelocParams())
+    # stacked on one map only: every hypothesis would put all six within the
+    # threshold, but none fixes a yaw
+    flat = point_map([(4.0, -3.0)] * 6)
+    row = point_map([(4.0 + 0.1 * k, -3.0) for k in range(6)])
+    for local, global_map in ((row, flat), (flat, row)):
+        with pytest.raises(ValueError, match="insufficient"):
+            ransac_filter(identity_pairs(6), local, global_map)
+        with pytest.raises(ValueError, match="insufficient"):
+            oracle_ransac_filter(identity_pairs(6), local, global_map, RelocParams())
 
 
 def two_motion_scene(rng):
