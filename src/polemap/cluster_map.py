@@ -14,10 +14,16 @@ A merge updates the centroid at the cost of the new points only. numpy's mean
 over axis 0 of a C-ordered (n, 3) array adds the rows one after another, so
 the map keeps each cluster's coordinate sum and folds new rows onto it in the
 same order: the centroid stays bitwise equal to the mean of every point the
-cluster observed. merge_points, and add when given the voxel keys of its
-points, keep only the first point seen in each VOXEL_SIZE voxel as a member,
-so members stay bounded while the centroid and the observed count still
-cover every point.
+cluster observed. segment_sums adds each run of rows of one array in that
+order, one np.add.reduce per run, so a run's sum divided by its length is
+bitwise its mean. absorb is the one write path for points: it takes a
+frame's runs at once, merging each into its target (a target's runs folded
+onto its kept sum in run order, all targets' sums from one segment_sums
+call) or storing it under the next free id, and checks every run before it
+changes anything. merge_points and add are its one-run cases. Given the
+voxel keys of its points, it keeps only the first point seen in each
+VOXEL_SIZE voxel as a member, so members stay bounded while the centroid
+and the observed count still cover every point.
 
 kdtree is the package's one kd-tree constructor. It imports scipy.spatial
 when it builds its first tree, so a process that builds none never loads it.
@@ -25,6 +31,7 @@ when it builds its first tree, so a process that builds none never loads it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,11 +48,12 @@ def other_label(category: int) -> int:
     return 2 + category
 
 
-def kdtree(points):
-    """scipy's cKDTree over points, imported on the first call."""
+def kdtree(points, **options):
+    """scipy's cKDTree over points, imported on the first call; options go
+    to cKDTree."""
     from scipy.spatial import cKDTree
 
-    return cKDTree(points)
+    return cKDTree(points, **options)
 
 
 def _finite_points(xyz) -> np.ndarray:
@@ -54,6 +62,23 @@ def _finite_points(xyz) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("non-finite point coordinate")
     return arr
+
+
+def segment_sums(points: np.ndarray, counts) -> np.ndarray:
+    """Coordinate sum of each run of rows of C-ordered (n, 3) points, as a
+    (len(counts), 3) array; run i is the next counts[i] rows.
+
+    Each run is one np.add.reduce along axis 0, which adds its rows one
+    after another, so row i is bitwise points[s:e].sum(axis=0) and row i
+    divided by counts[i] is bitwise points[s:e].mean(axis=0).
+    np.add.reduceat does not add in that order.
+    """
+    sums = np.empty((len(counts), 3))
+    stop = 0
+    for row, count in enumerate(np.asarray(counts).tolist()):
+        start, stop = stop, stop + count
+        np.add.reduce(points[start:stop], axis=0, out=sums[row])
+    return sums
 
 
 # Edge of the voxel grid, in meters, on which a capped cluster keeps one
@@ -136,16 +161,11 @@ class Cluster:
 
     @classmethod
     def from_points(cls, cluster_id: int, label: int, points) -> "Cluster":
-        if label not in (POLE, TRUNK):
-            raise ValueError(f"cluster label must be pole or trunk, got {label!r}")
-        points = _finite_points(points)
-        if len(points) == 0:
-            raise ValueError("empty cluster")
-        with np.errstate(over="ignore"):  # an overflow to inf raises below
-            centroid = points.mean(axis=0)
-        if not np.isfinite(centroid).all():
-            raise ValueError("coordinate sum overflows")
-        return cls(cluster_id, label, points, centroid)
+        """A cluster of points under cluster_id, checked and summed as
+        ClusterMap.add stores one."""
+        cluster = ClusterMap().add(label, points)
+        cluster.cluster_id = cluster_id
+        return cluster
 
     @property
     def centroid2d(self) -> np.ndarray:
@@ -199,16 +219,8 @@ class ClusterMap:
         only the first point in each voxel; the centroid and observed count
         cover every point.
         """
-        cluster = Cluster.from_points(self._next_id, label, points)
-        cid = cluster.cluster_id
-        self._sums[cid] = cluster.points.sum(axis=0)
-        if keys is not None:
-            self._voxels[cid] = set()
-            cluster.points = _claim(self._voxels[cid], keys, cluster.points)
-        self._clusters[cid] = cluster
-        self._next_id += 1
-        self._derived.clear()
-        return cluster
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        return self.absorb([-1], [label], points, [len(points)], keys)[0]
 
     def insert(self, cluster: Cluster) -> None:
         """Store a pre-built cluster under its own id (used when loading)."""
@@ -221,35 +233,114 @@ class ClusterMap:
     def merge_points(self, cluster_id: int, new_points, keys) -> Cluster:
         """Fold points into an existing cluster and update its centroid.
 
-        The centroid becomes the mean of every point observed, bitwise equal
-        to the mean of all of them in order, at a cost that grows with the
-        new points only: the new rows are folded one by one onto the kept
-        coordinate sum. A cluster stored by insert (a loaded one) starts that
-        sum from centroid3d * observed, so its stored weight carries over.
-        keys must be voxel_keys(new_points): only the new points in a voxel
-        the cluster has no member in yet become members, the first point
-        seen winning. Non-finite points or an overflowing sum raise
-        ValueError and leave the cluster unchanged.
+        The one-run case of absorb: the centroid becomes the mean of every
+        point observed at a cost that grows with the new points only, and
+        only the new points in a voxel the cluster has no member in yet
+        become members. keys must be voxel_keys(new_points). Non-finite
+        points or an overflowing sum raise ValueError and leave the cluster
+        unchanged.
         """
         cluster = self._clusters[cluster_id]
         new_points = _finite_points(new_points)
-        total = self._sums.get(cluster_id)
-        with np.errstate(over="ignore"):  # an overflow to inf raises below
-            if total is None:
-                total = cluster.centroid3d * cluster.observed
-            total = np.concatenate([total[None], new_points]).sum(axis=0)
-        if not np.isfinite(total).all():
-            raise ValueError("coordinate sum overflows")
-        if cluster_id not in self._voxels:
-            self._voxels[cluster_id] = set(voxel_keys(cluster.points))
-        kept = _claim(self._voxels[cluster_id], keys, new_points)
-        self._sums[cluster_id] = total
-        if len(kept):
-            cluster.points = np.concatenate([cluster.points, kept])
-        cluster.observed += len(new_points)
-        cluster.centroid3d = total / cluster.observed
-        self._derived.clear()
+        self.absorb([cluster_id], [cluster.label], new_points, [len(new_points)], keys)
         return cluster
+
+    def absorb(self, targets, labels, points, counts, keys=None) -> list[Cluster]:
+        """Merge or store each run of rows of points; returns the new
+        clusters in run order.
+
+        Run i is the next counts[i] rows. It merges into cluster targets[i],
+        or, where targets[i] is -1, becomes a new cluster of labels[i] under
+        the next free id, in run order (labels of merged runs are ignored).
+        Merges into one target fold its runs in run order: the kept
+        coordinate sum and the runs' rows are added in that order, so the
+        centroid stays bitwise the mean of every point observed. A cluster
+        stored by insert (a loaded one) starts that sum from centroid3d *
+        observed, so its stored weight carries over.
+
+        Given keys = voxel_keys(points), a point becomes a member only if
+        its cluster has no member in that voxel yet, the first point seen
+        winning; without keys every point of a new cluster is a member, and
+        a merge needs keys. Every check runs before the first change: an
+        unknown target (KeyError), a label other than POLE or TRUNK, a
+        non-finite point, an empty new cluster, a key count that differs
+        from the point count or an overflowing sum (ValueError) leaves the
+        map as it was.
+        """
+        targets, labels = [int(t) for t in targets], list(labels)
+        counts = [int(c) for c in counts]
+        runs_of: dict[int, list[int]] = {}  # merge target -> its runs, in order
+        new = []  # runs that become new clusters
+        for run, target in enumerate(targets):
+            if target < 0:
+                new.append(run)
+            else:
+                runs_of.setdefault(target, []).append(run)
+        merged = {cid: self._clusters[cid] for cid in runs_of}
+        for run in new:
+            if labels[run] not in (POLE, TRUNK):
+                raise ValueError(f"cluster label must be pole or trunk, got {labels[run]!r}")
+        points = _finite_points(points)
+        if len(counts) != len(targets) or min(counts, default=0) < 0 or sum(counts) != len(points):
+            raise ValueError("one run count per target, covering every point, required")
+        if any(counts[run] == 0 for run in new):
+            raise ValueError("empty cluster")
+        if keys is None and merged:
+            raise ValueError("one voxel key per point required to merge")
+        if keys is not None and len(keys) != len(points):
+            raise ValueError("one voxel key per point required")
+        bounds = list(itertools.accumulate(counts, initial=0))
+        rows = [points[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+        # One segment per merge target, [kept sum; its runs' rows in run
+        # order], then one per new cluster, its rows.
+        stack, sizes = points, counts
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows raise below
+            if merged:
+                parts, sizes = [], []
+                for cid, runs in runs_of.items():
+                    cluster, total = merged[cid], self._sums.get(cid)
+                    if total is None:
+                        total = cluster.centroid3d * cluster.observed
+                    parts.append(total[None])
+                    parts.extend(rows[run] for run in runs)
+                    sizes.append(1 + sum(counts[run] for run in runs))
+                parts.extend(rows[run] for run in new)
+                sizes.extend(counts[run] for run in new)
+                stack = np.concatenate(parts)
+            sums = segment_sums(stack, sizes)
+        if not np.isfinite(sums).all():
+            raise ValueError("coordinate sum overflows")
+
+        for (cid, runs), total, size in zip(runs_of.items(), sums, sizes):
+            cluster = merged[cid]
+            occupied = self._voxels.get(cid)
+            if occupied is None:
+                occupied = self._voxels[cid] = set(voxel_keys(cluster.points))
+            added = [cluster.points]
+            for run in runs:
+                kept = _claim(occupied, keys[bounds[run]:bounds[run + 1]], rows[run])
+                if len(kept):
+                    added.append(kept)
+            if len(added) > 1:
+                cluster.points = np.concatenate(added)
+            cluster.observed += size - 1
+            cluster.centroid3d = total / cluster.observed
+            self._sums[cid] = total
+        created = []
+        for run, total in zip(new, sums[len(runs_of):]):
+            cid, members = self._next_id, rows[run]
+            if keys is not None:
+                self._voxels[cid] = set()
+                members = _claim(self._voxels[cid], keys[bounds[run]:bounds[run + 1]], members)
+            self._sums[cid] = total
+            self._clusters[cid] = cluster = Cluster(
+                cid, labels[run], members, total / counts[run], counts[run]
+            )
+            created.append(cluster)
+            self._next_id += 1
+        self._derived.clear()
+        return created
 
     def centroid_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ids, (n, 2) centroids, label codes) in ascending id order, built

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bounded, check_bounds
-from .cluster_map import POLE, TRUNK, Cluster, Frame, kdtree
+from .cluster_map import POLE, TRUNK, Cluster, Frame, kdtree, segment_sums
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,32 @@ def _component_roots(n: int, pairs: np.ndarray) -> np.ndarray:
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
         while True:
             grand = parent[parent]
-            if np.array_equal(grand, parent):
+            if (grand == parent).all():
                 break
             parent = grand
+
+
+def _groups(points: np.ndarray, params: ExtractionParams) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sizes): the rows of every component of at least min_points,
+    each component's rows contiguous, components ordered by their smallest
+    member index, members in input order; and the component sizes."""
+    n = len(points)
+    if n == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    # query_pairs reports every pair within the distance whatever the tree's
+    # shape, so take the tree that builds fastest: sliding-midpoint splits,
+    # node boxes not shrunk to their points.
+    tree = kdtree(points, balanced_tree=False, compact_nodes=False)
+    pairs = tree.query_pairs(params.cluster_distance, output_type="ndarray")
+    roots = _component_roots(n, pairs)
+    # Sorting by root orders groups by smallest member; stability keeps
+    # each group's members in input order.
+    order = np.argsort(roots, kind="stable")
+    ordered = roots[order]
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    sizes = bounds[1:] - bounds[:-1]
+    keep = sizes >= params.min_points
+    return order[np.repeat(keep, sizes)], sizes[keep]
 
 
 def euclidean_cluster(points, params: ExtractionParams | None = None) -> list[np.ndarray]:
@@ -60,32 +83,33 @@ def euclidean_cluster(points, params: ExtractionParams | None = None) -> list[np
     """
     params = params or ExtractionParams()
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = len(points)
-    if n == 0:
-        return []
-    pairs = kdtree(points).query_pairs(params.cluster_distance, output_type="ndarray")
-    roots = _component_roots(n, pairs)
-    # Sorting by root orders groups by smallest member; stability keeps
-    # each group's members in input order.
-    order = np.argsort(roots, kind="stable")
-    starts = np.flatnonzero(np.diff(roots[order])) + 1
-    return [points[g] for g in np.split(order, starts) if len(g) >= params.min_points]
+    index, sizes = _groups(points, params)
+    return np.split(points[index], np.cumsum(sizes)[:-1]) if len(sizes) else []
 
 
 def extract_clusters(frame: Frame, params: ExtractionParams | None = None) -> list[Cluster]:
     """All landmark clusters of a frame, ids 0..n-1 in canonical centroid order.
 
     Each landmark label is clustered on its own, so every cluster holds
-    points of a single label.
+    points of a single label. Every centroid comes from one segment_sums
+    call over the grouped points, and one stable lexsort on (x, y) orders
+    the clusters, ties keeping pole clusters first, then group order.
     """
     params = params or ExtractionParams()
-    clusters = [
-        # Frame already rejected non-finite points, so build the clusters directly.
-        Cluster(0, label, group, group.mean(axis=0))
-        for label in (POLE, TRUNK)
-        for group in euclidean_cluster(frame.xyz[frame.labels == label], params)
+    grouped, sizes, labels = [], [], []
+    for label in (POLE, TRUNK):
+        points = frame.xyz[frame.labels == label]
+        index, counts = _groups(points, params)
+        grouped.append(points[index])
+        sizes.append(counts)
+        labels += [label] * len(counts)
+    points, sizes = np.concatenate(grouped), np.concatenate(sizes)
+    # Frame already rejected non-finite points, so build the clusters directly.
+    centroids = segment_sums(points, sizes) / sizes[:, None]
+    stops = np.cumsum(sizes).tolist()
+    starts = [0, *stops[:-1]]
+    order = np.lexsort((centroids[:, 1], centroids[:, 0])).tolist()
+    return [
+        Cluster(i, labels[k], points[starts[k]:stops[k]], centroids[k])
+        for i, k in enumerate(order)
     ]
-    clusters.sort(key=lambda c: (float(c.centroid2d[0]), float(c.centroid2d[1])))
-    for i, cluster in enumerate(clusters):
-        cluster.cluster_id = i
-    return clusters

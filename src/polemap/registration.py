@@ -7,6 +7,12 @@ absorbed and the centroid becomes the mean of every point observed. A
 cluster keeps at most one member per voxel of the cluster_map.VOXEL_SIZE
 grid (0.1 m), the first point seen, so members stop growing once a landmark
 has been covered.
+
+A frame is posed with one pose.apply and goes to the map in one
+ClusterMap.absorb: merges grouped by target and summed in one segment_sums
+call, inserts taking the next ids in frame order. The frame is atomic: it
+is checked whole before the map changes. A local map is posed the same way
+and stored with one absorb of new clusters.
 """
 
 from __future__ import annotations
@@ -43,9 +49,11 @@ def register_frame(
 
     Every merge target is looked up before the map changes, so merges within
     the same frame do not shift the search targets. The frame's points are
-    moved with one pose.apply and given their voxel keys in one pass; each
-    cluster takes its slice of both. An invalid pose raises ValueError
-    before the map is touched.
+    moved with one pose.apply and given their voxel keys in one pass, and
+    the whole frame goes to the map in one ClusterMap.absorb: the merges
+    grouped by target, the inserts taking the next ids in frame order. The
+    frame is atomic: an invalid pose, a non-finite point or an overflowing
+    sum raises ValueError before the map is touched.
     """
     params = params or RegistrationParams()
     pose.require_valid()
@@ -53,32 +61,40 @@ def register_frame(
     if not frame_clusters:
         return RegistrationStats(inserted=0, merged=0)
     points = pose.apply(np.concatenate([cluster.points for cluster in frame_clusters]))
-    keys = voxel_keys(points)
-    nearest = cluster_map.nearest_each(
-        [pose.apply(cluster.centroid3d)[:2] for cluster in frame_clusters]
+    # A (k, 1, 3) stack multiplies each centroid as its own 1-row product,
+    # so every row is bitwise pose.apply(centroid3d).
+    centroids = np.array([cluster.centroid3d for cluster in frame_clusters])[:, None, :]
+    nearest = cluster_map.nearest_each(pose.apply(centroids)[:, 0, :2])
+    targets = [
+        hit[0] if hit is not None and hit[1] <= params.merge_radius else -1
+        for hit in nearest
+    ]
+    cluster_map.absorb(
+        targets,
+        [cluster.label for cluster in frame_clusters],
+        points,
+        [cluster.n_points for cluster in frame_clusters],
+        voxel_keys(points),
     )
-    inserted = 0
-    merged = 0
-    stop = 0
-    for cluster, hit in zip(frame_clusters, nearest):
-        start, stop = stop, stop + cluster.n_points
-        rows = slice(start, stop)
-        if hit is not None and hit[1] <= params.merge_radius:
-            cluster_map.merge_points(hit[0], points[rows], keys[rows])
-            merged += 1
-        else:
-            cluster_map.add(cluster.label, points[rows], keys[rows])
-            inserted += 1
-    return RegistrationStats(inserted=inserted, merged=merged)
+    inserted = targets.count(-1)
+    return RegistrationStats(inserted=inserted, merged=len(targets) - inserted)
 
 
 def build_local_map(frame_clusters, pose: PoseSE3) -> ClusterMap:
     """Fresh map holding one frame's clusters posed into the odometry frame.
 
-    An invalid pose raises ValueError.
+    The frame's points are moved with one pose.apply and stored with one
+    ClusterMap.absorb, which checks them once. An invalid pose raises
+    ValueError.
     """
     pose.require_valid()
     local = ClusterMap()
-    for cluster in frame_clusters:
-        local.add(cluster.label, pose.apply(cluster.points))
+    frame_clusters = list(frame_clusters)
+    if frame_clusters:
+        local.absorb(
+            [-1] * len(frame_clusters),
+            [cluster.label for cluster in frame_clusters],
+            pose.apply(np.concatenate([cluster.points for cluster in frame_clusters])),
+            [cluster.n_points for cluster in frame_clusters],
+        )
     return local

@@ -6,8 +6,9 @@ production runs a vectorized one over kd-tree pairs, an association
 routine written as plain nested loops over explicit feature tuples, edge
 stars built one anchor and one neighbor at a time, a consistency filter
 that grows its clique over Python sets, a yaw fit of a stack of sets in
-mean/ptp form, a RANSAC that fits one two-pair hypothesis at a time, and an
-ICP that queries its kd-tree twice per step. The production code must agree
+mean/ptp form, a RANSAC that fits one two-pair hypothesis at a time, an
+ICP that queries its kd-tree twice per step, and registration, extraction
+and local maps built one cluster at a time. The production code must agree
 with these exactly on the same inputs.
 """
 
@@ -18,7 +19,8 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from polemap import estimate_rigid_transform
+from polemap import POLE, TRUNK, Cluster, ClusterMap, estimate_rigid_transform, euclidean_cluster
+from polemap.cluster_map import voxel_keys
 
 
 def circ_diff(a: float, b: float) -> float:
@@ -487,3 +489,49 @@ def oracle_build_map(frames, merge_radius: float, voxel_size: float) -> dict:
         cid: (c["label"], np.array(c["members"]), c["centroid"], len(c["all"]))
         for cid, c in clusters.items()
     }
+
+
+def oracle_register_frame(cluster_map, frame_clusters, pose, merge_radius: float = 1.0) -> None:
+    """register_frame one cluster at a time: every target looked up before
+    the map changes, then each cluster in frame order merged into its
+    target with merge_points or stored with add, each on its slice of the
+    posed frame and of its voxel keys."""
+    frame_clusters = list(frame_clusters)
+    if not frame_clusters:
+        return
+    points = pose.apply(np.concatenate([cluster.points for cluster in frame_clusters]))
+    keys = voxel_keys(points)
+    nearest = cluster_map.nearest_each(
+        [pose.apply(cluster.centroid3d)[:2] for cluster in frame_clusters]
+    )
+    stop = 0
+    for cluster, hit in zip(frame_clusters, nearest):
+        start, stop = stop, stop + cluster.n_points
+        rows = slice(start, stop)
+        if hit is not None and hit[1] <= merge_radius:
+            cluster_map.merge_points(hit[0], points[rows], keys[rows])
+        else:
+            cluster_map.add(cluster.label, points[rows], keys[rows])
+
+
+def oracle_extract_clusters(frame, params) -> list:
+    """extract_clusters from one mean per group: each label's groups from
+    euclidean_cluster, pole groups first, sorted by (x, y) centroid with
+    Python's stable sort, then numbered."""
+    clusters = [
+        Cluster(0, label, group, group.mean(axis=0))
+        for label in (POLE, TRUNK)
+        for group in euclidean_cluster(frame.xyz[frame.labels == label], params)
+    ]
+    clusters.sort(key=lambda c: (float(c.centroid2d[0]), float(c.centroid2d[1])))
+    for i, cluster in enumerate(clusters):
+        cluster.cluster_id = i
+    return clusters
+
+
+def oracle_local_map(frame_clusters, pose):
+    """build_local_map one cluster at a time: add(label, pose.apply(points))."""
+    local = ClusterMap()
+    for cluster in frame_clusters:
+        local.add(cluster.label, pose.apply(cluster.points))
+    return local

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from polemap import POLE, TRUNK, Cluster, ClusterMap, Frame, other_label
-from polemap.cluster_map import VOXEL_SIZE, voxel_keys
+from polemap.cluster_map import VOXEL_SIZE, segment_sums, voxel_keys
 from polemap.map_io import load_map, save_map
 from conftest import cluster_points
 
@@ -423,3 +423,41 @@ def test_nearest_each_distances_are_bitwise_the_kdtree_ones(rng, kind):
             assert None in got and any(hit is not None for hit in got)
     if kind == "tied-grid":
         assert most_tied > 8
+
+
+def test_segment_sums_add_each_run_in_order(rng):
+    counts = np.concatenate([np.arange(1, 21), rng.integers(1, 501, 40), [500]])
+    for magnitude in (1e-3, 1.0, 1e3, 1e8):
+        points = magnitude * rng.standard_normal((int(counts.sum()), 3))
+        points[::7] *= 1e3  # magnitudes mixed within a run
+        sums = segment_sums(points, counts)
+        stops = np.cumsum(counts)
+        want = [points[s:e].sum(axis=0) for s, e in zip(stops - counts, stops)]
+        assert [row.tobytes() for row in sums] == [row.tobytes() for row in want]
+        means = sums / counts[:, None]
+        assert [row.tobytes() for row in means] == [
+            points[s:e].mean(axis=0).tobytes() for s, e in zip(stops - counts, stops)]
+    assert segment_sums(np.zeros((0, 3)), []).shape == (0, 3)
+
+
+def test_absorb_checks_every_run_before_any_change(rng):
+    cluster_map = ClusterMap()
+    start = cluster_points(rng, (0.0, 0.0, 1.0), n=6)
+    cluster_map.add(POLE, start, voxel_keys(start))
+    before = (cluster_map.ids(), cluster_map.get(0).points.tobytes(), cluster_map.get(0).observed)
+    runs = np.concatenate([cluster_points(rng, (0.1, 0.0, 1.0), n=4),
+                           cluster_points(rng, (9.0, 0.0, 1.0), n=3)])
+    bad = [
+        (([0, -1], [POLE, other_label(1)], runs, [4, 3], voxel_keys(runs)), ValueError, "pole or trunk"),
+        (([0, -1], [POLE, TRUNK], runs, [4, 3], None), ValueError, "voxel key"),
+        (([0, -1], [POLE, TRUNK], runs, [7, 0], voxel_keys(runs)), ValueError, "empty cluster"),
+        (([0, 5], [POLE, TRUNK], runs, [4, 3], voxel_keys(runs)), KeyError, "5"),
+    ]
+    for args, error, message in bad:
+        with pytest.raises(error, match=message):
+            cluster_map.absorb(*args)
+        assert (cluster_map.ids(), cluster_map.get(0).points.tobytes(),
+                cluster_map.get(0).observed) == before
+    (new,) = cluster_map.absorb([0, -1], [POLE, TRUNK], runs, [4, 3], voxel_keys(runs))
+    assert (new.cluster_id, new.label, new.observed) == (1, TRUNK, 3)
+    assert cluster_map.get(0).observed == 10

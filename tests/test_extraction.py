@@ -10,7 +10,7 @@ from polemap import (
     extract_clusters,
     other_label,
 )
-from oracles import oracle_components
+from oracles import oracle_components, oracle_extract_clusters
 
 
 def blob(rng, center, n, spread=0.12):
@@ -199,3 +199,42 @@ def test_params_validated():
         ExtractionParams(cluster_distance=0.0)
     with pytest.raises(ValueError):
         ExtractionParams(min_points=0)
+
+
+def _cluster_bytes(clusters):
+    return [(c.cluster_id, c.label, c.points.tobytes(), c.centroid3d.tobytes(), c.observed)
+            for c in clusters]
+
+
+@pytest.mark.parametrize("min_points", [1, 4, 10])
+def test_extract_matches_per_group_mean_and_key_sort(rng, min_points):
+    params = ExtractionParams(min_points=min_points)
+    for _ in range(20):
+        blobs = [(blob(rng, rng.uniform(-20, 20, 3), int(rng.integers(1, 30))),
+                  [POLE, TRUNK, other_label(2)][int(rng.integers(3))])
+                 for _ in range(int(rng.integers(1, 12)))]
+        frame = labeled_frame(*blobs)
+        assert _cluster_bytes(extract_clusters(frame, params)) == _cluster_bytes(
+            oracle_extract_clusters(frame, params))
+
+
+def test_extract_orders_ties_like_the_key_sort():
+    # Equal x across the two labels, a pole and a trunk at one (x, y), and
+    # -0.0 against 0.0: ties keep pole groups first, then group order.
+    frame = labeled_frame(
+        (np.array([[1.0, 5.0, 0.0]]), TRUNK),
+        (np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 3.0]]), POLE),
+        (np.array([[1.0, 1.0, 9.0]]), TRUNK),
+        (np.array([[-0.0, 3.0, 9.0]]), TRUNK),
+        (np.array([[0.0, 3.0, 0.0]]), POLE),
+        (np.array([[-0.0, -0.0, 5.0]]), POLE),
+        (np.array([[0.0, 0.0, 0.0]]), TRUNK),
+        (np.array([[0.0, -0.0, 2.0]]), POLE),
+    )
+    params = ExtractionParams(min_points=1)
+    got = extract_clusters(frame, params)
+    assert _cluster_bytes(got) == _cluster_bytes(oracle_extract_clusters(frame, params))
+    assert [(c.label, c.centroid3d.tolist()) for c in got[:4]] == [
+        (POLE, [-0.0, -0.0, 5.0]), (POLE, [0.0, -0.0, 2.0]), (TRUNK, [0.0, 0.0, 0.0]),
+        (POLE, [0.0, 3.0, 0.0]),
+    ]

@@ -21,7 +21,7 @@ from polemap.cluster_map import VOXEL_SIZE, Frame, voxel_keys
 from polemap.geometry import rotation_about_z
 from polemap.map_io import save_map
 from conftest import cluster_points
-from oracles import oracle_build_map
+from oracles import oracle_build_map, oracle_local_map, oracle_register_frame
 
 
 def single_cluster(rng, center, label=POLE):
@@ -238,3 +238,98 @@ def test_voxel_keys_fold_signed_zero_and_keep_far_points_apart():
     assert a == b
     far = np.array([[np.finfo(float).max, 0.0, 0.0]] * 2)
     assert len(set(voxel_keys(far))) == 2
+
+
+def _state(cluster_map) -> list:
+    """Everything registration changes, per cluster: id, label, member and
+    centroid bytes, observed count, kept coordinate sum and voxel set."""
+    state = []
+    for c in cluster_map:
+        total = cluster_map._sums.get(c.cluster_id)
+        voxels = cluster_map._voxels.get(c.cluster_id)
+        state.append((
+            c.cluster_id, c.label, c.points.tobytes(), c.centroid3d.tobytes(), c.observed,
+            None if total is None else total.tobytes(),
+            None if voxels is None else frozenset(voxels),
+        ))
+    return state
+
+
+def _start_map(case, seed) -> ClusterMap:
+    """Empty for the loop drive; else an ordinary cluster at (0, 0), and for
+    the loaded target a loaded cluster at (8, 0) whose centroid weighs 40
+    observed points and 3 members."""
+    cluster_map = ClusterMap()
+    if case == "loop":
+        return cluster_map
+    rng = np.random.default_rng(seed)
+    points = cluster_points(rng, (0.0, 0.0, 2.0), n=12)
+    cluster_map.add(POLE, points, voxel_keys(points))
+    if case == "loaded-target":
+        members = cluster_points(rng, (8.0, 0.0, 2.0), n=3)
+        cluster_map.insert(Cluster(1, TRUNK, members, np.array([8.01, -0.02, 2.03]), 40))
+    return cluster_map
+
+
+@pytest.mark.parametrize("case", ["loop", "two-into-one", "loaded-target"])
+def test_register_matches_one_cluster_at_a_time(tmp_path, rng, loop_frames, case):
+    frames = loop_frames
+    if case != "loop":
+        # two clusters within merge_radius of (0, 0), one near (8, 0) and
+        # one far from both
+        frame = Frame(0.0, np.concatenate([
+            cluster_points(rng, (0.9, 0.0, 2.0), n=12, spread=0.05),
+            cluster_points(rng, (-0.9, 0.0, 2.0), n=9, spread=0.05),
+            cluster_points(rng, (8.3, 0.2, 2.0), n=7, spread=0.05),
+            cluster_points(rng, (20.0, 5.0, 2.0), n=5, spread=0.05),
+        ]), np.array([POLE] * 21 + [TRUNK] * 12))
+        incoming = extract_clusters(frame, ExtractionParams(min_points=1))
+        assert len(incoming) == 4
+        nudge = PoseSE3(rotation_about_z(0.01), np.array([0.05, -0.02, 0.0]))
+        frames = [(incoming, PoseSE3.identity()), (incoming, nudge)]
+    seed = int(rng.integers(1 << 30))
+    built, reference = _start_map(case, seed), _start_map(case, seed)
+    for k, (clusters, pose) in enumerate(frames):
+        stats = register_frame(built, clusters, pose)
+        oracle_register_frame(reference, clusters, pose)
+        if case != "loop" and k == 0:
+            assert stats.merged == (2 if case == "two-into-one" else 3)
+    assert _saved(tmp_path, "built.txt", built) == _saved(tmp_path, "reference.txt", reference)
+    assert _state(built) == _state(reference)
+    if case == "loaded-target":
+        assert built.get(1).observed > built.get(1).n_points + 40
+
+
+def test_register_frame_is_atomic(rng):
+    # The first merge is ordinary; the second targets a loaded cluster whose
+    # sum overflows. Nothing of the frame may land, the insert included.
+    cluster_map = ClusterMap()
+    ordinary = cluster_points(rng, (0.0, 0.0, 2.0), n=12)
+    cluster_map.add(POLE, ordinary, voxel_keys(ordinary))
+    cluster_map.merge_points(0, ordinary, voxel_keys(ordinary))
+    loaded = np.array([1e308, 1e308, 1.0])
+    cluster_map.insert(Cluster(1, POLE, loaded[None].copy(), loaded.copy(), 3))
+    frame = [
+        Cluster.from_points(0, POLE, cluster_points(rng, (0.2, 0.0, 2.0), n=12)),
+        Cluster.from_points(1, POLE, [loaded]),
+        Cluster.from_points(2, TRUNK, cluster_points(rng, (30.0, 0.0, 2.0), n=6)),
+    ]
+    assert [hit[0] for hit in cluster_map.nearest_each([c.centroid2d for c in frame])] == [0, 1, 0]
+    before = _state(cluster_map)
+    assert cluster_map.get(0).observed == 24
+    with pytest.raises(ValueError, match="coordinate sum overflows"):
+        register_frame(cluster_map, frame, PoseSE3.identity())
+    assert _state(cluster_map) == before
+    assert cluster_map.get(0).observed == 24
+
+
+def test_build_local_map_matches_one_cluster_at_a_time(rng):
+    frame_clusters = [
+        Cluster.from_points(k, POLE if k % 2 else TRUNK,
+                            cluster_points(rng, (3.0 * k, -2.0 * k, 1.0), n=n))
+        for k, n in enumerate([1, 7, 40, 2, 500, 13])
+    ]
+    for pose in (PoseSE3.identity(),
+                 PoseSE3(rotation_about_z(2.1), np.array([150.0, -35.5, 0.25]))):
+        local = build_local_map(frame_clusters, pose)
+        assert _state(local) == _state(oracle_local_map(frame_clusters, pose))
