@@ -20,10 +20,11 @@ bitwise its mean. absorb is the one write path for points: it takes a
 frame's runs at once, merging each into its target (a target's runs folded
 onto its kept sum in run order, all targets' sums from one segment_sums
 call) or storing it under the next free id, and checks every run before it
-changes anything. merge_points and add are its one-run cases. Given the
-voxel keys of its points, it keeps only the first point seen in each
-VOXEL_SIZE voxel as a member, so members stay bounded while the centroid
-and the observed count still cover every point.
+changes anything. merge_points and add are its one-run cases. A merge, and
+a new cluster when absorb is told capped, keeps only the first point seen
+in each VOXEL_SIZE voxel as a member, so members stay bounded while the
+centroid and the observed count still cover every point. The map computes
+those voxel keys itself, with one voxel_keys call per absorb call.
 
 kdtree is the package's one kd-tree constructor. It imports scipy.spatial
 when it builds its first tree, so a process that builds none never loads it.
@@ -106,11 +107,8 @@ def voxel_keys(points) -> list:
 
 
 def _claim(occupied: set, keys, points: np.ndarray) -> np.ndarray:
-    """Rows of points whose key is not yet in occupied, the first row of
-    each key; their keys are added to occupied. keys must be
-    voxel_keys(points)."""
-    if len(keys) != len(points):
-        raise ValueError("one voxel key per point required")
+    """Rows of points whose key (keys[row]) is not yet in occupied, the
+    first row of each key; their keys are added to occupied."""
     if occupied.issuperset(keys):  # the common case once a landmark is covered
         return points[:0]
     rows = []
@@ -188,8 +186,8 @@ class ClusterMap:
         # stored by insert starts from centroid3d * observed on its first merge.
         self._sums: dict[int, np.ndarray] = {}
         # Voxel keys of each cluster's members; a cluster stored by insert,
-        # or by add without keys, gets its set from its members on its first
-        # merge.
+        # or by an absorb that was not capped, gets its set from its members
+        # on its first merge.
         self._voxels: dict[int, set] = {}
 
     def __len__(self) -> int:
@@ -212,15 +210,13 @@ class ClusterMap:
             self._derived[key] = build(self)
         return self._derived[key]
 
-    def add(self, label: int, points, keys=None) -> Cluster:
+    def add(self, label: int, points) -> Cluster:
         """Create a cluster from points, assign the next free id, store it.
 
-        Every point becomes a member, or, given keys = voxel_keys(points),
-        only the first point in each voxel; the centroid and observed count
-        cover every point.
+        Every point becomes a member.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 3)
-        return self.absorb([-1], [label], points, [len(points)], keys)[0]
+        return self.absorb([-1], [label], points, [len(points)])[0]
 
     def insert(self, cluster: Cluster) -> None:
         """Store a pre-built cluster under its own id (used when loading)."""
@@ -230,22 +226,21 @@ class ClusterMap:
         self._next_id = max(self._next_id, cluster.cluster_id + 1)
         self._derived.clear()
 
-    def merge_points(self, cluster_id: int, new_points, keys) -> Cluster:
+    def merge_points(self, cluster_id: int, new_points) -> Cluster:
         """Fold points into an existing cluster and update its centroid.
 
         The one-run case of absorb: the centroid becomes the mean of every
         point observed at a cost that grows with the new points only, and
         only the new points in a voxel the cluster has no member in yet
-        become members. keys must be voxel_keys(new_points). Non-finite
-        points or an overflowing sum raise ValueError and leave the cluster
-        unchanged.
+        become members. Non-finite points or an overflowing sum raise
+        ValueError and leave the cluster unchanged.
         """
         cluster = self._clusters[cluster_id]
-        new_points = _finite_points(new_points)
-        self.absorb([cluster_id], [cluster.label], new_points, [len(new_points)], keys)
+        new_points = np.asarray(new_points, dtype=float).reshape(-1, 3)
+        self.absorb([cluster_id], [cluster.label], new_points, [len(new_points)])
         return cluster
 
-    def absorb(self, targets, labels, points, counts, keys=None) -> list[Cluster]:
+    def absorb(self, targets, labels, points, counts, capped=False) -> list[Cluster]:
         """Merge or store each run of rows of points; returns the new
         clusters in run order.
 
@@ -258,14 +253,14 @@ class ClusterMap:
         stored by insert (a loaded one) starts that sum from centroid3d *
         observed, so its stored weight carries over.
 
-        Given keys = voxel_keys(points), a point becomes a member only if
-        its cluster has no member in that voxel yet, the first point seen
-        winning; without keys every point of a new cluster is a member, and
-        a merge needs keys. Every check runs before the first change: an
-        unknown target (KeyError), a label other than POLE or TRUNK, a
-        non-finite point, an empty new cluster, a key count that differs
-        from the point count or an overflowing sum (ValueError) leaves the
-        map as it was.
+        A merged point becomes a member only if its cluster has no member
+        in its VOXEL_SIZE voxel yet, the first point seen winning. New
+        clusters follow the same rule when capped, and keep every point
+        otherwise. The voxel keys come from one voxel_keys call over all of
+        points. Every check runs before the first change: an unknown target
+        (KeyError), a label other than POLE or TRUNK, a non-finite point, an
+        empty new cluster or an overflowing sum (ValueError) leaves the map
+        as it was.
         """
         targets, labels = [int(t) for t in targets], list(labels)
         counts = [int(c) for c in counts]
@@ -285,10 +280,6 @@ class ClusterMap:
             raise ValueError("one run count per target, covering every point, required")
         if any(counts[run] == 0 for run in new):
             raise ValueError("empty cluster")
-        if keys is None and merged:
-            raise ValueError("one voxel key per point required to merge")
-        if keys is not None and len(keys) != len(points):
-            raise ValueError("one voxel key per point required")
         bounds = list(itertools.accumulate(counts, initial=0))
         rows = [points[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
@@ -311,6 +302,7 @@ class ClusterMap:
             sums = segment_sums(stack, sizes)
         if not np.isfinite(sums).all():
             raise ValueError("coordinate sum overflows")
+        keys = voxel_keys(points) if merged or capped else None
 
         for (cid, runs), total, size in zip(runs_of.items(), sums, sizes):
             cluster = merged[cid]
@@ -330,7 +322,7 @@ class ClusterMap:
         created = []
         for run, total in zip(new, sums[len(runs_of):]):
             cid, members = self._next_id, rows[run]
-            if keys is not None:
+            if capped:
                 self._voxels[cid] = set()
                 members = _claim(self._voxels[cid], keys[bounds[run]:bounds[run + 1]], members)
             self._sums[cid] = total

@@ -8,11 +8,11 @@ cluster keeps at most one member per voxel of the cluster_map.VOXEL_SIZE
 grid (0.1 m), the first point seen, so members stop growing once a landmark
 has been covered.
 
-A frame is posed with one pose.apply and goes to the map in one
+A frame is posed with one pose.apply and goes to the map in one capped
 ClusterMap.absorb: merges grouped by target and summed in one segment_sums
 call, inserts taking the next ids in frame order. The frame is atomic: it
 is checked whole before the map changes. A local map is posed the same way
-and stored with one absorb of new clusters.
+and stored whole, every point a member, with one absorb of new clusters.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bounded, check_bounds
-from .cluster_map import ClusterMap, voxel_keys
+from .cluster_map import ClusterMap
 from .geometry import PoseSE3
 
 
@@ -49,8 +49,8 @@ def register_frame(
 
     Every merge target is looked up before the map changes, so merges within
     the same frame do not shift the search targets. The frame's points are
-    moved with one pose.apply and given their voxel keys in one pass, and
-    the whole frame goes to the map in one ClusterMap.absorb: the merges
+    moved with one pose.apply, and the whole frame goes to the map in one
+    capped ClusterMap.absorb, which keys their voxels in one pass: the merges
     grouped by target, the inserts taking the next ids in frame order. The
     frame is atomic: an invalid pose, a non-finite point or an overflowing
     sum raises ValueError before the map is touched.
@@ -74,7 +74,7 @@ def register_frame(
         [cluster.label for cluster in frame_clusters],
         points,
         [cluster.n_points for cluster in frame_clusters],
-        voxel_keys(points),
+        capped=True,
     )
     inserted = targets.count(-1)
     return RegistrationStats(inserted=inserted, merged=len(targets) - inserted)

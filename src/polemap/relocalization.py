@@ -10,9 +10,12 @@ pole and trunk centroids sit at nearly one height and hold roll and pitch
 poorly, so both maps are taken as gravity-aligned, and relocalize_frame keeps
 the roll and pitch of the estimate it poses the local map at. One fit of a
 single correspondence set serves estimate_rigid_transform, coarse_align and
-every ICP step. It adds its rows in the order that a mean over a stack of
-sets adds them, and so equals the batched mean/ptp form bit for bit under the
-numpy release that constraints.txt pins; tests/oracles.py keeps that form.
+every ICP step. It works on one C-ordered copy of the two sets, so the
+layout of its input cannot change the order of any sum, and takes both
+centroids from one cluster_map.segment_sums call over it, which adds the
+rows in order, as a mean over a stack of sets does. So it equals the
+batched mean/ptp form bit for bit under the numpy release that
+constraints.txt pins; tests/oracles.py keeps that form.
 
 fit_pairs runs every stage after association on any candidate pairs. Two
 sources feed it: prior-free star association, and, when a caller that
@@ -32,7 +35,7 @@ import numpy as np
 
 from .association import AssociationParams, MatchPair, associate_maps
 from .bounds import bounded, check_bounds
-from .cluster_map import ClusterMap, kdtree
+from .cluster_map import ClusterMap, kdtree, segment_sums
 from .geometry import PoseSE3
 
 FAILURE_NO_MATCHES = "no-matches"
@@ -121,13 +124,6 @@ def geometric_consistency_filter(
     return [pairs[i] for i in clique]
 
 
-def _centroid(points: np.ndarray) -> np.ndarray:
-    """Mean of (n, 3) points, its rows added in order along each coordinate
-    plane, the order in which a mean over the rows of an (m, n, 3) stack adds
-    them."""
-    return np.cumsum(points.T.copy(), axis=1)[:, -1] / len(points)
-
-
 def _spread_xy(points: np.ndarray) -> bool:
     """Whether some point differs from the first in x or y."""
     return bool((points[:, :2] != points[0, :2]).any())
@@ -142,10 +138,13 @@ def _fit_yaw(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     translation (3,) and whether both sets hold two distinct planar points;
     without them the rotation and translation are meaningless.
     """
-    c_src = _centroid(src)
-    c_dst = _centroid(dst)
-    a = src[:, :2] - c_src[:2]
-    b = dst[:, :2] - c_dst[:2]
+    n = len(src)
+    # Every sum below runs over a C-ordered copy, so the input layout cannot
+    # change its order.
+    both = np.ascontiguousarray(np.concatenate([src, dst]))
+    c_src, c_dst = segment_sums(both, [n, n]) / n
+    a = both[:n, :2] - c_src[:2]
+    b = both[n:, :2] - c_dst[:2]
     cross = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]).sum()
     dot = (a * b).sum()
     yaw = np.arctan2(cross, dot)

@@ -73,10 +73,10 @@ class Scene:
 class TrajectorySpec:
     start: tuple[float, float] = (50.0, 150.0)
     heading_deg: float = 0.0
-    speed: float = bounded(5.0, 0, above=True)
+    speed: float = bounded(5.0, 0, MAX_COORDINATE, above=True)
     length: float = bounded(500.0, 0)
-    frame_period: float = bounded(0.5, 0, above=True)
-    turn_rate_deg_per_m: float = 0.0
+    frame_period: float = bounded(0.5, 0, MAX_COORDINATE, above=True)
+    turn_rate_deg_per_m: float = bounded(0.0, -360, 360)
 
     def __post_init__(self):
         check_bounds(self)

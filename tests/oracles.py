@@ -20,7 +20,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from polemap import POLE, TRUNK, Cluster, ClusterMap, estimate_rigid_transform, euclidean_cluster
-from polemap.cluster_map import voxel_keys
 
 
 def circ_diff(a: float, b: float) -> float:
@@ -494,13 +493,12 @@ def oracle_build_map(frames, merge_radius: float, voxel_size: float) -> dict:
 def oracle_register_frame(cluster_map, frame_clusters, pose, merge_radius: float = 1.0) -> None:
     """register_frame one cluster at a time: every target looked up before
     the map changes, then each cluster in frame order merged into its
-    target with merge_points or stored with add, each on its slice of the
-    posed frame and of its voxel keys."""
+    target with merge_points or stored as a capped new cluster, each on its
+    slice of the posed frame."""
     frame_clusters = list(frame_clusters)
     if not frame_clusters:
         return
     points = pose.apply(np.concatenate([cluster.points for cluster in frame_clusters]))
-    keys = voxel_keys(points)
     nearest = cluster_map.nearest_each(
         [pose.apply(cluster.centroid3d)[:2] for cluster in frame_clusters]
     )
@@ -509,9 +507,9 @@ def oracle_register_frame(cluster_map, frame_clusters, pose, merge_radius: float
         start, stop = stop, stop + cluster.n_points
         rows = slice(start, stop)
         if hit is not None and hit[1] <= merge_radius:
-            cluster_map.merge_points(hit[0], points[rows], keys[rows])
+            cluster_map.merge_points(hit[0], points[rows])
         else:
-            cluster_map.add(cluster.label, points[rows], keys[rows])
+            cluster_map.absorb([-1], [cluster.label], points[rows], [cluster.n_points], capped=True)
 
 
 def oracle_extract_clusters(frame, params) -> list:

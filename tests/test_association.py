@@ -21,7 +21,6 @@ from polemap import (
     sub_edge_distance,
 )
 from polemap.association import _EdgeData, _length_gate, _Stars, _stars
-from polemap.cluster_map import voxel_keys
 from conftest import (
     association_scene,
     cluster_points,
@@ -353,7 +352,7 @@ def test_derived_stars_follow_every_mutation(rng):
     added = global_map.add(left_out.label, left_out.points)
     changed()
     moved = left_out.points + (30.0, 0.0, 0.0)
-    global_map.merge_points(added.cluster_id, moved, voxel_keys(moved))
+    global_map.merge_points(added.cluster_id, moved)
     changed()
     global_map.insert(replace(left_out, cluster_id=added.cluster_id + 1))
     changed()
@@ -447,7 +446,7 @@ def test_length_gate_follows_mutation_between_calls(rng, tmp_path, mutation):
         global_map.insert(target)
     else:
         moved = target.points + (30.0, 0.0, 0.0)
-        global_map.merge_points(target.cluster_id, moved, voxel_keys(moved))
+        global_map.merge_points(target.cluster_id, moved)
     after = associate_maps(local, global_map)
     save_map(global_map, tmp_path / "map.txt")
     fresh = load_map(tmp_path / "map.txt")

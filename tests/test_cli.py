@@ -468,9 +468,10 @@ def test_bad_simulator_spec_exits_3(tmp_path, capsys, text, error):
     assert not (tmp_path / "data").exists()
 
 
-# Values that once ran out of memory or time, or raised OverflowError on
-# squaring; each must stop at its bound while the config loads, before any
-# allocation or loop.
+# Values that once ran out of memory or time, raised OverflowError on
+# squaring, or made the heading infinite (ValueError from math.cos); each
+# must stop at its bound while the config loads, before any allocation or
+# loop.
 @pytest.mark.parametrize(
     "text, command, error",
     [
@@ -494,10 +495,15 @@ def test_bad_simulator_spec_exits_3(tmp_path, capsys, text, error):
          "sensor radius must lie in (0, 1e+09]"),
         ("scene.n_clusters = 1000000000", ["simulate", "--out", "data"],
          "n_clusters must lie in [0, 2500]"),
+        ("trajectory.turn_rate_deg_per_m = 1e308", ["simulate", "--out", "data"],
+         "turn_rate_deg_per_m must lie in [-360, 360]"),
+        ("trajectory.turn_rate_deg_per_m = 1\ntrajectory.speed = 1e308\n"
+         "trajectory.frame_period = 10", ["simulate", "--out", "data"],
+         "speed must lie in (0, 1e+09]"),
     ],
     ids=["speed", "frame-period", "points-per-cluster", "clutter-points", "ransac-iterations",
          "scene-width", "scene-height", "sensor-radius-simulate", "sensor-radius-evaluate",
-         "n-clusters"],
+         "n-clusters", "turn-rate", "huge-speed"],
 )
 def test_oversized_work_exits_3(tmp_path, capsys, monkeypatch, text, command, error):
     monkeypatch.chdir(tmp_path)

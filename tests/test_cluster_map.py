@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from polemap import POLE, TRUNK, Cluster, ClusterMap, Frame, other_label
-from polemap.cluster_map import VOXEL_SIZE, segment_sums, voxel_keys
+from polemap.cluster_map import VOXEL_SIZE, segment_sums
 from polemap.map_io import load_map, save_map
 from conftest import cluster_points
 
@@ -34,7 +34,7 @@ def test_non_finite_point_rejected():
     cluster_map.add(POLE, [(0.0, 0.0, 0.0)])
     far = [(float("inf"), 0.0, 0.0)]
     with pytest.raises(ValueError, match="non-finite"):
-        cluster_map.merge_points(0, far, voxel_keys(far))
+        cluster_map.merge_points(0, far)
 
 
 def test_overflowing_coordinate_sum_rejected():
@@ -45,22 +45,22 @@ def test_overflowing_coordinate_sum_rejected():
     with pytest.raises(ValueError, match="overflows"):
         cluster_map.add(POLE, [huge, huge])
     assert len(cluster_map) == 0
-    cluster_map.add(POLE, [huge], voxel_keys([huge]))
+    cluster_map.absorb([-1], [POLE], [huge], [1], capped=True)
     small = (0.0, 5.0, 1.0)
     with pytest.raises(ValueError, match="overflows"):
-        cluster_map.merge_points(0, [huge, small], voxel_keys([huge, small]))
+        cluster_map.merge_points(0, [huge, small])
     cluster = cluster_map.get(0)
     assert (cluster.n_points, cluster.observed) == (1, 1)
     assert np.array_equal(cluster.centroid3d, huge)
     # the rejected merge claimed no voxel, so small still becomes a member
-    cluster = cluster_map.merge_points(0, [small], voxel_keys([small]))
+    cluster = cluster_map.merge_points(0, [small])
     assert (cluster.n_points, cluster.observed) == (2, 2)
     assert np.isfinite(cluster.centroid3d).all()
     # a stored cluster's running sum starts from centroid3d * observed
     cluster_map.insert(Cluster(5, POLE, np.array([huge]), np.array(huge), 2))
     origin = [(0.0, 0.0, 1.0)]
     with pytest.raises(ValueError, match="overflows"):
-        cluster_map.merge_points(5, origin, voxel_keys(origin))
+        cluster_map.merge_points(5, origin)
     assert cluster_map.get(5).observed == 2
 
 
@@ -92,7 +92,7 @@ def test_insert_rejects_duplicate_id(rng):
 def test_merge_points_recomputes_centroid():
     cluster_map = ClusterMap()
     cluster_map.add(POLE, [(0.0, 0.0, 0.0)])
-    cluster_map.merge_points(0, [(2.0, 2.0, 2.0)], voxel_keys([(2.0, 2.0, 2.0)]))
+    cluster_map.merge_points(0, [(2.0, 2.0, 2.0)])
     merged = cluster_map.get(0)
     assert merged.n_points == 2
     assert np.array_equal(merged.centroid3d, [1.0, 1.0, 1.0])
@@ -129,7 +129,7 @@ def test_merged_centroid_is_bitwise_the_mean_of_all_observed_points(seed, ops):
             given_points[cluster_map.add(POLE, points).cluster_id] = [points]
             continue
         given_points[ids[index]].append(points)
-        cluster = cluster_map.merge_points(ids[index], points, voxel_keys(points))
+        cluster = cluster_map.merge_points(ids[index], points)
         every = np.concatenate(given_points[ids[index]])
         assert cluster.observed == len(every)
         assert np.array_equal(cluster.centroid3d, every.mean(axis=0))
@@ -176,7 +176,7 @@ def test_merge_into_loaded_cluster_continues_stored_weight(tmp_path, rng, sideca
               (1, cluster_points(rng, (260.0, -280.0, 2.0), n=1)),
               (3, cluster_points(rng, (280.0, -280.0, 2.0), n=12))]
     for cid, new in merges:
-        loaded.merge_points(cid, new, voxel_keys(new))
+        loaded.merge_points(cid, new)
     # the stored centroid weighs its 30 observed points, with or without
     # the sidecar's members
     assert [c.observed for c in loaded] == [30, 38, 30, 42]
@@ -194,15 +194,15 @@ def test_rejected_merge_changes_nothing(rng):
     clean, rejected = ClusterMap(), ClusterMap()
     for cluster_map in (clean, rejected):
         cluster_map.add(POLE, start)
-        cluster_map.merge_points(0, first, voxel_keys(first))
+        cluster_map.merge_points(0, first)
     points, centroid = rejected.get(0).points.copy(), rejected.get(0).centroid3d.copy()
     bad = np.vstack([cluster_points(rng, (300.0, 0.0, 1.0), n=3), [(np.nan, 0.0, 1.0)]])
     with pytest.raises(ValueError, match="non-finite"):
-        rejected.merge_points(0, bad, voxel_keys(bad))
+        rejected.merge_points(0, bad)
     assert np.array_equal(rejected.get(0).points, points)
     assert np.array_equal(rejected.get(0).centroid3d, centroid)
     for cluster_map in (clean, rejected):
-        cluster_map.merge_points(0, second, voxel_keys(second))
+        cluster_map.merge_points(0, second)
     assert np.array_equal(rejected.get(0).points, clean.get(0).points)
     assert np.array_equal(rejected.get(0).centroid3d, clean.get(0).centroid3d)
     every = np.concatenate([start, first, second])
@@ -225,7 +225,7 @@ def test_index_refreshes_after_mutation(rng):
     assert cluster_map.nearest_each([(1.0, 1.0)])[0][0] == 1
     # a merge far away moves cluster 1's centroid off (1, 1)
     far = cluster_points(rng, (40.0, 40.0, 1.0), n=200)
-    cluster_map.merge_points(1, far, voxel_keys(far))
+    cluster_map.merge_points(1, far)
     assert cluster_map.nearest_each([(1.0, 1.0)])[0][0] == 0
     cluster_map.insert(Cluster.from_points(5, TRUNK, [(1.0, 1.5, 1.0)]))
     assert cluster_map.nearest_each([(1.0, 1.0)]) == [(5, 0.5)]
@@ -360,7 +360,7 @@ def test_centroid_table_is_read_only_and_follows_every_mutation():
         [(2, 1.0), (1, 1.0)],
     )
     # a merge moves cluster 1's centroid from (4, 0) to (5, 0)
-    cluster_map.merge_points(1, [(6.0, 0.0, 1.0)], voxel_keys([(6.0, 0.0, 1.0)]))
+    cluster_map.merge_points(1, [(6.0, 0.0, 1.0)])
     assert state() == (
         [0, 1, 2], [[0.0, 0.0], [5.0, 0.0], [2.0, 0.0]], [POLE, POLE, TRUNK],
         [(2, 1.0), (1, 2.0)],
@@ -443,21 +443,20 @@ def test_segment_sums_add_each_run_in_order(rng):
 def test_absorb_checks_every_run_before_any_change(rng):
     cluster_map = ClusterMap()
     start = cluster_points(rng, (0.0, 0.0, 1.0), n=6)
-    cluster_map.add(POLE, start, voxel_keys(start))
+    cluster_map.absorb([-1], [POLE], start, [len(start)], capped=True)
     before = (cluster_map.ids(), cluster_map.get(0).points.tobytes(), cluster_map.get(0).observed)
     runs = np.concatenate([cluster_points(rng, (0.1, 0.0, 1.0), n=4),
                            cluster_points(rng, (9.0, 0.0, 1.0), n=3)])
     bad = [
-        (([0, -1], [POLE, other_label(1)], runs, [4, 3], voxel_keys(runs)), ValueError, "pole or trunk"),
-        (([0, -1], [POLE, TRUNK], runs, [4, 3], None), ValueError, "voxel key"),
-        (([0, -1], [POLE, TRUNK], runs, [7, 0], voxel_keys(runs)), ValueError, "empty cluster"),
-        (([0, 5], [POLE, TRUNK], runs, [4, 3], voxel_keys(runs)), KeyError, "5"),
+        (([0, -1], [POLE, other_label(1)], runs, [4, 3]), ValueError, "pole or trunk"),
+        (([0, -1], [POLE, TRUNK], runs, [7, 0]), ValueError, "empty cluster"),
+        (([0, 5], [POLE, TRUNK], runs, [4, 3]), KeyError, "5"),
     ]
     for args, error, message in bad:
         with pytest.raises(error, match=message):
             cluster_map.absorb(*args)
         assert (cluster_map.ids(), cluster_map.get(0).points.tobytes(),
                 cluster_map.get(0).observed) == before
-    (new,) = cluster_map.absorb([0, -1], [POLE, TRUNK], runs, [4, 3], voxel_keys(runs))
+    (new,) = cluster_map.absorb([0, -1], [POLE, TRUNK], runs, [4, 3], capped=True)
     assert (new.cluster_id, new.label, new.observed) == (1, TRUNK, 3)
     assert cluster_map.get(0).observed == 10

@@ -123,7 +123,6 @@ UNBOUNDED = {
     ("reloc", "icp_convergence"),
     ("trajectory", "start"),
     ("trajectory", "heading_deg"),
-    ("trajectory", "turn_rate_deg_per_m"),
     ("drift", "translational_drift"),
     ("drift", "rotational_drift"),
 }

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_map
 from polemap import POLE, TRUNK, DatasetError, MapFormatError, PoseSE3
-from polemap.cluster_map import Cluster, ClusterMap, Frame, other_label, voxel_keys
+from polemap.cluster_map import Cluster, ClusterMap, Frame, other_label
 from polemap.dataset_io import (
     Dataset,
     LabelMap,
@@ -446,7 +446,7 @@ def test_map_without_sidecar_keeps_its_weights(tmp_path, rng):
     original = random_map(rng, 5)
     for cluster in original:
         new = rng.normal(cluster.centroid3d, 0.1, size=(32, 3))
-        original.merge_points(cluster.cluster_id, new, voxel_keys(new))
+        original.merge_points(cluster.cluster_id, new)
     first, second, third = (tmp_path / f"{name}.txt" for name in ("first", "second", "third"))
     save_map(original, first)
     (tmp_path / "first.txt.points").unlink()
@@ -466,6 +466,6 @@ def test_map_without_sidecar_keeps_its_weights(tmp_path, rng):
     # the next merge weighs the stored centroid by its 40 observed points
     new = rng.normal(loaded.get(0).centroid3d, 0.1, size=(10, 3))
     centroid = loaded.get(0).centroid3d
-    merged = loaded.merge_points(0, new, voxel_keys(new))
+    merged = loaded.merge_points(0, new)
     assert merged.observed == 50
     np.testing.assert_allclose(merged.centroid3d, (40 * centroid + new.sum(axis=0)) / 50, rtol=0, atol=1e-12)

@@ -16,6 +16,7 @@ from polemap import (
     register_frame,
     simulate_run,
 )
+from polemap import cluster_map as cluster_map_module
 from polemap.extraction import ExtractionParams, extract_clusters
 from polemap.cluster_map import VOXEL_SIZE, Frame, voxel_keys
 from polemap.geometry import rotation_about_z
@@ -215,12 +216,9 @@ def test_far_points_never_alias():
     assert all(a != b for a, b in zip(keys[::2], keys[1::2]))
     cluster_map = ClusterMap()
     for pair in points.reshape(-1, 2, 3):
-        assert cluster_map.add(POLE, pair, voxel_keys(pair)).n_points == 2
+        assert cluster_map.absorb([-1], [POLE], pair, [2], capped=True)[0].n_points == 2
     # the first pair's cells are exact, so seeing it again adds no member
-    cluster = cluster_map.merge_points(0, points[:2], voxel_keys(points[:2]))
-    assert (cluster.n_points, cluster.observed) == (2, 4)
-    with pytest.raises(ValueError, match="voxel key"):
-        cluster_map.merge_points(0, points[:2], keys[:1])
+    cluster = cluster_map.merge_points(0, points[:2])
     assert (cluster.n_points, cluster.observed) == (2, 4)
 
 
@@ -229,7 +227,7 @@ def test_capped_merge_knows_the_members_it_did_not_add(rng):
     cluster_map = ClusterMap()
     cluster_map.insert(Cluster.from_points(7, POLE, points))
     # a stored cluster's members fill its voxels before its first merge
-    cluster = cluster_map.merge_points(7, points, voxel_keys(points))
+    cluster = cluster_map.merge_points(7, points)
     assert (cluster.n_points, cluster.observed) == (30, 60)
 
 
@@ -264,7 +262,7 @@ def _start_map(case, seed) -> ClusterMap:
         return cluster_map
     rng = np.random.default_rng(seed)
     points = cluster_points(rng, (0.0, 0.0, 2.0), n=12)
-    cluster_map.add(POLE, points, voxel_keys(points))
+    cluster_map.absorb([-1], [POLE], points, [len(points)], capped=True)
     if case == "loaded-target":
         members = cluster_points(rng, (8.0, 0.0, 2.0), n=3)
         cluster_map.insert(Cluster(1, TRUNK, members, np.array([8.01, -0.02, 2.03]), 40))
@@ -305,8 +303,8 @@ def test_register_frame_is_atomic(rng):
     # sum overflows. Nothing of the frame may land, the insert included.
     cluster_map = ClusterMap()
     ordinary = cluster_points(rng, (0.0, 0.0, 2.0), n=12)
-    cluster_map.add(POLE, ordinary, voxel_keys(ordinary))
-    cluster_map.merge_points(0, ordinary, voxel_keys(ordinary))
+    cluster_map.absorb([-1], [POLE], ordinary, [len(ordinary)], capped=True)
+    cluster_map.merge_points(0, ordinary)
     loaded = np.array([1e308, 1e308, 1.0])
     cluster_map.insert(Cluster(1, POLE, loaded[None].copy(), loaded.copy(), 3))
     frame = [
@@ -321,6 +319,31 @@ def test_register_frame_is_atomic(rng):
         register_frame(cluster_map, frame, PoseSE3.identity())
     assert _state(cluster_map) == before
     assert cluster_map.get(0).observed == 24
+
+
+def test_one_voxel_key_pass_per_registered_frame(rng, monkeypatch):
+    # Keys for the whole frame come from one call, however many targets and
+    # inserts it has: keys per cluster took 181-197 ms per mapping pass
+    # against 23 ms for keys per frame.
+    cluster_map = ClusterMap()
+    start = [Cluster.from_points(k, POLE, cluster_points(rng, (8.0 * k, 0.0, 2.0), n=12))
+             for k in range(2)]
+    register_frame(cluster_map, start, PoseSE3.identity())
+    frame = [
+        Cluster.from_points(k, POLE, cluster_points(rng, center, n=9, spread=0.05))
+        for k, center in enumerate([(0.4, 0.0, 2.0), (-0.4, 0.0, 2.0),
+                                    (8.3, 0.0, 2.0), (30.0, 0.0, 2.0)])
+    ]
+    calls = []
+
+    def spy(points):
+        calls.append(len(points))
+        return voxel_keys(points)
+
+    monkeypatch.setattr(cluster_map_module, "voxel_keys", spy)
+    stats = register_frame(cluster_map, frame, PoseSE3.identity())
+    assert (stats.merged, stats.inserted) == (3, 1)
+    assert calls == [36]
 
 
 def test_build_local_map_matches_one_cluster_at_a_time(rng):

@@ -176,7 +176,8 @@ def test_rigid_fit_rejects_points_coincident_in_xy(rng):
 
 def test_yaw_fit_is_bitwise_the_batched_reference(rng):
     """The single-set fit equals the batched mean/ptp fit bit for bit, which
-    rests on numpy's reduction order (constraints.txt pins the release)."""
+    rests on numpy's reduction order (constraints.txt pins the release);
+    Fortran-ordered sets give the bits of their C-ordered copies."""
     sizes = [2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129, 720, 1000]
     sets = []
     for n in sizes + rng.integers(2, 1001, 40).tolist():
@@ -190,11 +191,12 @@ def test_yaw_fit_is_bitwise_the_batched_reference(rng):
     spread = rng.uniform(-5, 5, (6, 3))
     sets += [(stack, spread), (spread, stack), (stack, stack + 1.0)]
     for src, dst in sets:
-        rot, trans, valid = relocalization._fit_yaw(src, dst)
         want_rot, want_trans, want_valid = oracle_batched_yaw_fit(src[None], dst[None])
-        assert np.array_equal(rot, want_rot[0])
-        assert np.array_equal(trans, want_trans[0])
-        assert valid == bool(want_valid[0])
+        for order in (np.ascontiguousarray, np.asfortranarray):
+            rot, trans, valid = relocalization._fit_yaw(order(src), order(dst))
+            assert np.array_equal(rot, want_rot[0])
+            assert np.array_equal(trans, want_trans[0])
+            assert valid == bool(want_valid[0])
     for src, dst in sets[-3:]:
         assert not relocalization._fit_yaw(src, dst)[2]
 
