@@ -1,11 +1,13 @@
 """Semantic cluster data model and planar spatial queries.
 
 A cluster map stores labeled landmark clusters addressable by integer id and
-answers nearest-centroid queries in 2D, optionally restricted to one label per
-query, from one exact distance matrix per call. Data derived from the
-clusters is built on first use and kept until the next mutation: the
-read-only centroid table (ids, 2D centroids and label codes in ascending id
-order) that every query and association's edge stars read, and those stars.
+answers gated nearest-centroid queries in 2D: the id of the closest cluster
+within a radius, or -1, the id absorb reads as a new cluster, optionally
+restricted to one label per query, from one exact distance matrix per call.
+Data derived from the clusters is built on first use and kept until the
+next mutation: the read-only centroid table (ids, 2D centroids and label
+codes in ascending id order) that every query and association's edge stars
+read, and those stars.
 Readers may share a map freely; mutation requires exclusive access.
 Points are numpy arrays throughout: a Frame holds (n, 3) coordinates with one
 label code per point, a Cluster its (n, 3) member coordinates.
@@ -182,8 +184,8 @@ class ClusterMap:
         self._next_id = 0
         # Values computed from the clusters; every mutation clears them.
         self._derived: dict = {}
-        # Coordinate sum of every point each cluster observed. A cluster
-        # stored by insert starts from centroid3d * observed on its first merge.
+        # Coordinate sum of every point each cluster observed; insert sets a
+        # loaded cluster's to centroid3d * observed.
         self._sums: dict[int, np.ndarray] = {}
         # Voxel keys of each cluster's members; a cluster stored by insert,
         # or by an absorb that was not capped, gets its set from its members
@@ -223,6 +225,8 @@ class ClusterMap:
         if cluster.cluster_id in self._clusters:
             raise ValueError(f"duplicate cluster id {cluster.cluster_id}")
         self._clusters[cluster.cluster_id] = cluster
+        with np.errstate(over="ignore"):  # an infinite sum fails the first merge
+            self._sums[cluster.cluster_id] = cluster.centroid3d * cluster.observed
         self._next_id = max(self._next_id, cluster.cluster_id + 1)
         self._derived.clear()
 
@@ -250,8 +254,8 @@ class ClusterMap:
         Merges into one target fold its runs in run order: the kept
         coordinate sum and the runs' rows are added in that order, so the
         centroid stays bitwise the mean of every point observed. A cluster
-        stored by insert (a loaded one) starts that sum from centroid3d *
-        observed, so its stored weight carries over.
+        stored by insert (a loaded one) holds the sum centroid3d * observed,
+        so its stored weight carries over.
 
         A merged point becomes a member only if its cluster has no member
         in its VOXEL_SIZE voxel yet, the first point seen winning. New
@@ -290,10 +294,7 @@ class ClusterMap:
             if merged:
                 parts, sizes = [], []
                 for cid, runs in runs_of.items():
-                    cluster, total = merged[cid], self._sums.get(cid)
-                    if total is None:
-                        total = cluster.centroid3d * cluster.observed
-                    parts.append(total[None])
+                    parts.append(self._sums[cid][None])
                     parts.extend(rows[run] for run in runs)
                     sizes.append(1 + sum(counts[run] for run in runs))
                 parts.extend(rows[run] for run in new)
@@ -354,14 +355,16 @@ class ClusterMap:
         ids, cents, _ = self.centroid_table()
         return ids, cents
 
-    def nearest_each(self, centers, labels=None) -> list[tuple[int, float] | None]:
-        """Closest cluster to each row of (m, 2) centers as (id, distance),
-        ties to the lowest id, from one distance matrix over the centroids.
+    def nearest_within(self, centers, radius, labels=None) -> np.ndarray:
+        """Id of the closest cluster to each row of (m, 2) centers at a planar
+        distance of at most radius, ties to the lowest id, or -1 where there
+        is none, as an (m,) int array from one distance matrix over the
+        centroids.
 
         Given one label code per center, a row considers only the clusters
-        of its own label. A row is None when no such cluster lies at a finite
-        distance: an empty map, no cluster of the label, or a squared
-        distance that overflows.
+        of its own label. A distance that is not finite (a squared distance
+        that overflows, or no cluster of the label) never qualifies, even
+        for an infinite radius.
         """
         centers = np.asarray(centers, dtype=float).reshape(-1, 2)
         if labels is not None:
@@ -369,7 +372,7 @@ class ClusterMap:
             if len(labels) != len(centers):
                 raise ValueError(f"{len(labels)} labels for {len(centers)} centers")
         if not self._clusters:
-            return [None] * len(centers)
+            return np.full(len(centers), -1)
         ids, cents, codes = self.centroid_table()
         # scipy's cdist arithmetic, so distances stay bit-equal to it; an
         # overflow to inf reads as no cluster.
@@ -380,9 +383,5 @@ class ClusterMap:
         if labels is not None:
             dists[labels[:, None] != codes[None, :]] = np.inf
         # Columns ascend with id, so the first minimum is the lowest tied id.
-        cols = dists.argmin(axis=1)
         best = dists.min(axis=1)
-        return [
-            (int(ids[c]), d) if d < np.inf else None
-            for c, d in zip(cols.tolist(), best.tolist())
-        ]
+        return np.where((best < np.inf) & (best <= radius), ids[dists.argmin(axis=1)], -1)

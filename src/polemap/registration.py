@@ -64,11 +64,7 @@ def register_frame(
     # A (k, 1, 3) stack multiplies each centroid as its own 1-row product,
     # so every row is bitwise pose.apply(centroid3d).
     centroids = np.array([cluster.centroid3d for cluster in frame_clusters])[:, None, :]
-    nearest = cluster_map.nearest_each(pose.apply(centroids)[:, 0, :2])
-    targets = [
-        hit[0] if hit is not None and hit[1] <= params.merge_radius else -1
-        for hit in nearest
-    ]
+    targets = cluster_map.nearest_within(pose.apply(centroids)[:, 0, :2], params.merge_radius)
     cluster_map.absorb(
         targets,
         [cluster.label for cluster in frame_clusters],
@@ -76,7 +72,7 @@ def register_frame(
         [cluster.n_points for cluster in frame_clusters],
         capped=True,
     )
-    inserted = targets.count(-1)
+    inserted = int((targets < 0).sum())
     return RegistrationStats(inserted=inserted, merged=len(targets) - inserted)
 
 

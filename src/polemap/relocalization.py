@@ -21,7 +21,7 @@ fit_pairs runs every stage after association on any candidate pairs. Two
 sources feed it: prior-free star association, and, when a caller that
 tracks a pose estimate passes relocalize guided=True, guided pairs that
 match each local cluster to the nearest same-label global centroid within
-TRACK_GATE, by the global map's nearest_each. A guided attempt that fails,
+TRACK_GATE, by the global map's nearest_within. A guided attempt that fails,
 or whose inliers lie along a line (which cannot tell the periods of a
 regular row apart), falls back to star association within the same
 relocalize call; RelocResult.path names the source that served.
@@ -36,7 +36,7 @@ import numpy as np
 from .association import AssociationParams, MatchPair, associate_maps
 from .bounds import bounded, check_bounds
 from .cluster_map import ClusterMap, kdtree, segment_sums
-from .geometry import PoseSE3
+from .geometry import PoseSE3, rotation_about_z
 
 FAILURE_NO_MATCHES = "no-matches"
 FAILURE_CONSISTENCY = "consistency-collapse"
@@ -147,9 +147,7 @@ def _fit_yaw(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     b = both[n:, :2] - c_dst[:2]
     cross = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]).sum()
     dot = (a * b).sum()
-    yaw = np.arctan2(cross, dot)
-    cos, sin = np.cos(yaw), np.sin(yaw)
-    rot = np.array([[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]])
+    rot = rotation_about_z(np.arctan2(cross, dot))
     return rot, c_dst - rot @ c_src, _spread_xy(src) and _spread_xy(dst)
 
 
@@ -364,16 +362,13 @@ def _spans_plane(pairs, global_map: ClusterMap) -> bool:
 def guided_pairs(local_map: ClusterMap, global_map: ClusterMap, gate: float) -> list[MatchPair]:
     """Each local cluster paired with the nearest same-label global centroid
     at a planar distance of at most gate meters, ties to the lowest global id,
-    by one global_map.nearest_each query. The local map must already be
+    by one global_map.nearest_within query. The local map must already be
     posed at the estimate. A guided pair has no matched edges, so it
     carries 0.
     """
     ids, cents, labels = local_map.centroid_table()
-    return [
-        MatchPair(lid, hit[0], 0)
-        for lid, hit in zip(ids.tolist(), global_map.nearest_each(cents, labels))
-        if hit is not None and hit[1] <= gate
-    ]
+    hits = global_map.nearest_within(cents, gate, labels)
+    return [MatchPair(lid, gid, 0) for lid, gid in zip(ids.tolist(), hits.tolist()) if gid >= 0]
 
 
 def relocalize(

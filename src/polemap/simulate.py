@@ -71,7 +71,9 @@ class Scene:
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    start: tuple[float, float] = (50.0, 150.0)
+    start: tuple[float, float] = bounded(
+        (50.0, 150.0), -MAX_COORDINATE, MAX_COORDINATE, name="trajectory start"
+    )
     heading_deg: float = 0.0
     speed: float = bounded(5.0, 0, MAX_COORDINATE, above=True)
     length: float = bounded(500.0, 0)
@@ -98,9 +100,9 @@ class SensorSpec:
 
 @dataclass(frozen=True)
 class DriftSpec:
-    translational_drift: float = 0.0  # fraction of distance traveled
-    rotational_drift: float = 0.0  # degrees of yaw bias per meter
-    noise_sigma: float = bounded(0.0, 0)  # per-increment translation noise, meters
+    translational_drift: float = bounded(0.0, -1, 1)  # fraction of distance traveled
+    rotational_drift: float = bounded(0.0, -360, 360)  # degrees of yaw bias per meter
+    noise_sigma: float = bounded(0.0, 0, MAX_COORDINATE)  # per-increment translation noise, m
     seed: int = bounded(0, 0)
 
     __post_init__ = check_bounds

@@ -499,15 +499,15 @@ def oracle_register_frame(cluster_map, frame_clusters, pose, merge_radius: float
     if not frame_clusters:
         return
     points = pose.apply(np.concatenate([cluster.points for cluster in frame_clusters]))
-    nearest = cluster_map.nearest_each(
-        [pose.apply(cluster.centroid3d)[:2] for cluster in frame_clusters]
+    targets = cluster_map.nearest_within(
+        [pose.apply(cluster.centroid3d)[:2] for cluster in frame_clusters], merge_radius
     )
     stop = 0
-    for cluster, hit in zip(frame_clusters, nearest):
+    for cluster, target in zip(frame_clusters, targets.tolist()):
         start, stop = stop, stop + cluster.n_points
         rows = slice(start, stop)
-        if hit is not None and hit[1] <= merge_radius:
-            cluster_map.merge_points(hit[0], points[rows])
+        if target >= 0:
+            cluster_map.merge_points(target, points[rows])
         else:
             cluster_map.absorb([-1], [cluster.label], points[rows], [cluster.n_points], capped=True)
 

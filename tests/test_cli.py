@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -454,14 +455,23 @@ def test_impossible_scene_exits_3(tmp_path, capsys, monkeypatch, text, command, 
         ("sensor.label_flip_rate = 1.5", "label_flip_rate must lie in [0, 1]"),
         ("sensor.clutter_points = -5", "clutter_points must lie in [0, 100000]"),
         ("scene.point_noise_sigma = -0.03", "point_noise_sigma must be non-negative"),
-        ("drift.noise_sigma = -1", "noise_sigma must be non-negative"),
+        ("drift.noise_sigma = -1", "noise_sigma must lie in [0, 1e+09]"),
+        # values that would overflow the drive's arithmetic
+        ("drift.rotational_drift = 1e308", "rotational_drift must lie in [-360, 360]"),
+        ("drift.translational_drift = 1e308", "translational_drift must lie in [-1, 1]"),
+        ("drift.noise_sigma = 1e308", "noise_sigma must lie in [0, 1e+09]"),
+        ("trajectory.start_x = 1e308", "trajectory start must lie in [-1e+09, 1e+09]"),
     ],
-    ids=["radius", "flip-rate", "clutter", "point-noise", "drift-noise"],
+    ids=["radius", "flip-rate", "clutter", "point-noise", "drift-noise", "rotational-drift",
+         "translational-drift", "drift-noise-overflow", "start-overflow"],
 )
 def test_bad_simulator_spec_exits_3(tmp_path, capsys, text, error):
+    # the config load refuses each value before numpy could warn
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("trajectory.length = 20.0\n" + text + "\n", encoding="ascii")
-    code = main(["simulate", "--out", str(tmp_path / "data"), "--config", str(cfg)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["simulate", "--out", str(tmp_path / "data"), "--config", str(cfg)])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err == f"error: {cfg}: {error}\n"
@@ -672,22 +682,29 @@ def test_build_map_refuses_a_map_its_reader_rejects(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value, error",
+    "lines, error",
     [
         # landmark members scattered 1e10 m: the frames fit float32, the map does not
-        ("scene.point_noise_sigma", "1e10", r"data/map\.txt: cluster \d+: centroid beyond 1e\+09 m"),
-        ("trajectory.start_x", "2e9", r"data/poses\.txt: pose 0: translation beyond 1e\+09 m"),
-        ("drift.translational_drift", "1e12",
-         r"data/odometry\.txt: pose 1: translation beyond 1e\+09 m"),
+        (["scene.point_noise_sigma = 1e10"],
+         r"data/map\.txt: cluster \d+: centroid beyond 1e\+09 m"),
+        # a start within the config's range, driven past the limit
+        (["trajectory.start_x = 999999970.0"],
+         r"data/poses\.txt: pose 13: translation beyond 1e\+09 m"),
+        # the drive stays within the limit, its doubled odometry does not
+        (["trajectory.start_x = 999999940.0", "drift.translational_drift = 1.0"],
+         r"data/odometry\.txt: pose 13: translation beyond 1e\+09 m"),
     ],
     ids=["scene-beyond-limit", "drive-beyond-limit", "odometry-beyond-limit"],
 )
-def test_simulate_refuses_files_its_readers_reject(tmp_path, capsys, key, value, error):
+def test_simulate_refuses_files_its_readers_reject(tmp_path, capsys, lines, error):
     # every file is checked before the first is written, so none is left behind
     cfg = tmp_path / "far.cfg"
-    line = f"{key} = {value}"
-    text = re.sub(rf"^{re.escape(key)} = .*$", line, GOLDEN_CONFIG, flags=re.M)
-    cfg.write_text(text if line in text else text + line + "\n", encoding="ascii")
+    text = GOLDEN_CONFIG
+    for line in lines:
+        key = line.split(" = ")[0]
+        text = re.sub(rf"^{re.escape(key)} = .*$", line, text, flags=re.M)
+        text = text if line in text else text + line + "\n"
+    cfg.write_text(text, encoding="ascii")
     code = main(["simulate", "--out", str(tmp_path / "data"), "--config", str(cfg)])
     captured = capsys.readouterr()
     assert code == 3

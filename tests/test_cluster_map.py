@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,7 +58,7 @@ def test_overflowing_coordinate_sum_rejected():
     cluster = cluster_map.merge_points(0, [small])
     assert (cluster.n_points, cluster.observed) == (2, 2)
     assert np.isfinite(cluster.centroid3d).all()
-    # a stored cluster's running sum starts from centroid3d * observed
+    # a stored cluster's running sum is centroid3d * observed
     cluster_map.insert(Cluster(5, POLE, np.array([huge]), np.array(huge), 2))
     origin = [(0.0, 0.0, 1.0)]
     with pytest.raises(ValueError, match="overflows"):
@@ -209,26 +211,42 @@ def test_rejected_merge_changes_nothing(rng):
     assert np.array_equal(rejected.get(0).centroid3d, every.mean(axis=0))
 
 
+def assert_nearest(cluster_map, centers, want, labels=None):
+    """nearest_within agrees with want, one (id, distance) or None per row:
+    one call at an infinite radius returns every row's id, -1 for None; and
+    each row's gate passes at exactly its distance and fails just below."""
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    got = cluster_map.nearest_within(centers, math.inf, labels)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == [-1 if hit is None else hit[0] for hit in want]
+    codes = [None] * len(centers) if labels is None else [[code] for code in labels]
+    for center, code, hit in zip(centers, codes, want):
+        if hit is not None:
+            cid, d = hit
+            assert cluster_map.nearest_within([center], d, code).tolist() == [cid]
+            assert cluster_map.nearest_within([center], np.nextafter(d, -np.inf), code).tolist() == [-1]
+
+
 def test_nearest_breaks_ties_toward_lowest_id():
     cluster_map = ClusterMap()
     cluster_map.add(POLE, [(-3.0, 0.0, 1.0)])
     cluster_map.add(POLE, [(3.0, 0.0, 1.0)])
-    assert cluster_map.nearest_each([(0.0, 0.0)]) == [(0, 3.0)]
-    assert ClusterMap().nearest_each([(0.0, 0.0)]) == [None]
+    assert_nearest(cluster_map, [(0.0, 0.0)], [(0, 3.0)])
+    assert_nearest(ClusterMap(), [(0.0, 0.0)], [None])
 
 
 def test_index_refreshes_after_mutation(rng):
     cluster_map = ClusterMap()
     cluster_map.add(POLE, cluster_points(rng, (0.0, 0.0, 1.0)))
-    assert cluster_map.nearest_each([(1.0, 1.0)])[0][0] == 0
+    assert cluster_map.nearest_within([(1.0, 1.0)], math.inf).tolist() == [0]
     cluster_map.add(POLE, cluster_points(rng, (1.0, 1.0, 1.0)))
-    assert cluster_map.nearest_each([(1.0, 1.0)])[0][0] == 1
+    assert cluster_map.nearest_within([(1.0, 1.0)], math.inf).tolist() == [1]
     # a merge far away moves cluster 1's centroid off (1, 1)
     far = cluster_points(rng, (40.0, 40.0, 1.0), n=200)
     cluster_map.merge_points(1, far)
-    assert cluster_map.nearest_each([(1.0, 1.0)])[0][0] == 0
+    assert cluster_map.nearest_within([(1.0, 1.0)], math.inf).tolist() == [0]
     cluster_map.insert(Cluster.from_points(5, TRUNK, [(1.0, 1.5, 1.0)]))
-    assert cluster_map.nearest_each([(1.0, 1.0)]) == [(5, 0.5)]
+    assert_nearest(cluster_map, [(1.0, 1.0)], [(5, 0.5)])
 
 
 def point_map(xys, labels=None) -> ClusterMap:
@@ -268,13 +286,12 @@ def test_nearest_keeps_lowest_id_among_more_ties_than_it_queries(rng):
     maps = [point_map([xys[i] for i in order]) for order in orders]
     # ids are positions in order; the ring holds entries 0..11 of xys
     lowest_on_ring = [int(np.flatnonzero(order < len(RING_5M))[0]) for order in orders]
-    assert [m.nearest_each([(0.0, 0.0)])[0] for m in maps] == [
-        (cid, 5.0) for cid in lowest_on_ring
-    ]
+    assert [m.nearest_within([(0.0, 0.0)], 5.0)[0] for m in maps] == lowest_on_ring
     for order, cluster_map, cid in zip(orders, maps, lowest_on_ring):
-        assert cluster_map.nearest_each([(0.0, 0.0), (5.0, 0.0)]) == [
-            (cid, 5.0), (int(np.flatnonzero(order == 0)[0]), 0.0)
-        ]
+        assert_nearest(
+            cluster_map, [(0.0, 0.0), (5.0, 0.0)],
+            [(cid, 5.0), (int(np.flatnonzero(order == 0)[0]), 0.0)],
+        )
 
 
 @pytest.mark.parametrize(
@@ -299,47 +316,53 @@ def test_nearest_each_matches_brute_force(rng, grid, labelled):
             codes = rng.integers(POLE, TRUNK + 1, size=n) if trial else np.full(n, POLE)
             labels = rng.integers(POLE, TRUNK + 1, size=len(centers))
         cluster_map = point_map(xys, codes)
-        got = cluster_map.nearest_each(centers, None if codes is None else labels)
+        queried = None if codes is None else labels
         want = [brute_nearest(cluster_map, c, label) for c, label in zip(centers, labels)]
-        assert [hit and hit[0] for hit in got] == [hit and hit[0] for hit in want]
-        assert [hit[1] for hit in got if hit] == pytest.approx(
-            [hit[1] for hit in want if hit], rel=1e-12, abs=0
-        )
-        missed += got.count(None)
-        # one query per row gives the same answers as one for all rows
-        assert got == [
-            cluster_map.nearest_each([c], None if codes is None else [label])[0]
+        assert_nearest(cluster_map, centers, want, queried)
+        missed += want.count(None)
+        # one query for all rows gives each row's answer; grid distances
+        # of exactly 3 m pass the gate
+        radius = 3.0
+        got = cluster_map.nearest_within(centers, radius, queried)
+        assert got.tolist() == [
+            cluster_map.nearest_within([c], radius, None if codes is None else [label])[0]
             for c, label in zip(centers, labels)
         ]
+        assert got.tolist() == [hit[0] if hit and hit[1] <= radius else -1 for hit in want]
     assert (missed > 0) == labelled
 
 
 def test_nearest_each_edge_cases():
-    assert ClusterMap().nearest_each([(0.0, 0.0), (1.0, 1.0)]) == [None, None]
-    assert ClusterMap().nearest_each(np.empty((0, 2))) == []
+    assert_nearest(ClusterMap(), [(0.0, 0.0), (1.0, 1.0)], [None, None])
     single = point_map([(3.0, 4.0)])
+    for cluster_map in (ClusterMap(), single):
+        for empty in (np.empty((0, 2)), []):
+            got = cluster_map.nearest_within(empty, math.inf)
+            assert got.dtype.kind == "i" and got.tolist() == []
     # one cluster: a distance matrix with a single column
-    assert single.nearest_each([(0.0, 0.0), (3.0, 4.0)]) == [(0, 5.0), (0, 0.0)]
-    assert single.nearest_each(np.empty((0, 2))) == []
-    assert single.nearest_each([]) == []
+    assert_nearest(single, [(0.0, 0.0), (3.0, 4.0)], [(0, 5.0), (0, 0.0)])
+    # no cluster of the row's label: no cluster even at an infinite radius
+    assert single.nearest_within([(3.0, 4.0)], math.inf, [TRUNK]).tolist() == [-1]
+    assert_nearest(single, [(3.0, 4.0), (3.0, 4.0)], [None, (0, 0.0)], [TRUNK, POLE])
     # a squared distance that overflows: no cluster lies at a finite distance
     far = point_map([(1e300, 0.0)])
-    assert far.nearest_each([(-1e300, 0.0), (1e300, 3.0)]) == [None, (0, 3.0)]
+    assert_nearest(far, [(-1e300, 0.0), (1e300, 3.0)], [None, (0, 3.0)])
     two = point_map([(1e300, 0.0), (1e300, 5.0)])
-    assert two.nearest_each([(0.0, 0.0), (1e300, 4.0)]) == [None, (1, 1.0)]
+    assert_nearest(two, [(0.0, 0.0), (1e300, 4.0)], [None, (1, 1.0)])
     # one label code per center, or none at all
     for cluster_map in (ClusterMap(), single):
         with pytest.raises(ValueError, match="2 labels for 1 centers"):
-            cluster_map.nearest_each([(0.0, 0.0)], [POLE, TRUNK])
+            cluster_map.nearest_within([(0.0, 0.0)], 1.0, [POLE, TRUNK])
 
 
 def test_centroid_table_is_read_only_and_follows_every_mutation():
     cluster_map = point_map([(0.0, 0.0), (4.0, 0.0)])
     centers, labels = [(1.0, 0.0), (3.0, 0.0)], [TRUNK, POLE]
 
-    def state():
-        """The table as lists, checked read-only and against the clusters,
-        and the labelled nearest_each answer for centers."""
+    def state(want):
+        """The table as lists, checked read-only and against the clusters;
+        the labelled nearest_within answers for centers must be want."""
+        assert_nearest(cluster_map, centers, want, labels)
         table = cluster_map.centroid_table()
         for column in table:
             with pytest.raises(ValueError, match="read-only"):
@@ -350,32 +373,30 @@ def test_centroid_table_is_read_only_and_follows_every_mutation():
         assert codes == [c.label for c in cluster_map]
         got_ids, got_cents = cluster_map.centroids_2d()
         assert (got_ids.tolist(), got_cents.tolist()) == (ids, cents)
-        return ids, cents, codes, cluster_map.nearest_each(centers, labels)
+        return ids, cents, codes
 
     # no trunk yet: the trunk center finds no cluster
-    assert state() == ([0, 1], [[0.0, 0.0], [4.0, 0.0]], [POLE, POLE], [None, (1, 1.0)])
+    assert state([None, (1, 1.0)]) == ([0, 1], [[0.0, 0.0], [4.0, 0.0]], [POLE, POLE])
     cluster_map.add(TRUNK, [(2.0, 0.0, 1.0)])
-    assert state() == (
+    assert state([(2, 1.0), (1, 1.0)]) == (
         [0, 1, 2], [[0.0, 0.0], [4.0, 0.0], [2.0, 0.0]], [POLE, POLE, TRUNK],
-        [(2, 1.0), (1, 1.0)],
     )
     # a merge moves cluster 1's centroid from (4, 0) to (5, 0)
     cluster_map.merge_points(1, [(6.0, 0.0, 1.0)])
-    assert state() == (
+    assert state([(2, 1.0), (1, 2.0)]) == (
         [0, 1, 2], [[0.0, 0.0], [5.0, 0.0], [2.0, 0.0]], [POLE, POLE, TRUNK],
-        [(2, 1.0), (1, 2.0)],
     )
     cluster_map.insert(Cluster.from_points(7, TRUNK, [(1.0, 0.5, 1.0)]))
-    assert state() == (
+    assert state([(7, 0.5), (1, 2.0)]) == (
         [0, 1, 2, 7], [[0.0, 0.0], [5.0, 0.0], [2.0, 0.0], [1.0, 0.5]],
-        [POLE, POLE, TRUNK, TRUNK], [(7, 0.5), (1, 2.0)],
+        [POLE, POLE, TRUNK, TRUNK],
     )
 
 
 def kdtree_nearest(cluster_map, centers) -> tuple[list, int]:
-    """nearest_each's answer from a kd-tree queried for every cluster: the
-    lowest id tied at the smallest distance, None where that distance is not
-    finite; and the most clusters tied for any center."""
+    """The nearest cluster from a kd-tree queried for every cluster, as
+    (id, distance): the lowest id tied at the smallest distance, None where
+    that distance is not finite; and the most clusters tied for any center."""
     ids, cents = cluster_map.centroids_2d()
     dists, rows = cKDTree(cents).query(centers, k=list(range(1, len(ids) + 1)))
     out, most_tied = [], 0
@@ -391,8 +412,9 @@ def kdtree_nearest(cluster_map, centers) -> tuple[list, int]:
 
 @pytest.mark.parametrize("kind", ["random", "tied-grid", "wide-scale", "overflow"])
 def test_nearest_each_distances_are_bitwise_the_kdtree_ones(rng, kind):
-    # merge decisions compare these distances with merge_radius, so the ids
-    # must agree and every distance bit with the kd-tree's
+    # merge decisions gate these distances at merge_radius, so each row must
+    # pass its gate at exactly the kd-tree's distance, with the kd-tree's id,
+    # and fail one ulp below it
     most_tied = 0
     for _ in range(30):
         n = int(rng.integers(1, 60))
@@ -415,12 +437,9 @@ def test_nearest_each_distances_are_bitwise_the_kdtree_ones(rng, kind):
         cluster_map = point_map(xys)
         want, tied = kdtree_nearest(cluster_map, centers)
         most_tied = max(most_tied, tied)
-        got = cluster_map.nearest_each(centers)
-        assert [hit and (hit[0], hit[1].hex()) for hit in got] == [
-            hit and (hit[0], hit[1].hex()) for hit in want
-        ]
+        assert_nearest(cluster_map, centers, want)
         if kind == "overflow":
-            assert None in got and any(hit is not None for hit in got)
+            assert None in want and any(hit is not None for hit in want)
     if kind == "tied-grid":
         assert most_tied > 8
 

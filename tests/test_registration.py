@@ -312,7 +312,8 @@ def test_register_frame_is_atomic(rng):
         Cluster.from_points(1, POLE, [loaded]),
         Cluster.from_points(2, TRUNK, cluster_points(rng, (30.0, 0.0, 2.0), n=6)),
     ]
-    assert [hit[0] for hit in cluster_map.nearest_each([c.centroid2d for c in frame])] == [0, 1, 0]
+    nearest = cluster_map.nearest_within([c.centroid2d for c in frame], math.inf)
+    assert nearest.tolist() == [0, 1, 0]
     before = _state(cluster_map)
     assert cluster_map.get(0).observed == 24
     with pytest.raises(ValueError, match="coordinate sum overflows"):
