@@ -219,8 +219,9 @@ def edge_pair_distance(
     """Distance between a local edge and a global candidate, or UNMATCHED.
 
     Each edge is an (anchor_id, neighbor_id) pair; the anchor's other edges
-    within search_radius act as the sub-edges. Raises ValueError when the
-    neighbor is not in the anchor's star.
+    within search_radius act as the sub-edges. Raises KeyError when an
+    anchor is not in its map and ValueError when the neighbor is not in the
+    anchor's star.
     """
     params = params or AssociationParams()
     local = _stars(local_map, params.search_radius).star(local_edge[0])

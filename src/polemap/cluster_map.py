@@ -18,15 +18,16 @@ the map keeps each cluster's coordinate sum and folds new rows onto it in the
 same order: the centroid stays bitwise equal to the mean of every point the
 cluster observed. segment_sums adds each run of rows of one array in that
 order, one np.add.reduce per run, so a run's sum divided by its length is
-bitwise its mean. absorb is the one write path for points: it takes a
-frame's runs at once, merging each into its target (a target's runs folded
-onto its kept sum in run order, all targets' sums from one segment_sums
-call) or storing it under the next free id, and checks every run before it
-changes anything. merge_points and add are its one-run cases. A merge, and
-a new cluster when absorb is told capped, keeps only the first point seen
-in each VOXEL_SIZE voxel as a member, so members stay bounded while the
-centroid and the observed count still cover every point. The map computes
-those voxel keys itself, with one voxel_keys call per absorb call.
+bitwise its mean. absorb is the one write path for points, and every run
+it takes lands in exactly one cluster: its target or, for -1, a new one
+under the next free id in run order. Each landing cluster is one segment
+of a single segment_sums call, its kept sum (if it exists) before its
+runs' rows in run order. Every run is checked before anything changes;
+merge_points and add are absorb's one-run cases. A landing in an existing
+cluster, and in a new one when absorb is told capped, keeps only the first
+point seen in each VOXEL_SIZE voxel as a member, so members stay bounded
+while the centroid and the observed count still cover every point. The map
+computes those voxel keys itself, one voxel_keys call per absorb call.
 
 kdtree is the package's one kd-tree constructor. It imports scipy.spatial
 when it builds its first tree, so a process that builds none never loads it.
@@ -245,93 +246,85 @@ class ClusterMap:
         return cluster
 
     def absorb(self, targets, labels, points, counts, capped=False) -> list[Cluster]:
-        """Merge or store each run of rows of points; returns the new
-        clusters in run order.
+        """Land each run of rows of points in exactly one cluster; returns
+        the new clusters in run order.
 
-        Run i is the next counts[i] rows. It merges into cluster targets[i],
-        or, where targets[i] is -1, becomes a new cluster of labels[i] under
-        the next free id, in run order (labels of merged runs are ignored).
-        Merges into one target fold its runs in run order: the kept
-        coordinate sum and the runs' rows are added in that order, so the
-        centroid stays bitwise the mean of every point observed. A cluster
-        stored by insert (a loaded one) holds the sum centroid3d * observed,
-        so its stored weight carries over.
+        Run i is the next counts[i] rows. It lands in cluster targets[i],
+        or, where targets[i] is -1, in a new cluster of labels[i] under the
+        next free id, in run order (labels of runs with a target are
+        ignored). Each landing cluster's coordinate sum is one segment of
+        one segment_sums call, its kept sum first if it exists, then its
+        runs' rows in run order, so the centroid stays bitwise the mean of
+        every point observed. A cluster stored by insert (a loaded one)
+        holds the sum centroid3d * observed, so its weight carries over.
 
-        A merged point becomes a member only if its cluster has no member
-        in its VOXEL_SIZE voxel yet, the first point seen winning. New
-        clusters follow the same rule when capped, and keep every point
+        A point landing in an existing cluster becomes a member only if the
+        cluster has no member in its VOXEL_SIZE voxel yet, the first point
+        seen winning; new clusters do so when capped, and keep every point
         otherwise. The voxel keys come from one voxel_keys call over all of
-        points. Every check runs before the first change: an unknown target
-        (KeyError), a label other than POLE or TRUNK, a non-finite point, an
+        points. One walk over the runs assigns the landings and checks them
+        before the first change: an unknown target (KeyError), a label other
+        than POLE or TRUNK, a non-finite point, a run count mismatch, an
         empty new cluster or an overflowing sum (ValueError) leaves the map
         as it was.
         """
-        targets, labels = [int(t) for t in targets], list(labels)
-        counts = [int(c) for c in counts]
-        runs_of: dict[int, list[int]] = {}  # merge target -> its runs, in order
-        new = []  # runs that become new clusters
-        for run, target in enumerate(targets):
-            if target < 0:
-                new.append(run)
-            else:
-                runs_of.setdefault(target, []).append(run)
-        merged = {cid: self._clusters[cid] for cid in runs_of}
-        for run in new:
-            if labels[run] not in (POLE, TRUNK):
-                raise ValueError(f"cluster label must be pole or trunk, got {labels[run]!r}")
+        targets, labels, counts = [int(t) for t in targets], list(labels), [int(c) for c in counts]
         points = _finite_points(points)
         if len(counts) != len(targets) or min(counts, default=0) < 0 or sum(counts) != len(points):
             raise ValueError("one run count per target, covering every point, required")
-        if any(counts[run] == 0 for run in new):
-            raise ValueError("empty cluster")
+        landing: dict[int, list[int]] = {}  # landing cluster id -> its runs, in order
+        next_id = self._next_id
+        for run, target in enumerate(targets):
+            if target < 0:
+                if labels[run] not in (POLE, TRUNK):
+                    raise ValueError(f"cluster label must be pole or trunk, got {labels[run]!r}")
+                if counts[run] == 0:
+                    raise ValueError("empty cluster")
+                target, next_id = next_id, next_id + 1
+            elif target not in self._clusters:
+                raise KeyError(target)
+            landing.setdefault(target, []).append(run)
         bounds = list(itertools.accumulate(counts, initial=0))
         rows = [points[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
-        # One segment per merge target, [kept sum; its runs' rows in run
-        # order], then one per new cluster, its rows.
-        stack, sizes = points, counts
+        parts, sizes = [], []
+        for cid, runs in landing.items():
+            prior = [self._sums[cid][None]] if cid in self._clusters else []
+            parts += prior + [rows[run] for run in runs]
+            sizes.append(len(prior) + sum(counts[run] for run in runs))
         with np.errstate(over="ignore", invalid="ignore"):  # overflows raise below
-            if merged:
-                parts, sizes = [], []
-                for cid, runs in runs_of.items():
-                    parts.append(self._sums[cid][None])
-                    parts.extend(rows[run] for run in runs)
-                    sizes.append(1 + sum(counts[run] for run in runs))
-                parts.extend(rows[run] for run in new)
-                sizes.extend(counts[run] for run in new)
-                stack = np.concatenate(parts)
-            sums = segment_sums(stack, sizes)
+            sums = segment_sums(np.concatenate(parts or [points]), sizes)
         if not np.isfinite(sums).all():
             raise ValueError("coordinate sum overflows")
-        keys = voxel_keys(points) if merged or capped else None
+        keys = voxel_keys(points) if capped or max(targets, default=-1) >= 0 else None
 
-        for (cid, runs), total, size in zip(runs_of.items(), sums, sizes):
-            cluster = merged[cid]
-            occupied = self._voxels.get(cid)
-            if occupied is None:
-                occupied = self._voxels[cid] = set(voxel_keys(cluster.points))
-            added = [cluster.points]
-            for run in runs:
-                kept = _claim(occupied, keys[bounds[run]:bounds[run + 1]], rows[run])
-                if len(kept):
-                    added.append(kept)
-            if len(added) > 1:
-                cluster.points = np.concatenate(added)
-            cluster.observed += size - 1
-            cluster.centroid3d = total / cluster.observed
-            self._sums[cid] = total
         created = []
-        for run, total in zip(new, sums[len(runs_of):]):
-            cid, members = self._next_id, rows[run]
-            if capped:
-                self._voxels[cid] = set()
-                members = _claim(self._voxels[cid], keys[bounds[run]:bounds[run + 1]], members)
+        for (cid, runs), total, size in zip(landing.items(), sums, sizes):
+            cluster = self._clusters.get(cid)
+            if cluster is None:  # a new cluster lands exactly one run
+                (run,) = runs
+                members = rows[run]
+                if capped:
+                    self._voxels[cid] = set()
+                    members = _claim(self._voxels[cid], keys[bounds[run]:bounds[run + 1]], members)
+                cluster = Cluster(cid, labels[run], members, total / size, size)
+                self._clusters[cid] = cluster
+                created.append(cluster)
+            else:
+                occupied = self._voxels.get(cid)
+                if occupied is None:
+                    occupied = self._voxels[cid] = set(voxel_keys(cluster.points))
+                added = [cluster.points]
+                for run in runs:
+                    kept = _claim(occupied, keys[bounds[run]:bounds[run + 1]], rows[run])
+                    if len(kept):
+                        added.append(kept)
+                if len(added) > 1:
+                    cluster.points = np.concatenate(added)
+                cluster.observed += size - 1
+                cluster.centroid3d = total / cluster.observed
             self._sums[cid] = total
-            self._clusters[cid] = cluster = Cluster(
-                cid, labels[run], members, total / counts[run], counts[run]
-            )
-            created.append(cluster)
-            self._next_id += 1
+        self._next_id = next_id
         self._derived.clear()
         return created
 

@@ -30,7 +30,13 @@ from .cluster_map import ClusterMap, Frame
 from .extraction import ExtractionParams, extract_clusters
 from .geometry import PoseSE3
 from .registration import build_local_map
-from .relocalization import RelocalizationFailure, RelocParams, RelocResult, relocalize
+from .relocalization import (
+    FAILURE_NO_CLUSTERS,
+    RelocalizationFailure,
+    RelocParams,
+    RelocResult,
+    relocalize,
+)
 
 log = logging.getLogger(__name__)
 
@@ -205,7 +211,7 @@ def relocalize_frame(
     """
     clusters = extract_clusters(frame, extraction)
     if not clusters:
-        raise RelocalizationFailure("no-clusters")
+        raise RelocalizationFailure(FAILURE_NO_CLUSTERS)
     local_map = build_local_map(clusters, estimate)
     result = relocalize(local_map, global_map, association, relocalization, guided=guided)
     return replace(result, pose=result.pose @ estimate)

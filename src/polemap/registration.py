@@ -8,11 +8,12 @@ cluster keeps at most one member per voxel of the cluster_map.VOXEL_SIZE
 grid (0.1 m), the first point seen, so members stop growing once a landmark
 has been covered.
 
-A frame is posed with one pose.apply and goes to the map in one capped
-ClusterMap.absorb: merges grouped by target and summed in one segment_sums
-call, inserts taking the next ids in frame order. The frame is atomic: it
-is checked whole before the map changes. A local map is posed the same way
-and stored whole, every point a member, with one absorb of new clusters.
+register_frame and build_local_map pose a frame through one shared step:
+its members concatenated and moved with one pose.apply. The frame then lands
+in one ClusterMap.absorb, each cluster in exactly one map cluster: its merge
+target, or a new cluster under the next free id in frame order. The frame
+is atomic: it is checked whole before the map changes. A local map is all
+new clusters, every point a member; register_frame's absorb is capped.
 """
 
 from __future__ import annotations
@@ -39,6 +40,19 @@ class RegistrationStats:
     merged: int
 
 
+def _posed(frame_clusters: list, pose: PoseSE3):
+    """(labels, points, counts) of frame_clusters as ClusterMap.absorb takes
+    them, every member moved into the map frame by one pose.apply. An
+    invalid pose raises ValueError."""
+    pose.require_valid()
+    members = [cluster.points for cluster in frame_clusters]
+    return (
+        [cluster.label for cluster in frame_clusters],
+        pose.apply(np.concatenate(members or [np.empty((0, 3))])),
+        [len(points) for points in members],
+    )
+
+
 def register_frame(
     cluster_map: ClusterMap,
     frame_clusters,
@@ -48,30 +62,21 @@ def register_frame(
     """Merge or insert one frame's clusters; returns insert/merge counts.
 
     Every merge target is looked up before the map changes, so merges within
-    the same frame do not shift the search targets. The frame's points are
-    moved with one pose.apply, and the whole frame goes to the map in one
-    capped ClusterMap.absorb, which keys their voxels in one pass: the merges
-    grouped by target, the inserts taking the next ids in frame order. The
-    frame is atomic: an invalid pose, a non-finite point or an overflowing
-    sum raises ValueError before the map is touched.
+    the same frame do not shift the search targets. The frame is posed by
+    the step build_local_map shares, and lands whole in one capped
+    ClusterMap.absorb: each cluster in its target, or in a new cluster under
+    the next id in frame order. The frame is atomic: an invalid pose, a
+    non-finite point or an overflowing sum raises ValueError before the map
+    is touched.
     """
     params = params or RegistrationParams()
-    pose.require_valid()
     frame_clusters = list(frame_clusters)
-    if not frame_clusters:
-        return RegistrationStats(inserted=0, merged=0)
-    points = pose.apply(np.concatenate([cluster.points for cluster in frame_clusters]))
+    labels, points, counts = _posed(frame_clusters, pose)
     # A (k, 1, 3) stack multiplies each centroid as its own 1-row product,
     # so every row is bitwise pose.apply(centroid3d).
-    centroids = np.array([cluster.centroid3d for cluster in frame_clusters])[:, None, :]
+    centroids = np.array([cluster.centroid3d for cluster in frame_clusters]).reshape(-1, 1, 3)
     targets = cluster_map.nearest_within(pose.apply(centroids)[:, 0, :2], params.merge_radius)
-    cluster_map.absorb(
-        targets,
-        [cluster.label for cluster in frame_clusters],
-        points,
-        [cluster.n_points for cluster in frame_clusters],
-        capped=True,
-    )
+    cluster_map.absorb(targets, labels, points, counts, capped=True)
     inserted = int((targets < 0).sum())
     return RegistrationStats(inserted=inserted, merged=len(targets) - inserted)
 
@@ -79,18 +84,11 @@ def register_frame(
 def build_local_map(frame_clusters, pose: PoseSE3) -> ClusterMap:
     """Fresh map holding one frame's clusters posed into the odometry frame.
 
-    The frame's points are moved with one pose.apply and stored with one
-    ClusterMap.absorb, which checks them once. An invalid pose raises
-    ValueError.
+    The frame is posed by the step register_frame shares and lands in one
+    ClusterMap.absorb of new clusters, every point a member. An invalid pose
+    raises ValueError.
     """
-    pose.require_valid()
-    local = ClusterMap()
     frame_clusters = list(frame_clusters)
-    if frame_clusters:
-        local.absorb(
-            [-1] * len(frame_clusters),
-            [cluster.label for cluster in frame_clusters],
-            pose.apply(np.concatenate([cluster.points for cluster in frame_clusters])),
-            [cluster.n_points for cluster in frame_clusters],
-        )
+    local = ClusterMap()
+    local.absorb([-1] * len(frame_clusters), *_posed(frame_clusters, pose))
     return local

@@ -42,6 +42,7 @@ FAILURE_NO_MATCHES = "no-matches"
 FAILURE_CONSISTENCY = "consistency-collapse"
 FAILURE_RANSAC = "ransac-failure"
 FAILURE_DEGENERATE = "degenerate-fit"
+FAILURE_NO_CLUSTERS = "no-clusters"
 
 
 class RelocalizationFailure(Exception):

@@ -282,6 +282,14 @@ def test_edge_pair_distance_rejects_edges_outside_the_star():
         edge_pair_distance(local_map, global_map, (0, 0), (0, 1))
 
 
+def test_edge_pair_distance_rejects_an_unknown_anchor():
+    local_map, global_map = reference_star_scene()
+    with pytest.raises(KeyError):
+        edge_pair_distance(local_map, global_map, (99, 1), (0, 1))
+    with pytest.raises(KeyError):
+        edge_pair_distance(local_map, global_map, (0, 1), (99, 1))
+
+
 # ---------------------------------------------------------------- clusters
 
 

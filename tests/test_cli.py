@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import polemap
-from polemap import POLE, ClusterMap
+from polemap import POLE, ClusterMap, DatasetError
 from polemap.cli import main
-from polemap.dataset_io import load_poses, read_point_file, save_poses, write_point_file
+from polemap.dataset_io import Dataset, load_poses, read_point_file, save_poses, write_point_file
 from polemap.map_io import load_map, save_map
 
 CONFIG_TEXT = """
@@ -208,6 +208,7 @@ EVALUATE_RELOC = ["evaluate", "--mode", "reloc", "--config", "{config}"]
         pytest.param(EVALUATE_RELOC + ["--retentions", ""], id="retentions-empty"),
         pytest.param(EVALUATE_RELOC + ["--trials", "0"], id="trials-0"),
         pytest.param(EVALUATE_RELOC + ["--trials", "-1"], id="trials-negative"),
+        pytest.param(EVALUATE_RELOC + ["--trials", "abc"], id="trials-not-an-integer"),
     ],
 )
 def test_usage_errors_exit_2(workspace, tmp_path, capsys, argv):
@@ -300,6 +301,27 @@ def test_odometry_timestamps_must_match_poses(workspace, tmp_path, capsys, shift
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err == f"error: {data}: odometry.txt timestamps differ from poses.txt\n"
+
+
+def test_localize_without_odometry_exits_3(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    (data / "odometry.txt").unlink()
+    out = tmp_path / "trajectory.txt"
+    code = main(["localize", "--data", str(data), "--map", str(data / "map.txt"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {data}: no odometry.txt\n"
+    assert not out.exists()
+
+
+def test_short_odometry_rejected(workspace, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    save_poses(data / "odometry.txt", load_poses(data / "odometry.txt")[:-1])
+    with pytest.raises(DatasetError) as exc:
+        Dataset(data).odometry()
+    assert str(exc.value) == f"{data}/odometry.txt: 16 poses for 17 frames"
 
 
 def test_non_finite_point_file_exits_3(workspace, tmp_path, capsys):

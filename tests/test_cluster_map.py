@@ -39,6 +39,11 @@ def test_non_finite_point_rejected():
         cluster_map.merge_points(0, far)
 
 
+def test_frame_needs_one_label_per_point():
+    with pytest.raises(ValueError, match="2 labels for 3 points"):
+        Frame(0.0, np.zeros((3, 3)), [0, 0])
+
+
 def test_overflowing_coordinate_sum_rejected():
     huge = (1e308, 0.0, 1.0)
     with pytest.raises(ValueError, match="overflows"):
@@ -479,3 +484,33 @@ def test_absorb_checks_every_run_before_any_change(rng):
     (new,) = cluster_map.absorb([0, -1], [POLE, TRUNK], runs, [4, 3], capped=True)
     assert (new.cluster_id, new.label, new.observed) == (1, TRUNK, 3)
     assert cluster_map.get(0).observed == 10
+
+
+def test_absorb_needs_run_counts_covering_every_point():
+    cluster_map = ClusterMap()
+    with pytest.raises(ValueError, match="one run count per target"):
+        cluster_map.absorb([-1], [POLE], np.zeros((3, 3)), [2])
+    with pytest.raises(ValueError, match="one run count per target"):
+        cluster_map.absorb([-1, -1], [POLE, POLE], np.zeros((3, 3)), [3])
+    assert len(cluster_map) == 0
+
+
+def test_absorb_lands_each_run_in_one_cluster_in_run_order(rng):
+    # Runs for one existing cluster may interleave with new ones: the new
+    # ids follow run order, and the merged runs fold onto the kept sum in
+    # run order, so the centroid is the mean of every point observed.
+    cluster_map = ClusterMap()
+    start = cluster_points(rng, (0.0, 0.0, 1.0), n=5)
+    cluster_map.add(POLE, start)
+    runs = [cluster_points(rng, center, n=n) for center, n in
+            [((0.1, 0.0, 1.0), 3), ((9.0, 0.0, 1.0), 2), ((0.0, 0.1, 1.0), 4), ((20.0, 0.0, 1.0), 1)]]
+    created = cluster_map.absorb([0, -1, 0, -1], [TRUNK, TRUNK, TRUNK, POLE],
+                                 np.concatenate(runs), [3, 2, 4, 1])
+    assert [(c.cluster_id, c.label, c.observed) for c in created] == [(1, TRUNK, 2), (2, POLE, 1)]
+    merged = cluster_map.get(0)
+    assert (merged.label, merged.observed) == (POLE, 12)
+    observed = np.concatenate([start, runs[0], runs[2]])
+    assert merged.centroid3d.tobytes() == observed.mean(axis=0).tobytes()
+    assert created[0].centroid3d.tobytes() == runs[1].mean(axis=0).tobytes()
+    assert cluster_map.absorb([], [], np.zeros((0, 3)), [], capped=True) == []
+    assert cluster_map.ids() == [0, 1, 2]

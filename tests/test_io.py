@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -364,6 +366,15 @@ def test_map_header_validation(tmp_path):
         load_map(path)
     path.write_text("polemap-map 1\n", encoding="ascii")
     with pytest.raises(MapFormatError, match="missing labels"):
+        load_map(path)
+
+
+def test_map_unreadable_file_rejected(tmp_path):
+    with pytest.raises(MapFormatError, match=f"^{re.escape(str(tmp_path))}: "):
+        load_map(tmp_path)
+    path = tmp_path / "map.txt"
+    path.write_bytes(b"polemap-map 2\nlabels pole=5 trunk=6\n\xe9\n")
+    with pytest.raises(MapFormatError, match="can't decode byte 0xe9"):
         load_map(path)
 
 

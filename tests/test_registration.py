@@ -9,6 +9,7 @@ from polemap import (
     Cluster,
     ClusterMap,
     PoseSE3,
+    RegistrationStats,
     SceneSpec,
     TrajectorySpec,
     build_local_map,
@@ -74,6 +75,13 @@ def test_register_inserts_into_empty_map(rng):
     stats = register_frame(cluster_map, clusters, PoseSE3.identity())
     assert (stats.inserted, stats.merged) == (1, 0)
     assert len(cluster_map) == 1
+
+
+def test_register_empty_frame_changes_nothing():
+    cluster_map = ClusterMap()
+    assert register_frame(cluster_map, [], PoseSE3.identity()) == RegistrationStats(0, 0)
+    assert len(cluster_map) == 0
+    assert len(build_local_map([], PoseSE3.identity())) == 0
 
 
 def test_register_merges_within_radius(rng):

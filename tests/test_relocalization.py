@@ -575,6 +575,21 @@ def test_relocalize_ransac_failure(monkeypatch):
     assert info.value.reason == "ransac-failure"
 
 
+def test_fit_pairs_degenerate_fit():
+    """Four pairs stacked on one vertical line outvote two that tilt the
+    rest: every pair passes the consistency filter, RANSAC keeps only the
+    stack, and a coarse fit over one planar position has no yaw."""
+    stack = [(0.0, 0.0, float(z)) for z in range(4)]
+    local = point_map([(10.0, 0.0, 0.0), (0.0, 10.0, 0.0)] + stack)
+    global_map = point_map([(10.0, 0.0, 1.2), (0.0, 10.0, -1.2)] + stack)
+    pairs = identity_pairs(6)
+    assert geometric_consistency_filter(pairs, local, global_map, 0.5) == pairs
+    assert ransac_filter(pairs, local, global_map, RelocParams()) == pairs[2:]
+    with pytest.raises(RelocalizationFailure) as info:
+        fit_pairs(pairs, local, global_map)
+    assert info.value.reason == "degenerate-fit"
+
+
 # ------------------------------------------------------------ guided path
 
 
