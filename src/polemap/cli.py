@@ -185,11 +185,10 @@ def _run_localization(cfg: Config, data: str, map_path: str):
     if [ts for ts, _ in odometry] != [ts for ts, _ in true_poses]:
         # each fix lands at its frame's timestamp, which must be an increment's
         raise PolemapError(f"{data}: odometry.txt timestamps differ from poses.txt")
-    frames = [
-        dataset.frame(i, cfg.labels, ts) for i, (ts, _) in enumerate(true_poses)
-    ]
+    if not true_poses:
+        raise PolemapError(f"{data}: no frames")
     result = run_pipeline(
-        frames,
+        (dataset.frame(i, cfg.labels, ts) for i, (ts, _) in enumerate(true_poses)),
         _odometry_increments(odometry),
         global_map,
         initial_pose=odometry[0][1],

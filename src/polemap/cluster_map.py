@@ -68,6 +68,11 @@ def _finite_points(xyz) -> np.ndarray:
     return arr
 
 
+def _check_label(label) -> None:
+    if label not in (POLE, TRUNK):
+        raise ValueError(f"cluster label must be pole or trunk, got {label!r}")
+
+
 def segment_sums(points: np.ndarray, counts) -> np.ndarray:
     """Coordinate sum of each run of rows of C-ordered (n, 3) points, as a
     (len(counts), 3) array; run i is the next counts[i] rows.
@@ -222,9 +227,14 @@ class ClusterMap:
         return self.absorb([-1], [label], points, [len(points)])[0]
 
     def insert(self, cluster: Cluster) -> None:
-        """Store a pre-built cluster under its own id (used when loading)."""
+        """Store a pre-built cluster under its own id (used when loading).
+
+        A duplicate id or a label other than POLE or TRUNK raises
+        ValueError and leaves the map as it was.
+        """
         if cluster.cluster_id in self._clusters:
             raise ValueError(f"duplicate cluster id {cluster.cluster_id}")
+        _check_label(cluster.label)
         self._clusters[cluster.cluster_id] = cluster
         with np.errstate(over="ignore"):  # an infinite sum fails the first merge
             self._sums[cluster.cluster_id] = cluster.centroid3d * cluster.observed
@@ -276,8 +286,7 @@ class ClusterMap:
         next_id = self._next_id
         for run, target in enumerate(targets):
             if target < 0:
-                if labels[run] not in (POLE, TRUNK):
-                    raise ValueError(f"cluster label must be pole or trunk, got {labels[run]!r}")
+                _check_label(labels[run])
                 if counts[run] == 0:
                     raise ValueError("empty cluster")
                 target, next_id = next_id, next_id + 1

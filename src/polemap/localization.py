@@ -136,25 +136,16 @@ def run_pipeline(
 ) -> PipelineResult:
     """Track a frame sequence against a global map.
 
-    frames[i] is reached by increments[i-1], so increments must number one
-    less than frames and increments[i-1].timestamp must equal
-    frames[i].timestamp; a mismatch raises ValueError, naming the first
-    mismatched index, before any work. Every reloc_period seconds
-    relocalize_frame poses the current frame's clusters at the running
-    estimate and relocalizes them against the global map. Every fix is
-    applied; a failure is logged and recorded with its reason. Against an
-    empty map every attempt fails, so the trajectory is the odometry alone.
+    frames and increments are read once, in step: increments[i-1] is taken
+    when frames[i] arrives, and one that is missing or whose timestamp is
+    not frames[i].timestamp raises ValueError there; a surplus one raises
+    after the last frame. Every reloc_period seconds relocalize_frame poses
+    the current frame's clusters at the running estimate and relocalizes
+    them against the global map. Every fix is applied; a failure is logged
+    and recorded with its reason. Against an empty map every attempt fails,
+    so the trajectory is the odometry alone.
     """
-    frames = list(frames)
-    increments = list(increments)
-    if len(increments) != max(len(frames) - 1, 0):
-        raise ValueError("expected one increment between consecutive frames")
-    for i, increment in enumerate(increments, start=1):
-        if increment.timestamp != frames[i].timestamp:
-            raise ValueError(
-                f"increments[{i - 1}].timestamp {increment.timestamp!r} differs "
-                f"from frames[{i}].timestamp {frames[i].timestamp!r}"
-            )
+    increments = iter(increments)
     config = config or PipelineConfig()
 
     state = AnchoredPose.start(initial_pose or PoseSE3.identity())
@@ -162,11 +153,19 @@ def run_pipeline(
     failures: list[tuple[float, str]] = []
     fixes = 0
     guided = False  # prior-free until a fix, and again after any failure
-    next_attempt = frames[0].timestamp if frames else 0.0
+    next_attempt = float("-inf")  # the first frame is attempted
 
     for i, frame in enumerate(frames):
         if i > 0:
-            state = apply_increment(state, increments[i - 1])
+            increment = next(increments, None)
+            if increment is None:
+                raise ValueError("expected one increment between consecutive frames")
+            if increment.timestamp != frame.timestamp:
+                raise ValueError(
+                    f"increments[{i - 1}].timestamp {increment.timestamp!r} differs "
+                    f"from frames[{i}].timestamp {frame.timestamp!r}"
+                )
+            state = apply_increment(state, increment)
         if frame.timestamp >= next_attempt:
             next_attempt = frame.timestamp + config.reloc_period
             try:
@@ -183,6 +182,8 @@ def run_pipeline(
                 fixes += 1
                 guided = True
         trajectory.append((frame.timestamp, state.output))
+    if next(increments, None) is not None:
+        raise ValueError("expected one increment between consecutive frames")
     return PipelineResult(
         trajectory=tuple(trajectory),
         fixes_applied=fixes,

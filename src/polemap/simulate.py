@@ -31,9 +31,15 @@ TRUNK_HEIGHT = 2.5
 # 1000 + 200 * n_clusters attempts, so MAX_CLUSTERS (15x the default 160)
 # bounds the time to give up on a crowded area: at the default 300 m area,
 # 2,500 landmarks are refused after about 11 s on a 2-core x86 host.
+# MAX_SCENE_POINTS bounds n_clusters * points_per_cluster, which the two caps
+# alone would let reach 25M. It is 31x the largest scene in use (160
+# landmarks of 400 points in the memory probe) and admits each cap at the
+# other key's default (160 x 10,000); at the cap, generate_scene takes about
+# 0.3 s and 85 MB peak RSS on the same host.
 MAX_FRAMES = 100_000
 MAX_CLUSTERS = 2_500
 MAX_POINTS_PER_CLUSTER = 10_000
+MAX_SCENE_POINTS = 2_000_000
 MAX_CLUTTER_POINTS = 100_000
 
 
@@ -49,7 +55,13 @@ class SceneSpec:
     point_noise_sigma: float = bounded(0.03, 0)
     seed: int = bounded(0, 0)
 
-    __post_init__ = check_bounds
+    def __post_init__(self):
+        check_bounds(self)
+        if self.n_clusters * self.points_per_cluster > MAX_SCENE_POINTS:
+            raise ValueError(
+                f"scene needs more than {MAX_SCENE_POINTS} points: "
+                "n_clusters * points_per_cluster is too large"
+            )
 
 
 @dataclass(frozen=True)

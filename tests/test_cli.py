@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,54 @@ def test_localize_without_odometry_exits_3(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+# Both commands replay a dataset through cli._run_localization.
+localization_commands = pytest.mark.parametrize(
+    "command", [["localize"], ["evaluate", "--mode", "loc"]], ids=["localize", "evaluate-loc"]
+)
+
+
+@localization_commands
+def test_dataset_without_frames_exits_3(workspace, tmp_path, capsys, command):
+    data = tmp_path / "empty"
+    for name in ("points", "labels"):
+        (data / name).mkdir(parents=True)
+    for name in ("poses.txt", "odometry.txt"):
+        (data / name).write_text("", encoding="ascii")
+    out = tmp_path / "out.txt"
+    code = main([*command, "--data", str(data), "--map", str(workspace / "data" / "map.txt"),
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {data}: no frames\n"
+    assert not out.exists()
+
+
+# Frames are decoded as the pipeline reaches them: the one being tracked and
+# the one being decoded are the most that are ever alive together.
+@localization_commands
+def test_localization_holds_at_most_two_decoded_frames(workspace, tmp_path, capsys,
+                                                       monkeypatch, command):
+    decode = Dataset.frame
+    decoded = []
+    most = 0
+
+    def spy(self, *args):
+        nonlocal most
+        frame = decode(self, *args)
+        decoded.append(weakref.ref(frame))
+        most = max(most, sum(ref() is not None for ref in decoded))
+        return frame
+
+    monkeypatch.setattr(Dataset, "frame", spy)
+    data = workspace / "data"
+    code = main([*command, "--data", str(data), "--map", str(data / "map.txt"),
+                 "--out", str(tmp_path / "out.txt")])
+    capsys.readouterr()
+    assert code == 0
+    assert len(decoded) == Dataset(data).frame_count
+    assert most <= 2
+
+
 def test_short_odometry_rejected(workspace, tmp_path):
     data = tmp_path / "data"
     shutil.copytree(workspace / "data", data)
@@ -532,10 +581,13 @@ def test_bad_simulator_spec_exits_3(tmp_path, capsys, text, error):
         ("trajectory.turn_rate_deg_per_m = 1\ntrajectory.speed = 1e308\n"
          "trajectory.frame_period = 10", ["simulate", "--out", "data"],
          "speed must lie in (0, 1e+09]"),
+        ("scene.n_clusters = 2500\nscene.points_per_cluster = 10000\n"
+         "scene.width = 3000\nscene.height = 3000", ["simulate", "--out", "data"],
+         "scene needs more than 2000000 points"),
     ],
     ids=["speed", "frame-period", "points-per-cluster", "clutter-points", "ransac-iterations",
          "scene-width", "scene-height", "sensor-radius-simulate", "sensor-radius-evaluate",
-         "n-clusters", "turn-rate", "huge-speed"],
+         "n-clusters", "turn-rate", "huge-speed", "scene-points"],
 )
 def test_oversized_work_exits_3(tmp_path, capsys, monkeypatch, text, command, error):
     monkeypatch.chdir(tmp_path)

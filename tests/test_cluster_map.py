@@ -77,6 +77,15 @@ def test_non_landmark_cluster_rejected():
         Cluster.from_points(0, other_label(3), pts)
 
 
+def test_insert_rejects_non_landmark_label():
+    cluster_map = ClusterMap()
+    point = np.array([[0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="pole or trunk"):
+        cluster_map.insert(Cluster(0, other_label(5), point, point[0].copy()))
+    assert len(cluster_map) == 0
+    assert cluster_map.add(POLE, point).cluster_id == 0
+
+
 def test_ids_are_monotone_and_iteration_sorted(rng):
     cluster_map = ClusterMap()
     cluster_map.insert(Cluster.from_points(7, POLE, cluster_points(rng, (7.0, 0.0, 1.0))))

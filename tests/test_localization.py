@@ -108,6 +108,30 @@ def test_pipeline_rejects_mismatched_lengths():
         run_pipeline(frames, [], ClusterMap())
 
 
+def test_pipeline_reads_one_shot_iterators_as_it_reads_lists():
+    scene, run = _sim_setup(length=20.0)
+    listed = run_pipeline(
+        list(run.frames), list(run.increments), scene.cluster_map, initial_pose=run.initial_pose
+    )
+    streamed = run_pipeline(
+        iter(run.frames), iter(run.increments), scene.cluster_map, initial_pose=run.initial_pose
+    )
+    assert listed.fixes_applied > 0
+    assert (streamed.fixes_applied, streamed.failures) == (listed.fixes_applied, listed.failures)
+    for (t, pose), (t_listed, pose_listed) in zip(
+        streamed.trajectory, listed.trajectory, strict=True
+    ):
+        assert t == t_listed
+        assert np.array_equal(pose.as_matrix(), pose_listed.as_matrix())
+    last = run.increments[-1]
+    surplus = replace(last, timestamp=last.timestamp + 0.5)
+    with pytest.raises(ValueError, match="one increment"):
+        run_pipeline(
+            iter(run.frames), iter([*run.increments, surplus]), scene.cluster_map,
+            initial_pose=run.initial_pose,
+        )
+
+
 def _sim_setup(length=60.0, drift=None):
     scene = generate_scene(SceneSpec(area=(120.0, 120.0), n_clusters=45, seed=11))
     run = simulate_run(
@@ -354,7 +378,8 @@ def test_pipeline_trajectory_timestamps_match_frames():
 @pytest.mark.parametrize("first", [0, 3])
 def test_pipeline_rejects_increments_off_the_frame_timestamps(empty_map, first):
     # a fix lands at the newest increment, so increments[i-1] must carry
-    # frames[i]'s timestamp; the check comes before any attempt, with either map
+    # frames[i]'s timestamp; the first mismatch raises as its frame arrives,
+    # with either map
     scene, run = _sim_setup(length=20.0)
     increments = list(run.increments)
     for i in range(first, len(increments)):
