@@ -1,20 +1,27 @@
 """Pose recovery from associated cluster pairs.
 
 The accepted pipeline is association, pairwise-distance consistency
-filtering, RANSAC over two-point hypotheses on cluster centroids, a
-closed-form fit, and point-to-point ICP refinement over the member points of
-the surviving pairs, which re-queries only the points whose nearest target
-can have changed. The returned pose maps local-map coordinates into
-global-map coordinates. Every fit solves a yaw about z and a 3D translation:
-pole and trunk centroids sit at nearly one height and hold roll and pitch
-poorly, so both maps are taken as gravity-aligned, and relocalize_frame keeps
-the roll and pitch of the estimate it poses the local map at. One fit of a
-single correspondence set serves estimate_rigid_transform, coarse_align and
-every ICP step. It works on one C-ordered copy of the two sets, so the
-layout of its input cannot change the order of any sum, and takes both
-centroids from one cluster_map.segment_sums call over it, which adds the
-rows in order, as a mean over a stack of sets does. So it equals the
-batched mean/ptp form bit for bit under the numpy release that
+filtering, RANSAC over two-point hypotheses on cluster centroids, scored by
+planar distance, a closed-form fit, and point-to-point ICP refinement over
+the member points of the surviving pairs, which re-queries only the points
+whose nearest target can have changed. The returned pose maps local-map
+coordinates into global-map coordinates. Every fit solves a yaw about z and
+a planar translation, and keeps the height of the estimate the local map is
+posed at: pole and trunk centroids sit at nearly one height and hold roll
+and pitch poorly, so both maps are taken as gravity-aligned, and
+relocalize_frame keeps the roll and pitch of that estimate. Vertical poles
+barely fix height either, and point-to-point ICP would slide along them step
+after step. So fit_pairs sets the height once per fix, on the coarse fit
+before ICP: the median over the inlier pairs of the global cluster's lowest
+member z minus the local cluster's. That rule assumes that cluster bases
+reach the ground in both maps.
+
+One fit of a single correspondence set serves estimate_rigid_transform,
+coarse_align and every ICP step. It works on one C-ordered copy of the two
+sets, so the layout of its input cannot change the order of any sum, and
+takes both centroids from one cluster_map.segment_sums call over it, which
+adds the rows in order, as a mean over a stack of sets does. So it equals
+the batched mean/ptp form bit for bit under the numpy release that
 constraints.txt pins; tests/oracles.py keeps that form.
 
 fit_pairs runs every stage after association on any candidate pairs. Two
@@ -131,13 +138,14 @@ def _spread_xy(points: np.ndarray) -> bool:
 
 
 def _fit_yaw(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Least-squares fit of a yaw about z and a 3D translation to one
+    """Least-squares fit of a yaw about z and a planar translation to one
     correspondence set.
 
     src and dst are (n, 3). The yaw is the atan2 of the summed planar cross
     and dot products of the centred sets. Returns the rotation (3, 3), the
-    translation (3,) and whether both sets hold two distinct planar points;
-    without them the rotation and translation are meaningless.
+    translation (3,), whose z is 0, and whether both sets hold two distinct
+    planar points; without them the rotation and translation are
+    meaningless.
     """
     n = len(src)
     # Every sum below runs over a C-ordered copy, so the input layout cannot
@@ -149,11 +157,14 @@ def _fit_yaw(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     cross = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]).sum()
     dot = (a * b).sum()
     rot = rotation_about_z(np.arctan2(cross, dot))
-    return rot, c_dst - rot @ c_src, _spread_xy(src) and _spread_xy(dst)
+    trans = c_dst - rot @ c_src
+    trans[2] = 0.0
+    return rot, trans, _spread_xy(src) and _spread_xy(dst)
 
 
 def estimate_rigid_transform(src: np.ndarray, dst: np.ndarray) -> PoseSE3:
-    """Least-squares yaw and translation with dst ~= Rz(yaw) @ src + t.
+    """Least-squares yaw and planar translation with dst ~= Rz(yaw) @ src + t,
+    t = (tx, ty, 0): the fit never moves a point in z.
 
     Requires at least two correspondences; when either set's points all
     coincide in xy, no yaw is fixed and the fit raises.
@@ -177,10 +188,11 @@ def ransac_filter(
     """Largest inlier subset of pairs under a two-point hypothesis.
 
     Each two pairs (i, j), i < j, in np.triu_indices order, give a yaw and
-    translation fit; a pair is an inlier when its global centroid sits
-    within ransac_threshold of the transformed local centroid. Above
-    ransac_iterations hypotheses, that many are scored, at evenly spaced
-    positions of that order. The first hypothesis with the most inliers wins.
+    planar translation fit; a pair is an inlier when its global centroid
+    sits within ransac_threshold of the transformed local centroid in the
+    plane. Above ransac_iterations hypotheses, that many are scored, at
+    evenly spaced positions of that order. The first hypothesis with the
+    most inliers wins.
     """
     params = params or RelocParams()
     pairs = list(pairs)
@@ -194,23 +206,22 @@ def ransac_filter(
         i, j = i[pick], j[pick]
     # Each hypothesis's fit in closed form on (m,) columns, in the operation
     # order of the mean-based fit on its two pairs.
-    s, d = src.T, dst.T
+    s, d = src.T[:2], dst.T[:2]
     c_src, c_dst = (s[:, i] + s[:, j]) / 2, (d[:, i] + d[:, j]) / 2
-    (aix, aiy), (ajx, ajy) = s[:2, i] - c_src[:2], s[:2, j] - c_src[:2]
-    (bix, biy), (bjx, bjy) = d[:2, i] - c_dst[:2], d[:2, j] - c_dst[:2]
+    (aix, aiy), (ajx, ajy) = s[:, i] - c_src, s[:, j] - c_src
+    (bix, biy), (bjx, bjy) = d[:, i] - c_dst, d[:, j] - c_dst
     cross = (aix * biy - aiy * bix) + (ajx * bjy - ajy * bjx)
     dot = ((aix * bix + aiy * biy) + ajx * bjx) + ajy * bjy
-    valid = (s[:2, i] != s[:2, j]).any(axis=0) & (d[:2, i] != d[:2, j]).any(axis=0)
+    valid = (s[:, i] != s[:, j]).any(axis=0) & (d[:, i] != d[:, j]).any(axis=0)
     yaw = np.arctan2(cross, dot)
     cos, sin = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
-    (cx, cy, cz), (gx, gy, gz) = c_src[:, :, None], c_dst[:, :, None]
-    tx, ty, tz = gx - (cos * cx - sin * cy), gy - (sin * cx + cos * cy), gz - cz
-    # Residuals of every pair under every hypothesis, one (m, n) plane per
-    # coordinate.
+    (cx, cy), (gx, gy) = c_src[:, :, None], c_dst[:, :, None]
+    tx, ty = gx - (cos * cx - sin * cy), gy - (sin * cx + cos * cy)
+    # Planar residuals of every pair under every hypothesis, one (m, n) plane
+    # per coordinate.
     ex = d[0] - ((cos * s[0] - sin * s[1]) + tx)
     ey = d[1] - ((sin * s[0] + cos * s[1]) + ty)
-    ez = d[2] - (s[2] + tz)
-    masks = np.sqrt((ex * ex + ey * ey) + ez * ez) < params.ransac_threshold
+    masks = np.sqrt(ex * ex + ey * ey) < params.ransac_threshold
     # Degenerate hypotheses never win.
     inliers = np.where(valid, masks.sum(axis=1), -1)
     best = int(np.argmax(inliers))
@@ -220,7 +231,8 @@ def ransac_filter(
 
 
 def coarse_align(pairs, local_map: ClusterMap, global_map: ClusterMap) -> PoseSE3:
-    """Closed-form yaw and translation fit over the surviving pairs' centroids."""
+    """Closed-form yaw and planar translation fit over the surviving pairs'
+    centroids."""
     src, dst = _pair_centroids(list(pairs), local_map, global_map)
     return estimate_rigid_transform(src, dst)
 
@@ -312,8 +324,8 @@ def fit_pairs(
     global_map: ClusterMap,
     params: RelocParams | None = None,
 ) -> RelocResult:
-    """Pose from candidate pairs: consistency filter, RANSAC, the coarse fit
-    and ICP.
+    """Pose from candidate pairs: consistency filter, RANSAC, the coarse fit,
+    the height step (_base_height_offset) and ICP.
 
     Raises RelocalizationFailure with an enumerated reason when any stage
     leaves fewer than min_pairs correspondences or the fit degenerates.
@@ -337,8 +349,30 @@ def fit_pairs(
         coarse = coarse_align(pairs, local_map, global_map)
     except ValueError:
         raise RelocalizationFailure(FAILURE_DEGENERATE) from None
+    # The coarse fit keeps the local map's height, and ICP keeps its start's,
+    # so the offset does not depend on the planar pose; setting it first lets
+    # ICP pair points at the right height.
+    lift = _base_height_offset(pairs, local_map, global_map)
+    coarse = PoseSE3(coarse.rotation, coarse.translation + (0.0, 0.0, lift))
     pose, residual = fine_align(pairs, local_map, global_map, coarse, params)
     return RelocResult(pose=pose, inlier_pairs=tuple(pairs), residual_rms=residual)
+
+
+def _base_height_offset(pairs, local_map: ClusterMap, global_map: ClusterMap) -> float:
+    """Height that makes the matched cluster bases meet: the median over
+    pairs of the global cluster's lowest member z minus the local cluster's.
+    """
+    gaps = _lowest_z(global_map, [p.global_id for p in pairs]) - _lowest_z(
+        local_map, [p.local_id for p in pairs]
+    )
+    return float(np.median(gaps))
+
+
+def _lowest_z(cluster_map: ClusterMap, ids) -> np.ndarray:
+    """Lowest member z of each listed cluster, in one reduction."""
+    points = [cluster_map.get(i).points for i in ids]
+    starts = np.cumsum([0] + [len(p) for p in points[:-1]])
+    return np.minimum.reduceat(np.concatenate(points)[:, 2], starts)
 
 
 # Meters within which a guided attempt pairs clusters posed at the estimate.

@@ -2,10 +2,12 @@
 
 Scenes plant pole and trunk landmarks with a minimum spacing, sample member
 points around each landmark, and expose the result both as a cluster map and
-as a ground-truth list. Runs drive a straight or gently curving path through
-the scene, emit sensor-frame frames of the visible landmarks, and corrupt the
-true odometry increments according to a drift model. Everything is
-deterministic per seed.
+as a ground-truth list. A landmark is a vertical line, or with a radius a
+cylinder: the map samples its whole ring, while a scan samples only the half
+that faces the sensor. Nothing occludes anything. Runs drive a straight or
+gently curving path through the scene, emit sensor-frame frames of the
+landmarks in range, and corrupt the true odometry increments according to a
+drift model. Everything is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ MAX_CLUSTERS = 2_500
 MAX_POINTS_PER_CLUSTER = 10_000
 MAX_SCENE_POINTS = 2_000_000
 MAX_CLUTTER_POINTS = 100_000
+# Landmark radii go up to that of a broad old trunk, a sixth of the default
+# landmark spacing.
+MAX_LANDMARK_RADIUS = 1.0
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,8 @@ class SceneSpec:
     min_spacing: float = bounded(6.0, 0, MAX_COORDINATE)
     points_per_cluster: int = bounded(40, 1, MAX_POINTS_PER_CLUSTER)
     point_noise_sigma: float = bounded(0.03, 0)
+    pole_radius: float = bounded(0.0, 0, MAX_LANDMARK_RADIUS)
+    trunk_radius: float = bounded(0.0, 0, MAX_LANDMARK_RADIUS)
     seed: int = bounded(0, 0)
 
     def __post_init__(self):
@@ -114,6 +121,7 @@ class SensorSpec:
 class DriftSpec:
     translational_drift: float = bounded(0.0, -1, 1)  # fraction of distance traveled
     rotational_drift: float = bounded(0.0, -360, 360)  # degrees of yaw bias per meter
+    vertical_drift: float = bounded(0.0, -1, 1)  # meters of height per meter
     noise_sigma: float = bounded(0.0, 0, MAX_COORDINATE)  # per-increment translation noise, m
     seed: int = bounded(0, 0)
 
@@ -128,10 +136,28 @@ class SimRun:
     initial_pose: PoseSE3
 
 
-def _landmark_points(rng: np.random.Generator, landmark: Landmark, count: int, sigma: float):
-    height = POLE_HEIGHT if landmark.label == POLE else TRUNK_HEIGHT
+def _landmark_points(rng: np.random.Generator, landmark: Landmark, spec: SceneSpec, facing=None):
+    """spec.points_per_cluster member points of a landmark, from the ground to
+    its height, with Gaussian noise in xy. A landmark of radius 0 is its axis,
+    and no angle is drawn. Otherwise each point lies on its ring, at an angle
+    drawn from the whole ring, or from the half facing the xy position
+    facing when it is given.
+    """
+    count = spec.points_per_cluster
+    sigma = spec.point_noise_sigma
+    if landmark.label == POLE:
+        height, radius = POLE_HEIGHT, spec.pole_radius
+    else:
+        height, radius = TRUNK_HEIGHT, spec.trunk_radius
     xy = rng.normal(0.0, sigma, size=(count, 2)) if sigma > 0 else np.zeros((count, 2))
     z = rng.uniform(0.0, height, size=count)
+    if radius > 0:
+        if facing is None:
+            angle = rng.uniform(-math.pi, math.pi, size=count)
+        else:
+            toward = math.atan2(facing[1] - landmark.y, facing[0] - landmark.x)
+            angle = toward + rng.uniform(-math.pi / 2, math.pi / 2, size=count)
+        xy = xy + radius * np.column_stack([np.cos(angle), np.sin(angle)])
     return np.column_stack([landmark.x + xy[:, 0], landmark.y + xy[:, 1], z])
 
 
@@ -167,8 +193,7 @@ def generate_scene(spec: SceneSpec | None = None) -> Scene:
     ]
     cluster_map = ClusterMap()
     for landmark in landmarks:
-        pts = _landmark_points(rng, landmark, spec.points_per_cluster, spec.point_noise_sigma)
-        cluster_map.add(landmark.label, pts)
+        cluster_map.add(landmark.label, _landmark_points(rng, landmark, spec))
     return Scene(cluster_map=cluster_map, landmarks=tuple(landmarks), spec=spec)
 
 
@@ -208,8 +233,9 @@ def simulate_run(
     """Drive through the scene, emitting frames and corrupted odometry.
 
     The drift model scales each increment translation by the translational
-    fraction, adds a yaw bias proportional to the step length, and adds
-    Gaussian translation noise. Zero drift reproduces the true increments.
+    fraction, adds a height gain and a yaw bias proportional to the step
+    length, and adds Gaussian translation noise. Zero drift reproduces the
+    true increments.
     """
     trajectory = trajectory or TrajectorySpec()
     drift = drift or DriftSpec()
@@ -246,6 +272,8 @@ def simulate_run(
         rel = t_prev.inverse() @ t_curr
         step_len = float(np.linalg.norm(rel.translation))
         translation = rel.translation * (1.0 + drift.translational_drift)
+        if drift.vertical_drift:
+            translation[2] += drift.vertical_drift * step_len
         if drift.noise_sigma > 0:
             translation = translation + rng.normal(0.0, drift.noise_sigma, size=3)
         rotation = rel.rotation @ rotation_about_z(math.radians(drift.rotational_drift * step_len))
@@ -267,7 +295,8 @@ def sensor_frame(
     timestamp: float,
     sensor: SensorSpec | None = None,
 ) -> Frame:
-    """One labeled scan of the landmarks visible from a pose."""
+    """One labeled scan of the landmarks within sensor range of a pose; a
+    landmark with a radius shows the half of its ring that faces the pose."""
     sensor = sensor or SensorSpec()
     inv = pose.inverse()
     position = pose.translation[:2]
@@ -276,9 +305,7 @@ def sensor_frame(
     for landmark in scene.landmarks:
         if (landmark.x - position[0]) ** 2 + (landmark.y - position[1]) ** 2 > sensor.radius**2:
             continue
-        world = _landmark_points(
-            rng, landmark, scene.spec.points_per_cluster, scene.spec.point_noise_sigma
-        )
+        world = _landmark_points(rng, landmark, scene.spec, facing=position)
         label = landmark.label
         if sensor.label_flip_rate > 0 and rng.random() < sensor.label_flip_rate:
             label = TRUNK if label == POLE else POLE

@@ -307,12 +307,12 @@ def oracle_consistency_filter(pairs, local_map, global_map, tolerance: float):
 
 
 def oracle_batched_yaw_fit(src, dst):
-    """Yaw and translation fits of a stack of correspondence sets, in the
-    mean/ptp form the single-set fit must equal bit for bit.
+    """Yaw and planar translation fits of a stack of correspondence sets, in
+    the mean/ptp form the single-set fit must equal bit for bit.
 
     src and dst are (m, n, 3). Returns rotations (m, 3, 3), translations
-    (m, 3) and a mask of the fits in which both sets hold two distinct planar
-    points; the other fits hold meaningless values.
+    (m, 3) whose z is 0, and a mask of the fits in which both sets hold two
+    distinct planar points; the other fits hold meaningless values.
     """
     c_src = src.mean(axis=1)
     c_dst = dst.mean(axis=1)
@@ -324,13 +324,16 @@ def oracle_batched_yaw_fit(src, dst):
     yaw = np.arctan2(cross, dot)
     cos, sin, zero, one = np.cos(yaw), np.sin(yaw), np.zeros_like(yaw), np.ones_like(yaw)
     rot = np.stack([cos, -sin, zero, sin, cos, zero, zero, zero, one], axis=1).reshape(-1, 3, 3)
-    return rot, c_dst - np.matmul(rot, c_src[:, :, None])[:, :, 0], valid
+    trans = c_dst - np.matmul(rot, c_src[:, :, None])[:, :, 0]
+    trans[:, 2] = 0.0
+    return rot, trans, valid
 
 
 def _oracle_yaw_fit(src, dst):
-    """Yaw and translation fit of one set as (rotation, translation), from
-    the complex planar offsets of the centred sets; None when the points of
-    either side all share one planar position."""
+    """Yaw and planar translation fit of one set as (rotation, translation),
+    from the complex planar offsets of the centred sets, with a translation
+    whose z is 0; None when the points of either side all share one planar
+    position."""
     if min(len({(p[0], p[1]) for p in points}) for points in (src, dst)) < 2:
         return None
     c_src = src.mean(axis=0)
@@ -341,12 +344,14 @@ def _oracle_yaw_fit(src, dst):
     yaw = math.atan2(total.imag, total.real)
     c, s = math.cos(yaw), math.sin(yaw)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return rot, c_dst - rot @ c_src
+    trans = c_dst - rot @ c_src
+    trans[2] = 0.0
+    return rot, trans
 
 
 def oracle_ransac_filter(pairs, local_map, global_map, params):
-    """Reference RANSAC: one fit per two-pair hypothesis, the first strictly
-    best mask wins.
+    """Reference RANSAC: one fit per two-pair hypothesis, scored by planar
+    distance; the first strictly best mask wins.
 
     Hypotheses run over i < j in nested-loop order; above ransac_iterations
     of them only the k-th, for k = t * total // ransac_iterations, is scored.
@@ -367,7 +372,7 @@ def oracle_ransac_filter(pairs, local_map, global_map, params):
         if fit is None:
             continue
         rot, trans = fit
-        residuals = np.linalg.norm(dst - (src @ rot.T + trans), axis=1)
+        residuals = np.linalg.norm((dst - (src @ rot.T + trans))[:, :2], axis=1)
         mask = residuals < params.ransac_threshold
         if best_mask is None or mask.sum() > best_mask.sum():
             best_mask = mask

@@ -653,9 +653,9 @@ GOLDEN_SHA256 = {
     "data/map.txt.points": "a95d5350bcd29396d903b990399701c95a3c20663ed39053cd2ad2b72bbc196b",
     "built.txt": "facdb537e75809ae264a43bc154eb6b76416ab7c2a1a0820474bd70dc5dc7b80",
     "built.txt.points": "eddd84b20c58bb77ec8d36718151fe5c1e9d9f8690efdac0d84f328010a73446",
-    "estimated.txt": "93f38d8cec298702540c117b216ae6f1d850968071697946292f60e6976901e5",
+    "estimated.txt": "711431271e1abed24ff7233b29a86e3ad929661144e454660682e5757aad4d38",
 }
-GOLDEN_RELOCALIZE_SHA256 = "d725cbf66ed5f724891eb26e455993d99160571df31adae373428b7539b98b9d"
+GOLDEN_RELOCALIZE_SHA256 = "37d01b6c4297e023395dbbcba8b8c8425f1f97a5e4d0392bd8ea8849b93a395f"
 # The distance-to-relocalize study on the same scene, four trials per
 # retention; at 0.25 every trial is censored at the drive's maximum distance.
 GOLDEN_EVALUATE_SHA256 = "9d87fcb4bb0a1f2168e379f35fc7ca2dcdbd2edcad8b26a332b396e450e77f5a"
@@ -672,7 +672,7 @@ def test_outputs_are_byte_exact(tmp_path, capsys):
     assert capsys.readouterr().out.split("\n") == [
         "frames 17", "clusters 70", "length 40.000",
         "clusters 37", "density 0.925000",
-        "fixes 17 attempts 17", "rmse 0.020696", "",
+        "fixes 17 attempts 17", "rmse 0.034145", "",
     ]
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
@@ -682,6 +682,33 @@ def test_outputs_are_byte_exact(tmp_path, capsys):
                  "--config", str(cfg)]) == 0
     relocalized = capsys.readouterr().out.encode("ascii")
     assert hashlib.sha256(relocalized).hexdigest() == GOLDEN_RELOCALIZE_SHA256
+
+
+# sha256 over every file that simulate writes (relative path, NUL, bytes,
+# NUL, in path order), recorded before landmark radii and vertical drift
+# existed. The second config also turns, flips labels, adds clutter and
+# drifts in yaw, so every random stream of the simulator is drawn.
+BUSY_CONFIG = GOLDEN_CONFIG + """drift.rotational_drift = 0.005
+sensor.label_flip_rate = 0.05
+sensor.clutter_points = 20
+trajectory.turn_rate_deg_per_m = 0.6
+"""
+ZERO_EXTENSIONS = "scene.pole_radius = 0.0\nscene.trunk_radius = 0.0\ndrift.vertical_drift = 0.0\n"
+
+
+@pytest.mark.parametrize("text, digest", [
+    (GOLDEN_CONFIG, "2f765294b112928cba606275389267f65e0624659af03f00f4af98d8d9db7a35"),
+    (BUSY_CONFIG, "0f149616c2230a3ec5b05a1f7049348074fcd99f4af736a7fa395db7f1aec3d9"),
+], ids=["golden", "busy"])
+def test_zero_radius_and_vertical_drift_simulate_as_before(tmp_path, capsys, text, digest):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(text + ZERO_EXTENSIONS, encoding="ascii")
+    data = tmp_path / "data"
+    assert main(["simulate", "--out", str(data), "--config", str(cfg)]) == 0
+    total = hashlib.sha256()
+    for path in sorted(p for p in data.rglob("*") if p.is_file()):
+        total.update(path.relative_to(data).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
+    assert total.hexdigest() == digest
 
 
 def test_build_map_from_odometry_poses(tmp_path, capsys):
@@ -728,8 +755,8 @@ def test_config_output_is_byte_exact(tmp_path, capsys):
         assert main(["config", *extra]) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest())
     assert digests == [
-        "efff084669a070fcc21acef9b33589ecea2e3bdf0e7288724608fb9d65a5ecc0",
-        "bccb85de07d7a2b9501c655bec878b33abcbaeecbf300ee760e0945572877a05",
+        "2b5abab8eea6172d791f61e1da832c4a834a70fd3e71f54bbe4e60d5f00e4465",
+        "c30eecef1e09c804e93756082c815d3d1dec2e562e979c16ff106c4badb89637",
     ]
 
 

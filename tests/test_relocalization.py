@@ -146,22 +146,26 @@ def test_consistency_matches_reference_loop(rng):
 
 
 def test_rigid_fit_recovers_random_transform(rng):
+    # the yaw and planar translation of any motion; the fit never moves z
     for _ in range(20):
         src = rng.uniform(-10, 10, (12, 3))
         pose = PoseSE3(rotation_about_z(rng.uniform(-math.pi, math.pi)), rng.uniform(-30, 30, 3))
         dst = pose.apply(src)
         fit = estimate_rigid_transform(src, dst)
         assert np.allclose(fit.rotation, pose.rotation, atol=1e-9)
-        assert np.allclose(fit.translation, pose.translation, atol=1e-8)
+        assert np.allclose(fit.translation[:2], pose.translation[:2], atol=1e-8)
+        assert fit.translation[2] == 0.0
         assert abs(np.linalg.det(fit.rotation) - 1.0) < 1e-9
 
 
 def test_rigid_fit_from_two_planar_points():
-    # two distinct planar points, at different heights, fix yaw and translation
+    # two distinct planar points, at different heights, fix yaw and the
+    # planar translation; the height offset is left alone
     src = np.array([[3.0, -1.0, 0.5], [-2.0, 4.0, 2.5]])
     pose = PoseSE3(rotation_about_z(2.0), np.array([7.0, -3.0, 1.5]))
     fit = estimate_rigid_transform(src, pose.apply(src))
-    assert np.allclose(fit.as_matrix(), pose.as_matrix(), atol=1e-12)
+    planar = PoseSE3(pose.rotation, np.array([7.0, -3.0, 0.0]))
+    assert np.allclose(fit.as_matrix(), planar.as_matrix(), atol=1e-12)
 
 
 def test_rigid_fit_rejects_points_coincident_in_xy(rng):
@@ -366,6 +370,21 @@ def test_fine_align_never_degrades(rng):
     assert rms <= init_rms + 1e-12
 
 
+def test_fine_align_never_changes_z_from_init(rng):
+    # the local map sits 1.5 m up; every ICP step turns about z and moves in
+    # the plane, so the pose keeps init's height bit for bit
+    global_map = random_map(rng, 12)
+    local = moved_copy(global_map, PoseSE3(rotation_about_z(0.05), np.array([0.2, -0.1, 1.5])),
+                       rng, sigma=0.02)
+    for z in (0.0, 0.7, -2.5):
+        init = PoseSE3(rotation_about_z(-0.04), np.array([-0.1, 0.1, z]))
+        pose, _ = fine_align(identity_pairs(12), local, global_map, init,
+                             RelocParams(icp_convergence=0.0))
+        assert not np.array_equal(pose.translation[:2], init.translation[:2])
+        assert pose.translation[2] == z
+        assert np.array_equal(pose.rotation[2], [0.0, 0.0, 1.0])
+
+
 def test_fine_align_rejects_empty_pairs(rng):
     global_map = random_map(rng, 4, extent=20.0)
     local = moved_copy(global_map, PoseSE3.identity())
@@ -529,6 +548,24 @@ def test_relocalize_recovers_pose(rng):
     assert ids == sorted(ids)
 
 
+@pytest.mark.parametrize("guided", [False, True], ids=["star", "guided"])
+def test_relocalize_recovers_height_through_the_base_step(rng, guided):
+    # the local map sits 1.5 m above the global one; the fit keeps that
+    # height, and the one height step per fix puts the bases back before
+    # ICP, so ICP pairs points at the right height
+    global_map = random_map(rng, 25, extent=60.0, min_spacing=4.0)
+    shift = [0.3, -0.1] if guided else [30.0, -18.0]
+    offset = PoseSE3(rotation_about_z(0.002 if guided else 0.7), np.array([*shift, 1.5]))
+    local = moved_copy(global_map, offset, rng, sigma=0.02)
+    result = relocalize(local, global_map, guided=guided)
+    assert result.path == ("guided" if guided else "star")
+    truth = offset.inverse()
+    assert abs(result.pose.translation[2] - truth.translation[2]) < 0.05
+    assert np.linalg.norm(result.pose.translation - truth.translation) < 0.1
+    assert rotation_angle_deg(result.pose.rotation.T @ truth.rotation) < 0.5
+    assert result.residual_rms < 0.2
+
+
 def test_relocalize_no_matches(rng):
     sparse = point_map([(0.0, 0.0), (30.0, 0.0)])
     global_map = random_map(rng, 15, extent=40.0)
@@ -576,12 +613,15 @@ def test_relocalize_ransac_failure(monkeypatch):
 
 
 def test_fit_pairs_degenerate_fit():
-    """Four pairs stacked on one vertical line outvote two that tilt the
-    rest: every pair passes the consistency filter, RANSAC keeps only the
-    stack, and a coarse fit over one planar position has no yaw."""
+    """Four pairs stacked on one vertical line of the local map outvote two
+    whose lengths agree in 3D but differ by 2 m in the plane: every pair
+    passes the consistency filter, RANSAC, which scores in the plane, keeps
+    only the stack, and a coarse fit over one local planar position has no
+    yaw."""
     stack = [(0.0, 0.0, float(z)) for z in range(4)]
-    local = point_map([(10.0, 0.0, 0.0), (0.0, 10.0, 0.0)] + stack)
-    global_map = point_map([(10.0, 0.0, 1.2), (0.0, 10.0, -1.2)] + stack)
+    local = point_map([(-7.0, 10.0, -9.0), (-5.0, -10.0, 8.0)] + stack)
+    global_map = point_map([(-5.0, 12.0, -8.0), (-7.0, -10.0, 6.0), (0.2, 0.0, 0.0),
+                            (-0.2, -0.2, 1.0), (-0.1, 0.1, 2.0), (-0.1, 0.1, 3.0)])
     pairs = identity_pairs(6)
     assert geometric_consistency_filter(pairs, local, global_map, 0.5) == pairs
     assert ransac_filter(pairs, local, global_map, RelocParams()) == pairs[2:]

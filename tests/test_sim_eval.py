@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,6 +142,16 @@ def test_simulate_run_rotational_drift_biases_yaw():
         np.testing.assert_allclose(inc.relative_pose.rotation, expected, atol=1e-12)
 
 
+def test_simulate_run_vertical_drift_climbs_per_meter():
+    clean = _small_run(DriftSpec())
+    drifted = _small_run(DriftSpec(vertical_drift=0.002))
+    for a, b in zip(clean.increments, drifted.increments):
+        step_len = float(np.linalg.norm(a.relative_pose.translation))
+        want = a.relative_pose.translation + [0.0, 0.0, 0.002 * step_len]
+        np.testing.assert_allclose(b.relative_pose.translation, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(b.relative_pose.rotation, a.relative_pose.rotation)
+
+
 def test_simulate_run_noise_is_seeded():
     a = _small_run(DriftSpec(noise_sigma=0.01, seed=42))
     b = _small_run(DriftSpec(noise_sigma=0.01, seed=42))
@@ -203,6 +214,33 @@ def test_sensor_frame_points_are_in_vehicle_coordinates():
     # landmark sits 10 m ahead of the rotated sensor, i.e. along body +x
     np.testing.assert_allclose(frame.xyz[:, 0], 10.0, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(frame.xyz[:, 1], 0.0, rtol=0.0, atol=1e-9)
+
+
+def test_half_ring_scan_centroid_sits_2r_over_pi_toward_the_sensor():
+    # no noise: each scanned point lies on the ring, on the half facing the
+    # sensor, so the scan's centroid moves toward it by r * E[cos] = 2r/pi
+    # over uniform angles in +-90 degrees; the map's full ring stays centred
+    r, n = 0.25, 10_000
+    landmark = Landmark(30.0, 40.0, TRUNK)
+    spec = SceneSpec(area=(200.0, 200.0), n_clusters=0, points_per_cluster=n,
+                     point_noise_sigma=0.0, pole_radius=0.1, trunk_radius=r)
+    scene = Scene(cluster_map=ClusterMap(), landmarks=(landmark,), spec=spec)
+    pose = PoseSE3(rotation_about_z(0.4), np.array([20.0, 30.0, 0.0]))
+    frame = sensor_frame(np.random.default_rng(3), scene, pose, 0.0, SensorSpec(radius=60.0))
+    offsets = pose.apply(frame.xyz)[:, :2] - (landmark.x, landmark.y)
+    toward = (pose.translation[:2] - (landmark.x, landmark.y)) / math.hypot(10.0, 10.0)
+    across = np.array([-toward[1], toward[0]])
+    np.testing.assert_allclose(np.hypot(offsets[:, 0], offsets[:, 1]), r, rtol=0.0, atol=1e-9)
+    assert (offsets @ toward >= -1e-9).all()
+    # the sampling spread of the mean is 0.31 r / sqrt(n) along, 0.71 r /
+    # sqrt(n) across; both tolerances are about five of those
+    assert abs(offsets.mean(axis=0) @ toward - 2 * r / math.pi) < 0.004
+    assert abs(offsets.mean(axis=0) @ across) < 0.01
+    full = generate_scene(replace(spec, n_clusters=1))
+    ring = full.cluster_map.get(0).points[:, :2] - (full.landmarks[0].x, full.landmarks[0].y)
+    np.testing.assert_allclose(np.hypot(ring[:, 0], ring[:, 1]),
+                               r if full.landmarks[0].label == TRUNK else 0.1, rtol=0.0, atol=1e-9)
+    assert np.hypot(*ring.mean(axis=0)) < 0.01
 
 
 def test_sensor_frame_label_flips():
