@@ -60,9 +60,9 @@ def _groups(points: np.ndarray, params: ExtractionParams) -> tuple[np.ndarray, n
     if n == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     # query_pairs reports every pair within the distance whatever the tree's
-    # shape, so take the tree that builds fastest: sliding-midpoint splits,
-    # node boxes not shrunk to their points.
-    tree = kdtree(points, balanced_tree=False, compact_nodes=False)
+    # shape, so take the tree that builds fastest for one query: kdtree's
+    # sliding-midpoint splits, node boxes not shrunk to their points.
+    tree = kdtree(points, compact_nodes=False)
     pairs = tree.query_pairs(params.cluster_distance, output_type="ndarray")
     roots = _component_roots(n, pairs)
     # Sorting by root orders groups by smallest member; stability keeps

@@ -4,17 +4,19 @@ The accepted pipeline is association, pairwise-distance consistency
 filtering, RANSAC over two-point hypotheses on cluster centroids, scored by
 planar distance, a closed-form fit, and point-to-point ICP refinement over
 the member points of the surviving pairs, which re-queries only the points
-whose nearest target can have changed. The returned pose maps local-map
-coordinates into global-map coordinates. Every fit solves a yaw about z and
-a planar translation, and keeps the height of the estimate the local map is
-posed at: pole and trunk centroids sit at nearly one height and hold roll
-and pitch poorly, so both maps are taken as gravity-aligned, and
-relocalize_frame keeps the roll and pitch of that estimate. Vertical poles
-barely fix height either, and point-to-point ICP would slide along them step
-after step. So fit_pairs sets the height once per fix, on the coarse fit
-before ICP: the median over the inlier pairs of the global cluster's lowest
-member z minus the local cluster's. That rule assumes that cluster bases
-reach the ground in both maps.
+whose nearest target can have changed. ICP searches a kd-tree of
+cluster_map.kdtree's sliding-midpoint layout, and takes the lowest row
+among equally near targets, so its poses do not depend on the layout. The
+returned pose maps local-map coordinates into global-map coordinates. Every
+fit solves a yaw about z and a planar translation, and keeps the height of
+the estimate the local map is posed at: pole and trunk centroids sit at
+nearly one height and hold roll and pitch poorly, so both maps are taken as
+gravity-aligned, and relocalize_frame keeps the roll and pitch of that
+estimate. Vertical poles barely fix height either, and point-to-point ICP
+would slide along them step after step. So fit_pairs sets the height once
+per fix, on the coarse fit before ICP: the median over the inlier pairs of
+the global cluster's lowest member z minus the local cluster's. That rule
+assumes that cluster bases reach the ground in both maps.
 
 One fit of a single correspondence set serves estimate_rigid_transform,
 coarse_align and every ICP step. It works on one C-ordered copy of the two
@@ -251,14 +253,23 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _query_two(tree, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest distances and rows as tree.query(points) returns them, and each
-    point's second-nearest distance (inf when the tree holds one point)."""
+    """Nearest distances and rows, and each point's second-nearest distance
+    (inf when the tree holds one point). Among equally near targets the
+    nearest row is the lowest, whatever the tree's layout."""
     d, i = tree.query(points, k=2)
     nearest = i[:, 0]
-    tied = d[:, 0] == d[:, 1]
-    if tied.any():
-        # k=2 may list equal distances in either order; k=1 breaks the tie.
-        nearest[tied] = tree.query(points[tied])[1]
+    tied = np.flatnonzero(d[:, 0] == d[:, 1])
+    if len(tied):
+        # k=2 may list equal distances in either order and leave out a third,
+        # and which one k=1 names depends on the layout. A slightly wider
+        # ball holds every tied target, in ascending row order; _distances
+        # tells the tied ones apart exactly.
+        radii = d[tied, 0] * (1.0 + 1e-9)
+        hits = tree.query_ball_point(points[tied], radii, return_sorted=True)
+        for row, near in zip(tied, hits):
+            near = np.asarray(near)
+            exact = _distances(tree.data[near], points[row]) == d[row, 0]
+            nearest[row] = near[np.argmax(exact)]
     return d[:, 0], nearest, d[:, 1]
 
 

@@ -418,7 +418,9 @@ def oracle_edge_stars(cluster_map, search_radius: float):
 
 def oracle_fine_align(pairs, local_map, global_map, init, params):
     """Reference ICP over the member points of the pairs: one kd-tree query
-    for each residual and another for each step's correspondences.
+    for each residual and another for each step's correspondences, which
+    lists every target by distance and takes the lowest row among the
+    equally near ones.
 
     Returns (pose, residual, exit) with exit one of "converged", "rose",
     "degenerate" or "iterations".
@@ -437,7 +439,8 @@ def oracle_fine_align(pairs, local_map, global_map, init, params):
     pose = init
     for _ in range(params.icp_max_iterations):
         moved = pose.apply(src)
-        _, idx = tree.query(moved)
+        d, rows = tree.query(moved, k=list(range(1, len(dst) + 1)))
+        idx = np.where(d == d[:, :1], rows, len(dst)).min(axis=1)
         try:
             delta = estimate_rigid_transform(moved, dst[idx])
         except ValueError:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 from polemap import (
@@ -24,6 +25,7 @@ from polemap import (
 )
 from polemap import relocalization
 from polemap.association import AssociationParams
+from polemap.cluster_map import kdtree
 from polemap.geometry import rotation_about_z
 from polemap.map_io import load_map, save_map
 from conftest import moved_copy, planar_pose, random_map
@@ -307,6 +309,19 @@ def collinear_scene(rng):
     return local, global_map, identity_pairs(8)
 
 
+def lifted_scene(rng):
+    """Eight pairs that agree in the plane, five of them lifted or lowered
+    by more than ransac_threshold: only a planar score keeps every pair."""
+    threshold = RelocParams().ransac_threshold
+    global_map = point_map([(*rng.uniform(0, 60, 2), rng.uniform(0, 3)) for _ in range(8)])
+    pose = planar_pose(rng)
+    local = ClusterMap()
+    for k, c in enumerate(global_map):
+        lift = rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 5.0) * threshold if k < 5 else 0.0
+        local.add(POLE, [pose.apply(c.centroid3d) + (0.0, 0.0, lift)])
+    return local, global_map, identity_pairs(8)
+
+
 def assert_ransac_agrees(pairs, local, global_map, params):
     try:
         want = oracle_ransac_filter(pairs, local, global_map, params)
@@ -318,7 +333,7 @@ def assert_ransac_agrees(pairs, local, global_map, params):
 
 
 def test_ransac_matches_reference_loop(rng):
-    scenes = [two_motion_scene(rng), stacked_scene(rng), collinear_scene(rng)]
+    scenes = [two_motion_scene(rng), stacked_scene(rng), collinear_scene(rng), lifted_scene(rng)]
     for n_outliers in (5, 10):
         local, global_map, _, pairs = outlier_scene(rng, 8, n_outliers)
         scenes.append((local, global_map, pairs))
@@ -423,7 +438,21 @@ def doubled(cluster_map) -> ClusterMap:
     return out
 
 
-def test_fine_align_matches_reference_loop(tmp_path):
+def spread_tied_scene():
+    """tied_scene over twenty clusters, so that the 40 targets fill more
+    than one kd-tree leaf and the layout decides which of two equally near
+    targets a query meets first."""
+    rng = np.random.default_rng(3)
+    centers = rng.integers(-40, 40, size=(20, 2)) * 3.0
+    global_map, local = ClusterMap(), ClusterMap()
+    for x, y in centers:
+        global_map.add(POLE, [(x - 1.0, y, 0.0), (x + 1.0, y, 0.0)])
+        local.add(POLE, [(x, y, 0.0)])
+    return local, global_map
+
+
+def fine_align_cases(tmp_path) -> list:
+    """(pairs, local, global, init, params) for the reference-loop test."""
     cases = []
     for seed in range(6):
         local, global_map, init = icp_scene(seed)
@@ -438,6 +467,8 @@ def test_fine_align_matches_reference_loop(tmp_path):
     # every source point tied between two targets at the start
     local, global_map = tied_scene()
     cases.append((identity_pairs(5), local, global_map, PoseSE3.identity(), RelocParams()))
+    local, global_map = spread_tied_scene()
+    cases.append((identity_pairs(20), local, global_map, PoseSE3.identity(), RelocParams()))
     # a map saved without its sidecar: one target point per pair
     local, global_map, init = icp_scene(6)
     save_map(global_map, tmp_path / "map.txt")
@@ -458,6 +489,11 @@ def test_fine_align_matches_reference_loop(tmp_path):
     local, global_map, init = icp_scene(9)
     far = planar_pose(rng, 20.0, 3.0) @ init
     cases.append((identity_pairs(10), local, global_map, far, RelocParams(icp_max_iterations=5)))
+    return cases
+
+
+def test_fine_align_matches_reference_loop(tmp_path):
+    cases = fine_align_cases(tmp_path)
     exits = []
     for case in cases:
         want_pose, want_rms, exit_ = oracle_fine_align(*case)
@@ -468,6 +504,30 @@ def test_fine_align_matches_reference_loop(tmp_path):
         exits.append(exit_)
     assert set(exits) == {"converged", "rose", "degenerate", "iterations"}
     assert exits[-1] == "iterations"
+
+
+def test_fine_align_does_not_depend_on_the_tree_layout(tmp_path, monkeypatch):
+    cases = fine_align_cases(tmp_path)
+    cases += [(identity_pairs(10), *icp_scene(seed), RelocParams()) for seed in range(10)]
+    roots = {}
+
+    def layouts(balanced):
+        def build(points):
+            tree = cKDTree(points) if balanced else kdtree(points)
+            roots.setdefault(balanced, []).append(tree.tree.split)
+            return tree
+
+        return build
+
+    for case in cases:
+        results = []
+        for balanced in (True, False):
+            monkeypatch.setattr(relocalization, "kdtree", layouts(balanced))
+            pose, rms = fine_align(*case)
+            results.append((pose.as_matrix().tobytes(), rms))
+        assert results[0] == results[1]
+    # median and sliding-midpoint splits really did build different trees
+    assert roots[True] != roots[False]
 
 
 def test_fine_align_correspondences_exact_along_swinging_path(monkeypatch):
@@ -520,7 +580,9 @@ def test_fine_align_requeries_only_stale_rows(monkeypatch):
             rows.append(len(x))
             return super().query(x, *args, **kwargs)
 
-    monkeypatch.setattr(relocalization, "kdtree", CountingTree)
+    # kdtree imports cKDTree when it builds, so this counts the queries on
+    # a tree of the layout that ships
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     local, global_map, init = icp_scene(0)
     n_src = sum(c.n_points for c in local)
     # no convergence stop: ICP runs until its residual rises
