@@ -41,7 +41,7 @@ from .evaluate import (
     success,
     trajectory_length,
 )
-from .extraction import ExtractionParams, euclidean_cluster, extract_clusters
+from .extraction import ExtractionParams, extract_clusters
 from .geometry import PoseSE3, rotation_about_z
 from .localization import (
     AnchoredPose,

@@ -20,6 +20,7 @@ from .config import Config, default_config, dump_config, load_config
 from .dataset_io import Dataset, save_poses, write_dataset, write_files
 from .errors import ConfigError, PolemapError
 from .evaluate import (
+    cluster_density,
     evaluate_localization,
     evaluate_relocalization,
     trajectory_length,
@@ -151,7 +152,7 @@ def _cmd_build_map(args) -> int:
     length = trajectory_length(positions)
     print(f"clusters {len(cluster_map)}")
     if length > 0:
-        print(f"density {len(cluster_map) / length:.6f}")
+        print(f"density {cluster_density(len(cluster_map), length):.6f}")
     return 0
 
 

@@ -23,11 +23,11 @@ it takes lands in exactly one cluster: its target or, for -1, a new one
 under the next free id in run order. Each landing cluster is one segment
 of a single segment_sums call, its kept sum (if it exists) before its
 runs' rows in run order. Every run is checked before anything changes;
-merge_points and add are absorb's one-run cases. A landing in an existing
-cluster, and in a new one when absorb is told capped, keeps only the first
-point seen in each VOXEL_SIZE voxel as a member, so members stay bounded
-while the centroid and the observed count still cover every point. The map
-computes those voxel keys itself, one voxel_keys call per absorb call.
+add is absorb's one-run case. A landing in an existing cluster, and in a
+new one when absorb is told capped, keeps only the first point seen in each
+VOXEL_SIZE voxel as a member, so members stay bounded while the centroid
+and the observed count still cover every point. The map computes those
+voxel keys itself, one voxel_keys call per absorb call.
 
 kdtree is the package's one kd-tree constructor. It imports scipy.spatial
 when it builds its first tree, so a process that builds none never loads it.
@@ -172,14 +172,6 @@ class Cluster:
         if self.observed is None:
             self.observed = len(self.points)
 
-    @classmethod
-    def from_points(cls, cluster_id: int, label: int, points) -> "Cluster":
-        """A cluster of points under cluster_id, checked and summed as
-        ClusterMap.add stores one."""
-        cluster = ClusterMap().add(label, points)
-        cluster.cluster_id = cluster_id
-        return cluster
-
     @property
     def centroid2d(self) -> np.ndarray:
         return self.centroid3d[:2]
@@ -248,32 +240,19 @@ class ClusterMap:
         self._next_id = max(self._next_id, cluster.cluster_id + 1)
         self._derived.clear()
 
-    def merge_points(self, cluster_id: int, new_points) -> Cluster:
-        """Fold points into an existing cluster and update its centroid.
-
-        The one-run case of absorb: the centroid becomes the mean of every
-        point observed at a cost that grows with the new points only, and
-        only the new points in a voxel the cluster has no member in yet
-        become members. Non-finite points or an overflowing sum raise
-        ValueError and leave the cluster unchanged.
-        """
-        cluster = self._clusters[cluster_id]
-        new_points = np.asarray(new_points, dtype=float).reshape(-1, 3)
-        self.absorb([cluster_id], [cluster.label], new_points, [len(new_points)])
-        return cluster
-
     def absorb(self, targets, labels, points, counts, capped=False) -> list[Cluster]:
         """Land each run of rows of points in exactly one cluster; returns
         the new clusters in run order.
 
         Run i is the next counts[i] rows. It lands in cluster targets[i],
         or, where targets[i] is -1, in a new cluster of labels[i] under the
-        next free id, in run order (labels of runs with a target are
-        ignored). Each landing cluster's coordinate sum is one segment of
-        one segment_sums call, its kept sum first if it exists, then its
-        runs' rows in run order, so the centroid stays bitwise the mean of
-        every point observed. A cluster stored by insert (a loaded one)
-        holds the sum centroid3d * observed, so its weight carries over.
+        next free id, in run order (every run has a label, but those of
+        runs with a target are ignored). Each landing cluster's coordinate
+        sum is one segment of one segment_sums call, its kept sum first if
+        it exists, then its runs' rows in run order, so the centroid stays
+        bitwise the mean of every point observed. A cluster stored by
+        insert (a loaded one) holds the sum centroid3d * observed, so its
+        weight carries over.
 
         A point landing in an existing cluster becomes a member only if the
         cluster has no member in its VOXEL_SIZE voxel yet, the first point
@@ -281,14 +260,16 @@ class ClusterMap:
         otherwise. The voxel keys come from one voxel_keys call over all of
         points. One walk over the runs assigns the landings and checks them
         before the first change: an unknown target (KeyError), a label other
-        than POLE or TRUNK, a non-finite point, a run count mismatch, an
-        empty new cluster or an overflowing sum (ValueError) leaves the map
-        as it was.
+        than POLE or TRUNK, a non-finite point, a label or run count that
+        differs from the target count, run counts that do not cover the
+        points, an empty new cluster or an overflowing sum (ValueError)
+        leaves the map as it was.
         """
         targets, labels, counts = [int(t) for t in targets], list(labels), [int(c) for c in counts]
         points = _finite_points(points)
-        if len(counts) != len(targets) or min(counts, default=0) < 0 or sum(counts) != len(points):
-            raise ValueError("one run count per target, covering every point, required")
+        if (not len(labels) == len(counts) == len(targets)
+                or min(counts, default=0) < 0 or sum(counts) != len(points)):
+            raise ValueError("one label and one run count per target, covering every point, required")
         landing: dict[int, list[int]] = {}  # landing cluster id -> its runs, in order
         next_id = self._next_id
         for run, target in enumerate(targets):

@@ -75,18 +75,6 @@ def _groups(points: np.ndarray, params: ExtractionParams) -> tuple[np.ndarray, n
     return order[np.repeat(keep, sizes)], sizes[keep]
 
 
-def euclidean_cluster(points, params: ExtractionParams | None = None) -> list[np.ndarray]:
-    """Group (n, 3) points into connected components under 3D distance <= cluster_distance.
-
-    Components smaller than min_points are dropped. Groups come back ordered
-    by their smallest member index in the input, members in input order.
-    """
-    params = params or ExtractionParams()
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    index, sizes = _groups(points, params)
-    return np.split(points[index], np.cumsum(sizes)[:-1]) if len(sizes) else []
-
-
 def extract_clusters(frame: Frame, params: ExtractionParams | None = None) -> list[Cluster]:
     """All landmark clusters of a frame, ids 0..n-1 in canonical centroid order.
 

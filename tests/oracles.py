@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from polemap import POLE, TRUNK, Cluster, ClusterMap, estimate_rigid_transform, euclidean_cluster
+from polemap import POLE, TRUNK, Cluster, ClusterMap, estimate_rigid_transform
 
 
 def circ_diff(a: float, b: float) -> float:
@@ -500,9 +500,9 @@ def oracle_build_map(frames, merge_radius: float, voxel_size: float) -> dict:
 
 def oracle_register_frame(cluster_map, frame_clusters, pose, merge_radius: float = 1.0) -> None:
     """register_frame one cluster at a time: every target looked up before
-    the map changes, then each cluster in frame order merged into its
-    target with merge_points or stored as a capped new cluster, each on its
-    slice of the posed frame."""
+    the map changes, then each cluster in frame order landed by a one-run
+    capped absorb on its slice of the posed frame, merged into its target
+    or, where there is none (-1), stored as a new cluster."""
     frame_clusters = list(frame_clusters)
     if not frame_clusters:
         return
@@ -513,22 +513,21 @@ def oracle_register_frame(cluster_map, frame_clusters, pose, merge_radius: float
     stop = 0
     for cluster, target in zip(frame_clusters, targets.tolist()):
         start, stop = stop, stop + cluster.n_points
-        rows = slice(start, stop)
-        if target >= 0:
-            cluster_map.merge_points(target, points[rows])
-        else:
-            cluster_map.absorb([-1], [cluster.label], points[rows], [cluster.n_points], capped=True)
+        cluster_map.absorb([target], [cluster.label], points[start:stop], [cluster.n_points], capped=True)
 
 
 def oracle_extract_clusters(frame, params) -> list:
     """extract_clusters from one mean per group: each label's groups from
-    euclidean_cluster, pole groups first, sorted by (x, y) centroid with
-    Python's stable sort, then numbered."""
-    clusters = [
-        Cluster(0, label, group, group.mean(axis=0))
-        for label in (POLE, TRUNK)
-        for group in euclidean_cluster(frame.xyz[frame.labels == label], params)
-    ]
+    oracle_components, those of at least min_points kept with members in
+    input order, pole groups first, sorted by (x, y) centroid with Python's
+    stable sort, then numbered."""
+    clusters = []
+    for label in (POLE, TRUNK):
+        points = frame.xyz[frame.labels == label]
+        for group in oracle_components(points.tolist(), params.cluster_distance):
+            if len(group) >= params.min_points:
+                members = points[group]
+                clusters.append(Cluster(0, label, members, members.mean(axis=0)))
     clusters.sort(key=lambda c: (float(c.centroid2d[0]), float(c.centroid2d[1])))
     for i, cluster in enumerate(clusters):
         cluster.cluster_id = i

@@ -14,7 +14,7 @@ from conftest import cluster_points
 
 def test_centroid_is_arithmetic_mean():
     pts = [(0.0, 0.0, 0.0), (2.0, 4.0, 6.0), (4.0, 2.0, 0.0)]
-    cluster = Cluster.from_points(0, POLE, pts)
+    cluster = ClusterMap().add(POLE, pts)
     assert np.allclose(cluster.centroid3d, [2.0, 2.0, 2.0])
     assert np.allclose(cluster.centroid2d, [2.0, 2.0])
     assert cluster.centroid2d.shape == (2,)
@@ -23,7 +23,7 @@ def test_centroid_is_arithmetic_mean():
 
 def test_empty_cluster_rejected():
     with pytest.raises(ValueError, match="empty cluster"):
-        Cluster.from_points(0, POLE, [])
+        ClusterMap().add(POLE, [])
 
 
 def test_non_finite_point_rejected():
@@ -36,7 +36,7 @@ def test_non_finite_point_rejected():
     cluster_map.add(POLE, [(0.0, 0.0, 0.0)])
     far = [(float("inf"), 0.0, 0.0)]
     with pytest.raises(ValueError, match="non-finite"):
-        cluster_map.merge_points(0, far)
+        cluster_map.absorb([0], [POLE], far, [1])
 
 
 def test_frame_needs_one_label_per_point():
@@ -47,7 +47,7 @@ def test_frame_needs_one_label_per_point():
 def test_overflowing_coordinate_sum_rejected():
     huge = (1e308, 0.0, 1.0)
     with pytest.raises(ValueError, match="overflows"):
-        Cluster.from_points(0, POLE, [huge, huge])
+        ClusterMap().absorb([-1], [POLE], [huge, huge], [2], capped=True)
     cluster_map = ClusterMap()
     with pytest.raises(ValueError, match="overflows"):
         cluster_map.add(POLE, [huge, huge])
@@ -55,26 +55,27 @@ def test_overflowing_coordinate_sum_rejected():
     cluster_map.absorb([-1], [POLE], [huge], [1], capped=True)
     small = (0.0, 5.0, 1.0)
     with pytest.raises(ValueError, match="overflows"):
-        cluster_map.merge_points(0, [huge, small])
+        cluster_map.absorb([0], [POLE], [huge, small], [2])
     cluster = cluster_map.get(0)
     assert (cluster.n_points, cluster.observed) == (1, 1)
     assert np.array_equal(cluster.centroid3d, huge)
     # the rejected merge claimed no voxel, so small still becomes a member
-    cluster = cluster_map.merge_points(0, [small])
+    cluster_map.absorb([0], [POLE], [small], [1])
+    cluster = cluster_map.get(0)
     assert (cluster.n_points, cluster.observed) == (2, 2)
     assert np.isfinite(cluster.centroid3d).all()
     # a stored cluster's running sum is centroid3d * observed
     cluster_map.insert(Cluster(5, POLE, np.array([huge]), np.array(huge), 2))
     origin = [(0.0, 0.0, 1.0)]
     with pytest.raises(ValueError, match="overflows"):
-        cluster_map.merge_points(5, origin)
+        cluster_map.absorb([5], [POLE], origin, [1])
     assert cluster_map.get(5).observed == 2
 
 
 def test_non_landmark_cluster_rejected():
     pts = [(0.0, 0.0, 0.0)]
     with pytest.raises(ValueError, match="pole or trunk"):
-        Cluster.from_points(0, other_label(3), pts)
+        ClusterMap().add(other_label(3), pts)
 
 
 def test_insert_rejects_non_landmark_label():
@@ -88,8 +89,9 @@ def test_insert_rejects_non_landmark_label():
 
 def test_ids_are_monotone_and_iteration_sorted(rng):
     cluster_map = ClusterMap()
-    cluster_map.insert(Cluster.from_points(7, POLE, cluster_points(rng, (7.0, 0.0, 1.0))))
-    cluster_map.insert(Cluster.from_points(2, POLE, cluster_points(rng, (2.0, 0.0, 1.0))))
+    for cid in (7, 2):
+        points = cluster_points(rng, (float(cid), 0.0, 1.0))
+        cluster_map.insert(Cluster(cid, POLE, points, points.mean(axis=0)))
     for k in range(3):
         c = cluster_map.add(POLE, cluster_points(rng, (float(k), 5.0, 1.0)))
         assert c.cluster_id == 8 + k  # add never reuses an id at or below one stored
@@ -100,15 +102,15 @@ def test_ids_are_monotone_and_iteration_sorted(rng):
 def test_insert_rejects_duplicate_id(rng):
     cluster_map = ClusterMap()
     first = cluster_map.add(POLE, cluster_points(rng, (0.0, 0.0, 1.0)))
-    clone = Cluster.from_points(first.cluster_id, POLE, first.points)
+    clone = Cluster(first.cluster_id, POLE, first.points, first.points.mean(axis=0))
     with pytest.raises(ValueError, match="duplicate cluster id"):
         cluster_map.insert(clone)
 
 
-def test_merge_points_recomputes_centroid():
+def test_merge_recomputes_centroid():
     cluster_map = ClusterMap()
     cluster_map.add(POLE, [(0.0, 0.0, 0.0)])
-    cluster_map.merge_points(0, [(2.0, 2.0, 2.0)])
+    cluster_map.absorb([0], [POLE], [(2.0, 2.0, 2.0)], [1])
     merged = cluster_map.get(0)
     assert merged.n_points == 2
     assert np.array_equal(merged.centroid3d, [1.0, 1.0, 1.0])
@@ -127,7 +129,7 @@ MERGE_OPS = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), ops=MERGE_OPS)
 def test_merged_centroid_is_bitwise_the_mean_of_all_observed_points(seed, ops):
-    # merge_points folds new rows onto a kept sum; this holds only while
+    # absorb folds new rows onto a kept sum; this holds only while
     # numpy's mean over axis 0 adds the rows of a C-ordered array in order.
     # The voxel cap drops members, never observed points, so the reference
     # is the mean of every point each cluster was given.
@@ -145,7 +147,8 @@ def test_merged_centroid_is_bitwise_the_mean_of_all_observed_points(seed, ops):
             given_points[cluster_map.add(POLE, points).cluster_id] = [points]
             continue
         given_points[ids[index]].append(points)
-        cluster = cluster_map.merge_points(ids[index], points)
+        cluster = cluster_map.get(ids[index])
+        cluster_map.absorb([cluster.cluster_id], [cluster.label], points, [n])
         every = np.concatenate(given_points[ids[index]])
         assert cluster.observed == len(every)
         assert np.array_equal(cluster.centroid3d, every.mean(axis=0))
@@ -192,7 +195,7 @@ def test_merge_into_loaded_cluster_continues_stored_weight(tmp_path, rng, sideca
               (1, cluster_points(rng, (260.0, -280.0, 2.0), n=1)),
               (3, cluster_points(rng, (280.0, -280.0, 2.0), n=12))]
     for cid, new in merges:
-        loaded.merge_points(cid, new)
+        loaded.absorb([cid], [POLE], new, [len(new)])
     # the stored centroid weighs its 30 observed points, with or without
     # the sidecar's members
     assert [c.observed for c in loaded] == [30, 38, 30, 42]
@@ -210,15 +213,15 @@ def test_rejected_merge_changes_nothing(rng):
     clean, rejected = ClusterMap(), ClusterMap()
     for cluster_map in (clean, rejected):
         cluster_map.add(POLE, start)
-        cluster_map.merge_points(0, first)
+        cluster_map.absorb([0], [POLE], first, [len(first)])
     points, centroid = rejected.get(0).points.copy(), rejected.get(0).centroid3d.copy()
     bad = np.vstack([cluster_points(rng, (300.0, 0.0, 1.0), n=3), [(np.nan, 0.0, 1.0)]])
     with pytest.raises(ValueError, match="non-finite"):
-        rejected.merge_points(0, bad)
+        rejected.absorb([0], [POLE], bad, [len(bad)])
     assert np.array_equal(rejected.get(0).points, points)
     assert np.array_equal(rejected.get(0).centroid3d, centroid)
     for cluster_map in (clean, rejected):
-        cluster_map.merge_points(0, second)
+        cluster_map.absorb([0], [POLE], second, [len(second)])
     assert np.array_equal(rejected.get(0).points, clean.get(0).points)
     assert np.array_equal(rejected.get(0).centroid3d, clean.get(0).centroid3d)
     every = np.concatenate([start, first, second])
@@ -257,9 +260,10 @@ def test_index_refreshes_after_mutation(rng):
     assert cluster_map.nearest_within([(1.0, 1.0)], math.inf).tolist() == [1]
     # a merge far away moves cluster 1's centroid off (1, 1)
     far = cluster_points(rng, (40.0, 40.0, 1.0), n=200)
-    cluster_map.merge_points(1, far)
+    cluster_map.absorb([1], [POLE], far, [len(far)])
     assert cluster_map.nearest_within([(1.0, 1.0)], math.inf).tolist() == [0]
-    cluster_map.insert(Cluster.from_points(5, TRUNK, [(1.0, 1.5, 1.0)]))
+    point = np.array([(1.0, 1.5, 1.0)])
+    cluster_map.insert(Cluster(5, TRUNK, point, point[0].copy()))
     assert_nearest(cluster_map, [(1.0, 1.0)], [(5, 0.5)])
 
 
@@ -396,11 +400,12 @@ def test_centroid_table_is_read_only_and_follows_every_mutation():
         [0, 1, 2], [[0.0, 0.0], [4.0, 0.0], [2.0, 0.0]], [POLE, POLE, TRUNK],
     )
     # a merge moves cluster 1's centroid from (4, 0) to (5, 0)
-    cluster_map.merge_points(1, [(6.0, 0.0, 1.0)])
+    cluster_map.absorb([1], [POLE], [(6.0, 0.0, 1.0)], [1])
     assert state([(2, 1.0), (1, 2.0)]) == (
         [0, 1, 2], [[0.0, 0.0], [5.0, 0.0], [2.0, 0.0]], [POLE, POLE, TRUNK],
     )
-    cluster_map.insert(Cluster.from_points(7, TRUNK, [(1.0, 0.5, 1.0)]))
+    point = np.array([(1.0, 0.5, 1.0)])
+    cluster_map.insert(Cluster(7, TRUNK, point, point[0].copy()))
     assert state([(7, 0.5), (1, 2.0)]) == (
         [0, 1, 2, 7], [[0.0, 0.0], [5.0, 0.0], [2.0, 0.0], [1.0, 0.5]],
         [POLE, POLE, TRUNK, TRUNK],
@@ -502,6 +507,23 @@ def test_absorb_needs_run_counts_covering_every_point():
     with pytest.raises(ValueError, match="one run count per target"):
         cluster_map.absorb([-1, -1], [POLE, POLE], np.zeros((3, 3)), [3])
     assert len(cluster_map) == 0
+
+
+@pytest.mark.parametrize("targets, labels", [([-1, -1], [POLE]), ([-1, 0], [POLE, POLE, TRUNK])],
+                         ids=["short", "long"])
+def test_absorb_needs_one_label_per_target(targets, labels):
+    cluster_map = ClusterMap()
+    cluster_map.add(POLE, [(0.0, 0.0, 1.0), (0.0, 0.0, 2.0)])
+
+    def state():
+        return [(c.cluster_id, c.label, c.points.tobytes(), c.centroid3d.tobytes(), c.observed)
+                for c in cluster_map]
+
+    before = state()
+    with pytest.raises(ValueError, match="one label and one run count per target"):
+        cluster_map.absorb(targets, labels, np.zeros((4, 3)), [2, 2])
+    assert state() == before
+    assert cluster_map.add(TRUNK, [(5.0, 0.0, 1.0)]).cluster_id == 1
 
 
 def test_absorb_lands_each_run_in_one_cluster_in_run_order(rng):

@@ -6,11 +6,10 @@ from polemap import (
     TRUNK,
     ExtractionParams,
     Frame,
-    euclidean_cluster,
     extract_clusters,
     other_label,
 )
-from oracles import oracle_components, oracle_extract_clusters
+from oracles import oracle_extract_clusters
 
 
 def blob(rng, center, n, spread=0.12):
@@ -28,6 +27,11 @@ def as_membership(groups):
     return [frozenset(map(tuple, g)) for g in groups]
 
 
+def _cluster_bytes(clusters):
+    return [(c.cluster_id, c.label, c.points.tobytes(), c.centroid3d.tobytes(), c.observed)
+            for c in clusters]
+
+
 def test_filter_keeps_only_landmarks():
     frame = Frame(
         0.0,
@@ -42,13 +46,12 @@ def test_filter_keeps_only_landmarks():
 
 
 def assert_matches_oracle(pts, params):
-    """euclidean_cluster gives the oracle's groups exactly: group order,
-    member order and bytes, with min_points applied to whole components."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    got = euclidean_cluster(pts, params)
-    want = oracle_components([tuple(p) for p in pts], params.cluster_distance)
-    want = [g for g in want if len(g) >= params.min_points]
-    assert [g.tobytes() for g in got] == [pts[g].tobytes() for g in want]
+    """extract_clusters on a frame of poles gives the oracle's clusters
+    exactly: groups, their order, member order and bytes, with min_points
+    applied to whole components."""
+    frame = labeled_frame((pts, POLE))
+    assert _cluster_bytes(extract_clusters(frame, params)) == _cluster_bytes(
+        oracle_extract_clusters(frame, params))
 
 
 def test_clustering_matches_union_find(rng):
@@ -105,7 +108,7 @@ def test_clustering_matches_union_find_on_hard_shapes(rng, shape):
         pts = pts[rng.permutation(len(pts))]
     elif shape == "one-point":
         pts = np.array([(1.0, 2.0, 3.0)])
-        assert euclidean_cluster(pts, ExtractionParams(min_points=2)) == []
+        assert extract_clusters(labeled_frame((pts, POLE)), ExtractionParams(min_points=2)) == []
     elif shape == "no-pairs":
         pts = _chain(10, step=1.0)
     else:
@@ -118,28 +121,29 @@ def test_clustering_matches_union_find_on_hard_shapes(rng, shape):
             blob(rng, (0.0, -5.0, 0.0), 15, spread=0.05),
         ])
         pts = pts[rng.permutation(len(pts))]
-        assert [len(g) for g in euclidean_cluster(pts, params)] in ([12, 15], [15, 12])
+        clusters = extract_clusters(labeled_frame((pts, POLE)), params)
+        assert [c.n_points for c in clusters] in ([12, 15], [15, 12])
     assert_matches_oracle(pts, params)
 
 
 def test_cluster_distance_boundary_is_inclusive():
     params = ExtractionParams(cluster_distance=0.5, min_points=1)
     touching = [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)]
-    assert len(euclidean_cluster(touching, params)) == 1
+    assert len(extract_clusters(labeled_frame((touching, POLE)), params)) == 1
     apart = [(0.0, 0.0, 0.0), (0.5 + 1e-9, 0.0, 0.0)]
-    assert len(euclidean_cluster(apart, params)) == 2
+    assert len(extract_clusters(labeled_frame((apart, POLE)), params)) == 2
 
 
 def test_min_points_filter(rng):
     params = ExtractionParams(cluster_distance=0.5, min_points=10)
     pts = np.concatenate([blob(rng, (0, 0, 0), 10), blob(rng, (10, 0, 0), 9)])
-    groups = euclidean_cluster(pts, params)
-    assert len(groups) == 1
-    assert len(groups[0]) == 10
+    clusters = extract_clusters(labeled_frame((pts, POLE)), params)
+    assert len(clusters) == 1
+    assert clusters[0].n_points == 10
 
 
 def test_empty_input():
-    assert euclidean_cluster([]) == []
+    assert extract_clusters(Frame(0.0, np.empty((0, 3)), [])) == []
 
 
 def test_extract_orders_by_centroid_and_numbers_ids(rng):
@@ -199,11 +203,6 @@ def test_params_validated():
         ExtractionParams(cluster_distance=0.0)
     with pytest.raises(ValueError):
         ExtractionParams(min_points=0)
-
-
-def _cluster_bytes(clusters):
-    return [(c.cluster_id, c.label, c.points.tobytes(), c.centroid3d.tobytes(), c.observed)
-            for c in clusters]
 
 
 @pytest.mark.parametrize("min_points", [1, 4, 10])

@@ -319,8 +319,9 @@ def test_map_round_trip_with_points(tmp_path, rng):
 )
 def test_save_map_refuses_what_load_map_rejects(tmp_path, points, error):
     cluster_map = ClusterMap()
-    cluster_map.insert(Cluster.from_points(3, POLE, [(1.0, 2.0, 1.0)]))
-    cluster_map.insert(Cluster.from_points(7, TRUNK, points))
+    for cid, label, members in ((3, POLE, [(1.0, 2.0, 1.0)]), (7, TRUNK, points)):
+        members = np.array(members)
+        cluster_map.insert(Cluster(cid, label, members, members.mean(axis=0)))
     path = tmp_path / "map.txt"
     with pytest.raises(MapFormatError) as exc:
         save_map(cluster_map, path)
@@ -457,7 +458,7 @@ def test_map_without_sidecar_keeps_its_weights(tmp_path, rng):
     original = random_map(rng, 5)
     for cluster in original:
         new = rng.normal(cluster.centroid3d, 0.1, size=(32, 3))
-        original.merge_points(cluster.cluster_id, new)
+        original.absorb([cluster.cluster_id], [cluster.label], new, [len(new)])
     first, second, third = (tmp_path / f"{name}.txt" for name in ("first", "second", "third"))
     save_map(original, first)
     (tmp_path / "first.txt.points").unlink()
@@ -477,6 +478,7 @@ def test_map_without_sidecar_keeps_its_weights(tmp_path, rng):
     # the next merge weighs the stored centroid by its 40 observed points
     new = rng.normal(loaded.get(0).centroid3d, 0.1, size=(10, 3))
     centroid = loaded.get(0).centroid3d
-    merged = loaded.merge_points(0, new)
+    loaded.absorb([0], [loaded.get(0).label], new, [len(new)])
+    merged = loaded.get(0)
     assert merged.observed == 50
     np.testing.assert_allclose(merged.centroid3d, (40 * centroid + new.sum(axis=0)) / 50, rtol=0, atol=1e-12)

@@ -226,16 +226,18 @@ def test_far_points_never_alias():
     for pair in points.reshape(-1, 2, 3):
         assert cluster_map.absorb([-1], [POLE], pair, [2], capped=True)[0].n_points == 2
     # the first pair's cells are exact, so seeing it again adds no member
-    cluster = cluster_map.merge_points(0, points[:2])
+    cluster_map.absorb([0], [POLE], points[:2], [2])
+    cluster = cluster_map.get(0)
     assert (cluster.n_points, cluster.observed) == (2, 4)
 
 
 def test_capped_merge_knows_the_members_it_did_not_add(rng):
     points = cluster_points(rng, (5.0, 5.0, 1.0), n=30)
     cluster_map = ClusterMap()
-    cluster_map.insert(Cluster.from_points(7, POLE, points))
+    cluster_map.insert(Cluster(7, POLE, points, points.mean(axis=0)))
     # a stored cluster's members fill its voxels before its first merge
-    cluster = cluster_map.merge_points(7, points)
+    cluster_map.absorb([7], [POLE], points, [len(points)])
+    cluster = cluster_map.get(7)
     assert (cluster.n_points, cluster.observed) == (30, 60)
 
 
@@ -312,13 +314,14 @@ def test_register_frame_is_atomic(rng):
     cluster_map = ClusterMap()
     ordinary = cluster_points(rng, (0.0, 0.0, 2.0), n=12)
     cluster_map.absorb([-1], [POLE], ordinary, [len(ordinary)], capped=True)
-    cluster_map.merge_points(0, ordinary)
+    cluster_map.absorb([0], [POLE], ordinary, [len(ordinary)])
     loaded = np.array([1e308, 1e308, 1.0])
     cluster_map.insert(Cluster(1, POLE, loaded[None].copy(), loaded.copy(), 3))
+    scan = ClusterMap()
     frame = [
-        Cluster.from_points(0, POLE, cluster_points(rng, (0.2, 0.0, 2.0), n=12)),
-        Cluster.from_points(1, POLE, [loaded]),
-        Cluster.from_points(2, TRUNK, cluster_points(rng, (30.0, 0.0, 2.0), n=6)),
+        scan.add(POLE, cluster_points(rng, (0.2, 0.0, 2.0), n=12)),
+        scan.add(POLE, [loaded]),
+        scan.add(TRUNK, cluster_points(rng, (30.0, 0.0, 2.0), n=6)),
     ]
     nearest = cluster_map.nearest_within([c.centroid2d for c in frame], math.inf)
     assert nearest.tolist() == [0, 1, 0]
@@ -335,13 +338,12 @@ def test_one_voxel_key_pass_per_registered_frame(rng, monkeypatch):
     # inserts it has: keys per cluster took 181-197 ms per mapping pass
     # against 23 ms for keys per frame.
     cluster_map = ClusterMap()
-    start = [Cluster.from_points(k, POLE, cluster_points(rng, (8.0 * k, 0.0, 2.0), n=12))
-             for k in range(2)]
+    first_scan, scan = ClusterMap(), ClusterMap()
+    start = [first_scan.add(POLE, cluster_points(rng, (8.0 * k, 0.0, 2.0), n=12)) for k in range(2)]
     register_frame(cluster_map, start, PoseSE3.identity())
     frame = [
-        Cluster.from_points(k, POLE, cluster_points(rng, center, n=9, spread=0.05))
-        for k, center in enumerate([(0.4, 0.0, 2.0), (-0.4, 0.0, 2.0),
-                                    (8.3, 0.0, 2.0), (30.0, 0.0, 2.0)])
+        scan.add(POLE, cluster_points(rng, center, n=9, spread=0.05))
+        for center in [(0.4, 0.0, 2.0), (-0.4, 0.0, 2.0), (8.3, 0.0, 2.0), (30.0, 0.0, 2.0)]
     ]
     calls = []
 
@@ -356,9 +358,9 @@ def test_one_voxel_key_pass_per_registered_frame(rng, monkeypatch):
 
 
 def test_build_local_map_matches_one_cluster_at_a_time(rng):
+    scan = ClusterMap()
     frame_clusters = [
-        Cluster.from_points(k, POLE if k % 2 else TRUNK,
-                            cluster_points(rng, (3.0 * k, -2.0 * k, 1.0), n=n))
+        scan.add(POLE if k % 2 else TRUNK, cluster_points(rng, (3.0 * k, -2.0 * k, 1.0), n=n))
         for k, n in enumerate([1, 7, 40, 2, 500, 13])
     ]
     for pose in (PoseSE3.identity(),
