@@ -132,12 +132,7 @@ def _cmd_build_map(args) -> int:
     _check_out(args.out)
     cfg = _load_config(args.config)
     dataset = Dataset(args.data)
-    if args.poses == "odometry":
-        poses = dataset.odometry()
-        if poses is None:
-            raise PolemapError(f"{args.data}: no odometry.txt")
-    else:
-        poses = dataset.poses()
+    poses = dataset.odometry() if args.poses == "odometry" else dataset.poses()
 
     start, stop = _bounded_range(args.frames, dataset.frame_count)
     cluster_map = ClusterMap()
@@ -180,8 +175,6 @@ def _run_localization(cfg: Config, data: str, map_path: str):
     dataset = Dataset(data)
     global_map = load_map(map_path)
     odometry = dataset.odometry()
-    if odometry is None:
-        raise PolemapError(f"{data}: no odometry.txt")
     true_poses = dataset.poses()
     if [ts for ts, _ in odometry] != [ts for ts, _ in true_poses]:
         # each fix lands at its frame's timestamp, which must be an increment's

@@ -228,9 +228,12 @@ class ClusterMap:
     def insert(self, cluster: Cluster) -> None:
         """Store a pre-built cluster under its own id (used when loading).
 
-        A duplicate id or a label other than POLE or TRUNK raises
+        A duplicate id, an id outside 0 to 2**63 - 2 (int64 holds both it
+        and the next free id) or a label other than POLE or TRUNK raises
         ValueError and leaves the map as it was.
         """
+        if not 0 <= cluster.cluster_id <= 2**63 - 2:
+            raise ValueError(f"cluster id {cluster.cluster_id} outside 0 to {2**63 - 2}")
         if cluster.cluster_id in self._clusters:
             raise ValueError(f"duplicate cluster id {cluster.cluster_id}")
         _check_label(cluster.label)

@@ -221,9 +221,9 @@ class Dataset:
             )
         return poses
 
-    def odometry(self) -> list[tuple[float, PoseSE3]] | None:
+    def odometry(self) -> list[tuple[float, PoseSE3]]:
         if not self.odometry_path.is_file():
-            return None
+            raise DatasetError(f"{self.root}: no odometry.txt")
         odom = load_poses(self.odometry_path)
         if len(odom) != self.frame_count:
             raise DatasetError(

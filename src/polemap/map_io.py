@@ -6,13 +6,15 @@ The map file is a versioned text document:
     labels pole=5 trunk=6
     cluster <id> <pole|trunk> <cx> <cy> <cz> <c2x> <c2y> <npoints> <observed>
 
-Centroids are written with shortest round-trip decimals, so save/load
-preserves them exactly. npoints counts the cluster's member points and
-observed every point its centroid averages (at least npoints; more once
-registration keeps one member per voxel). A loaded cluster resumes its
-running coordinate sum from centroid * observed, so a save, load and merge
-weighs the stored centroid exactly. Version 1 files, whose cluster lines end
-at npoints, still load, with observed = npoints.
+An id is an integer from 0 to 2**63 - 2, so that int64 holds both it and
+the next free id; load_map rejects any other. Centroids are written with
+shortest round-trip decimals, so save/load preserves them exactly. npoints
+counts the cluster's member points and observed every point its centroid
+averages (at least npoints; more once registration keeps one member per
+voxel). A loaded cluster resumes its running coordinate sum from
+centroid * observed, so a save, load and merge weighs the stored centroid
+exactly. Version 1 files, whose cluster lines end at npoints, still load,
+with observed = npoints.
 
 Member points live in a binary sidecar (<path>.points, float32 x y z per
 point, clusters in file order) that save_map always writes. A map read

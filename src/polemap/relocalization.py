@@ -18,13 +18,13 @@ per fix, on the coarse fit before ICP: the median over the inlier pairs of
 the global cluster's lowest member z minus the local cluster's. That rule
 assumes that cluster bases reach the ground in both maps.
 
-One fit of a single correspondence set serves estimate_rigid_transform,
-coarse_align and every ICP step. It works on one C-ordered copy of the two
-sets, so the layout of its input cannot change the order of any sum, and
-takes both centroids from one cluster_map.segment_sums call over it, which
-adds the rows in order, as a mean over a stack of sets does. So it equals
-the batched mean/ptp form bit for bit under the numpy release that
-constraints.txt pins; tests/oracles.py keeps that form.
+One closed-form fit serves RANSAC, the coarse fit and every ICP step. It
+fits a stack of correspondence sets at once: RANSAC passes the pair
+centroids of all its two-point hypotheses, and estimate_rigid_transform,
+which coarse_align and ICP call, passes one set. It works on C-ordered
+copies of the stacks, so the layout of its input cannot change the order of
+any sum, and so it equals the batched mean/ptp form that tests/oracles.py
+keeps bit for bit under the numpy release that constraints.txt pins.
 
 fit_pairs runs every stage after association on any candidate pairs. Two
 sources feed it: prior-free star association, and, when a caller that
@@ -44,8 +44,8 @@ import numpy as np
 
 from .association import AssociationParams, MatchPair, associate_maps
 from .bounds import bounded, check_bounds
-from .cluster_map import ClusterMap, kdtree, segment_sums
-from .geometry import PoseSE3, rotation_about_z
+from .cluster_map import ClusterMap, kdtree
+from .geometry import PoseSE3
 
 FAILURE_NO_MATCHES = "no-matches"
 FAILURE_CONSISTENCY = "consistency-collapse"
@@ -134,34 +134,35 @@ def geometric_consistency_filter(
     return [pairs[i] for i in clique]
 
 
-def _spread_xy(points: np.ndarray) -> bool:
-    """Whether some point differs from the first in x or y."""
-    return bool((points[:, :2] != points[0, :2]).any())
+def _fit_yaw(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares fits of a yaw about z and a planar translation to a
+    stack of correspondence sets.
 
-
-def _fit_yaw(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Least-squares fit of a yaw about z and a planar translation to one
-    correspondence set.
-
-    src and dst are (n, 3). The yaw is the atan2 of the summed planar cross
-    and dot products of the centred sets. Returns the rotation (3, 3), the
-    translation (3,), whose z is 0, and whether both sets hold two distinct
-    planar points; without them the rotation and translation are
-    meaningless.
+    src and dst are (m, n, 3). Each yaw is the atan2 of the summed planar
+    cross and dot products of its centred sets. Returns the rotations
+    (m, 3, 3), the translations (m, 3), whose z is 0, and an (m,) mask of
+    the fits in which both sets hold two distinct planar points; without
+    them a fit's rotation and translation are meaningless.
     """
-    n = len(src)
-    # Every sum below runs over a C-ordered copy, so the input layout cannot
+    # Every sum below runs over C-ordered copies, so the input layout cannot
     # change its order.
-    both = np.ascontiguousarray(np.concatenate([src, dst]))
-    c_src, c_dst = segment_sums(both, [n, n]) / n
-    a = both[:n, :2] - c_src[:2]
-    b = both[n:, :2] - c_dst[:2]
-    cross = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]).sum()
-    dot = (a * b).sum()
-    rot = rotation_about_z(np.arctan2(cross, dot))
-    trans = c_dst - rot @ c_src
-    trans[2] = 0.0
-    return rot, trans, _spread_xy(src) and _spread_xy(dst)
+    src, dst = np.ascontiguousarray(src), np.ascontiguousarray(dst)
+    c_src, c_dst = src.mean(axis=1), dst.mean(axis=1)
+    a = src[:, :, :2] - c_src[:, None, :2]
+    b = dst[:, :, :2] - c_dst[:, None, :2]
+    cross = (a[:, :, 0] * b[:, :, 1] - a[:, :, 1] * b[:, :, 0]).sum(axis=1)
+    dot = (a * b).sum(axis=(1, 2))
+    yaw = np.arctan2(cross, dot)
+    rot = np.zeros((len(yaw), 3, 3))
+    rot[:, 0, 0] = rot[:, 1, 1] = np.cos(yaw)
+    rot[:, 1, 0] = np.sin(yaw)
+    rot[:, 0, 1] = -rot[:, 1, 0]
+    rot[:, 2, 2] = 1.0
+    trans = c_dst - np.matmul(rot, c_src[:, :, None])[:, :, 0]
+    trans[:, 2] = 0.0
+    xy_src, xy_dst = src[:, :, :2], dst[:, :, :2]
+    valid = (xy_src != xy_src[:, :1]).any(axis=(1, 2)) & (xy_dst != xy_dst[:, :1]).any(axis=(1, 2))
+    return rot, trans, valid
 
 
 def estimate_rigid_transform(src: np.ndarray, dst: np.ndarray) -> PoseSE3:
@@ -175,10 +176,10 @@ def estimate_rigid_transform(src: np.ndarray, dst: np.ndarray) -> PoseSE3:
     dst = np.asarray(dst, dtype=float).reshape(-1, 3)
     if len(src) != len(dst) or len(src) < 2:
         raise ValueError("degenerate correspondences")
-    rot, trans, valid = _fit_yaw(src, dst)
-    if not valid:
+    rot, trans, valid = _fit_yaw(src[None], dst[None])
+    if not valid[0]:
         raise ValueError("degenerate correspondences")
-    return PoseSE3(rot, trans)
+    return PoseSE3(rot[0], trans[0])
 
 
 def ransac_filter(
@@ -201,24 +202,14 @@ def ransac_filter(
     if len(pairs) < 3:
         raise ValueError("insufficient pairs")
     src, dst = _pair_centroids(pairs, local_map, global_map)
-    i, j = np.triu_indices(len(pairs), 1)
+    hypotheses = np.column_stack(np.triu_indices(len(pairs), 1))
     cap = params.ransac_iterations
-    if len(i) > cap:
-        pick = np.arange(cap) * len(i) // cap
-        i, j = i[pick], j[pick]
-    # Each hypothesis's fit in closed form on (m,) columns, in the operation
-    # order of the mean-based fit on its two pairs.
+    if len(hypotheses) > cap:
+        hypotheses = hypotheses[np.arange(cap) * len(hypotheses) // cap]
+    rot, trans, valid = _fit_yaw(src[hypotheses], dst[hypotheses])
+    cos, sin = rot[:, 0, 0, None], rot[:, 1, 0, None]
+    tx, ty = trans[:, 0, None], trans[:, 1, None]
     s, d = src.T[:2], dst.T[:2]
-    c_src, c_dst = (s[:, i] + s[:, j]) / 2, (d[:, i] + d[:, j]) / 2
-    (aix, aiy), (ajx, ajy) = s[:, i] - c_src, s[:, j] - c_src
-    (bix, biy), (bjx, bjy) = d[:, i] - c_dst, d[:, j] - c_dst
-    cross = (aix * biy - aiy * bix) + (ajx * bjy - ajy * bjx)
-    dot = ((aix * bix + aiy * biy) + ajx * bjx) + ajy * bjy
-    valid = (s[:, i] != s[:, j]).any(axis=0) & (d[:, i] != d[:, j]).any(axis=0)
-    yaw = np.arctan2(cross, dot)
-    cos, sin = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
-    (cx, cy), (gx, gy) = c_src[:, :, None], c_dst[:, :, None]
-    tx, ty = gx - (cos * cx - sin * cy), gy - (sin * cx + cos * cy)
     # Planar residuals of every pair under every hypothesis, one (m, n) plane
     # per coordinate.
     ex = d[0] - ((cos * s[0] - sin * s[1]) + tx)

@@ -7,9 +7,10 @@ routine written as plain nested loops over explicit feature tuples, edge
 stars built one anchor and one neighbor at a time, a consistency filter
 that grows its clique over Python sets, a yaw fit of a stack of sets in
 mean/ptp form, a RANSAC that fits one two-pair hypothesis at a time, an
-ICP that queries its kd-tree twice per step, and registration, extraction
-and local maps built one cluster at a time. The production code must agree
-with these exactly on the same inputs.
+ICP that queries its kd-tree twice per step and fits each step in that
+batched form, and registration, extraction and local maps built one
+cluster at a time. The production code must agree with these exactly on
+the same inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from polemap import POLE, TRUNK, Cluster, ClusterMap, estimate_rigid_transform
+from polemap import POLE, TRUNK, Cluster, ClusterMap, PoseSE3
 
 
 def circ_diff(a: float, b: float) -> float:
@@ -329,6 +330,16 @@ def oracle_batched_yaw_fit(src, dst):
     return rot, trans, valid
 
 
+def oracle_rigid_fit(src, dst):
+    """One set's yaw and planar translation fit as a PoseSE3, by the batched
+    reference on a stack of that one set; ValueError when either side's
+    points all share one planar position."""
+    rot, trans, valid = oracle_batched_yaw_fit(src[None], dst[None])
+    if not valid[0]:
+        raise ValueError("degenerate correspondences")
+    return PoseSE3(rot[0], trans[0])
+
+
 def _oracle_yaw_fit(src, dst):
     """Yaw and planar translation fit of one set as (rotation, translation),
     from the complex planar offsets of the centred sets, with a translation
@@ -442,7 +453,7 @@ def oracle_fine_align(pairs, local_map, global_map, init, params):
         d, rows = tree.query(moved, k=list(range(1, len(dst) + 1)))
         idx = np.where(d == d[:, :1], rows, len(dst)).min(axis=1)
         try:
-            delta = estimate_rigid_transform(moved, dst[idx])
+            delta = oracle_rigid_fit(moved, dst[idx])
         except ValueError:
             return best_pose, best_rms, "degenerate"
         pose = delta @ pose

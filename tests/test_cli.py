@@ -415,6 +415,23 @@ def test_map_centroid_beyond_limit_exits_3(tmp_path, capsys):
     assert captured.err == f"error: {path}:4: centroid beyond 1e+09 m\n"
 
 
+@pytest.mark.parametrize("cid", ["-1", "99999999999999999999"])
+def test_map_cluster_id_int64_cannot_hold_exits_3(tmp_path, capsys, cid):
+    # -1 would read as "no cluster" to lookups, and a larger id than int64
+    # holds used to end relocalize in an OverflowError traceback
+    path = tmp_path / "ids.txt"
+    path.write_text(
+        "polemap-map 2\nlabels pole=5 trunk=6\n"
+        "cluster 0 pole 1.0 2.0 0.5 1.0 2.0 1 1\n"
+        f"cluster {cid} trunk 4.0 2.0 0.5 4.0 2.0 1 1\n",
+        encoding="ascii",
+    )
+    code = main(["relocalize", "--local", str(path), "--map", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {path}: cluster id {cid} outside 0 to {2**63 - 2}\n"
+
+
 def test_non_finite_map_sidecar_exits_3(workspace, tmp_path, capsys):
     path = tmp_path / "bad.txt"
     shutil.copy(workspace / "data" / "map.txt", path)

@@ -87,6 +87,30 @@ def test_insert_rejects_non_landmark_label():
     assert cluster_map.add(POLE, point).cluster_id == 0
 
 
+@pytest.mark.parametrize("cid", [-1, 2**63 - 1, 99999999999999999999])
+def test_insert_rejects_ids_int64_cannot_hold(rng, cid):
+    # -1 is nearest_within's "no cluster", and int64 must hold both a
+    # stored id and the next free id
+    cluster_map = ClusterMap()
+    kept = cluster_map.add(POLE, cluster_points(rng, (0.0, 0.0, 1.0)))
+    points = cluster_points(rng, (3.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match=f"cluster id {cid} outside 0 to {2**63 - 2}"):
+        cluster_map.insert(Cluster(cid, POLE, points, points.mean(axis=0)))
+    assert cluster_map.ids() == [kept.cluster_id]
+    ids, cents, _ = cluster_map.centroid_table()
+    assert ids.tolist() == [0] and np.array_equal(cents, kept.centroid2d[None])
+    assert cluster_map.add(POLE, points).cluster_id == 1
+
+
+def test_insert_takes_the_highest_id_int64_holds(rng):
+    cluster_map = ClusterMap()
+    points = cluster_points(rng, (3.0, 0.0, 1.0))
+    cluster_map.insert(Cluster(2**63 - 2, POLE, points, points.mean(axis=0)))
+    assert cluster_map.centroid_table()[0].tolist() == [2**63 - 2]
+    assert cluster_map.nearest_within(points[:1, :2], 1.0).tolist() == [2**63 - 2]
+    assert cluster_map.add(TRUNK, points + 1.0).cluster_id == 2**63 - 1
+
+
 def test_ids_are_monotone_and_iteration_sorted(rng):
     cluster_map = ClusterMap()
     for cid in (7, 2):

@@ -248,7 +248,9 @@ def test_write_dataset_refuses_a_frame_beyond_float32_before_writing(tmp_path):
 def test_dataset_without_odometry(tmp_path):
     frames = [_frame(0.0, [1])]
     write_dataset(tmp_path, frames, [(0.0, _planar(0.0))], LabelMap())
-    assert Dataset(tmp_path).odometry() is None
+    with pytest.raises(DatasetError) as exc:
+        Dataset(tmp_path).odometry()
+    assert str(exc.value) == f"{tmp_path}: no odometry.txt"
 
 
 def test_dataset_missing_layout_rejected(tmp_path):

@@ -181,9 +181,11 @@ def test_rigid_fit_rejects_points_coincident_in_xy(rng):
 
 
 def test_yaw_fit_is_bitwise_the_batched_reference(rng):
-    """The single-set fit equals the batched mean/ptp fit bit for bit, which
-    rests on numpy's reduction order (constraints.txt pins the release);
-    Fortran-ordered sets give the bits of their C-ordered copies."""
+    """The stacked fit equals the batched mean/ptp fit bit for bit, which
+    rests on numpy's reduction order (constraints.txt pins the release):
+    one set as a (1, n, 3) stack, as estimate_rigid_transform passes it,
+    and RANSAC's (m, 2, 3) stacks of two-pair hypotheses. Fortran-ordered
+    stacks give the bits of their C-ordered copies."""
     sizes = [2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129, 720, 1000]
     sets = []
     for n in sizes + rng.integers(2, 1001, 40).tolist():
@@ -195,16 +197,32 @@ def test_yaw_fit_is_bitwise_the_batched_reference(rng):
     # every point at one xy, on either side
     stack = np.array([[0.1, 0.7, float(k)] for k in range(6)])
     spread = rng.uniform(-5, 5, (6, 3))
-    sets += [(stack, spread), (spread, stack), (stack, stack + 1.0)]
-    for src, dst in sets:
-        want_rot, want_trans, want_valid = oracle_batched_yaw_fit(src[None], dst[None])
+    degenerate = [(stack, spread), (spread, stack), (stack, stack + 1.0)]
+    stacks = [(src[None], dst[None]) for src, dst in sets + degenerate]
+    # two-pair hypotheses over pair centroids, some of whose pairs coincide
+    # in xy on the local side, the global side or both
+    for m in (1, 3, 120, 1000):
+        src = rng.uniform(-50, 50, (m, 2, 3))
+        dst = planar_pose(rng).apply(src.reshape(-1, 3)).reshape(m, 2, 3)
+        dst += 0.05 * rng.standard_normal((m, 2, 3))
+        for side, rows in ((src, np.s_[::3]), (dst, np.s_[1::3]), (src, np.s_[2::5]), (dst, np.s_[2::5])):
+            side[rows, 1, :2] = side[rows, 0, :2]
+        stacks.append((src, dst))
+    for src, dst in stacks:
+        want = oracle_batched_yaw_fit(src, dst)
         for order in (np.ascontiguousarray, np.asfortranarray):
-            rot, trans, valid = relocalization._fit_yaw(order(src), order(dst))
-            assert np.array_equal(rot, want_rot[0])
-            assert np.array_equal(trans, want_trans[0])
-            assert valid == bool(want_valid[0])
-    for src, dst in sets[-3:]:
-        assert not relocalization._fit_yaw(src, dst)[2]
+            got = relocalization._fit_yaw(order(src), order(dst))
+            for value, expected in zip(got, want):
+                assert value.shape == expected.shape
+                assert np.array_equal(value, expected)
+    for src, dst in stacks[len(sets):len(sets) + 3]:
+        assert not relocalization._fit_yaw(src, dst)[2][0]
+    # each side's coincident pairs, and only they, make a hypothesis degenerate
+    for src, dst in stacks[-2:]:
+        same = [(xy[:, 0, :2] == xy[:, 1, :2]).all(axis=1) for xy in (src, dst)]
+        coincident = same[0] | same[1]
+        assert coincident.any() and not coincident.all()
+        assert np.array_equal(relocalization._fit_yaw(src, dst)[2], ~coincident)
 
 
 def test_rigid_fit_rejects_short_or_mismatched_input():
@@ -563,7 +581,7 @@ def test_fine_align_correspondences_exact_along_swinging_path(monkeypatch):
         # the sources are the targets themselves, so the truth is the identity
         params = RelocParams(icp_convergence=-np.inf)
         case = (identity_pairs(4), global_map, global_map, path[0], params)
-        monkeypatch.setattr(oracles, "estimate_rigid_transform", scripted(False))
+        monkeypatch.setattr(oracles, "oracle_rigid_fit", scripted(False))
         want_pose, want_rms, exit_ = oracle_fine_align(*case)
         assert exit_ == "iterations"
         monkeypatch.setattr(relocalization, "estimate_rigid_transform", scripted(True))
