@@ -51,6 +51,8 @@ import numpy as np
 # trunk are landmark-eligible.
 POLE = 0
 TRUNK = 1
+# Highest cluster id, so that int64 holds both every id and the next free id.
+MAX_CLUSTER_ID = 2**63 - 2
 
 
 def other_label(category: int) -> int:
@@ -228,12 +230,12 @@ class ClusterMap:
     def insert(self, cluster: Cluster) -> None:
         """Store a pre-built cluster under its own id (used when loading).
 
-        A duplicate id, an id outside 0 to 2**63 - 2 (int64 holds both it
-        and the next free id) or a label other than POLE or TRUNK raises
+        A duplicate id, an id outside 0 to MAX_CLUSTER_ID (int64 holds both
+        it and the next free id) or a label other than POLE or TRUNK raises
         ValueError and leaves the map as it was.
         """
-        if not 0 <= cluster.cluster_id <= 2**63 - 2:
-            raise ValueError(f"cluster id {cluster.cluster_id} outside 0 to {2**63 - 2}")
+        if not 0 <= cluster.cluster_id <= MAX_CLUSTER_ID:
+            raise ValueError(f"cluster id {cluster.cluster_id} outside 0 to {MAX_CLUSTER_ID}")
         if cluster.cluster_id in self._clusters:
             raise ValueError(f"duplicate cluster id {cluster.cluster_id}")
         _check_label(cluster.label)
@@ -265,8 +267,9 @@ class ClusterMap:
         before the first change: an unknown target (KeyError), a label other
         than POLE or TRUNK, a non-finite point, a label or run count that
         differs from the target count, run counts that do not cover the
-        points, an empty new cluster or an overflowing sum (ValueError)
-        leaves the map as it was.
+        points, an empty new cluster, a new cluster that would need an id
+        above MAX_CLUSTER_ID or an overflowing sum (ValueError) leaves the
+        map as it was.
         """
         targets, labels, counts = [int(t) for t in targets], list(labels), [int(c) for c in counts]
         points = _finite_points(points)
@@ -280,6 +283,8 @@ class ClusterMap:
                 _check_label(labels[run])
                 if counts[run] == 0:
                     raise ValueError("empty cluster")
+                if next_id > MAX_CLUSTER_ID:
+                    raise ValueError(f"cluster id {next_id} outside 0 to {MAX_CLUSTER_ID}")
                 target, next_id = next_id, next_id + 1
             elif target not in self._clusters:
                 raise KeyError(target)

@@ -20,8 +20,10 @@ assumes that cluster bases reach the ground in both maps.
 
 One closed-form fit serves RANSAC, the coarse fit and every ICP step. It
 fits a stack of correspondence sets at once: RANSAC passes the pair
-centroids of all its two-point hypotheses, and estimate_rigid_transform,
-which coarse_align and ICP call, passes one set. It works on C-ordered
+centroids of its two-point hypotheses, and estimate_rigid_transform,
+which coarse_align and ICP call, passes one set. RANSAC fits hypothesis
+(0, 1) first and stops there when every pair supports it, with the same
+result; otherwise one call fits every hypothesis. It works on C-ordered
 copies of the stacks, so the layout of its input cannot change the order of
 any sum, and so it equals the batched mean/ptp form that tests/oracles.py
 keeps bit for bit under the numpy release that constraints.txt pins.
@@ -182,6 +184,24 @@ def estimate_rigid_transform(src: np.ndarray, dst: np.ndarray) -> PoseSE3:
     return PoseSE3(rot[0], trans[0])
 
 
+def _ransac_masks(
+    src: np.ndarray, dst: np.ndarray, hypotheses: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fit each (i, j) row of hypotheses to the pair centroids src and dst,
+    (n, 3) each. Returns _fit_yaw's (m,) validity mask and the (m, n) masks
+    of the pairs whose global centroid sits within threshold of the
+    transformed local centroid in the plane."""
+    rot, trans, valid = _fit_yaw(src[hypotheses], dst[hypotheses])
+    cos, sin = rot[:, 0, 0, None], rot[:, 1, 0, None]
+    tx, ty = trans[:, 0, None], trans[:, 1, None]
+    s, d = src.T[:2], dst.T[:2]
+    # Planar residuals of every pair under every hypothesis, one (m, n) plane
+    # per coordinate.
+    ex = d[0] - ((cos * s[0] - sin * s[1]) + tx)
+    ey = d[1] - ((sin * s[0] + cos * s[1]) + ty)
+    return valid, np.sqrt(ex * ex + ey * ey) < threshold
+
+
 def ransac_filter(
     pairs,
     local_map: ClusterMap,
@@ -195,26 +215,25 @@ def ransac_filter(
     sits within ransac_threshold of the transformed local centroid in the
     plane. Above ransac_iterations hypotheses, that many are scored, at
     evenly spaced positions of that order. The first hypothesis with the
-    most inliers wins.
+    most inliers wins, and a degenerate one never does.
+
+    Hypothesis (0, 1) is fitted first, and when it is valid and every pair
+    supports it the pairs return as given: no hypothesis keeps more, and it
+    comes first in the order. Otherwise one call fits every hypothesis.
     """
     params = params or RelocParams()
     pairs = list(pairs)
     if len(pairs) < 3:
         raise ValueError("insufficient pairs")
     src, dst = _pair_centroids(pairs, local_map, global_map)
+    valid, masks = _ransac_masks(src, dst, np.array([[0, 1]]), params.ransac_threshold)
+    if valid[0] and masks.all():
+        return pairs
     hypotheses = np.column_stack(np.triu_indices(len(pairs), 1))
     cap = params.ransac_iterations
     if len(hypotheses) > cap:
         hypotheses = hypotheses[np.arange(cap) * len(hypotheses) // cap]
-    rot, trans, valid = _fit_yaw(src[hypotheses], dst[hypotheses])
-    cos, sin = rot[:, 0, 0, None], rot[:, 1, 0, None]
-    tx, ty = trans[:, 0, None], trans[:, 1, None]
-    s, d = src.T[:2], dst.T[:2]
-    # Planar residuals of every pair under every hypothesis, one (m, n) plane
-    # per coordinate.
-    ex = d[0] - ((cos * s[0] - sin * s[1]) + tx)
-    ey = d[1] - ((sin * s[0] + cos * s[1]) + ty)
-    masks = np.sqrt(ex * ex + ey * ey) < params.ransac_threshold
+    valid, masks = _ransac_masks(src, dst, hypotheses, params.ransac_threshold)
     # Degenerate hypotheses never win.
     inliers = np.where(valid, masks.sum(axis=1), -1)
     best = int(np.argmax(inliers))

@@ -108,7 +108,38 @@ def test_insert_takes_the_highest_id_int64_holds(rng):
     cluster_map.insert(Cluster(2**63 - 2, POLE, points, points.mean(axis=0)))
     assert cluster_map.centroid_table()[0].tolist() == [2**63 - 2]
     assert cluster_map.nearest_within(points[:1, :2], 1.0).tolist() == [2**63 - 2]
-    assert cluster_map.add(TRUNK, points + 1.0).cluster_id == 2**63 - 1
+    with pytest.raises(ValueError, match=f"cluster id {2**63 - 1} outside 0 to {2**63 - 2}"):
+        cluster_map.add(TRUNK, points + 1.0)
+
+
+def test_absorb_refuses_ids_int64_cannot_hold(rng):
+    # after the highest id, a new cluster would need one past it: the call
+    # fails before any change, also when another run lands in a stored cluster
+    cluster_map = ClusterMap()
+    kept = cluster_map.add(POLE, cluster_points(rng, (0.0, 0.0, 1.0)))
+    points = cluster_points(rng, (3.0, 0.0, 1.0))
+    cluster_map.insert(Cluster(2**63 - 2, POLE, points, points.mean(axis=0)))
+    before = [(c.cluster_id, c.points.copy(), c.centroid3d.copy(), c.observed) for c in cluster_map]
+    more = cluster_points(rng, (6.0, 0.0, 1.0))
+    attempts = [
+        lambda: cluster_map.add(TRUNK, more),
+        lambda: cluster_map.absorb(
+            [kept.cluster_id, -1], [POLE, TRUNK], np.vstack([more, more + 1.0]), [len(more)] * 2
+        ),
+    ]
+    for attempt in attempts:
+        with pytest.raises(ValueError, match=f"cluster id {2**63 - 1} outside 0 to {2**63 - 2}"):
+            attempt()
+        assert cluster_map.ids() == [kept.cluster_id, 2**63 - 2] and len(cluster_map) == 2
+        for (cid, pts, centroid, observed), c in zip(before, cluster_map):
+            assert c.cluster_id == cid and c.observed == observed
+            assert np.array_equal(c.points, pts) and np.array_equal(c.centroid3d, centroid)
+        ids, cents, _ = cluster_map.centroid_table()
+        assert ids.tolist() == [kept.cluster_id, 2**63 - 2]
+        assert np.array_equal(cents, np.array([centroid[:2] for _, _, centroid, _ in before]))
+    # a run into a stored cluster still lands
+    cluster_map.absorb([kept.cluster_id], [POLE], more, [len(more)])
+    assert cluster_map.get(kept.cluster_id).observed == before[0][3] + len(more)
 
 
 def test_ids_are_monotone_and_iteration_sorted(rng):

@@ -340,6 +340,23 @@ def lifted_scene(rng):
     return local, global_map, identity_pairs(8)
 
 
+def near_miss_scene(rng):
+    """Six pairs that agree but for pair 0, 0.2 m off in the local map. Pair
+    1 lies 2 m from it, so hypothesis (0, 1) misfits the yaw and turns the
+    far pair 5 out of ransac_threshold; a hypothesis without pair 0 keeps
+    all six."""
+    global_map = point_map([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (1.0, -1.0), (0.5, 0.5), (30.0, 0.0)])
+    pose = planar_pose(rng)
+    local = ClusterMap()
+    for k, c in enumerate(global_map):
+        local.add(POLE, [pose.apply(c.centroid3d + (0.0, 0.2 if k == 0 else 0.0, 0.0))])
+    pairs = identity_pairs(6)
+    first_only = RelocParams(ransac_iterations=1)
+    assert len(oracle_ransac_filter(pairs, local, global_map, first_only)) == 5
+    assert len(oracle_ransac_filter(pairs, local, global_map, RelocParams())) == 6
+    return local, global_map, pairs
+
+
 def assert_ransac_agrees(pairs, local, global_map, params):
     try:
         want = oracle_ransac_filter(pairs, local, global_map, params)
@@ -357,6 +374,8 @@ def test_ransac_matches_reference_loop(rng):
         scenes.append((local, global_map, pairs))
     # outliers first: the hypotheses at the front of the order all miss
     scenes.append((local, global_map, pairs[::-1]))
+    # the first hypothesis keeps every pair but one, a later one all of them
+    scenes.append(near_miss_scene(rng))
     for local, global_map, pairs in scenes:
         # below, at and above the C(n, 2) hypotheses, and strides that do
         # not divide them
