@@ -19,7 +19,10 @@ with observed = npoints.
 Member points live in a binary sidecar (<path>.points, float32 x y z per
 point, clusters in file order) that save_map always writes. A map read
 without its sidecar reloads each cluster with a single synthetic point at its
-centroid and keeps its observed count.
+centroid and keeps its observed count. The sidecar stores absolute
+coordinates, so a member is only as precise as float32: each coordinate is
+rounded to within 2**-24 of its magnitude (0.25 m at 5e6 m from the origin),
+although the centroids keep full precision.
 """
 
 from __future__ import annotations

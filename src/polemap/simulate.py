@@ -8,12 +8,20 @@ that faces the sensor. Nothing occludes anything. Runs drive a straight or
 gently curving path through the scene, emit sensor-frame frames of the
 landmarks in range, and corrupt the true odometry increments according to a
 drift model. Everything is deterministic per seed.
+
+Outputs stay byte-identical only while the random streams are drawn in one
+order. A scene, and each scan, draws its landmarks in scene order; for each
+landmark the xy noise (when its sigma is above 0), then the heights, then
+the ring angles (when its radius is above 0), then, in a scan, the label
+flip (when the flip rate is above 0). A scan draws its clutter last. A
+change that drops landmarks from a scan or draws a drive frame by frame
+has to keep this order to keep the pinned outputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,9 +91,14 @@ class Scene:
     cluster_map: ClusterMap
     landmarks: tuple[Landmark, ...]
     spec: SceneSpec
+    # read-only (n, 2) landmark x, y in landmark order
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "landmarks", tuple(self.landmarks))
+        positions = np.array([(lm.x, lm.y) for lm in self.landmarks], dtype=float).reshape(-1, 2)
+        positions.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
 
 
 @dataclass(frozen=True)
@@ -136,29 +149,31 @@ class SimRun:
     initial_pose: PoseSE3
 
 
-def _landmark_points(rng: np.random.Generator, landmark: Landmark, spec: SceneSpec, facing=None):
-    """spec.points_per_cluster member points of a landmark, from the ground to
-    its height, with Gaussian noise in xy. A landmark of radius 0 is its axis,
-    and no angle is drawn. Otherwise each point lies on its ring, at an angle
-    drawn from the whole ring, or from the half facing the xy position
-    facing when it is given.
+def _landmark_points(rng: np.random.Generator, landmark: Landmark, spec: SceneSpec, out,
+                     facing=None) -> None:
+    """Write the member points of a landmark into the rows of the (n, 3)
+    array out, from the ground to its height, with Gaussian noise in xy,
+    but as xy offsets from the landmark's position, which the caller adds.
+    A landmark of radius 0 is its axis, and no angle is drawn. Otherwise
+    each point lies on its ring, at an angle drawn from the whole ring, or
+    from the half facing the xy position facing when it is given.
     """
-    count = spec.points_per_cluster
+    count = len(out)
     sigma = spec.point_noise_sigma
     if landmark.label == POLE:
         height, radius = POLE_HEIGHT, spec.pole_radius
     else:
         height, radius = TRUNK_HEIGHT, spec.trunk_radius
-    xy = rng.normal(0.0, sigma, size=(count, 2)) if sigma > 0 else np.zeros((count, 2))
-    z = rng.uniform(0.0, height, size=count)
+    out[:, :2] = rng.normal(0.0, sigma, size=(count, 2)) if sigma > 0 else 0.0
+    out[:, 2] = rng.uniform(0.0, height, size=count)
     if radius > 0:
         if facing is None:
             angle = rng.uniform(-math.pi, math.pi, size=count)
         else:
             toward = math.atan2(facing[1] - landmark.y, facing[0] - landmark.x)
             angle = toward + rng.uniform(-math.pi / 2, math.pi / 2, size=count)
-        xy = xy + radius * np.column_stack([np.cos(angle), np.sin(angle)])
-    return np.column_stack([landmark.x + xy[:, 0], landmark.y + xy[:, 1], z])
+        out[:, 0] += radius * np.cos(angle)
+        out[:, 1] += radius * np.sin(angle)
 
 
 def generate_scene(spec: SceneSpec | None = None) -> Scene:
@@ -191,10 +206,15 @@ def generate_scene(spec: SceneSpec | None = None) -> Scene:
         Landmark(x, y, POLE if rng.random() < spec.label_mix else TRUNK)
         for x, y in zip(xs.tolist(), ys.tolist())
     ]
-    cluster_map = ClusterMap()
-    for landmark in landmarks:
-        cluster_map.add(landmark.label, _landmark_points(rng, landmark, spec))
-    return Scene(cluster_map=cluster_map, landmarks=tuple(landmarks), spec=spec)
+    count = spec.points_per_cluster
+    points = np.empty((len(landmarks), count, 3))
+    for landmark, out in zip(landmarks, points):
+        _landmark_points(rng, landmark, spec, out)
+    scene = Scene(cluster_map=ClusterMap(), landmarks=tuple(landmarks), spec=spec)
+    points[:, :, :2] += scene.positions[:, None, :]
+    scene.cluster_map.absorb([-1] * len(landmarks), [lm.label for lm in landmarks],
+                             points.reshape(-1, 3), [count] * len(landmarks))
+    return scene
 
 
 def retain_clusters(cluster_map: ClusterMap, fraction: float, seed: int = 0) -> ClusterMap:
@@ -296,26 +316,33 @@ def sensor_frame(
     sensor: SensorSpec | None = None,
 ) -> Frame:
     """One labeled scan of the landmarks within sensor range of a pose; a
-    landmark with a radius shows the half of its ring that faces the pose."""
+    landmark with a radius shows the half of its ring that faces the pose.
+
+    The landmarks in range are drawn into one (k, n, 3) buffer and posed
+    by one apply, which multiplies each landmark's (n, 3) block on its own,
+    as posing them one by one did; flattened to (k * n, 3), n = 1 would
+    differ in the last bits.
+    """
     sensor = sensor or SensorSpec()
-    inv = pose.inverse()
     position = pose.translation[:2]
-    xyz: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
-    for landmark in scene.landmarks:
-        if (landmark.x - position[0]) ** 2 + (landmark.y - position[1]) ** 2 > sensor.radius**2:
-            continue
-        world = _landmark_points(rng, landmark, scene.spec, facing=position)
+    # float_power squares through the C library's pow, as a scalar ** 2 does,
+    # where an array ** 2 multiplies and may land one unit off
+    squared = np.float_power(scene.positions - position, 2.0)
+    visible = np.flatnonzero(~(squared[:, 0] + squared[:, 1] > sensor.radius**2))
+    count = scene.spec.points_per_cluster
+    world = np.empty((len(visible), count, 3))
+    labels = np.full(world.size // 3 + sensor.clutter_points, other_label(9))
+    for slot, index in enumerate(visible.tolist()):
+        landmark = scene.landmarks[index]
+        _landmark_points(rng, landmark, scene.spec, world[slot], facing=position)
         label = landmark.label
         if sensor.label_flip_rate > 0 and rng.random() < sensor.label_flip_rate:
             label = TRUNK if label == POLE else POLE
-        xyz.append(inv.apply(world))
-        labels.append(np.full(len(world), label))
+        labels[slot * count:(slot + 1) * count] = label
+    world[:, :, :2] += scene.positions[visible][:, None, :]
+    xyz = pose.inverse().apply(world).reshape(-1, 3)
     if sensor.clutter_points > 0:
         clutter = rng.uniform(-sensor.radius, sensor.radius, size=(sensor.clutter_points, 3))
         clutter[:, 2] = np.abs(clutter[:, 2]) % 2.0
-        xyz.append(clutter)
-        labels.append(np.full(len(clutter), other_label(9)))
-    if not xyz:
-        return Frame(timestamp, (), ())
-    return Frame(timestamp, np.concatenate(xyz), np.concatenate(labels))
+        xyz = np.concatenate([xyz, clutter])
+    return Frame(timestamp, xyz, labels)

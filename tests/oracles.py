@@ -8,9 +8,9 @@ stars built one anchor and one neighbor at a time, a consistency filter
 that grows its clique over Python sets, a yaw fit of a stack of sets in
 mean/ptp form, a RANSAC that fits one two-pair hypothesis at a time, an
 ICP that queries its kd-tree twice per step and fits each step in that
-batched form, and registration, extraction and local maps built one
-cluster at a time. The production code must agree with these exactly on
-the same inputs.
+batched form, registration, extraction and local maps built one
+cluster at a time, and a simulated scan drawn one landmark at a time. The
+production code must agree with these exactly on the same inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from polemap import POLE, TRUNK, Cluster, ClusterMap, PoseSE3
+from polemap import POLE, TRUNK, Cluster, ClusterMap, Frame, PoseSE3
+from polemap.cluster_map import other_label
+from polemap.simulate import POLE_HEIGHT, TRUNK_HEIGHT
 
 
 def circ_diff(a: float, b: float) -> float:
@@ -551,3 +553,48 @@ def oracle_local_map(frame_clusters, pose):
     for cluster in frame_clusters:
         local.add(cluster.label, pose.apply(cluster.points))
     return local
+
+
+def _oracle_landmark_points(rng, landmark, spec, facing=None):
+    count = spec.points_per_cluster
+    sigma = spec.point_noise_sigma
+    if landmark.label == POLE:
+        height, radius = POLE_HEIGHT, spec.pole_radius
+    else:
+        height, radius = TRUNK_HEIGHT, spec.trunk_radius
+    xy = rng.normal(0.0, sigma, size=(count, 2)) if sigma > 0 else np.zeros((count, 2))
+    z = rng.uniform(0.0, height, size=count)
+    if radius > 0:
+        if facing is None:
+            angle = rng.uniform(-math.pi, math.pi, size=count)
+        else:
+            toward = math.atan2(facing[1] - landmark.y, facing[0] - landmark.x)
+            angle = toward + rng.uniform(-math.pi / 2, math.pi / 2, size=count)
+        xy = xy + radius * np.column_stack([np.cos(angle), np.sin(angle)])
+    return np.column_stack([landmark.x + xy[:, 0], landmark.y + xy[:, 1], z])
+
+
+def oracle_sensor_frame(rng, scene, pose, timestamp, sensor):
+    """sensor_frame one landmark at a time: a scalar range test, then each
+    landmark's points drawn, posed and labeled on their own."""
+    inv = pose.inverse()
+    position = pose.translation[:2]
+    xyz = []
+    labels = []
+    for landmark in scene.landmarks:
+        if (landmark.x - position[0]) ** 2 + (landmark.y - position[1]) ** 2 > sensor.radius**2:
+            continue
+        world = _oracle_landmark_points(rng, landmark, scene.spec, facing=position)
+        label = landmark.label
+        if sensor.label_flip_rate > 0 and rng.random() < sensor.label_flip_rate:
+            label = TRUNK if label == POLE else POLE
+        xyz.append(inv.apply(world))
+        labels.append(np.full(len(world), label))
+    if sensor.clutter_points > 0:
+        clutter = rng.uniform(-sensor.radius, sensor.radius, size=(sensor.clutter_points, 3))
+        clutter[:, 2] = np.abs(clutter[:, 2]) % 2.0
+        xyz.append(clutter)
+        labels.append(np.full(len(clutter), other_label(9)))
+    if not xyz:
+        return Frame(timestamp, (), ())
+    return Frame(timestamp, np.concatenate(xyz), np.concatenate(labels))

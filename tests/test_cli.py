@@ -711,6 +711,25 @@ sensor.clutter_points = 20
 trajectory.turn_rate_deg_per_m = 0.6
 """
 ZERO_EXTENSIONS = "scene.pole_radius = 0.0\nscene.trunk_radius = 0.0\ndrift.vertical_drift = 0.0\n"
+# The cylinder config CI simulates and localizes: both radii above 0, so
+# scans draw the facing half of each ring, and vertical drift. Its digest was
+# recorded while sensor_frame still drew, posed and labeled one landmark at
+# a time.
+CYLINDER_CONFIG = GOLDEN_CONFIG + """scene.pole_radius = 0.1
+scene.trunk_radius = 0.25
+drift.vertical_drift = 0.002
+"""
+
+
+def _simulate_digest(tmp_path, text):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(text, encoding="ascii")
+    data = tmp_path / "data"
+    assert main(["simulate", "--out", str(data), "--config", str(cfg)]) == 0
+    total = hashlib.sha256()
+    for path in sorted(p for p in data.rglob("*") if p.is_file()):
+        total.update(path.relative_to(data).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
+    return total.hexdigest()
 
 
 @pytest.mark.parametrize("text, digest", [
@@ -718,14 +737,12 @@ ZERO_EXTENSIONS = "scene.pole_radius = 0.0\nscene.trunk_radius = 0.0\ndrift.vert
     (BUSY_CONFIG, "0f149616c2230a3ec5b05a1f7049348074fcd99f4af736a7fa395db7f1aec3d9"),
 ], ids=["golden", "busy"])
 def test_zero_radius_and_vertical_drift_simulate_as_before(tmp_path, capsys, text, digest):
-    cfg = tmp_path / "zero.cfg"
-    cfg.write_text(text + ZERO_EXTENSIONS, encoding="ascii")
-    data = tmp_path / "data"
-    assert main(["simulate", "--out", str(data), "--config", str(cfg)]) == 0
-    total = hashlib.sha256()
-    for path in sorted(p for p in data.rglob("*") if p.is_file()):
-        total.update(path.relative_to(data).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
-    assert total.hexdigest() == digest
+    assert _simulate_digest(tmp_path, text + ZERO_EXTENSIONS) == digest
+
+
+def test_cylinder_simulate_is_byte_exact(tmp_path, capsys):
+    digest = "a573ba8eb3d85cdd1b4d1719aea8994fd3e0c5ec12429cea5bc4339d0b7ecb0c"
+    assert _simulate_digest(tmp_path, CYLINDER_CONFIG) == digest
 
 
 def test_build_map_from_odometry_poses(tmp_path, capsys):

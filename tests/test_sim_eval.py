@@ -27,6 +27,7 @@ from polemap.simulate import (
     sensor_frame,
     simulate_run,
 )
+from oracles import oracle_sensor_frame
 
 
 # ---------------------------------------------------------------- scenes
@@ -263,6 +264,60 @@ def test_sensor_frame_clutter_points_use_unknown_label():
     assert len(frame.xyz) == 10
     landmark = np.isin(frame.labels, [POLE, TRUNK])
     assert int(np.sum(~landmark)) == 7
+
+
+def _assert_frames_as_oracle(scene, poses, sensor, seed=0):
+    for k, pose in enumerate(poses):
+        rng, oracle_rng = np.random.default_rng(seed + k), np.random.default_rng(seed + k)
+        frame = sensor_frame(rng, scene, pose, 0.5 * k, sensor)
+        expected = oracle_sensor_frame(oracle_rng, scene, pose, 0.5 * k, sensor)
+        assert frame.timestamp == expected.timestamp
+        assert frame.xyz.shape == expected.xyz.shape and frame.xyz.dtype == expected.xyz.dtype
+        assert frame.xyz.tobytes() == expected.xyz.tobytes()
+        assert frame.labels.dtype == expected.labels.dtype
+        assert frame.labels.tobytes() == expected.labels.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("radii, points_per_cluster, flip_rate, clutter", [
+    ((0.0, 0.0), 40, 0.0, 0),
+    ((0.1, 0.25), 40, 0.0, 0),
+    ((0.1, 0.25), 40, 0.3, 20),
+    ((0.0, 0.0), 1, 0.3, 20),
+    ((0.1, 0.25), 1, 0.0, 0),
+], ids=["axis", "cylinder", "cylinder-flip-clutter", "axis-1pt-flip-clutter", "cylinder-1pt"])
+def test_sensor_frame_draws_as_the_per_landmark_oracle(radii, points_per_cluster, flip_rate, clutter):
+    # bytes and random stream after the call; the last pose sees no
+    # landmark, so its frame is empty or all clutter
+    spec = SceneSpec(area=(160.0, 160.0), n_clusters=70, points_per_cluster=points_per_cluster,
+                     pole_radius=radii[0], trunk_radius=radii[1], seed=7)
+    scene = generate_scene(spec)
+    rng = np.random.default_rng(11)
+    poses = [PoseSE3(rotation_about_z(rng.uniform(-math.pi, math.pi)),
+                     np.array([*rng.uniform(0.0, 160.0, size=2), 0.0])) for _ in range(12)]
+    poses.append(PoseSE3(rotation_about_z(0.3), np.array([1000.0, -1000.0, 0.0])))
+    _assert_frames_as_oracle(scene, poses, SensorSpec(radius=40.0, label_flip_rate=flip_rate,
+                                                      clutter_points=clutter))
+
+
+def _radius_whose_square_rounds_low():
+    """A radius r whose r**2 (the C library's pow) is below the correctly
+    rounded r * r, where that pow is not correctly rounded; else 60.0."""
+    for step in range(100_000):
+        radius = 50.0 + step / 1024 + 1e-6
+        if radius**2 < radius * radius:
+            return radius
+    return 60.0
+
+
+@pytest.mark.parametrize("radius", [60.0, _radius_whose_square_rounds_low()])
+def test_sensor_frame_keeps_a_landmark_at_exactly_the_sensor_radius(radius):
+    scene = _bare_scene([Landmark(radius, 0.0, POLE), Landmark(0.0, -radius, TRUNK),
+                         Landmark(radius + 1e-9, 0.0, TRUNK), Landmark(-radius, 0.0, POLE)])
+    sensor = SensorSpec(radius=radius)
+    frame = sensor_frame(np.random.default_rng(0), scene, PoseSE3.identity(), 0.0, sensor)
+    assert len(frame.xyz) == 3 * 5
+    _assert_frames_as_oracle(scene, [PoseSE3.identity()], sensor)
 
 
 # --------------------------------------------------------------- metrics
