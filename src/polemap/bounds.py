@@ -2,13 +2,19 @@
 
 A class whose only rules are its ranges sets __post_init__ = check_bounds.
 Each check is a comparison that NaN fails; a message states the whole range.
+FINITE declares a field that takes any finite number and ANY_NUMBER one that
+also takes an infinity, but never NaN.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import field, fields
+
+FINITE = (-sys.float_info.max, sys.float_info.max)
+ANY_NUMBER = (-math.inf, math.inf)
 
 
 def bounded(default, low, high=math.inf, *, above=False, name=None):
@@ -18,6 +24,10 @@ def bounded(default, low, high=math.inf, *, above=False, name=None):
 
 def describe(low, high, above) -> str:
     """What a value must do to lie in the range, as in "be positive"."""
+    if (low, high) == FINITE and not above:
+        return "be finite"
+    if (low, high) == ANY_NUMBER and not above:
+        return "be any number but NaN"
     if high < math.inf:
         return f"lie in {'(' if above else '['}{low:g}, {high:g}]"
     if low == 0:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .association import AssociationParams, MatchPair, associate_maps
-from .bounds import bounded, check_bounds
+from .bounds import ANY_NUMBER, bounded, check_bounds
 from .cluster_map import ClusterMap, kdtree
 from .geometry import PoseSE3
 
@@ -76,7 +76,7 @@ class RelocParams:
     ransac_iterations: int = bounded(200, 1, MAX_RANSAC_ITERATIONS)
     min_pairs: int = bounded(4, 3)
     icp_max_iterations: int = bounded(30, 0)
-    icp_convergence: float = 1e-4
+    icp_convergence: float = bounded(1e-4, *ANY_NUMBER)
 
     __post_init__ = check_bounds
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bounded, check_bounds
+from .bounds import FINITE, bounded, check_bounds
 from .cluster_map import POLE, TRUNK, Cluster, ClusterMap, Frame, other_label
 from .dataset_io import MAX_COORDINATE
 from .geometry import PoseSE3, rotation_about_z
@@ -106,7 +106,7 @@ class TrajectorySpec:
     start: tuple[float, float] = bounded(
         (50.0, 150.0), -MAX_COORDINATE, MAX_COORDINATE, name="trajectory start"
     )
-    heading_deg: float = 0.0
+    heading_deg: float = bounded(0.0, *FINITE)
     speed: float = bounded(5.0, 0, MAX_COORDINATE, above=True)
     length: float = bounded(500.0, 0)
     frame_period: float = bounded(0.5, 0, MAX_COORDINATE, above=True)

@@ -8,9 +8,10 @@ stars built one anchor and one neighbor at a time, a consistency filter
 that grows its clique over Python sets, a yaw fit of a stack of sets in
 mean/ptp form, a RANSAC that fits one two-pair hypothesis at a time, an
 ICP that queries its kd-tree twice per step and fits each step in that
-batched form, registration, extraction and local maps built one
-cluster at a time, and a simulated scan drawn one landmark at a time. The
-production code must agree with these exactly on the same inputs.
+batched form, registration, extraction and local maps built one cluster at
+a time, map format 3's stored members by a scalar search for the step, and
+a simulated scan drawn one landmark at a time. The production code must
+agree with these exactly on the same inputs.
 """
 
 from __future__ import annotations
@@ -307,6 +308,22 @@ def oracle_consistency_filter(pairs, local_map, global_map, tolerance: float):
         clique.append(pick)
         candidates &= adj[pick]
     return [pairs[i] for i in sorted(clique)]
+
+
+def oracle_v3_members(points, centroid):
+    """One cluster's members as map format 3 stores them, and its step
+    exponent k, by the documented rule: k counts up from -20 until the
+    largest |member - centroid| lies below 32767.5 * 2**k, then each offset
+    rounds to the nearest multiple of 2**k, ties to even, and is added back
+    to the centroid."""
+    centroid = np.asarray(centroid, dtype=float)
+    offsets = np.asarray(points, dtype=float) - centroid
+    widest = float(np.abs(offsets).max(initial=0.0))
+    k = -20
+    while not widest < 32767.5 * 2.0**k:
+        k += 1
+    step = 2.0**k
+    return centroid + np.round(offsets / step) * step, k
 
 
 def oracle_batched_yaw_fit(src, dst):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import polemap
-from polemap import POLE, ClusterMap, DatasetError
+from polemap import POLE, ClusterMap, DatasetError, MapFormatError
 from polemap.cli import main
 from polemap.dataset_io import Dataset, load_poses, read_point_file, save_poses, write_point_file
 from polemap.map_io import load_map, save_map
@@ -433,10 +433,11 @@ def test_map_cluster_id_int64_cannot_hold_exits_3(tmp_path, capsys, cid):
 
 
 def test_non_finite_map_sidecar_exits_3(workspace, tmp_path, capsys):
+    # a version 1 or 2 sidecar stores float32 coordinates, which can be inf
     path = tmp_path / "bad.txt"
-    shutil.copy(workspace / "data" / "map.txt", path)
-    raw = np.fromfile(workspace / "data" / "map.txt.points", dtype="<f4")
-    raw[7] = np.inf
+    path.write_text("polemap-map 2\nlabels pole=5 trunk=6\n"
+                    "cluster 0 pole 1.0 2.0 0.5 1.0 2.0 3 3\n", encoding="ascii")
+    raw = np.array([[0.5, 2.0, 0.5], [1.0, 2.0, np.inf], [1.5, 2.0, 0.5]], dtype="<f4")
     sidecar = tmp_path / "bad.txt.points"
     raw.tofile(sidecar)
     code = main(["relocalize", "--local", str(path), "--map", str(workspace / "data" / "map.txt")])
@@ -639,14 +640,41 @@ def test_reloc_value_that_disables_relocalization_exits_3(workspace, tmp_path, c
     assert not out.exists()
 
 
-def test_bad_observed_count_exits_3(workspace, tmp_path, capsys):
+# A version 3 line whose three members lie 0.5 m apart along x: k = -15.
+V3_MAP = "polemap-map 3\nlabels pole=5 trunk=6\ncluster 0 pole 1.0 2.0 0.5 3 3 {}\n"
+
+
+@pytest.mark.parametrize(
+    "text, sidecar, error",
+    [
+        ("polemap-map 2\nlabels pole=5 trunk=6\ncluster 0 pole 1.0 2.0 0.5 1.0 2.0 4 3\n", None,
+         ":3: observed count must lie in npoints..9007199254740992"),
+        # a version 2 sidecar of the same members, 12 bytes each for 6
+        (V3_MAP.format(-15), np.array([[0.5, 2, 0.5], [1, 2, 0.5], [1.5, 2, 0.5]], dtype="<f4"),
+         ".points: size 36 does not match declared counts (18)"),
+        (V3_MAP.format(-15)[:-1] + " 0\n", None, ":3: unexpected line"),
+        (V3_MAP.format("-15.0"), None, ":3: unparseable cluster record"),
+        (V3_MAP.format("k"), None, ":3: unparseable cluster record"),
+        (V3_MAP.format(-21), None, ":3: step exponent must lie in -20..16"),
+        (V3_MAP.format(17), None, ":3: step exponent must lie in -20..16"),
+        # version 3 dropped the 2D centroid
+        ("polemap-map 3\nlabels pole=5 trunk=6\ncluster 0 pole 1.0 2.0 0.5 1.0 2.0 3 3 -15\n", None,
+         ":3: unexpected line"),
+    ],
+    ids=["observed-below-npoints", "v3-sidecar-size", "v3-extra-field", "v3-step-float",
+         "v3-step-word", "v3-step-below-range", "v3-step-above-range", "v3-with-centroid2d"],
+)
+def test_bad_map_exits_3(workspace, tmp_path, capsys, text, sidecar, error):
     path = tmp_path / "bad.txt"
-    path.write_text("polemap-map 2\nlabels pole=5 trunk=6\n"
-                    "cluster 0 pole 1.0 2.0 0.5 1.0 2.0 4 3\n", encoding="ascii")
+    path.write_text(text, encoding="ascii")
+    if sidecar is not None:
+        sidecar.tofile(tmp_path / "bad.txt.points")
+    with pytest.raises(MapFormatError):
+        load_map(path)
     code = main(["relocalize", "--local", str(path), "--map", str(workspace / "data" / "map.txt")])
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.err.startswith(f"error: {path}:3: observed count must lie in npoints")
+    assert captured.err == f"error: {path}{error}\n"
 
 
 # README demo config on a 40 m drive. The digests pin the bytes that
@@ -666,13 +694,13 @@ drift.noise_sigma = 0.004
 drift.seed = 7
 """
 GOLDEN_SHA256 = {
-    "data/map.txt": "9a6b1b8203547df1f4557e1314352f2e7da011862435c22c0946393161b25aa8",
-    "data/map.txt.points": "a95d5350bcd29396d903b990399701c95a3c20663ed39053cd2ad2b72bbc196b",
-    "built.txt": "facdb537e75809ae264a43bc154eb6b76416ab7c2a1a0820474bd70dc5dc7b80",
-    "built.txt.points": "eddd84b20c58bb77ec8d36718151fe5c1e9d9f8690efdac0d84f328010a73446",
-    "estimated.txt": "711431271e1abed24ff7233b29a86e3ad929661144e454660682e5757aad4d38",
+    "data/map.txt": "769152c1880d383186e0d0619dafc412a2aa9e3e20a9b1994efd3756e98957b5",
+    "data/map.txt.points": "9359fa5ccfdfdb37aa0fc253a43019c058327854cb8f35568c762b9767555405",
+    "built.txt": "73827564bd1f8ba5b790c06657f5690d880db233da8b28e26e2f3e92eef5cf6d",
+    "built.txt.points": "3ea4d3e9f3b8ba3ccac2a6a0d2f90cafc930496054cfd3e65485130acdf08eac",
+    "estimated.txt": "d06afde6b8c350102569900faaf9adb61d91dc7c953b9d24648ba4a32e9e3cde",
 }
-GOLDEN_RELOCALIZE_SHA256 = "37d01b6c4297e023395dbbcba8b8c8425f1f97a5e4d0392bd8ea8849b93a395f"
+GOLDEN_RELOCALIZE_SHA256 = "e2041e372d7bbb1224e145dc2c6970514904ea2211a23fe13ff1efd3c936d7eb"
 # The distance-to-relocalize study on the same scene, four trials per
 # retention; at 0.25 every trial is censored at the drive's maximum distance.
 GOLDEN_EVALUATE_SHA256 = "9d87fcb4bb0a1f2168e379f35fc7ca2dcdbd2edcad8b26a332b396e450e77f5a"
@@ -689,7 +717,7 @@ def test_outputs_are_byte_exact(tmp_path, capsys):
     assert capsys.readouterr().out.split("\n") == [
         "frames 17", "clusters 70", "length 40.000",
         "clusters 37", "density 0.925000",
-        "fixes 17 attempts 17", "rmse 0.034145", "",
+        "fixes 17 attempts 17", "rmse 0.034137", "",
     ]
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
@@ -699,12 +727,48 @@ def test_outputs_are_byte_exact(tmp_path, capsys):
                  "--config", str(cfg)]) == 0
     relocalized = capsys.readouterr().out.encode("ascii")
     assert hashlib.sha256(relocalized).hexdigest() == GOLDEN_RELOCALIZE_SHA256
+    # a loaded map saves to the bytes it was read from
+    resaved = tmp_path / "resaved.txt"
+    for name in ("data/map.txt", "built.txt"):
+        save_map(load_map(tmp_path / name), resaved)
+        for suffix in ("", ".points"):
+            want = (tmp_path / f"{name}{suffix}").read_bytes()
+            assert (tmp_path / f"resaved.txt{suffix}").read_bytes() == want
+
+
+def test_far_drive_localizes_as_near(tmp_path, capsys):
+    # GOLDEN_CONFIG's 40 m drive moved 5e6 m north, where a map in a UTM
+    # frame sits: its built map keeps the members' shape, so localizing
+    # against it reads the rmse of the unshifted drive
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GOLDEN_CONFIG, encoding="ascii")
+    near, far = tmp_path / "near", tmp_path / "far"
+    assert main(["simulate", "--out", str(near), "--config", str(cfg)]) == 0
+    shutil.copytree(near, far)
+    for name in ("poses.txt", "odometry.txt"):
+        lines = []
+        for line in (far / name).read_text(encoding="ascii").splitlines():
+            fields = line.split()
+            fields[2] = repr(float(fields[2]) + 5e6)
+            lines.append(" ".join(fields) + "\n")
+        (far / name).write_text("".join(lines), encoding="ascii")
+    rmse = []
+    for data in (near, far):
+        capsys.readouterr()
+        assert main(["build-map", "--data", str(data), "--out", str(data / "built.txt"),
+                     "--config", str(cfg)]) == 0
+        assert main(["localize", "--data", str(data), "--map", str(data / "built.txt"),
+                     "--out", str(data / "estimated.txt"), "--config", str(cfg)]) == 0
+        rmse.append(float(capsys.readouterr().out.split("rmse ")[1]))
+    assert abs(rmse[1] - rmse[0]) <= 1e-4
 
 
 # sha256 over every file that simulate writes (relative path, NUL, bytes,
-# NUL, in path order), recorded before landmark radii and vertical drift
-# existed. The second config also turns, flips labels, adds clutter and
-# drifts in yaw, so every random stream of the simulator is drawn.
+# NUL, in path order). The frame and pose files' bytes date from before
+# landmark radii and vertical drift existed; the map files were re-recorded
+# in map format 3, with every other file unchanged. The second config also
+# turns, flips labels, adds clutter and drifts in yaw, so every random
+# stream of the simulator is drawn.
 BUSY_CONFIG = GOLDEN_CONFIG + """drift.rotational_drift = 0.005
 sensor.label_flip_rate = 0.05
 sensor.clutter_points = 20
@@ -712,9 +776,9 @@ trajectory.turn_rate_deg_per_m = 0.6
 """
 ZERO_EXTENSIONS = "scene.pole_radius = 0.0\nscene.trunk_radius = 0.0\ndrift.vertical_drift = 0.0\n"
 # The cylinder config CI simulates and localizes: both radii above 0, so
-# scans draw the facing half of each ring, and vertical drift. Its digest was
-# recorded while sensor_frame still drew, posed and labeled one landmark at
-# a time.
+# scans draw the facing half of each ring, and vertical drift. Its frames
+# and poses were recorded while sensor_frame still drew, posed and labeled
+# one landmark at a time, and its map files in map format 3.
 CYLINDER_CONFIG = GOLDEN_CONFIG + """scene.pole_radius = 0.1
 scene.trunk_radius = 0.25
 drift.vertical_drift = 0.002
@@ -733,15 +797,15 @@ def _simulate_digest(tmp_path, text):
 
 
 @pytest.mark.parametrize("text, digest", [
-    (GOLDEN_CONFIG, "2f765294b112928cba606275389267f65e0624659af03f00f4af98d8d9db7a35"),
-    (BUSY_CONFIG, "0f149616c2230a3ec5b05a1f7049348074fcd99f4af736a7fa395db7f1aec3d9"),
+    (GOLDEN_CONFIG, "4c7e083435d3fbd9a092d0d21c60e6032a760a91566dabac423587d3a802db2f"),
+    (BUSY_CONFIG, "630829e75cd8e8e0ea20391cd4d3fa23cd2492a85592edfc01bc9504b6df1292"),
 ], ids=["golden", "busy"])
 def test_zero_radius_and_vertical_drift_simulate_as_before(tmp_path, capsys, text, digest):
     assert _simulate_digest(tmp_path, text + ZERO_EXTENSIONS) == digest
 
 
 def test_cylinder_simulate_is_byte_exact(tmp_path, capsys):
-    digest = "a573ba8eb3d85cdd1b4d1719aea8994fd3e0c5ec12429cea5bc4339d0b7ecb0c"
+    digest = "24157102dc33f8632b4ace55b6005444b19caac30993723ead314fb1b7c9360f"
     assert _simulate_digest(tmp_path, CYLINDER_CONFIG) == digest
 
 

@@ -118,11 +118,9 @@ def _declared_ranges():
 
 DECLARED = _declared_ranges()
 # Every other field, each a number: a new field must either declare its range
-# or join this list.
-UNBOUNDED = {
-    ("reloc", "icp_convergence"),
-    ("trajectory", "heading_deg"),
-}
+# or join this list. Every field declares one, if only that it is finite
+# (bounds.FINITE) or not NaN (bounds.ANY_NUMBER).
+UNBOUNDED = set()
 
 
 def _group_with(group, field_name, index, value):
@@ -169,7 +167,7 @@ def test_every_declared_bound_is_exact(group, field_name, index, bounds):
         return value + direction if integer else math.nextafter(value, direction * math.inf)
 
     low, high, above = bounds
-    edges = [(low, -1, above)]
+    edges = [(low, -1, above)] if low > -math.inf else []
     if high < math.inf:
         edges.append((high, 1, False))
     for edge, outward, exclusive in edges:

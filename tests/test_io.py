@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_map
+from oracles import oracle_v3_members
 from polemap import POLE, TRUNK, DatasetError, MapFormatError, PoseSE3
 from polemap.cluster_map import Cluster, ClusterMap, Frame, other_label
 from polemap.dataset_io import (
@@ -306,7 +307,42 @@ def test_map_round_trip_with_points(tmp_path, rng):
         np.testing.assert_array_equal(b.centroid3d, a.centroid3d)
         np.testing.assert_array_equal(b.centroid2d, a.centroid2d)
         assert b.n_points == a.n_points
-        np.testing.assert_array_equal(b.points, a.points.astype("<f4").astype(float))
+        np.testing.assert_array_equal(b.points, oracle_v3_members(a.points, a.centroid3d)[0])
+
+
+def test_empty_map_round_trips(tmp_path):
+    path = tmp_path / "map.txt"
+    save_map(ClusterMap(), path)
+    assert path.read_text(encoding="ascii") == "polemap-map 3\nlabels pole=5 trunk=6\n"
+    assert (tmp_path / "map.txt.points").read_bytes() == b""
+    assert len(load_map(path)) == 0
+
+
+@pytest.mark.parametrize("offset", [0.0, 5e6, 1e9 - 100.0], ids=["origin", "5e6", "near-limit"])
+def test_map_resave_is_byte_identical(tmp_path, rng, offset):
+    cluster_map = ClusterMap()
+    for c in random_map(rng, 12):
+        cluster_map.insert(Cluster(c.cluster_id, c.label, c.points + offset, c.centroid3d + offset))
+    # 32767.5 * 2**-15: a largest offset on it needs k = -14, one a float64
+    # spacing at 1e9 m below it k = -15
+    boundary = np.ldexp(32767.5, -15)
+    center = np.array([3.0, -4.0, 1.0]) + offset
+    cluster_map.insert(Cluster(100, POLE, center[None], center))
+    cluster_map.insert(Cluster(101, POLE, center + [[boundary, 0, 0], [0, -boundary, 0.5]], center))
+    cluster_map.insert(Cluster(102, TRUNK, center + [[boundary - 2.0**-23, 0, 0], [0, 0, 0]], center))
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_map(cluster_map, first)
+    loaded = load_map(first)
+    save_map(loaded, second)
+    for suffix in ("", ".points"):
+        want = (tmp_path / f"first.txt{suffix}").read_bytes()
+        assert (tmp_path / f"second.txt{suffix}").read_bytes() == want
+    exponents = [int(line.split()[-1]) for line in first.read_text(encoding="ascii").split("\n")[2:-1]]
+    assert exponents[-3:] == [-20, -14, -15]
+    for original, k, got in zip(cluster_map, exponents, loaded):
+        want, want_k = oracle_v3_members(original.points, original.centroid3d)
+        assert k == want_k
+        np.testing.assert_array_equal(got.points, want)
 
 
 @pytest.mark.parametrize(
@@ -314,10 +350,11 @@ def test_map_round_trip_with_points(tmp_path, rng):
     [
         ([(2e9, 0.0, 1.0)], "cluster 7: centroid beyond 1e+09 m"),
         ([(0.0, -1e9 - 1.0, 1.0), (0.0, -1e9 - 3.0, 1.0)], "cluster 7: centroid beyond 1e+09 m"),
-        # the mean is 0, but neither member is finite as float32
-        ([(4e38, 0.0, 1.0), (-4e38, 0.0, 1.0)], "member point beyond the float32 range"),
+        # the mean is 0, but neither member lies within 1e9 m
+        ([(4e38, 0.0, 1.0), (-4e38, 0.0, 1.0)], "member point beyond 1e+09 m"),
+        ([(0.0, 1.5e9, 1.0), (0.0, -1.5e9, 1.0)], "member point beyond 1e+09 m"),
     ],
-    ids=["centroid-x", "centroid-negative-y", "member-overflows-float32"],
+    ids=["centroid-x", "centroid-negative-y", "member-overflows-float32", "member-beyond-limit"],
 )
 def test_save_map_refuses_what_load_map_rejects(tmp_path, points, error):
     cluster_map = ClusterMap()
@@ -364,8 +401,8 @@ def test_map_header_validation(tmp_path):
     path.write_text("polemap-map one\n", encoding="ascii")
     with pytest.raises(MapFormatError, match="bad version"):
         load_map(path)
-    path.write_text("polemap-map 3\nlabels pole=5 trunk=6\n", encoding="ascii")
-    with pytest.raises(MapFormatError, match="unsupported map version 3"):
+    path.write_text("polemap-map 4\nlabels pole=5 trunk=6\n", encoding="ascii")
+    with pytest.raises(MapFormatError, match="unsupported map version 4"):
         load_map(path)
     path.write_text("polemap-map 1\n", encoding="ascii")
     with pytest.raises(MapFormatError, match="missing labels"):
@@ -429,10 +466,10 @@ def test_version_1_map_loads_with_observed_equal_to_npoints(tmp_path):
     loaded = load_map(path)
     assert [(c.cluster_id, c.n_points, c.observed) for c in loaded] == [(0, 3, 3), (4, 1, 1)]
     np.testing.assert_array_equal(loaded.get(0).points, points[:3])
-    save_map(loaded, tmp_path / "v2.txt")
-    assert (tmp_path / "v2.txt").read_text(encoding="ascii").split("\n")[0::2] == [
-        "polemap-map 2",
-        "cluster 0 pole 1.0 2.0 0.5 1.0 2.0 3 3",
+    save_map(loaded, tmp_path / "v3.txt")
+    assert (tmp_path / "v3.txt").read_text(encoding="ascii").split("\n")[0::2] == [
+        "polemap-map 3",
+        "cluster 0 pole 1.0 2.0 0.5 3 3 -15",
         "",
     ]
 
@@ -467,12 +504,13 @@ def test_map_without_sidecar_keeps_its_weights(tmp_path, rng):
     loaded = load_map(first)
     save_map(loaded, second)
     (tmp_path / "second.txt.points").unlink()
-    # Each line keeps its centroid and observed count; only npoints becomes
-    # the one synthetic member the load made.
-    want = [line.rsplit(" ", 2) for line in first.read_text(encoding="ascii").split("\n")]
-    got = [line.rsplit(" ", 2) for line in second.read_text(encoding="ascii").split("\n")]
+    # Each line keeps its centroid and observed count; npoints becomes the
+    # one synthetic member the load made, which sits on its centroid at the
+    # finest step.
+    want = [line.rsplit(" ", 3) for line in first.read_text(encoding="ascii").split("\n")]
+    got = [line.rsplit(" ", 3) for line in second.read_text(encoding="ascii").split("\n")]
     assert [w[0] for w in want[2:-1]] == [g[0] for g in got[2:-1]]
-    assert [(w[2], "1") for w in want[2:-1]] == [(g[2], g[1]) for g in got[2:-1]]
+    assert [(w[2], "1", "-20") for w in want[2:-1]] == [(g[2], g[1], g[3]) for g in got[2:-1]]
     assert [c.observed for c in loaded] == [c.observed for c in original] == [40] * 5
     # a second round trip is byte-stable
     save_map(load_map(second), third)
